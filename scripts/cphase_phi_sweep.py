@@ -3,7 +3,8 @@
 target phase varies.
 
 Each row solves the two-constraint phase problem from scratch at the
-given restart budget, so expect a few seconds per point.  The last
+given restart budget: the 5-point example below takes about 37 s on two
+cores, some 7 s per point, and the time grows with --restarts.  The last
 column cross-checks the permanent route against the direct lift route;
 it should sit at rounding noise whenever the optimizer converged.
 

@@ -564,35 +564,40 @@ def _report_rows(name: str, report) -> list:
     return rows
 
 
+def _restarts(args, default: int) -> int:
+    if args.restarts is not None and args.restarts < 1:
+        raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
+    return default if args.restarts is None else args.restarts
+
+
 def _cmd_gate(args) -> int:
     name = args.name
     seed = args.seed
-    restarts = args.restarts
     if name == "swap":
         recipe, report = gates.swap_gate()
     elif name == "nss":
         recipe, report = gates.nss_gate_klm(
-            seed if seed is not None else 7, restarts or 24
+            seed if seed is not None else 7, _restarts(args, 24)
         )
     elif name == "cphase":
         recipe, report = gates.cphase_gate(
             args.phi,
             variant=args.variant or gates.FOUR_PHOTON,
             seed=seed if seed is not None else 11,
-            restarts=restarts or 24,
+            restarts=_restarts(args, 24),
         )
     elif name == "su3":
         recipe, report = gates.su3_phase_gate(
-            args.phi1, args.phi2, seed=seed or 0, restarts=restarts or 40
+            args.phi1, args.phi2, seed=seed or 0, restarts=_restarts(args, 40)
         )
     elif name == "hadamard":
         recipe, report = gates.hadamard_gate(seed or 0)
     elif name in ("pauli-x", "pauli-y"):
         recipe, report = gates.pauli_xy_gate(
-            name[-1], q=args.q, seed=seed if seed is not None else 3, restarts=restarts or 6
+            name[-1], q=args.q, seed=seed if seed is not None else 3, restarts=_restarts(args, 6)
         )
     elif name == "ralph-cz":
-        rep = gates.ralph_cz_check(seed if seed is not None else 7, restarts or 24)
+        rep = gates.ralph_cz_check(seed if seed is not None else 7, _restarts(args, 24))
         rows = [
             ("gate", name),
             ("lambda11_analytic_re", _fmt(rep.lambda11_analytic.real)),
@@ -606,7 +611,7 @@ def _cmd_gate(args) -> int:
         return 0
     elif name == "cnot-search":
         rep = gates.cnot_obstruction_search(
-            restarts=restarts or 200, seed=seed or 0
+            restarts=_restarts(args, 200), seed=seed or 0
         )
         rows = [
             ("gate", name),
@@ -657,7 +662,7 @@ def _objective_by_name(args) -> Objective:
 def _cmd_optimize(args) -> int:
     objective = _objective_by_name(args)
     result = optimize_gate(
-        objective, objective.mode_count, seed=args.seed or 0, restarts=args.restarts or 24
+        objective, objective.mode_count, seed=args.seed or 0, restarts=_restarts(args, 24)
     )
     rows = [
         ("objective", args.objective),
@@ -703,8 +708,11 @@ def _cmd_loss(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    tol = 1e-9 if args.tolerance is None else args.tolerance
+    if not tol > 0:
+        raise ValueError(f"--tolerance must be positive, got {tol}")
     if args.prop is not None:
-        rep = verify_proposition(args.prop, args.aux, args.seed or 0, args.cutoff or 6)
+        rep = verify_proposition(args.prop, args.aux, args.seed or 0, 6 if args.cutoff is None else args.cutoff)
         rows = [
             ("proposition", str(rep.proposition)),
             ("n_aux", str(rep.n_aux)),
@@ -715,7 +723,6 @@ def _cmd_verify(args) -> int:
         ]
         if rep.leading_coefficient_deviation is not None:
             rows.append(("leading_coefficient_deviation", _fmt(rep.leading_coefficient_deviation)))
-        tol = args.tolerance or 1e-9
         passed = rep.deviation < tol and (
             rep.leading_coefficient_deviation is None
             or rep.leading_coefficient_deviation < tol

@@ -7,9 +7,10 @@ detector outcomes leaves a non-unitary operator Y on the signal modes:
     Y[out, in] = <out, det| U(L) |in, aux>
 
 computed exactly in each photon-number sector through permanents with
-repeated indices.  An independent oracle expands the same amplitudes as
+repeated indices.  The tests cross-check these amplitudes against an
+independent oracle in tests/oracles.py, which expands them as
 multivariate polynomials in creation operators and never touches the
-permanent code; the two paths cross-check each other in the tests.
+permanent code.
 
 Y is stored exactly as projected, sub-normalized.  Success probabilities
 then compose across interferometer arms by plain multiplication.
@@ -31,8 +32,6 @@ from .fock import (
 )
 from .interferometer import ModeUnitary
 from .permanent import _per_flat
-
-MAX_ORACLE_PHOTONS = 10
 
 
 @dataclass(frozen=True)
@@ -104,49 +103,6 @@ def fock_lift_amplitude(u, input_occ, output_occ) -> complex:
         * math.prod(math.factorial(x) for x in n_out)
     )
     return complex(_per_flat(flat, k)) / norm
-
-
-def fock_lift_oracle(u, input_occ) -> PureState:
-    """Output state of the lift by direct polynomial expansion.
-
-    Expands prod_j (sum_l L_lj a_l^dag)^{n_j} acting on vacuum as a
-    multivariate polynomial, coefficients accumulated in a hash of
-    occupation tuples, then converts monomials to Fock amplitudes with
-    the sqrt(m!) factors.  No permanent is evaluated anywhere on this
-    path; it exists to check the permanent path independently.
-    """
-    m = _as_matrix(u)
-    dim = m.shape[0]
-    occ = tuple(int(x) for x in input_occ)
-    if len(occ) != dim:
-        raise ValueError("occupation length does not match matrix dimension")
-    if any(x < 0 for x in occ):
-        raise ValueError("occupations must be non-negative")
-    total = sum(occ)
-    if total > MAX_ORACLE_PHOTONS:
-        raise ValueError(f"oracle expansion capped at {MAX_ORACLE_PHOTONS} photons")
-    poly: dict[tuple, complex] = {(0,) * dim: 1.0 + 0j}
-    for j in range(dim):
-        for _ in range(occ[j]):
-            nxt: dict[tuple, complex] = {}
-            for mono, coeff in poly.items():
-                for l in range(dim):
-                    w = m[l, j]
-                    if w == 0:
-                        continue
-                    lifted = list(mono)
-                    lifted[l] += 1
-                    key = tuple(lifted)
-                    nxt[key] = nxt.get(key, 0j) + coeff * w
-            poly = nxt
-    basis = FockBasis(dim, TotalPhotonCutoff(total))
-    amps = np.zeros(basis.dimension, dtype=complex)
-    in_norm = math.sqrt(math.prod(math.factorial(x) for x in occ))
-    for mono, coeff in poly.items():
-        amps[basis.index_of(mono)] = coeff * math.sqrt(
-            math.prod(math.factorial(x) for x in mono)
-        ) / in_norm
-    return PureState(basis, amps, unchecked=True)
 
 
 def lift_unitary(u, basis: FockBasis) -> FockOperator:
@@ -249,11 +205,10 @@ class ConditionalExtractor:
         m = _as_matrix(mode_matrix)
         if m.shape[0] != self.mode_count:
             raise ValueError("mode matrix dimension mismatch")
-        flat = m.ravel()
+        flat = m.ravel().tolist()
         out = np.zeros((self._dim, self._dim), dtype=complex)
         for row, col, gather, k, norm in self._entries:
-            vals = flat[gather].tolist()
-            out[row, col] = _per_flat(vals, k) / norm
+            out[row, col] = _per_flat([flat[g] for g in gather], k) / norm
         return out
 
 

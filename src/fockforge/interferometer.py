@@ -130,6 +130,27 @@ class ModeUnitary:
         return ModeUnitary(self.dimension, self.matrix.conj().T)
 
 
+def _element_block(element, total_modes: int) -> tuple:
+    """(rows, block): the element's action on the rows it touches, rows an
+    ascending slice.  A splitter gives bs_matrix's [[T, R], [-R*, T*]]; a
+    phase shifter gives diag(e^{i angle}, 1) on its mode and a neighbour."""
+    if isinstance(element, PhaseShifterParams):
+        e = complex(math.cos(element.angle), math.sin(element.angle))
+        mode = element.mode
+        if mode + 1 < total_modes:
+            return slice(mode, mode + 2), np.array([[e, 0j], [0j, 1 + 0j]])
+        if mode > 0:
+            return slice(mode - 1, mode + 1), np.array([[1 + 0j, 0j], [0j, e]])
+        return slice(mode, mode + 1), np.array([[e]])
+    t = element.transmission
+    r = element.reflection
+    blk = np.array([[t, r], [-r.conjugate(), t.conjugate()]])
+    a, b = element.mode_a, element.mode_b
+    if a > b:  # same block with the two modes listed the other way round
+        a, b, blk = b, a, blk[::-1, ::-1].copy()
+    return slice(a, b + 1, b - a), blk
+
+
 def bs_matrix(params: BeamSplitterParams, total_modes: int) -> ModeUnitary:
     """Identity except the block [[T, R], [-R*, T*]] on (mode_a, mode_b)."""
     if max(params.mode_a, params.mode_b) >= total_modes:
@@ -162,11 +183,17 @@ def element_matrix(element, total_modes: int) -> ModeUnitary:
 
 
 def compose(network: NetworkDescription) -> ModeUnitary:
-    """Total mode unitary, first listed element applied first."""
-    total = np.eye(network.mode_count, dtype=complex)
+    """Total mode unitary, first listed element applied first.
+
+    Each element updates only the rows it touches.  The dense product
+    would add exact zeros to those rows and leave the others as they are,
+    so the result is the same bit for bit; only the total is validated."""
+    n = network.mode_count
+    total = np.eye(n, dtype=complex)
     for e in network.elements:
-        total = element_matrix(e, network.mode_count).matrix @ total
-    return ModeUnitary(network.mode_count, total)
+        rows, blk = _element_block(e, n)
+        total[rows] = blk @ total[rows]
+    return ModeUnitary(n, total)
 
 
 def random_unitary(dimension: int, seed: int) -> ModeUnitary:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -153,6 +153,12 @@ class Objective:
         if not any_target:
             raise ValueError("all constraint targets are zero")
         object.__setattr__(self, "constraints", tuple(cons))
+        # constant terms of _fit_scale and _evaluate, with their exact arithmetic
+        norms = tuple(float(np.vdot(w * y, w * y).real) for _, y, _, w in cons)
+        object.__setattr__(self, "_weighted_targets", tuple((1.0 + 0j) * w * y for _, y, _, w in cons))
+        object.__setattr__(self, "_target_norms", norms)
+        object.__setattr__(self, "_scale_denominator", sum(norms))
+        object.__setattr__(self, "_phase_free", any(free for _, _, free, _ in cons))
 
     def extractor(self):
         return _shared_extractor(
@@ -222,24 +228,27 @@ def _shared_extractor(mode_count, signal_modes, aux, det, cutoff):
 
 def _fit_scale(outputs, objective):
     """Common scale s (and per-tuple phases where allowed) minimizing
-    sum_k ||w_k (o_k - s e^{i chi_k} y_k)||^2 by coordinate descent."""
+    sum_k ||w_k (o_k - s e^{i chi_k} y_k)||^2 by coordinate descent.
+    Without phase_free tuples the first pass is already exact."""
     cons = objective.constraints
     phases = [1.0 + 0j] * len(cons)
-    denom = sum(float(np.vdot(w * y, w * y).real) for _, y, _, w in cons)
+    targets = list(objective._weighted_targets)
+    weighted = [w * o for (_, _, _, w), o in zip(cons, outputs)]
     s = 0j
-    for _ in range(20):
+    for _ in range(20 if objective._phase_free else 1):
         num = 0j
-        for (x, y, free, w), o, ph in zip(cons, outputs, phases):
-            num += np.vdot(ph * w * y, w * o)
-        s_new = num / denom
+        for wy, wo in zip(targets, weighted):
+            num += np.vdot(wy, wo)
+        s_new = num / objective._scale_denominator
         changed = abs(s_new - s)
         s = s_new
         if abs(s) > 0:
             for i, (x, y, free, w) in enumerate(cons):
                 if free:
-                    ip = np.vdot(s * w * y, w * outputs[i])
+                    ip = np.vdot(s * w * y, weighted[i])
                     if abs(ip) > 0:
                         phases[i] = ip / abs(ip)
+                        targets[i] = phases[i] * w * y
         if changed < 1e-15:
             break
     return s, phases
@@ -256,9 +265,8 @@ def _evaluate(matrix, objective):
     s, phases = _fit_scale(outputs, objective)
     residual = 0.0
     prob = math.inf
-    for (x, y, free, w), o, ph in zip(objective.constraints, outputs, phases):
+    for (x, y, free, w), o, ph, ny in zip(objective.constraints, outputs, phases, objective._target_norms):
         residual += float(np.sum(np.abs(w * (o - s * ph * y)) ** 2))
-        ny = float(np.vdot(w * y, w * y).real)
         if ny > 1e-24:
             prob = min(prob, float(np.vdot(w * o, w * o).real) / ny)
     if not math.isfinite(prob):

@@ -343,6 +343,25 @@ def test_optimize_starved_budget_is_exit_3(capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--objective", "nss", "--restarts", "0"],
+        ["optimize", "--objective", "nss", "--restarts", "-1"],
+        ["gate", "--name", "nss", "--restarts", "0"],
+        ["gate", "--name", "pauli-x", "--restarts", "0"],
+        ["gate", "--name", "cnot-search", "--restarts", "0"],
+    ],
+)
+def test_restarts_below_one_is_exit_2(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "--restarts" in captured.err
+
+
 def test_loss_closed_forms(capsys):
     rc, out = run(capsys, ["loss", "--absorption", "0", "--eta", "0.5"])
     assert rc == 0
@@ -372,6 +391,26 @@ def test_verify_proposition_strict_tolerance(capsys):
     )
     assert rc == 4
     assert kv(out)["pass"] == "false"
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1e-9", "nan"])
+def test_verify_non_positive_tolerance_is_exit_2(capsys, tolerance):
+    rc = main(["verify", "--prop", "1", "--aux", "1", "--seed", "5", f"--tolerance={tolerance}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "--tolerance" in captured.err
+
+
+def test_verify_cutoff_zero_is_not_replaced_by_default(capsys):
+    # cutoff 0 cannot show the polynomial degree; it must be rejected,
+    # not silently run at the default cutoff 6
+    rc = main(["verify", "--prop", "1", "--aux", "1", "--seed", "5", "--cutoff", "0"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_verify_appendix(capsys):

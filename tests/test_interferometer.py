@@ -95,3 +95,44 @@ def test_reck_element_count_bound():
     net = reck_decompose(u)
     n_bs = sum(1 for e in net.elements if isinstance(e, BeamSplitterParams))
     assert n_bs <= 5 * 4 // 2
+
+
+def _dense_product(network):
+    # reference route: one dense N x N element matrix per element
+    total = np.eye(network.mode_count, dtype=complex)
+    for e in network.elements:
+        total = element_matrix(e, network.mode_count).matrix @ total
+    return total
+
+
+def _random_network(rng, n):
+    elements = []
+    for _ in range(int(rng.integers(1, 12))):
+        if n > 1 and rng.random() < 0.6:
+            a, b = (int(m) for m in rng.choice(n, 2, replace=False))
+            elements.append(BeamSplitterParams(a, b, *rng.uniform(-7.0, 7.0, 3)))
+        else:
+            elements.append(PhaseShifterParams(int(rng.integers(0, n)), rng.uniform(-7.0, 7.0)))
+    return NetworkDescription(n, tuple(elements))
+
+
+def test_compose_matches_dense_element_product():
+    rng = np.random.default_rng(21)
+    reversed_splitters = 0
+    for _ in range(300):
+        net = _random_network(rng, int(rng.integers(1, 7)))
+        reversed_splitters += sum(
+            1 for e in net.elements if isinstance(e, BeamSplitterParams) and e.mode_a > e.mode_b
+        )
+        # exact: the dense product only adds exact zeros to the touched rows
+        assert np.array_equal(compose(net).matrix, _dense_product(net))
+    assert reversed_splitters > 0
+
+
+@pytest.mark.parametrize(
+    "element",
+    [BeamSplitterParams(0, 1, math.nan, 0.0, 0.0), PhaseShifterParams(1, math.nan)],
+)
+def test_compose_rejects_nan_angle(element):
+    with pytest.raises(ValueError):
+        compose(NetworkDescription(2, (element,)))
