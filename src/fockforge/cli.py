@@ -330,17 +330,16 @@ def _mode_amplitudes(spec, cutoff: int) -> np.ndarray:
     raise ValueError(f"not a single-mode input: {spec[0]}")
 
 
+def _inputs_by_mode(cf: CircuitFile) -> dict:
+    """The input directive of each mode that has one; a tmsv pair sits
+    under both of its modes."""
+    return {m: spec for spec in cf.inputs for m in spec[1 : 3 if spec[0] == "tmsv" else 2]}
+
+
 def _joint_input_state(cf: CircuitFile, cutoff: int) -> PureState:
     basis = FockBasis(cf.mode_count, TotalPhotonCutoff(cutoff))
-    by_mode: dict = {}
-    tmsv_pairs = []
-    for spec in cf.inputs:
-        if spec[0] == "tmsv":
-            tmsv_pairs.append(spec)
-            by_mode[spec[1]] = spec
-            by_mode[spec[2]] = spec
-        else:
-            by_mode[spec[1]] = spec
+    by_mode = _inputs_by_mode(cf)
+    tmsv_pairs = [spec for spec in cf.inputs if spec[0] == "tmsv"]
     ladders = {}
     for m in range(cf.mode_count):
         spec = by_mode.get(m)
@@ -370,16 +369,17 @@ def _joint_input_state(cf: CircuitFile, cutoff: int) -> PureState:
     return PureState(basis, amps, unchecked=True)
 
 
+def _element(e):
+    """Network element of a lossless element tuple."""
+    if e[0] == "bs":
+        return BeamSplitterParams(*e[1:])
+    if e[0] == "phase":
+        return PhaseShifterParams(*e[1:])
+    raise ValueError("lossy elements need the density-matrix path")
+
+
 def _network_of(cf: CircuitFile) -> NetworkDescription:
-    elems = []
-    for e in cf.elements:
-        if e[0] == "bs":
-            elems.append(BeamSplitterParams(e[1], e[2], e[3], e[4], e[5]))
-        elif e[0] == "phase":
-            elems.append(PhaseShifterParams(e[1], e[2]))
-        else:
-            raise ValueError("lossy elements need the density-matrix path")
-    return NetworkDescription(cf.mode_count, tuple(elems))
+    return NetworkDescription(cf.mode_count, tuple(_element(e) for e in cf.elements))
 
 
 def _simulate_lossy(cf: CircuitFile, cutoff: int):
@@ -388,12 +388,8 @@ def _simulate_lossy(cf: CircuitFile, cutoff: int):
     rho = state.to_mixed()
     n = cf.mode_count
     for e in cf.elements:
-        if e[0] in ("bs", "phase"):
-            if e[0] == "bs":
-                params = BeamSplitterParams(e[1], e[2], e[3], e[4], e[5])
-            else:
-                params = PhaseShifterParams(e[1], e[2])
-            u = element_matrix(params, n)
+        if e[0] != "lossybs":
+            u = element_matrix(_element(e), n)
             lift = lift_unitary(u, rho.basis).matrix
             rho = MixedState(rho.basis, lift @ rho.matrix @ lift.conj().T)
         else:
@@ -404,9 +400,7 @@ def _simulate_lossy(cf: CircuitFile, cutoff: int):
             four = dilation_unitary(params).matrix
             big_mat = np.eye(n + 2, dtype=complex)
             order = [i, j, n, n + 1]
-            for a, ma in enumerate(order):
-                for b, mb in enumerate(order):
-                    big_mat[ma, mb] = four[a, b]
+            big_mat[np.ix_(order, order)] = four
             big_basis = FockBasis(n + 2, TotalPhotonCutoff(cutoff))
             lift = lift_unitary(ModeUnitary(n + 2, big_mat), big_basis).matrix
             wide = np.zeros((big_basis.dimension, big_basis.dimension), dtype=complex)
@@ -460,14 +454,8 @@ def _cmd_condition(args) -> int:
     signal = tuple(m for m in range(cf.mode_count) if m not in detected)
     if not signal:
         raise CircuitError(1, 1, "every mode is detected; nothing remains as signal")
-    by_mode = {}
-    for spec in cf.inputs:
-        if spec[0] == "tmsv":
-            by_mode[spec[1]] = spec
-            by_mode[spec[2]] = spec
-        else:
-            by_mode[spec[1]] = spec
-    aux_modes = tuple(m for m in range(cf.mode_count) if m in detected)
+    by_mode = _inputs_by_mode(cf)
+    aux_modes = sorted(detected)
     aux_counts = []
     for m in aux_modes:
         spec = by_mode.get(m)
@@ -477,30 +465,19 @@ def _cmd_condition(args) -> int:
             aux_counts.append(spec[2])
         else:
             raise CircuitError(1, 1, f"detected mode {m} needs a Fock input, not {spec[0]}")
-    # extraction assumes signal modes first; permute the network
-    perm = list(signal) + list(aux_modes)
-    inv = {old: new for new, old in enumerate(perm)}
-    net = _network_of(cf)
-    permuted = []
-    for e in net.elements:
-        if isinstance(e, BeamSplitterParams):
-            permuted.append(
-                BeamSplitterParams(inv[e.mode_a], inv[e.mode_b], e.theta, e.phase_t, e.phase_r)
-            )
-        else:
-            permuted.append(PhaseShifterParams(inv[e.mode], e.angle))
-    u = compose(NetworkDescription(cf.mode_count, tuple(permuted)))
     cond = extract_conditional_operator(
-        u,
-        tuple(range(len(signal))),
+        compose(_network_of(cf)),
+        signal,
         AncillaSpec(tuple(aux_counts)),
         DetectionSpec(tuple(detected[m] for m in aux_modes)),
         cutoff,
     )
+    # the reference input lives on the signal modes, renumbered from 0
+    position = {m: i for i, m in enumerate(signal)}
     sig_cf = CircuitFile(
         len(signal),
         tuple(
-            _remap_input(spec, inv)
+            _remap_input(spec, position)
             for spec in cf.inputs
             if _input_on_signal(spec, detected)
         ),
@@ -533,12 +510,12 @@ def _input_on_signal(spec, detected) -> bool:
     return spec[1] not in detected
 
 
-def _remap_input(spec, inv):
+def _remap_input(spec, position):
     if spec[0] == "tmsv":
-        return ("tmsv", inv[spec[1]], inv[spec[2]], spec[3])
+        return ("tmsv", position[spec[1]], position[spec[2]], spec[3])
     if spec[0] == "fock":
-        return ("fock", inv[spec[1]], spec[2])
-    return ("coherent", inv[spec[1]], spec[2], spec[3])
+        return ("fock", position[spec[1]], spec[2])
+    return ("coherent", position[spec[1]], spec[2], spec[3])
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +550,7 @@ def _restarts(args, default: int) -> int:
 def _cmd_gate(args) -> int:
     name = args.name
     seed = args.seed
+    _restarts(args, None)  # checked before dispatch: not every recipe searches
     if name == "swap":
         recipe, report = gates.swap_gate()
     elif name == "nss":
@@ -823,26 +801,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, circuit=False):
+    # each subcommand takes only the shared flags it reads
+    def cutoff(sp):
         sp.add_argument("--cutoff", type=int, default=None, help="total photon cutoff")
+
+    def search(sp):
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tolerance", type=float, default=None)
         sp.add_argument("--restarts", type=int, default=None)
-        if circuit:
-            sp.add_argument(
-                "circuit", nargs="?", default=None, help="circuit file ('-' or absent: stdin)"
-            )
+
+    def circuit(sp):
+        cutoff(sp)
+        sp.add_argument(
+            "circuit", nargs="?", default=None, help="circuit file ('-' or absent: stdin)"
+        )
 
     sp = sub.add_parser("simulate", help="amplitudes after the network")
-    common(sp, circuit=True)
+    circuit(sp)
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("condition", help="conditional operator from detect lines")
-    common(sp, circuit=True)
+    circuit(sp)
     sp.set_defaults(func=_cmd_condition)
 
     sp = sub.add_parser("gate", help="named gate recipes")
-    common(sp)
+    search(sp)
     sp.add_argument(
         "--name",
         required=True,
@@ -866,14 +848,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_gate)
 
     sp = sub.add_parser("optimize", help="seeded multistart network search")
-    common(sp)
+    search(sp)
     sp.add_argument("--objective", required=True, choices=["nss", "su3"])
     sp.add_argument("--phi1", type=float, default=0.0)
     sp.add_argument("--phi2", type=float, default=math.pi)
     sp.set_defaults(func=_cmd_optimize)
 
     sp = sub.add_parser("loss", help="noisy sign-flip experiment")
-    common(sp)
     sp.add_argument("--absorption", type=float, required=True)
     sp.add_argument("--eta", type=float, required=True)
     sp.add_argument("--c0", default=None, help="complex amplitude, e.g. 0.6 or 0.6+0.2j")
@@ -881,7 +862,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_loss)
 
     sp = sub.add_parser("verify", help="proposition and permanent-bound suites")
-    common(sp)
+    cutoff(sp)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--tolerance", type=float, default=None)
     sp.add_argument("--prop", type=int, choices=[1, 2, 3], default=None)
     sp.add_argument("--aux", type=int, default=2)
     sp.add_argument("--appendix", action="store_true")
@@ -890,7 +873,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("perm", help="permanent of a matrix file")
-    common(sp)
     sp.add_argument("matrix", nargs="?", default=None)
     sp.add_argument("--method", choices=["ryser", "naive", "both"], default="both")
     sp.set_defaults(func=_cmd_perm)

@@ -238,17 +238,47 @@ class ConditionalOperator:
             )
 
 
-def extract_conditional_operator(u, signal_modes, aux: AncillaSpec, det: DetectionSpec, signal_cutoff: int) -> ConditionalOperator:
-    """Project the lifted network on the detection outcome.
+class AncillaStateExtractor:
+    """Extractor for a superposed (non-Fock) ancilla ket.
 
-    Matrix entries are <out, det| U |in, aux> over signal occupations up
-    to signal_cutoff, exact in each conserving sector.
+    Y is linear in the ancilla ket, so this is the amplitude-weighted sum
+    of one Fock-ancilla extractor per component.  Only exactly-zero
+    components are left out; every other one is kept, and one whose
+    photon surplus cannot fit under the cutoff is rejected rather than
+    silently dropped.  Crop the ancilla state first if a truncated tail
+    is acceptable.
     """
-    m = _as_matrix(u)
-    ex = ConditionalExtractor(m.shape[0], signal_modes, aux, det, signal_cutoff)
-    mat = ex.extract_matrix(m)
+
+    def __init__(self, mode_count: int, signal_modes, ancilla: PureState, det: DetectionSpec, signal_cutoff: int):
+        n_aux = mode_count - len(tuple(signal_modes))
+        if ancilla.basis.mode_count != n_aux:
+            raise ValueError(f"ancilla state has {ancilla.basis.mode_count} modes, need {n_aux}")
+        self.parts = [
+            (
+                complex(amp),
+                ConditionalExtractor(mode_count, signal_modes, AncillaSpec(occ), det, signal_cutoff),
+            )
+            for occ, amp in zip(ancilla.basis.occupations, ancilla.amplitudes)
+            if amp != 0
+        ]
+        if not self.parts:
+            raise ValueError("ancilla state is identically zero")
+        first = self.parts[0][1]
+        self.signal_modes = first.signal_modes
+        self.signal_basis = first.signal_basis
+        self.faithful_input_levels = min(ex.faithful_input_levels for _, ex in self.parts)
+
+    def extract_matrix(self, mode_matrix) -> np.ndarray:
+        amp0, ex0 = self.parts[0]
+        out = amp0 * ex0.extract_matrix(mode_matrix)
+        for amp, ex in self.parts[1:]:
+            out += amp * ex.extract_matrix(mode_matrix)
+        return out
+
+
+def _extract(ex, m, aux, det) -> ConditionalOperator:
     return ConditionalOperator(
-        operator=FockOperator(ex.signal_basis, mat),
+        operator=FockOperator(ex.signal_basis, ex.extract_matrix(m)),
         mode_unitary=m,
         signal_modes=ex.signal_modes,
         aux=aux,
@@ -257,47 +287,23 @@ def extract_conditional_operator(u, signal_modes, aux: AncillaSpec, det: Detecti
     )
 
 
-def extract_with_ancilla_state(u, signal_modes, ancilla: PureState, det: DetectionSpec, signal_cutoff: int) -> ConditionalOperator:
-    """Conditional operator for a superposed (non-Fock) ancilla input.
+def extract_conditional_operator(u, signal_modes, aux: AncillaSpec, det: DetectionSpec, signal_cutoff: int) -> ConditionalOperator:
+    """Project the lifted network on the detection outcome.
 
-    Y is linear in the ancilla ket, so this is the amplitude-weighted sum
-    of Fock-ancilla extractions.  Components whose photon surplus cannot
-    fit under the cutoff are rejected rather than silently dropped; crop
-    the ancilla state first if a truncated tail is acceptable.
+    Matrix entries are <out, det| U |in, aux> over signal occupations up
+    to signal_cutoff, exact in each conserving sector.  Signal modes may
+    sit anywhere in the network; the auxiliary modes are the others in
+    ascending order.
     """
     m = _as_matrix(u)
-    mode_count = m.shape[0]
-    n_aux = mode_count - len(tuple(signal_modes))
-    if ancilla.basis.mode_count != n_aux:
-        raise ValueError(f"ancilla state has {ancilla.basis.mode_count} modes, need {n_aux}")
-    total = None
-    mat = None
-    faithful = None
-    for i, occ in enumerate(ancilla.basis.occupations):
-        amp = ancilla.amplitudes[i]
-        if amp == 0:
-            continue
-        part = extract_conditional_operator(
-            u, signal_modes, AncillaSpec(occ), det, signal_cutoff
-        )
-        if mat is None:
-            mat = amp * part.operator.matrix
-            basis = part.operator.basis
-            faithful = part.faithful_input_levels
-            sm = part.signal_modes
-        else:
-            mat = mat + amp * part.operator.matrix
-            faithful = min(faithful, part.faithful_input_levels)
-    if mat is None:
-        raise ValueError("ancilla state is identically zero")
-    return ConditionalOperator(
-        operator=FockOperator(basis, mat),
-        mode_unitary=m,
-        signal_modes=sm,
-        aux=ancilla,
-        det=det,
-        faithful_input_levels=faithful,
-    )
+    return _extract(ConditionalExtractor(m.shape[0], signal_modes, aux, det, signal_cutoff), m, aux, det)
+
+
+def extract_with_ancilla_state(u, signal_modes, ancilla: PureState, det: DetectionSpec, signal_cutoff: int) -> ConditionalOperator:
+    """Conditional operator for a superposed ancilla input; see
+    AncillaStateExtractor."""
+    m = _as_matrix(u)
+    return _extract(AncillaStateExtractor(m.shape[0], signal_modes, ancilla, det, signal_cutoff), m, ancilla, det)
 
 
 def success_probability(y: ConditionalOperator, state: PureState) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec
+from .conditioning import AncillaSpec, AncillaStateExtractor, ConditionalExtractor, DetectionSpec
 from .fock import PureState
 from .interferometer import (
     BeamSplitterParams,
@@ -58,10 +58,6 @@ class InfeasibleAtBudgetError(RuntimeError):
             f"{result.probability:.3e}, restart {result.restart_index})"
         )
         self.result = result
-
-
-def template_parameter_count(mode_count: int) -> int:
-    return mode_count * mode_count
 
 
 def network_from_params(params, mode_count: int) -> NetworkDescription:
@@ -108,8 +104,7 @@ class Objective:
     a search proxy, not the physical probability.
 
     The ancilla may be an AncillaSpec (Fock occupation) or a PureState on
-    the auxiliary modes; extraction is linear in the ancilla ket, so the
-    latter sums Fock-component extractions.
+    the auxiliary modes, extracted by conditioning.AncillaStateExtractor.
     """
 
     mode_count: int
@@ -170,59 +165,18 @@ class Objective:
         )
 
 
-class _CompositeExtractor:
-    """Amplitude-weighted sum of Fock-ancilla extractors for a PureState
-    ancilla.  Components below 1e-14 are dropped as numeric dust."""
-
-    def __init__(self, mode_count, signal_modes, ancilla: PureState, det, cutoff):
-        parts = []
-        for idx, amp in enumerate(ancilla.amplitudes):
-            if abs(amp) <= 1e-14:
-                continue
-            occ = ancilla.basis.occupations[idx]
-            parts.append(
-                (
-                    complex(amp),
-                    _shared_extractor(mode_count, signal_modes, AncillaSpec(occ), det, cutoff),
-                )
-            )
-        if not parts:
-            raise ValueError("ancilla state is numerically zero")
-        self.parts = parts
-        self.signal_basis = parts[0][1].signal_basis
-
-    def extract_matrix(self, mode_matrix) -> np.ndarray:
-        amp0, ex0 = self.parts[0]
-        out = amp0 * ex0.extract_matrix(mode_matrix)
-        for amp, ex in self.parts[1:]:
-            out += amp * ex.extract_matrix(mode_matrix)
-        return out
-
-
 _EXTRACTORS: dict = {}
 
 
 def _shared_extractor(mode_count, signal_modes, aux, det, cutoff):
     if isinstance(aux, PureState):
-        key = (
-            mode_count,
-            signal_modes,
-            aux.basis.mode_count,
-            aux.basis.policy,
-            aux.amplitudes.tobytes(),
-            det.counts,
-            cutoff,
-        )
-        ex = _EXTRACTORS.get(key)
-        if ex is None:
-            ex = _CompositeExtractor(mode_count, signal_modes, aux, det, cutoff)
-            _EXTRACTORS[key] = ex
-        return ex
-    key = (mode_count, signal_modes, aux.counts, det.counts, cutoff)
+        build, ancilla_key = AncillaStateExtractor, (aux.basis.mode_count, aux.basis.policy, aux.amplitudes.tobytes())
+    else:
+        build, ancilla_key = ConditionalExtractor, aux.counts
+    key = (mode_count, signal_modes, ancilla_key, det.counts, cutoff)
     ex = _EXTRACTORS.get(key)
     if ex is None:
-        ex = ConditionalExtractor(mode_count, signal_modes, aux, det, cutoff)
-        _EXTRACTORS[key] = ex
+        ex = _EXTRACTORS[key] = build(mode_count, signal_modes, aux, det, cutoff)
     return ex
 
 

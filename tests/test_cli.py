@@ -15,6 +15,15 @@ from fockforge.cli import (
     parse_circuit,
     serialize_circuit,
 )
+from fockforge.fock import FockBasis, TotalPhotonCutoff
+from fockforge.interferometer import (
+    BeamSplitterParams,
+    NetworkDescription,
+    PhaseShifterParams,
+    compose,
+)
+
+from oracles import lift_oracle
 
 HOM = """\
 modes 2
@@ -260,6 +269,56 @@ def test_condition_two_photon_interference(tmp_path, capsys):
     assert abs(abs(mat[("0", "0")]) - 1.0 / math.sqrt(2.0)) < 1e-12
 
 
+def test_condition_detector_below_the_signal_modes(tmp_path, capsys):
+    # the detected mode 0 sits below the signal modes 1 and 2; every
+    # printed entry must match <out, 1| U |in, 1> from the polynomial oracle
+    path = tmp_path / "low_detector.circuit"
+    path.write_text(
+        "modes 3\n"
+        "input fock 0 1\n"
+        "input fock 1 1\n"
+        "bs 0 1 0.6 0.3 1.1\n"
+        "bs 1 2 0.9 -0.4 0.2\n"
+        "bs 0 1 1.2 0.7 -0.5\n"
+        "phase 2 0.8\n"
+        "detect fock 0 1\n"
+    )
+    network = NetworkDescription(
+        3,
+        (
+            BeamSplitterParams(0, 1, 0.6, 0.3, 1.1),
+            BeamSplitterParams(1, 2, 0.9, -0.4, 0.2),
+            BeamSplitterParams(0, 1, 1.2, 0.7, -0.5),
+            PhaseShifterParams(2, 0.8),
+        ),
+    )
+    cutoff = 3
+    full = FockBasis(3, TotalPhotonCutoff(cutoff + 1))
+    lift = lift_oracle(compose(network).matrix, full)
+    signal = FockBasis(2, TotalPhotonCutoff(cutoff))
+
+    def entry(out_occ, in_occ):
+        return lift[full.index_of((1,) + out_occ), full.index_of((1,) + in_occ)]
+
+    rc, out = run(capsys, ["condition", str(path), "--cutoff", str(cutoff)])
+    assert rc == 0
+    head = kv(out)
+    assert head["signal_modes"] == "1,2"
+    # the reference input is the signal photon on mode 1, now position 0
+    column = [entry(occ, (1, 0)) for occ in signal.occupations]
+    expect_p = sum(abs(a) ** 2 for a in column)
+    assert abs(float(head["success_probability"]) - expect_p) < 1e-10
+    rows = tsv_rows(out)
+    start = rows.index(("out", "in", "re", "im")) + 1
+    printed = rows[start:]
+    assert len(printed) == signal.dimension**2
+    for r in printed:
+        occ_out = tuple(int(n) for n in r[0].split(","))
+        occ_in = tuple(int(n) for n in r[1].split(","))
+        got = complex(float(r[2]), float(r[3]))
+        assert abs(got - entry(occ_out, occ_in)) < 1e-10, r
+
+
 def test_condition_requires_detection(tmp_path, capsys):
     path = tmp_path / "nodet.circuit"
     path.write_text(HOM)
@@ -349,6 +408,8 @@ def test_optimize_starved_budget_is_exit_3(capsys):
         ["optimize", "--objective", "nss", "--restarts", "0"],
         ["optimize", "--objective", "nss", "--restarts", "-1"],
         ["gate", "--name", "nss", "--restarts", "0"],
+        ["gate", "--name", "swap", "--restarts", "0"],
+        ["gate", "--name", "hadamard", "--restarts", "-2"],
         ["gate", "--name", "pauli-x", "--restarts", "0"],
         ["gate", "--name", "cnot-search", "--restarts", "0"],
     ],
@@ -360,6 +421,28 @@ def test_restarts_below_one_is_exit_2(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "--restarts" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["perm", "--tolerance", "-1", "--restarts", "0", "--cutoff", "-3"],
+        ["perm", "--seed", "1"],
+        ["loss", "--absorption", "0", "--eta", "0.5", "--restarts", "0"],
+        ["loss", "--absorption", "0", "--eta", "0.5", "--cutoff", "3"],
+        ["simulate", "--seed", "1"],
+        ["condition", "--tolerance", "1e-9"],
+        ["gate", "--name", "swap", "--cutoff", "3"],
+        ["optimize", "--objective", "nss", "--tolerance", "1e-9"],
+        ["verify", "--prop", "1", "--restarts", "2"],
+    ],
+)
+def test_flag_the_subcommand_does_not_read_is_exit_2(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
 
 
 def test_loss_closed_forms(capsys):

@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from fockforge.conditioning import AncillaSpec, DetectionSpec
-from fockforge.fock import FockBasis, PureState, TotalPhotonCutoff
+from fockforge.conditioning import AncillaSpec, DetectionSpec, extract_with_ancilla_state
+from fockforge.fock import FockBasis, PerModeCutoff, PureState, TotalPhotonCutoff
 from fockforge.optimizer import (
     THREADS_ENV,
     InfeasibleAtBudgetError,
@@ -172,6 +172,71 @@ def test_pure_state_ancilla_route():
         restarts=3,
     )
     assert result.feasible
+
+
+def _superposed_objective(ancilla, signal=0, cutoff=4):
+    e = np.eye(cutoff + 1)
+    return Objective(
+        mode_count=3,
+        signal_modes=(signal,),
+        ancilla=ancilla,
+        detection=DetectionSpec((1, 0)),
+        signal_cutoff=cutoff,
+        constraints=((e[0], e[0], False),),
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_superposed_ancilla_search_and_direct_routes_agree(seed):
+    # one extractor serves the search and extract_with_ancilla_state:
+    # the same matrix bit for bit; exact zeros are left out and a
+    # 1e-15 component is kept
+    rng = np.random.default_rng(seed)
+    m = compose(network_from_params(rng.uniform(0.0, 2.0 * np.pi, 9), 3)).matrix
+    basis = FockBasis(2, PerModeCutoff(2))
+    amps = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+    amps[rng.choice(basis.dimension, 3, replace=False)] = 0.0
+    amps[rng.integers(basis.dimension)] *= 1e-15
+    anc = PureState(basis, amps / np.linalg.norm(amps))
+    signal = seed % 3
+    via_search = _superposed_objective(anc, signal).extractor().extract_matrix(m)
+    direct = extract_with_ancilla_state(m, (signal,), anc, DetectionSpec((1, 0)), 4)
+    assert np.array_equal(via_search, direct.operator.matrix)
+
+
+def _superposed_errors():
+    two_mode = FockBasis(2, PerModeCutoff(2))
+    surplus = np.zeros(two_mode.dimension, dtype=complex)
+    surplus[two_mode.index_of((0, 0))] = 0.6
+    surplus[two_mode.index_of((2, 2))] = 0.8
+    return {
+        "zero": (PureState(two_mode, np.zeros(two_mode.dimension)), 4, "zero"),
+        "mode count": (
+            PureState(FockBasis(1, TotalPhotonCutoff(1)), np.array([1.0, 0.0])),
+            4,
+            "modes",
+        ),
+        # |2,2> injects three photons more than the detection removes
+        "above cutoff": (PureState(two_mode, surplus), 2, "cannot hold"),
+    }
+
+
+@pytest.mark.parametrize("case", ["zero", "mode count", "above cutoff"])
+def test_superposed_ancilla_errors_on_both_routes(case):
+    anc, cutoff, fragment = _superposed_errors()[case]
+    m = compose(network_from_params(np.linspace(0.1, 0.9, 9), 3)).matrix
+    with pytest.raises(ValueError, match=fragment):
+        _superposed_objective(anc, cutoff=cutoff).extractor()
+    with pytest.raises(ValueError, match=fragment):
+        extract_with_ancilla_state(m, (0,), anc, DetectionSpec((1, 0)), cutoff)
+
+
+def test_superposed_ancilla_rejects_a_non_unitary_matrix():
+    basis = FockBasis(2, PerModeCutoff(1))
+    anc = PureState(basis, np.full(basis.dimension, 0.5, dtype=complex))
+    m = compose(network_from_params(np.linspace(0.1, 0.9, 9), 3)).matrix
+    with pytest.raises(ValueError, match="exceeds one"):
+        extract_with_ancilla_state(3.0 * m, (0,), anc, DetectionSpec((1, 0)), 4)
 
 
 def test_network_from_params_round_trip():
