@@ -60,7 +60,7 @@ from .interferometer import (
     element_matrix,
 )
 from .lossy import LossyBSParams, dilation_unitary, noisy_sigma_z_experiment
-from .optimizer import InfeasibleAtBudgetError, Objective, optimize_gate
+from .optimizer import InfeasibleAtBudgetError, optimize_gate
 from .permanent import check_appendix_bounds, permanent_naive, permanent_ryser
 from . import gates
 
@@ -547,98 +547,61 @@ def _restarts(args, default: int) -> int:
     return default if args.restarts is None else args.restarts
 
 
+# gate --name: each recipe takes the parsed arguments plus --seed and
+# --restarts when they are given, so its search defaults live only in its
+# gates signature; swap and hadamard search nothing and ignore both
+GATES = {
+    "swap": lambda args, **search: gates.swap_gate(),
+    "nss": lambda args, **search: gates.nss_gate_klm(**search),
+    "cphase": lambda args, **search: gates.cphase_gate(args.phi, args.variant, **search),
+    "su3": lambda args, **search: gates.su3_phase_gate(args.phi1, args.phi2, **search),
+    "hadamard": lambda args, **search: gates.hadamard_gate(),
+    "pauli-x": lambda args, **search: gates.pauli_xy_gate("x", args.q, **search),
+    "pauli-y": lambda args, **search: gates.pauli_xy_gate("y", args.q, **search),
+    "ralph-cz": lambda args, **search: gates.ralph_cz_check(**search),
+    "cnot-search": lambda args, **search: gates.cnot_obstruction_search(**search),
+}
+
+
+def _gate_rows(name: str, out) -> list:
+    if isinstance(out, gates.RalphCzReport):
+        return [
+            ("gate", name),
+            ("lambda11_analytic_re", _fmt(out.lambda11_analytic.real)),
+            ("lambda11_optimized_re", _fmt(out.lambda11_optimized.real)),
+            ("lambda11_optimized_im", _fmt(out.lambda11_optimized.imag)),
+            ("max_success", _fmt(out.max_success)),
+            ("constraint_residual_1", _fmt(out.constraint_residuals[0])),
+            ("constraint_residual_2", _fmt(out.constraint_residuals[1])),
+        ]
+    if isinstance(out, gates.CnotSearchReport):
+        return [
+            ("gate", name),
+            ("min_residual", _fmt(out.min_residual)),
+            ("control_residual", _fmt(out.control_residual)),
+            ("lift_deviation", _fmt(out.lift_deviation)),
+            ("contradiction_found", _fmt(out.contradiction_found)),
+            ("best_phi", _fmt(out.best_angles[0])),
+            ("best_phi_prime", _fmt(out.best_angles[1])),
+            ("evaluations", str(out.evaluations)),
+        ]
+    _, report = out
+    return _report_rows(name, report)
+
+
 def _cmd_gate(args) -> int:
-    name = args.name
-    seed = args.seed
     _restarts(args, None)  # checked before dispatch: not every recipe searches
-    if name == "swap":
-        recipe, report = gates.swap_gate()
-    elif name == "nss":
-        recipe, report = gates.nss_gate_klm(
-            seed if seed is not None else 7, _restarts(args, 24)
-        )
-    elif name == "cphase":
-        recipe, report = gates.cphase_gate(
-            args.phi,
-            variant=args.variant or gates.FOUR_PHOTON,
-            seed=seed if seed is not None else 11,
-            restarts=_restarts(args, 24),
-        )
-    elif name == "su3":
-        recipe, report = gates.su3_phase_gate(
-            args.phi1, args.phi2, seed=seed or 0, restarts=_restarts(args, 40)
-        )
-    elif name == "hadamard":
-        recipe, report = gates.hadamard_gate(seed or 0)
-    elif name in ("pauli-x", "pauli-y"):
-        recipe, report = gates.pauli_xy_gate(
-            name[-1], q=args.q, seed=seed if seed is not None else 3, restarts=_restarts(args, 6)
-        )
-    elif name == "ralph-cz":
-        rep = gates.ralph_cz_check(seed if seed is not None else 7, _restarts(args, 24))
-        rows = [
-            ("gate", name),
-            ("lambda11_analytic_re", _fmt(rep.lambda11_analytic.real)),
-            ("lambda11_optimized_re", _fmt(rep.lambda11_optimized.real)),
-            ("lambda11_optimized_im", _fmt(rep.lambda11_optimized.imag)),
-            ("max_success", _fmt(rep.max_success)),
-            ("constraint_residual_1", _fmt(rep.constraint_residuals[0])),
-            ("constraint_residual_2", _fmt(rep.constraint_residuals[1])),
-        ]
-        sys.stdout.write(_rows_to_tsv(rows))
-        return 0
-    elif name == "cnot-search":
-        rep = gates.cnot_obstruction_search(
-            restarts=_restarts(args, 200), seed=seed or 0
-        )
-        rows = [
-            ("gate", name),
-            ("min_residual", _fmt(rep.min_residual)),
-            ("control_residual", _fmt(rep.control_residual)),
-            ("lift_deviation", _fmt(rep.lift_deviation)),
-            ("contradiction_found", _fmt(rep.contradiction_found)),
-            ("best_phi", _fmt(rep.best_angles[0])),
-            ("best_phi_prime", _fmt(rep.best_angles[1])),
-            ("evaluations", str(rep.evaluations)),
-        ]
-        sys.stdout.write(_rows_to_tsv(rows))
-        return 0
-    else:
-        raise ValueError(f"unknown gate {name!r}")
-    sys.stdout.write(_rows_to_tsv(_report_rows(name, report)))
+    search = {k: v for k, v in (("seed", args.seed), ("restarts", args.restarts)) if v is not None}
+    out = GATES[args.name](args, **search)
+    sys.stdout.write(_rows_to_tsv(_gate_rows(args.name, out)))
     return 0
 
 
-def _objective_by_name(args) -> Objective:
-    e3 = np.eye(3)
-    name = args.objective
-    if name == "nss":
-        return Objective(
-            mode_count=3,
-            signal_modes=(0,),
-            ancilla=AncillaSpec((1, 0)),
-            detection=DetectionSpec((1, 0)),
-            signal_cutoff=2,
-            constraints=((e3[0], e3[0], False), (e3[1], e3[1], False), (e3[2], -e3[2], False)),
-        )
-    if name == "su3":
-        return Objective(
-            mode_count=3,
-            signal_modes=(0,),
-            ancilla=AncillaSpec((1, 1)),
-            detection=DetectionSpec((1, 1)),
-            signal_cutoff=2,
-            constraints=(
-                (e3[0], e3[0], False),
-                (e3[1], cmath.exp(1j * args.phi1) * e3[1], False),
-                (e3[2], cmath.exp(1j * args.phi2) * e3[2], False),
-            ),
-        )
-    raise ValueError(f"unknown objective {name!r}")
-
-
 def _cmd_optimize(args) -> int:
-    objective = _objective_by_name(args)
+    if args.objective == "nss":
+        objective = gates.nss_objective()
+    else:
+        objective = gates.su3_objective(args.phi1, args.phi2)
     result = optimize_gate(
         objective, objective.mode_count, seed=args.seed or 0, restarts=_restarts(args, 24)
     )
@@ -825,25 +788,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gate", help="named gate recipes")
     search(sp)
-    sp.add_argument(
-        "--name",
-        required=True,
-        choices=[
-            "swap",
-            "nss",
-            "cphase",
-            "su3",
-            "hadamard",
-            "pauli-x",
-            "pauli-y",
-            "ralph-cz",
-            "cnot-search",
-        ],
-    )
+    sp.add_argument("--name", required=True, choices=list(GATES))
     sp.add_argument("--phi", type=float, default=math.pi)
     sp.add_argument("--phi1", type=float, default=0.0)
     sp.add_argument("--phi2", type=float, default=math.pi)
-    sp.add_argument("--variant", choices=[gates.FOUR_PHOTON, gates.VACUUM_DETECTOR])
+    sp.add_argument(
+        "--variant", choices=[gates.FOUR_PHOTON, gates.VACUUM_DETECTOR], default=gates.FOUR_PHOTON
+    )
     sp.add_argument("--q", type=float, default=0.01)
     sp.set_defaults(func=_cmd_gate)
 

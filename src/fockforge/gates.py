@@ -16,6 +16,7 @@ operator and multiply across independent interferometer arms.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -136,20 +137,25 @@ def _embed_network(network: NetworkDescription, mapping: dict) -> list:
 # ---------------------------------------------------------------------------
 # SU(3) phase synthesis and the nonlinear sign shift
 
-_SU3_CACHE: dict = {}
-_NSS_CACHE: dict = {}
-
-
-def _su3_solve(phi1: float, phi2: float, seed: int, restarts: int):
-    """Search a 3-mode network for the two-photon-ancilla phase gate
-    |n> -> e^{i phi_n}|n| on layers 0..2.  Cached per argument tuple so
-    the two arms of a controlled-phase circuit share one solve."""
-    key = (round(float(phi1), 12), round(float(phi2), 12), int(seed), int(restarts))
-    hit = _SU3_CACHE.get(key)
-    if hit is not None:
-        return hit
+def nss_objective() -> Objective:
+    """Sign shift diag(1, 1, -1) on layers 0..2: one photon and one vacuum
+    ancilla, detection of the same |1,0> pattern."""
     e = np.eye(3)
-    objective = Objective(
+    return Objective(
+        mode_count=3,
+        signal_modes=(0,),
+        ancilla=AncillaSpec((1, 0)),
+        detection=DetectionSpec((1, 0)),
+        signal_cutoff=2,
+        constraints=((e[0], e[0], False), (e[1], e[1], False), (e[2], -e[2], False)),
+    )
+
+
+def su3_objective(phi1: float, phi2: float) -> Objective:
+    """Layer phases diag(1, e^{i phi1}, e^{i phi2}) on layers 0..2: single
+    photons in both auxiliary modes, single-photon detection on both."""
+    e = np.eye(3)
+    return Objective(
         mode_count=3,
         signal_modes=(0,),
         ancilla=AncillaSpec((1, 1)),
@@ -161,10 +167,17 @@ def _su3_solve(phi1: float, phi2: float, seed: int, restarts: int):
             (e[2], cmath.exp(1j * phi2) * e[2], False),
         ),
     )
-    result = optimize_gate(objective, 3, seed=seed, restarts=restarts)
-    lam = compose(result.network(3))
-    _SU3_CACHE[key] = (result, lam)
-    return result, lam
+
+
+@functools.lru_cache(maxsize=None)
+def _solve(objective_of, args: tuple, seed: int, restarts: int):
+    """(OptimizationResult, composed mode matrix) of the 3-mode search for
+    objective_of(*args).  Cached on the exact arguments, so recipes that
+    impose one constraint family share a solve: the sign shift with the
+    controlled-z arm check, the SU(3) element with the four-photon
+    controlled phase."""
+    result = optimize_gate(objective_of(*args), 3, seed=seed, restarts=restarts)
+    return result, compose(result.network(3))
 
 
 def phase_condition_residual(lam, phi1: float, phi2: float) -> float:
@@ -187,7 +200,7 @@ def su3_phase_gate(phi1: float, phi2: float, seed: int = 0, restarts: int = 40):
     are constrained to a common magnitude, it is the success on any
     normalized input of the qutrit layer.
     """
-    result, lam = _su3_solve(phi1, phi2, seed, restarts)
+    result, lam = _solve(su3_objective, (phi1, phi2), seed, restarts)
     aux = AncillaSpec((1, 1))
     det = DetectionSpec((1, 1))
     cond = extract_conditional_operator(lam, (0,), aux, det, 2)
@@ -214,30 +227,6 @@ def su3_phase_gate(phi1: float, phi2: float, seed: int = 0, restarts: int = 40):
     return recipe, report
 
 
-def _nss_solve(seed: int, restarts: int):
-    key = (int(seed), int(restarts))
-    hit = _NSS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    e = np.eye(3)
-    objective = Objective(
-        mode_count=3,
-        signal_modes=(0,),
-        ancilla=AncillaSpec((1, 0)),
-        detection=DetectionSpec((1, 0)),
-        signal_cutoff=2,
-        constraints=(
-            (e[0], e[0], False),
-            (e[1], e[1], False),
-            (e[2], -e[2], False),
-        ),
-    )
-    result = optimize_gate(objective, 3, seed=seed, restarts=restarts)
-    lam = compose(result.network(3))
-    _NSS_CACHE[key] = (result, lam)
-    return result, lam
-
-
 def nss_gate_klm(seed: int = 7, restarts: int = 24):
     """Nonlinear sign shift c0|0> + c1|1> + c2|2> -> c0|0> + c1|1> - c2|2>.
 
@@ -246,7 +235,7 @@ def nss_gate_klm(seed: int = 7, restarts: int = 24):
     signal-signal matrix element comes out at 1 - sqrt(2) and the success
     probability at 1/4.
     """
-    result, lam = _nss_solve(seed, restarts)
+    result, lam = _solve(nss_objective, (), seed, restarts)
     aux = AncillaSpec((1, 0))
     det = DetectionSpec((1, 0))
     cond = extract_conditional_operator(lam, (0,), aux, det, 2)
@@ -294,7 +283,7 @@ def ralph_cz_check(seed: int = 7, restarts: int = 24) -> RalphCzReport:
     """
     roots = (1.0 + math.sqrt(2.0), 1.0 - math.sqrt(2.0))
     analytic = complex(roots[1])
-    result, lam = _nss_solve(seed, restarts)
+    result, lam = _solve(nss_objective, (), seed, restarts)
     m = lam.matrix
     # Y(n) coefficients of the aux |1,0>, detect |1,0> arm
     y0 = m[1, 1]
@@ -352,7 +341,7 @@ def cphase_gate(phi: float, variant: str = FOUR_PHOTON, seed: int = 11, restarts
 
 
 def _cphase_four_photon(phi: float, seed: int, restarts: int):
-    result, lam3 = _su3_solve(0.0, phi, seed, restarts)
+    result, lam3 = _solve(su3_objective, (0.0, phi), seed, restarts)
     arm_net = result.network(3)
     elements = [BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, 0.0)]
     elements += _embed_network(arm_net, {0: 0, 1: 2, 2: 3})
@@ -846,7 +835,25 @@ def _crop_pair_state(state: PureState, top: int) -> PureState:
     return PureState(basis, amps / np.linalg.norm(amps))
 
 
-_PAULI_CACHE: dict = {}
+def _pauli_objective(which: str, ladder: tuple) -> Objective:
+    """Sigma-x or sigma-y on the 0/1 qubit behind the two-mode ancilla
+    with amplitudes ladder on the per-mode-cutoff-2 basis, detecting
+    |1,0>.  The second tuple ignores the two-photon row, which the kill
+    element erases downstream."""
+    e = np.eye(5)
+    mask = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
+    if which == "x":
+        cons = ((e[0], e[1], False), (e[1], e[0], False, mask))
+    else:
+        cons = ((e[0], 1j * e[1], False), (e[1], -1j * e[0], False, mask))
+    return Objective(
+        mode_count=3,
+        signal_modes=(0,),
+        ancilla=PureState(FockBasis(2, PerModeCutoff(2)), np.array(ladder)),
+        detection=DetectionSpec((1, 0)),
+        signal_cutoff=4,
+        constraints=cons,
+    )
 
 
 def pauli_xy_gate(which: str, q: float = 0.01, seed: int = 3, restarts: int = 6):
@@ -870,29 +877,12 @@ def pauli_xy_gate(which: str, q: float = 0.01, seed: int = 3, restarts: int = 6)
         cutoff += 1
     filt = procrustean_filter(tmsv_state(q, cutoff), 1.0, q)
 
-    anc_search = _crop_pair_state(filt.filtered, 2)
-    e = np.eye(5)
-    mask = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
+    ladder = tuple(_crop_pair_state(filt.filtered, 2).amplitudes)
+    result, lam = _solve(_pauli_objective, (which, ladder), seed, restarts)
     if which == "x":
-        cons = ((e[0], e[1], False), (e[1], e[0], False, mask))
         target = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     else:
-        cons = ((e[0], 1j * e[1], False), (e[1], -1j * e[0], False, mask))
         target = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    key = (which, round(q, 12), int(seed), int(restarts))
-    hit = _PAULI_CACHE.get(key)
-    if hit is None:
-        objective = Objective(
-            mode_count=3,
-            signal_modes=(0,),
-            ancilla=anc_search,
-            detection=DetectionSpec((1, 0)),
-            signal_cutoff=4,
-            constraints=cons,
-        )
-        result = optimize_gate(objective, 3, seed=seed, restarts=restarts)
-        hit = _PAULI_CACHE[key] = (result, compose(result.network(3)))
-    result, lam = hit
 
     anc_full = _crop_pair_state(filt.filtered, min(3, cutoff))
     cond = extract_with_ancilla_state(lam, (0,), anc_full, DetectionSpec((1, 0)), 6)
@@ -930,7 +920,7 @@ def pauli_xy_gate(which: str, q: float = 0.01, seed: int = 3, restarts: int = 6)
 # Hadamard from controlled-z plus one creation polynomial
 
 
-def hadamard_gate(seed: int = 0):
+def hadamard_gate():
     """Hadamard on a photon-number qubit, output on the former ancilla.
 
     Stages: engineer (|0> + |1>)/sqrt(2); ideal controlled-z between

@@ -105,6 +105,8 @@ class Objective:
 
     The ancilla may be an AncillaSpec (Fock occupation) or a PureState on
     the auxiliary modes, extracted by conditioning.AncillaStateExtractor.
+    The extractor is built once, at construction, so a pattern that does
+    not fit the modes or the cutoff raises there.
     """
 
     mode_count: int
@@ -154,30 +156,15 @@ class Objective:
         object.__setattr__(self, "_target_norms", norms)
         object.__setattr__(self, "_scale_denominator", sum(norms))
         object.__setattr__(self, "_phase_free", any(free for _, _, free, _ in cons))
-
-    def extractor(self):
-        return _shared_extractor(
-            self.mode_count,
-            tuple(self.signal_modes),
-            self.ancilla,
-            self.detection,
-            self.signal_cutoff,
+        build = AncillaStateExtractor if isinstance(self.ancilla, PureState) else ConditionalExtractor
+        object.__setattr__(
+            self,
+            "_extractor",
+            build(self.mode_count, self.signal_modes, self.ancilla, self.detection, self.signal_cutoff),
         )
 
-
-_EXTRACTORS: dict = {}
-
-
-def _shared_extractor(mode_count, signal_modes, aux, det, cutoff):
-    if isinstance(aux, PureState):
-        build, ancilla_key = AncillaStateExtractor, (aux.basis.mode_count, aux.basis.policy, aux.amplitudes.tobytes())
-    else:
-        build, ancilla_key = ConditionalExtractor, aux.counts
-    key = (mode_count, signal_modes, ancilla_key, det.counts, cutoff)
-    ex = _EXTRACTORS.get(key)
-    if ex is None:
-        ex = _EXTRACTORS[key] = build(mode_count, signal_modes, aux, det, cutoff)
-    return ex
+    def extractor(self):
+        return self._extractor
 
 
 def _fit_scale(outputs, objective):
@@ -208,13 +195,14 @@ def _fit_scale(outputs, objective):
     return s, phases
 
 
-def _evaluate(matrix, objective):
-    """(residual, probability) of a candidate mode matrix.
+def _evaluate(params, objective):
+    """(residual, probability) of the template network for a parameter vector.
 
     Both are computed in the weighted norm, so with non-unit weights the
     probability is a ranking proxy for the search; report the physical
     number from the finished gate, not from here."""
-    y_op = objective.extractor().extract_matrix(matrix)
+    lam = compose(network_from_params(params, objective.mode_count))
+    y_op = objective.extractor().extract_matrix(lam.matrix)
     outputs = [y_op @ x for x, _, _, _ in objective.constraints]
     s, phases = _fit_scale(outputs, objective)
     residual = 0.0
@@ -231,9 +219,7 @@ def _evaluate(matrix, objective):
 def constraint_residual(params, objective: Objective) -> float:
     """Sum of squared scale- and phase-invariant deviations of the
     extracted conditional operator from the target pattern."""
-    lam = compose(network_from_params(params, objective.mode_count))
-    residual, _ = _evaluate(lam.matrix, objective)
-    return residual
+    return _evaluate(params, objective)[0]
 
 
 @dataclass(frozen=True)
@@ -306,8 +292,7 @@ def _run_restart(args):
     last_prob = [0.0]
 
     def residual_of(x):
-        lam = compose(network_from_params(x, n_modes))
-        residual, prob = _evaluate(lam.matrix, objective)
+        residual, prob = _evaluate(x, objective)
         last_prob[0] = prob
         return residual
 
@@ -321,8 +306,7 @@ def _run_restart(args):
     for _ in range(4):
         x1, r1, used = _nelder_mead(residual_of, draw(), maxfev, stop_when=stop_feasible)
         evals += used
-        lam = compose(network_from_params(x1, n_modes))
-        r1, p1 = _evaluate(lam.matrix, objective)
+        r1, p1 = _evaluate(x1, objective)
         if p1 > TRIVIAL_PROBABILITY and (best is None or r1 < best[1]):
             best = (x1, r1, p1)
             if r1 < 1e-10:
@@ -336,8 +320,7 @@ def _run_restart(args):
     w = objective.probability_weight
 
     def combined(x):
-        lam = compose(network_from_params(x, n_modes))
-        residual, prob = _evaluate(lam.matrix, objective)
+        residual, prob = _evaluate(x, objective)
         return PENALTY_WEIGHT * residual - w * prob
 
     x2, _, used = _nelder_mead(combined, x1, maxfev)
@@ -346,24 +329,23 @@ def _run_restart(args):
     # polish it back without giving the probability up
     x3, r3, used = _nelder_mead(residual_of, x2, 600, stop_when=stop_feasible)
     evals += used
-    lam = compose(network_from_params(x3, n_modes))
-    r_final, p_final = _evaluate(lam.matrix, objective)
+    r_final, p_final = _evaluate(x3, objective)
     if r_final > r1 + 1e-12 and p_final <= p1:
         return x1, r1, p1, index, evals
     return x3, r_final, p_final, index, evals
 
 
 def _worker_count(restarts: int) -> int:
+    """Search processes for a run: FOCKFORGE_THREADS, where unset or 0
+    means every core, capped by the restart count and at 16."""
     raw = os.environ.get(THREADS_ENV, "0")
     try:
         requested = int(raw)
     except ValueError:
-        requested = 0
+        requested = -1
     if requested < 0:
-        requested = 0
-    if requested == 0:
-        requested = os.cpu_count() or 1
-    return max(1, min(requested, restarts, 16))
+        raise ValueError(f"{THREADS_ENV} must be a non-negative integer, got {raw!r}")
+    return max(1, min(requested or os.cpu_count() or 1, restarts, 16))
 
 
 def optimize_gate(objective: Objective, template_modes: int, seed: int, restarts: int, maxfev: int = 20000) -> OptimizationResult:

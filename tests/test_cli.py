@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockforge import gates
 from fockforge.cli import (
+    GATES,
     CircuitError,
     CircuitFile,
     _fmt,
@@ -395,6 +397,8 @@ def test_optimize_feasible(capsys):
     assert head["feasible"] == "true"
     assert abs(float(head["probability"]) - 0.25) < 1e-3
     assert float(head["residual"]) < 1e-6
+    assert head["evaluations"] == "19804"
+    assert head["restart_index"] == "2"
 
 
 def test_optimize_starved_budget_is_exit_3(capsys):
@@ -421,6 +425,43 @@ def test_restarts_below_one_is_exit_2(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "--restarts" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, forwarded",
+    [
+        ([], {}),
+        (["--seed", "0"], {"seed": 0}),
+        (["--restarts", "3"], {"restarts": 3}),
+        (["--seed", "4", "--restarts", "2"], {"seed": 4, "restarts": 2}),
+    ],
+)
+def test_gate_forwards_only_the_search_flags_given(monkeypatch, capsys, flags, forwarded):
+    seen = {}
+
+    def recorder(name):
+        def recipe(args, **search):
+            seen[name] = search
+            return gates.swap_gate()
+
+        return recipe
+
+    for name in list(GATES):
+        monkeypatch.setitem(GATES, name, recorder(name))
+    for name in GATES:
+        assert main(["gate", "--name", name] + flags) == 0
+    capsys.readouterr()
+    assert seen == {name: forwarded for name in GATES}
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+def test_bad_thread_count_is_exit_2(monkeypatch, capsys, raw):
+    monkeypatch.setenv("FOCKFORGE_THREADS", raw)
+    rc = main(["optimize", "--objective", "nss", "--restarts", "1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "FOCKFORGE_THREADS" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from fockforge import gates
 from fockforge.conditioning import lift_unitary
 from fockforge.fock import FockBasis, TotalPhotonCutoff, fock_state, ladder_matrix
 from fockforge.gates import (
@@ -31,6 +33,7 @@ from fockforge.gates import (
     vacuum_detector_transmissions,
 )
 from fockforge.interferometer import BeamSplitterParams, compose
+from fockforge.optimizer import OptimizationResult
 
 SQRT2 = math.sqrt(2.0)
 
@@ -225,7 +228,31 @@ def test_cphase_vacuum_detector_rejects_general_phase():
 
 
 # ---------------------------------------------------------------------------
-# searched gates (module-level caches make repeats free)
+# searched gates (gates._solve caches each search, so repeats are free)
+
+
+def test_recipes_of_one_constraint_family_share_a_solve(monkeypatch):
+    # a stub search behind a fresh cache: a second recipe with the same
+    # arguments reuses the solve; another seed, or a phase that differs in
+    # the last digits, runs a new one
+    calls = []
+
+    def stub(objective, template_modes, seed, restarts):
+        calls.append((seed, restarts))
+        return OptimizationResult(np.linspace(0.1, 0.9, 9), 0.0, 0.25, 0, 1, True)
+
+    monkeypatch.setattr(gates, "optimize_gate", stub)
+    monkeypatch.setattr(gates, "_solve", functools.lru_cache(maxsize=None)(gates._solve.__wrapped__))
+    nss_gate_klm(5, 2)
+    ralph_cz_check(5, 2)
+    assert calls == [(5, 2)]
+    ralph_cz_check(6, 2)
+    assert calls == [(5, 2), (6, 2)]
+    su3_phase_gate(0.0, math.pi, 5, 2)
+    cphase_gate(math.pi, FOUR_PHOTON, 5, 2)
+    assert len(calls) == 3
+    su3_phase_gate(0.0, math.pi + 1e-13, 5, 2)
+    assert len(calls) == 4
 
 
 def test_nss_gate():
@@ -264,10 +291,8 @@ def test_su3_phase_gate_on_shared_solve():
 def test_phase_condition_discriminates():
     # the solved network satisfies the permanent identity at its own
     # phases and visibly fails it elsewhere
-    _, report = su3_phase_gate(0.0, math.pi, seed=11, restarts=24)
-    from fockforge.gates import _su3_solve
-
-    _, lam = _su3_solve(0.0, math.pi, 11, 24)
+    recipe, report = su3_phase_gate(0.0, math.pi, seed=11, restarts=24)
+    lam = compose(recipe.network)
     assert phase_condition_residual(lam, 0.0, math.pi) < 1e-6
     rng = np.random.default_rng(8)
     for phi in rng.uniform(-3.0, 3.0, 20):

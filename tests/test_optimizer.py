@@ -11,6 +11,7 @@ from fockforge.optimizer import (
     Objective,
     OptimizationResult,
     _fit_scale,
+    _worker_count,
     constraint_residual,
     network_from_params,
     optimize_gate,
@@ -45,6 +46,35 @@ def _result_tuple(r: OptimizationResult):
         r.restart_index,
         r.evaluations,
     )
+
+
+def test_objective_rejects_an_ancilla_short_of_the_non_signal_modes():
+    # the extractor is built with the objective, so the mismatch raises here
+    with pytest.raises(ValueError, match="non-signal modes"):
+        Objective(
+            mode_count=3,
+            signal_modes=(0,),
+            ancilla=AncillaSpec((1,)),
+            detection=DetectionSpec((1,)),
+            signal_cutoff=2,
+            constraints=((E2[0], E2[0], False),),
+        )
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+def test_bad_thread_count_raises(monkeypatch, raw):
+    monkeypatch.setenv(THREADS_ENV, raw)
+    with pytest.raises(ValueError, match=THREADS_ENV):
+        _worker_count(8)
+
+
+@pytest.mark.parametrize("raw", [None, "0"])
+def test_unset_or_zero_thread_count_uses_every_core(monkeypatch, raw):
+    if raw is None:
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(THREADS_ENV, raw)
+    assert _worker_count(8) == max(1, min(os.cpu_count() or 1, 8))
 
 
 def test_identity_objective_is_feasible():
