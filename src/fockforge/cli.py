@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .conditioning import (
     AncillaSpec,
@@ -48,21 +50,31 @@ from .fock import (
     MixedState,
     PureState,
     TotalPhotonCutoff,
-    partial_trace,
 )
 from .interferometer import (
     BeamSplitterParams,
-    ModeUnitary,
     NetworkDescription,
     PhaseShifterParams,
     bs_matrix,
     compose,
     element_matrix,
 )
-from .lossy import LossyBSParams, dilation_unitary, noisy_sigma_z_experiment
+from .lossy import LossyBSParams, lossy_bs_channel, noisy_sigma_z_experiment
 from .optimizer import InfeasibleAtBudgetError, optimize_gate
 from .permanent import check_appendix_bounds, permanent_naive, permanent_ryser
 from . import gates
+
+# unused here: imported only so that perfbench/tracing.py's WRAPPED names resolve
+from .fock import partial_trace  # noqa: F401
+from .lossy import dilation_unitary  # noqa: F401
+
+# simulate's size limits, checked before it builds anything (README,
+# "simulate"): a lossy circuit carries a dense dim x dim density matrix and
+# checks its eigenvalues after every element, and an element's lift
+# evaluates permanents as large as the cutoff, so an absorbing splitter
+# costs about 2 s at cutoff 8 but 18 s at cutoff 10
+MAX_SIMULATE_DIMENSION = 1000
+MAX_SIMULATE_CUTOFF = 8
 
 
 class CircuitError(ValueError):
@@ -382,33 +394,71 @@ def _network_of(cf: CircuitFile) -> NetworkDescription:
     return NetworkDescription(cf.mode_count, tuple(_element(e) for e in cf.elements))
 
 
-def _simulate_lossy(cf: CircuitFile, cutoff: int):
-    """Density-matrix evolution for circuits containing lossybs elements."""
+def _local_operators(e, cutoff: int):
+    """The modes an element touches, in its listed order, and its operators
+    on a total-photon basis of just those modes: the lifted unitary of a
+    phase or splitter, or the Kraus family of an absorbing splitter."""
+    if e[0] == "phase":
+        u = element_matrix(PhaseShifterParams(0, e[2]), 1)
+        return e[1:2], (lift_unitary(u, FockBasis(1, TotalPhotonCutoff(cutoff))).matrix,)
+    block = bs_matrix(BeamSplitterParams(0, 1, *e[3:6]), 2)
+    if e[0] == "bs":
+        return e[1:3], (lift_unitary(block, FockBasis(2, TotalPhotonCutoff(cutoff))).matrix,)
+    ab = e[6]
+    params = LossyBSParams(math.sqrt(1.0 - ab * ab) * block.matrix, ab * np.eye(2))
+    return e[1:3], lossy_bs_channel(params, cutoff).kraus
+
+
+def _embed(ops, modes, basis: FockBasis) -> list:
+    """Operators on a total-photon basis of `modes` alone, as sparse
+    matrices on `basis`: each basis state is paired with its occupation on
+    `modes`, and only entries between states whose other modes agree are
+    kept.
+
+    Nothing is lost when an operator never raises the photon count on its
+    modes (a passive element keeps it, an absorber lowers it): every entry
+    it can reach then lies inside `basis`."""
+    local = FockBasis(len(modes), basis.policy)
+    by_rest: dict = {}
+    for b, occ in enumerate(basis.occupations):
+        by_rest.setdefault(tuple(n for m, n in enumerate(occ) if m not in modes), []).append(b)
+    loc = np.array([local.index[tuple(occ[m] for m in modes)] for occ in basis.occupations])
+    groups = [np.array(states) for states in by_rest.values()]
+    rows = np.concatenate([np.repeat(g, len(g)) for g in groups])
+    cols = np.concatenate([np.tile(g, len(g)) for g in groups])
+    out = []
+    for op in ops:
+        vals = op[loc[rows], loc[cols]]
+        keep = vals != 0
+        out.append(
+            scipy.sparse.csr_array(
+                (vals[keep], (rows[keep], cols[keep])), shape=(basis.dimension, basis.dimension)
+            )
+        )
+    return out
+
+
+def _simulate_pure(cf: CircuitFile, cutoff: int) -> PureState:
+    """State-vector evolution, one element at a time."""
     state = _joint_input_state(cf, cutoff)
-    rho = state.to_mixed()
-    n = cf.mode_count
+    amps = state.amplitudes
     for e in cf.elements:
-        if e[0] != "lossybs":
-            u = element_matrix(_element(e), n)
-            lift = lift_unitary(u, rho.basis).matrix
-            rho = MixedState(rho.basis, lift @ rho.matrix @ lift.conj().T)
-        else:
-            _, i, j, theta, pt, pr, ab = e
-            scale = math.sqrt(1.0 - ab * ab)
-            block = bs_matrix(BeamSplitterParams(0, 1, theta, pt, pr), 2).matrix
-            params = LossyBSParams(scale * block, ab * np.eye(2))
-            four = dilation_unitary(params).matrix
-            big_mat = np.eye(n + 2, dtype=complex)
-            order = [i, j, n, n + 1]
-            big_mat[np.ix_(order, order)] = four
-            big_basis = FockBasis(n + 2, TotalPhotonCutoff(cutoff))
-            lift = lift_unitary(ModeUnitary(n + 2, big_mat), big_basis).matrix
-            wide = np.zeros((big_basis.dimension, big_basis.dimension), dtype=complex)
-            idx = [big_basis.index_of(occ + (0, 0)) for occ in rho.basis.occupations]
-            for a, ia in enumerate(idx):
-                wide[ia, idx] = rho.matrix[a]
-            wide = lift @ wide @ lift.conj().T
-            rho = partial_trace(MixedState(big_basis, wide), range(n))
+        modes, ops = _local_operators(e, cutoff)
+        (op,) = _embed(ops, modes, state.basis)
+        amps = op @ amps
+    return PureState(state.basis, amps, unchecked=True)
+
+
+def _simulate_lossy(cf: CircuitFile, cutoff: int) -> MixedState:
+    """Density-matrix evolution for circuits containing lossybs elements:
+    rho -> sum_K K rho K^dag, one element at a time."""
+    rho = _joint_input_state(cf, cutoff).to_mixed()
+    for e in cf.elements:
+        modes, ops = _local_operators(e, cutoff)
+        out = np.zeros_like(rho.matrix)
+        for k in _embed(ops, modes, rho.basis):
+            out += k @ rho.matrix @ k.conj().T
+        rho = MixedState(rho.basis, out)
     return rho
 
 
@@ -417,18 +467,23 @@ def _cmd_simulate(args) -> int:
     if cf.detections:
         raise CircuitError(1, 1, "simulate takes no detect lines; use the condition subcommand")
     cutoff = _pick_cutoff(args, cf)
-    lossy_present = any(e[0] == "lossybs" for e in cf.elements)
+    if cutoff > MAX_SIMULATE_CUTOFF:
+        raise OverflowError(f"cutoff {cutoff} is above simulate's limit of {MAX_SIMULATE_CUTOFF}")
+    dim = math.comb(cf.mode_count + cutoff, cutoff)
+    if dim > MAX_SIMULATE_DIMENSION:
+        raise OverflowError(
+            f"basis dimension {dim} ({cf.mode_count} modes, cutoff {cutoff}) is above "
+            f"simulate's limit of {MAX_SIMULATE_DIMENSION}"
+        )
     out = []
-    if lossy_present:
+    if any(e[0] == "lossybs" for e in cf.elements):
         rho = _simulate_lossy(cf, cutoff)
         out.append(tuple(f"n{m}" for m in range(cf.mode_count)) + ("population",))
         for i, occ in enumerate(rho.basis.occupations):
             out.append(tuple(str(n) for n in occ) + (_fmt(rho.matrix[i, i].real),))
     else:
-        state = _joint_input_state(cf, cutoff)
-        u = compose(_network_of(cf))
-        lift = lift_unitary(u, state.basis)
-        final = lift.matrix @ state.amplitudes
+        state = _simulate_pure(cf, cutoff)
+        final = state.amplitudes
         out.append(tuple(f"n{m}" for m in range(cf.mode_count)) + ("re", "im"))
         for i, occ in enumerate(state.basis.occupations):
             out.append(
@@ -547,19 +602,22 @@ def _restarts(args, default: int) -> int:
     return default if args.restarts is None else args.restarts
 
 
-# gate --name: each recipe takes the parsed arguments plus --seed and
-# --restarts when they are given, so its search defaults live only in its
-# gates signature; swap and hadamard search nothing and ignore both
+SEARCH_FLAGS = ("seed", "restarts")
+GATE_FLAGS = ("phi", "phi1", "phi2", "q", "variant") + SEARCH_FLAGS
+
+# gate --name: the flags each recipe reads, and the recipe.  A recipe gets
+# only the flags given, so its defaults are the ones in its gates
+# signature; any other flag given is a usage error.
 GATES = {
-    "swap": lambda args, **search: gates.swap_gate(),
-    "nss": lambda args, **search: gates.nss_gate_klm(**search),
-    "cphase": lambda args, **search: gates.cphase_gate(args.phi, args.variant, **search),
-    "su3": lambda args, **search: gates.su3_phase_gate(args.phi1, args.phi2, **search),
-    "hadamard": lambda args, **search: gates.hadamard_gate(),
-    "pauli-x": lambda args, **search: gates.pauli_xy_gate("x", args.q, **search),
-    "pauli-y": lambda args, **search: gates.pauli_xy_gate("y", args.q, **search),
-    "ralph-cz": lambda args, **search: gates.ralph_cz_check(**search),
-    "cnot-search": lambda args, **search: gates.cnot_obstruction_search(**search),
+    "swap": ((), gates.swap_gate),
+    "nss": (SEARCH_FLAGS, gates.nss_gate_klm),
+    "cphase": (("phi", "variant") + SEARCH_FLAGS, gates.cphase_gate),
+    "su3": (("phi1", "phi2") + SEARCH_FLAGS, gates.su3_phase_gate),
+    "hadamard": ((), gates.hadamard_gate),
+    "pauli-x": (("q",) + SEARCH_FLAGS, functools.partial(gates.pauli_xy_gate, "x")),
+    "pauli-y": (("q",) + SEARCH_FLAGS, functools.partial(gates.pauli_xy_gate, "y")),
+    "ralph-cz": (SEARCH_FLAGS, gates.ralph_cz_check),
+    "cnot-search": (SEARCH_FLAGS, gates.cnot_obstruction_search),
 }
 
 
@@ -590,9 +648,16 @@ def _gate_rows(name: str, out) -> list:
 
 
 def _cmd_gate(args) -> int:
-    _restarts(args, None)  # checked before dispatch: not every recipe searches
-    search = {k: v for k, v in (("seed", args.seed), ("restarts", args.restarts)) if v is not None}
-    out = GATES[args.name](args, **search)
+    reads, recipe = GATES[args.name]
+    label = f"--name {args.name}"
+    if args.name == "cphase" and args.variant == gates.VACUUM_DETECTOR:
+        reads, label = ("phi", "variant"), f"{label} --variant {args.variant}"  # searches nothing
+    given = {f: getattr(args, f) for f in GATE_FLAGS if getattr(args, f) is not None}
+    unread = [f"--{f}" for f in given if f not in reads]
+    if unread:
+        raise ValueError(f"unrecognized arguments for gate {label}: {' '.join(unread)}")
+    _restarts(args, None)
+    out = recipe(**given)
     sys.stdout.write(_rows_to_tsv(_gate_rows(args.name, out)))
     return 0
 
@@ -789,13 +854,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gate", help="named gate recipes")
     search(sp)
     sp.add_argument("--name", required=True, choices=list(GATES))
-    sp.add_argument("--phi", type=float, default=math.pi)
-    sp.add_argument("--phi1", type=float, default=0.0)
-    sp.add_argument("--phi2", type=float, default=math.pi)
-    sp.add_argument(
-        "--variant", choices=[gates.FOUR_PHOTON, gates.VACUUM_DETECTOR], default=gates.FOUR_PHOTON
-    )
-    sp.add_argument("--q", type=float, default=0.01)
+    sp.add_argument("--phi", type=float, default=None)
+    sp.add_argument("--phi1", type=float, default=None)
+    sp.add_argument("--phi2", type=float, default=None)
+    sp.add_argument("--variant", choices=[gates.FOUR_PHOTON, gates.VACUUM_DETECTOR], default=None)
+    sp.add_argument("--q", type=float, default=None)
     sp.set_defaults(func=_cmd_gate)
 
     sp = sub.add_parser("optimize", help="seeded multistart network search")

@@ -190,7 +190,7 @@ def phase_condition_residual(lam, phi1: float, phi2: float) -> float:
     return float(abs(lhs - rhs))
 
 
-def su3_phase_gate(phi1: float, phi2: float, seed: int = 0, restarts: int = 40):
+def su3_phase_gate(phi1: float = 0.0, phi2: float = math.pi, seed: int = 0, restarts: int = 40):
     """Layer-phase gate diag(1, e^{i phi1}, e^{i phi2}) from one 3-mode
     network with single photons in both auxiliary modes and single-photon
     detection on both.
@@ -315,7 +315,7 @@ def _qubit_slab_target(basis: FockBasis, phi: float) -> tuple:
     return cols, target
 
 
-def cphase_gate(phi: float, variant: str = FOUR_PHOTON, seed: int = 11, restarts: int = 24):
+def cphase_gate(phi: float = math.pi, variant: str = FOUR_PHOTON, seed: int = 11, restarts: int = 24):
     """Controlled-phase 1 - (1 - e^{i phi}) n1 n2 on the two-qubit subspace.
 
     Both variants are Mach-Zehnder sandwiches: a balanced splitter, one

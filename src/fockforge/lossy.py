@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .conditioning import lift_unitary
+from .conditioning import fock_lift_amplitude, lift_unitary
 from .fock import (
     FockBasis,
     FockOperator,
@@ -156,9 +156,13 @@ def lossy_bs_channel(params: LossyBSParams, cutoff: int) -> ChannelOperator:
     ext = dilation_unitary(params)
     basis = FockBasis(2, TotalPhotonCutoff(cutoff))
     big = FockBasis(4, TotalPhotonCutoff(cutoff))
-    lift = lift_unitary(ext, big).matrix
-    # columns: physical occupations with vacuum device modes
-    col = [big.index_of(occ + (0, 0)) for occ in basis.occupations]
+    # the blocks read only the columns where both device modes are vacuum,
+    # so only those are lifted; the lift vanishes between photon sectors
+    lift = np.zeros((big.dimension, basis.dimension), dtype=complex)
+    for col, occ_in in enumerate(basis.occupations):
+        for row, occ_out in enumerate(big.occupations):
+            if sum(occ_out) == sum(occ_in):
+                lift[row, col] = fock_lift_amplitude(ext, occ_in + (0, 0), occ_out)
     device = sorted({(occ[2], occ[3]) for occ in big.occupations})
     kraus = []
     for dev in device:
@@ -166,7 +170,7 @@ def lossy_bs_channel(params: LossyBSParams, cutoff: int) -> ChannelOperator:
         for i, occ in enumerate(basis.occupations):
             full = occ + dev
             if full in big:
-                block[i, :] = lift[big.index_of(full), col]
+                block[i, :] = lift[big.index_of(full)]
         if np.max(np.abs(block)) > 1e-14:
             kraus.append(block)
     return ChannelOperator(basis, ext, tuple(kraus))

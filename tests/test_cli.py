@@ -434,24 +434,27 @@ def test_restarts_below_one_is_exit_2(capsys, argv):
         (["--seed", "0"], {"seed": 0}),
         (["--restarts", "3"], {"restarts": 3}),
         (["--seed", "4", "--restarts", "2"], {"seed": 4, "restarts": 2}),
+        (["--phi", "1.5"], {"phi": 1.5}),
+        (["--q", "0.2", "--seed", "1"], {"q": 0.2, "seed": 1}),
     ],
 )
 def test_gate_forwards_only_the_search_flags_given(monkeypatch, capsys, flags, forwarded):
     seen = {}
 
     def recorder(name):
-        def recipe(args, **search):
-            seen[name] = search
+        def recipe(**given):
+            seen[name] = given
             return gates.swap_gate()
 
         return recipe
 
-    for name in list(GATES):
-        monkeypatch.setitem(GATES, name, recorder(name))
+    for name, (reads, _) in list(GATES.items()):
+        monkeypatch.setitem(GATES, name, (reads, recorder(name)))
+    reading = [name for name, (reads, _) in GATES.items() if set(forwarded) <= set(reads)]
     for name in GATES:
-        assert main(["gate", "--name", name] + flags) == 0
+        assert main(["gate", "--name", name] + flags) == (0 if name in reading else 2)
     capsys.readouterr()
-    assert seen == {name: forwarded for name in GATES}
+    assert seen == {name: forwarded for name in reading}
 
 
 @pytest.mark.parametrize("raw", ["abc", "-3"])
@@ -476,6 +479,16 @@ def test_bad_thread_count_is_exit_2(monkeypatch, capsys, raw):
         ["gate", "--name", "swap", "--cutoff", "3"],
         ["optimize", "--objective", "nss", "--tolerance", "1e-9"],
         ["verify", "--prop", "1", "--restarts", "2"],
+        # gate: a flag the chosen recipe does not read
+        ["gate", "--name", "swap", "--seed", "3"],
+        ["gate", "--name", "hadamard", "--seed", "9"],
+        ["gate", "--name", "swap", "--phi", "1.0"],
+        ["gate", "--name", "cphase", "--variant", "vacuum-detector", "--seed", "1"],
+        ["gate", "--name", "cphase", "--variant", "vacuum-detector", "--restarts", "2"],
+        ["gate", "--name", "nss", "--q", "0.1"],
+        ["gate", "--name", "su3", "--phi", "1.0"],
+        ["gate", "--name", "pauli-x", "--variant", "four-photon"],
+        ["gate", "--name", "ralph-cz", "--phi2", "0.5"],
     ],
 )
 def test_flag_the_subcommand_does_not_read_is_exit_2(capsys, argv):
@@ -484,6 +497,7 @@ def test_flag_the_subcommand_does_not_read_is_exit_2(capsys, argv):
     assert rc == 2
     assert captured.out == ""
     assert "unrecognized arguments" in captured.err
+    assert argv[-2] in captured.err
 
 
 def test_loss_closed_forms(capsys):

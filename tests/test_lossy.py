@@ -111,6 +111,36 @@ def test_lossless_channel_is_the_unitary_lift():
     assert np.max(np.abs(ch.kraus[0] - direct)) < 1e-12
 
 
+def full_lift_kraus(params, cutoff):
+    """Kraus blocks read off the lift of the whole four-mode basis."""
+    basis = FockBasis(2, TotalPhotonCutoff(cutoff))
+    big = FockBasis(4, TotalPhotonCutoff(cutoff))
+    lift = lift_unitary(dilation_unitary(params), big).matrix
+    col = [big.index_of(occ + (0, 0)) for occ in basis.occupations]
+    blocks = []
+    for dev in sorted({(occ[2], occ[3]) for occ in big.occupations}):
+        block = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+        for i, occ in enumerate(basis.occupations):
+            if occ + dev in big:
+                block[i, :] = lift[big.index_of(occ + dev), col]
+        if np.max(np.abs(block)) > 1e-14:
+            blocks.append(block)
+    return blocks
+
+
+@pytest.mark.parametrize("cutoff", [2, 4])
+def test_channel_lifts_only_the_vacuum_device_columns(cutoff):
+    params = LossyBSParams(
+        0.8 * np.array([[0.6, 0.8j], [0.8j, 0.6]]) @ np.diag([1.0, np.exp(0.7j)]),
+        0.6 * np.eye(2),
+    )
+    got = lossy_bs_channel(params, cutoff).kraus
+    want = full_lift_kraus(params, cutoff)
+    assert len(got) == len(want)
+    for k, w in zip(got, want):
+        assert np.max(np.abs(k - w)) <= 1e-15
+
+
 def test_vacuum_sector_channel_is_trivial():
     ch = lossy_bs_channel(LossyBSParams.symmetric_slab(0.5, 0.3), 0)
     assert len(ch.kraus) == 1
