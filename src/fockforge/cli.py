@@ -26,7 +26,6 @@ error, 3 infeasible optimization, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import math
 import sys
@@ -50,6 +49,7 @@ from .fock import (
     MixedState,
     PureState,
     TotalPhotonCutoff,
+    coherent_state,
 )
 from .interferometer import (
     BeamSplitterParams,
@@ -59,7 +59,7 @@ from .interferometer import (
     compose,
     element_matrix,
 )
-from .lossy import LossyBSParams, lossy_bs_channel, noisy_sigma_z_experiment
+from .lossy import LossyBSParams, apply_kraus, lossy_bs_channel, noisy_sigma_z_experiment
 from .optimizer import InfeasibleAtBudgetError, optimize_gate
 from .permanent import check_appendix_bounds, permanent_naive, permanent_ryser
 from . import gates
@@ -70,7 +70,7 @@ from .lossy import dilation_unitary  # noqa: F401
 
 # simulate's size limits, checked before it builds anything (README,
 # "simulate"): a lossy circuit carries a dense dim x dim density matrix and
-# checks its eigenvalues after every element, and an element's lift
+# checks its eigenvalues once, on the final state, and an element's lift
 # evaluates permanents as large as the cutoff, so an absorbing splitter
 # costs about 2 s at cutoff 8 but 18 s at cutoff 10
 MAX_SIMULATE_DIMENSION = 1000
@@ -333,12 +333,9 @@ def _mode_amplitudes(spec, cutoff: int) -> np.ndarray:
         amps[k] = 1.0
         return amps
     if spec[0] == "coherent":
-        alpha = complex(spec[2], spec[3])
-        for n in range(cutoff + 1):
-            amps[n] = cmath.exp(-abs(alpha) ** 2 / 2.0) * alpha**n / math.sqrt(
-                math.factorial(n)
-            )
-        return amps
+        # an amplitude too large for the ladder is a numeric failure (exit 4)
+        with np.errstate(over="raise", invalid="raise"):
+            return coherent_state(complex(spec[2], spec[3]), cutoff).amplitudes
     raise ValueError(f"not a single-mode input: {spec[0]}")
 
 
@@ -451,15 +448,14 @@ def _simulate_pure(cf: CircuitFile, cutoff: int) -> PureState:
 
 def _simulate_lossy(cf: CircuitFile, cutoff: int) -> MixedState:
     """Density-matrix evolution for circuits containing lossybs elements:
-    rho -> sum_K K rho K^dag, one element at a time."""
-    rho = _joint_input_state(cf, cutoff).to_mixed()
+    rho -> sum_K K rho K^dag, one element at a time.  Each Kraus map keeps
+    rho positive, so only the final state is validated."""
+    state = _joint_input_state(cf, cutoff)
+    rho = np.outer(state.amplitudes, state.amplitudes.conj())
     for e in cf.elements:
         modes, ops = _local_operators(e, cutoff)
-        out = np.zeros_like(rho.matrix)
-        for k in _embed(ops, modes, rho.basis):
-            out += k @ rho.matrix @ k.conj().T
-        rho = MixedState(rho.basis, out)
-    return rho
+        rho = apply_kraus(_embed(ops, modes, state.basis), rho)
+    return MixedState(state.basis, rho)
 
 
 def _cmd_simulate(args) -> int:

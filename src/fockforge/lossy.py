@@ -12,6 +12,10 @@ against the closure identity M M^dag = I - T T^dag.
 
 Inefficient detectors are the binomial POVM
 Pi(n) = sum_k C(k, n) eta^n (1 - eta)^{k - n} |k><k|.
+
+The noisy sign-flip experiment is that channel on (signal, ancilla)
+followed by the detector POVM on the ancilla; the device label of each
+Kraus block tells the absorbed branches apart.
 """
 
 from __future__ import annotations
@@ -22,15 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .conditioning import fock_lift_amplitude, lift_unitary
-from .fock import (
-    FockBasis,
-    FockOperator,
-    MixedState,
-    PureState,
-    TotalPhotonCutoff,
-    partial_trace,
-)
+from .conditioning import fock_lift_amplitude
+from .fock import FockBasis, FockOperator, MixedState, PureState, TotalPhotonCutoff
 from .interferometer import ModeUnitary
 
 
@@ -89,17 +86,30 @@ class LossyBSParams:
         return LossyBSParams(tm, a * np.eye(2))
 
 
+def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
+    """rho -> sum_K K rho K^dag, for dense or sparse K.
+
+    The sum accumulates into a copy of rho's layout: products with a
+    sparse K come back in Fortran order, which MixedState cannot take.
+    """
+    out = np.zeros_like(rho)
+    for k in kraus:
+        out += k @ rho @ k.conj().T
+    return out
+
+
 @dataclass
 class ChannelOperator:
     """Completely positive trace-preserving map from the four-mode dilation.
 
-    kraus holds the device-occupation-labelled blocks <d|W|0,0>; their
-    completeness sum is checked at construction, which on a closed photon
-    sector is exact rather than truncated.
+    kraus holds the blocks <d|W|0,0> and devices the device occupation d
+    of each, in the same order; blocks that vanish on the sector are left
+    out.  The completeness sum is checked at construction, which on a
+    closed photon sector is exact rather than truncated.
     """
 
     basis: FockBasis
-    extended_unitary: ModeUnitary
+    devices: tuple
     kraus: tuple
 
     def __post_init__(self):
@@ -114,14 +124,8 @@ class ChannelOperator:
     def apply(self, state) -> MixedState:
         if isinstance(state, PureState):
             state = state.to_mixed()
-        if isinstance(state, MixedState):
-            rho = state.matrix
-        else:
-            rho = np.asarray(state, dtype=complex)
-        out = np.zeros_like(rho)
-        for k in self.kraus:
-            out += k @ rho @ k.conj().T
-        return MixedState(self.basis, out)
+        rho = state.matrix if isinstance(state, MixedState) else np.asarray(state, dtype=complex)
+        return MixedState(self.basis, apply_kraus(self.kraus, rho))
 
 
 def dilation_unitary(params: LossyBSParams) -> ModeUnitary:
@@ -155,25 +159,19 @@ def lossy_bs_channel(params: LossyBSParams, cutoff: int) -> ChannelOperator:
         raise ValueError("cutoff must be non-negative")
     ext = dilation_unitary(params)
     basis = FockBasis(2, TotalPhotonCutoff(cutoff))
-    big = FockBasis(4, TotalPhotonCutoff(cutoff))
-    # the blocks read only the columns where both device modes are vacuum,
-    # so only those are lifted; the lift vanishes between photon sectors
-    lift = np.zeros((big.dimension, basis.dimension), dtype=complex)
-    for col, occ_in in enumerate(basis.occupations):
-        for row, occ_out in enumerate(big.occupations):
-            if sum(occ_out) == sum(occ_in):
-                lift[row, col] = fock_lift_amplitude(ext, occ_in + (0, 0), occ_out)
-    device = sorted({(occ[2], occ[3]) for occ in big.occupations})
-    kraus = []
-    for dev in device:
+    devices, kraus = [], []
+    # block d reads the lift only from inputs with both device modes in
+    # vacuum, and the lift vanishes between photon sectors
+    for dev in sorted(basis.occupations):
         block = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-        for i, occ in enumerate(basis.occupations):
-            full = occ + dev
-            if full in big:
-                block[i, :] = lift[big.index_of(full)]
+        for row, occ_out in enumerate(basis.occupations):
+            for col, occ_in in enumerate(basis.occupations):
+                if sum(occ_out) + sum(dev) == sum(occ_in):
+                    block[row, col] = fock_lift_amplitude(ext, occ_in + (0, 0), occ_out + dev)
         if np.max(np.abs(block)) > 1e-14:
+            devices.append(dev)
             kraus.append(block)
-    return ChannelOperator(basis, ext, tuple(kraus))
+    return ChannelOperator(basis, tuple(devices), tuple(kraus))
 
 
 @dataclass(frozen=True)
@@ -257,12 +255,12 @@ def noisy_sigma_z_experiment(abs_a: float, eta: float, c0: complex, c1: complex)
     photon qubit, with a single-photon ancilla and an efficiency-eta
     one-photon detection.
 
-    The full four-mode dilation is evolved exactly, the detector POVM is
-    applied to the ancilla output, and the device modes are traced; the
-    returned report splits the unnormalized conditioned state into the
-    transmitted branch, the detector-confusion branch (two photons
-    arrived, one was missed), and the absorption branch, and compares
-    the latter two against their closed forms
+    The element's channel acts on (signal, ancilla) and the detector POVM
+    on the ancilla output; each Kraus block's device label sorts what it
+    carries into a branch.  The returned report splits the unnormalized
+    conditioned state into the transmitted branch, the detector-confusion
+    branch (two photons arrived, one was missed), and the absorption
+    branch, and compares the latter two against their closed forms
     |A|^4 - 3 + 2 sqrt(3 - 2|A|^2)   and   |A|^2 (1 - |A|^2).
     """
     a = float(abs_a)
@@ -279,45 +277,29 @@ def noisy_sigma_z_experiment(abs_a: float, eta: float, c0: complex, c1: complex)
     t = choose_T_for_sigma_z(a)
     params = LossyBSParams.symmetric_slab(t, a)
     r = float(params.t_matrix[0, 1].imag)
-    ext = dilation_unitary(params)
-
-    big = FockBasis(4, TotalPhotonCutoff(2))
-    lift = lift_unitary(ext, big).matrix
-    amps = np.zeros(big.dimension, dtype=complex)
-    amps[big.index_of((0, 1, 0, 0))] = c0
-    amps[big.index_of((1, 1, 0, 0))] = c1
-    evolved = lift @ amps
+    channel = lossy_bs_channel(params, 2)
+    pair = channel.basis  # (signal, ancilla), at most two photons
+    psi = np.zeros(pair.dimension, dtype=complex)
+    psi[pair.index_of((0, 1))] = c0
+    psi[pair.index_of((1, 1))] = c1
+    # POVM weight of registering one photon when k arrived
+    seen_one = np.diag(povm_element(1, DetectorModel(eta, 2)).matrix).real
 
     sig = FockBasis(1, TotalPhotonCutoff(2))
-    out = np.zeros((sig.dimension, sig.dimension), dtype=complex)
-    weights = {"wanted": 0.0, "detector": 0.0, "absorption": 0.0}
-    wanted_matrix = np.zeros((sig.dimension, sig.dimension), dtype=complex)
-    # branch label: (detector count k, device total l); POVM weight for
-    # registering one photon out of k is C(k,1) eta (1-eta)^(k-1)
+    # branch label: (detector count k, device total l); v holds the signal
+    # amplitudes beside k ancilla photons, and device occupations stay
+    # distinguishable, so each adds its own projector to the branch
     branches: dict = {}
-    for i, occ in enumerate(big.occupations):
-        if abs(evolved[i]) == 0:
-            continue
-        n_sig, k, l3, l4 = occ
-        if k < 1:
-            continue
-        key = (k, l3 + l4)
-        vec = branches.setdefault(key, {})
-        vec.setdefault((n_sig, l3, l4), 0j)
-        vec[(n_sig, l3, l4)] += evolved[i]
-    for (k, l), vec in branches.items():
-        pov = math.comb(k, 1) * eta * (1.0 - eta) ** (k - 1)
-        if pov == 0.0:
-            continue
-        block = np.zeros((sig.dimension, sig.dimension), dtype=complex)
-        # device occupations stay distinguishable: sum projectors
-        by_dev: dict = {}
-        for (n_sig, l3, l4), amp in vec.items():
-            by_dev.setdefault((l3, l4), np.zeros(sig.dimension, dtype=complex))
-            by_dev[(l3, l4)][sig.index_of((n_sig,))] += amp
-        for v in by_dev.values():
-            block += np.outer(v, v.conj())
-        block *= pov
+    for dev, kraus in zip(channel.devices, channel.kraus):
+        evolved = kraus @ psi
+        for k in (1, 2):
+            v = np.array([evolved[pair.index[n, k]] if n + k <= 2 else 0j for n in range(3)])
+            branches.setdefault((k, sum(dev)), []).append(np.outer(v, v.conj()))
+    out = np.zeros((sig.dimension, sig.dimension), dtype=complex)
+    wanted_matrix = np.zeros_like(out)
+    weights = {"wanted": 0.0, "detector": 0.0, "absorption": 0.0}
+    for (k, l), projectors in branches.items():
+        block = seen_one[k] * sum(projectors)
         out += block
         label = "absorption" if l >= 1 else ("wanted" if k == 1 else "detector")
         weights[label] += float(np.trace(block).real)

@@ -225,6 +225,15 @@ def test_cutoff_below_declared_input(tmp_path, capsys):
     assert rc == 2
 
 
+def test_coherent_amplitude_past_float_range_is_exit_4(tmp_path, capsys):
+    # alpha^8 overflows; the ladder must report that, not print NaNs
+    path = tmp_path / "bright.circuit"
+    path.write_text("modes 1\ninput coherent 0 1e40 0\nphase 0 0.3\n")
+    rc, out = run(capsys, ["simulate", str(path), "--cutoff", "8"])
+    assert rc == 4
+    assert out == ""
+
+
 def test_missing_file(capsys):
     rc, _ = run(capsys, ["simulate", "/nonexistent/path.circuit"])
     assert rc == 2

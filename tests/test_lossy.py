@@ -99,7 +99,7 @@ def test_channel_kraus_completeness():
 def test_channel_rejects_broken_kraus_family():
     ch = lossy_bs_channel(LossyBSParams.symmetric_slab(0.5, 0.3), 1)
     with pytest.raises(ValueError):
-        ChannelOperator(ch.basis, ch.extended_unitary, ch.kraus[:1])
+        ChannelOperator(ch.basis, ch.devices[:1], ch.kraus[:1])
 
 
 def test_lossless_channel_is_the_unitary_lift():
@@ -112,12 +112,13 @@ def test_lossless_channel_is_the_unitary_lift():
 
 
 def full_lift_kraus(params, cutoff):
-    """Kraus blocks read off the lift of the whole four-mode basis."""
+    """Kraus blocks read off the lift of the whole four-mode basis, and
+    the device occupation of each."""
     basis = FockBasis(2, TotalPhotonCutoff(cutoff))
     big = FockBasis(4, TotalPhotonCutoff(cutoff))
     lift = lift_unitary(dilation_unitary(params), big).matrix
     col = [big.index_of(occ + (0, 0)) for occ in basis.occupations]
-    blocks = []
+    blocks, devices = [], []
     for dev in sorted({(occ[2], occ[3]) for occ in big.occupations}):
         block = np.zeros((basis.dimension, basis.dimension), dtype=complex)
         for i, occ in enumerate(basis.occupations):
@@ -125,7 +126,8 @@ def full_lift_kraus(params, cutoff):
                 block[i, :] = lift[big.index_of(occ + dev), col]
         if np.max(np.abs(block)) > 1e-14:
             blocks.append(block)
-    return blocks
+            devices.append(dev)
+    return blocks, devices
 
 
 @pytest.mark.parametrize("cutoff", [2, 4])
@@ -134,8 +136,10 @@ def test_channel_lifts_only_the_vacuum_device_columns(cutoff):
         0.8 * np.array([[0.6, 0.8j], [0.8j, 0.6]]) @ np.diag([1.0, np.exp(0.7j)]),
         0.6 * np.eye(2),
     )
-    got = lossy_bs_channel(params, cutoff).kraus
-    want = full_lift_kraus(params, cutoff)
+    channel = lossy_bs_channel(params, cutoff)
+    got = channel.kraus
+    want, devices = full_lift_kraus(params, cutoff)
+    assert list(channel.devices) == devices
     assert len(got) == len(want)
     for k, w in zip(got, want):
         assert np.max(np.abs(k - w)) <= 1e-15
@@ -262,6 +266,52 @@ def test_experiment_validation():
         noisy_sigma_z_experiment(0.2, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         noisy_sigma_z_experiment(0.2, 0.5, 1.0, 1.0)
+
+
+def dense_dilation_experiment(abs_a, eta, c0, c1):
+    """The experiment's former route, kept as the reference: the whole
+    four-mode dilation lifted densely, the ancilla detected, the device
+    modes traced.  Returns the conditioned state, its wanted branch and
+    the three branch weights."""
+    params = LossyBSParams.symmetric_slab(choose_T_for_sigma_z(abs_a), abs_a)
+    big = FockBasis(4, TotalPhotonCutoff(2))
+    amps = np.zeros(big.dimension, dtype=complex)
+    amps[big.index_of((0, 1, 0, 0))] = c0
+    amps[big.index_of((1, 1, 0, 0))] = c1
+    evolved = lift_unitary(dilation_unitary(params), big).matrix @ amps
+    out = np.zeros((3, 3), dtype=complex)
+    wanted = np.zeros((3, 3), dtype=complex)
+    weights = {"wanted": 0.0, "detector": 0.0, "absorption": 0.0}
+    branches = {}
+    for amp, (n_sig, k, l3, l4) in zip(evolved, big.occupations):
+        if k >= 1:
+            by_dev = branches.setdefault((k, l3 + l4), {})
+            by_dev.setdefault((l3, l4), np.zeros(3, dtype=complex))[n_sig] += amp
+    for (k, l), by_dev in branches.items():
+        block = sum(np.outer(v, v.conj()) for v in by_dev.values())
+        block = block * k * eta * (1.0 - eta) ** (k - 1)
+        out += block
+        label = "absorption" if l >= 1 else ("wanted" if k == 1 else "detector")
+        weights[label] += float(np.trace(block).real)
+        if label == "wanted":
+            wanted += block
+    return out, wanted, weights
+
+
+def test_experiment_matches_the_dense_dilation_route():
+    rng = np.random.default_rng(13)
+    grid = [(0.0, 1.0), (0.0, 0.5), (0.4, 1.0)]
+    grid += [(rng.uniform(0.0, 0.95), rng.uniform(0.05, 1.0)) for _ in range(9)]
+    for a, eta in grid:
+        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        c0, c1 = c / np.linalg.norm(c)
+        rep = noisy_sigma_z_experiment(a, eta, c0, c1)
+        out, wanted, weights = dense_dilation_experiment(a, eta, c0, c1)
+        assert np.max(np.abs(rep.output.matrix - out)) < 1e-14
+        assert np.max(np.abs(rep.wanted_matrix - wanted)) < 1e-14
+        assert abs(rep.wanted_weight - weights["wanted"]) < 1e-14
+        assert abs(rep.detector_weight - weights["detector"]) < 1e-14
+        assert abs(rep.absorption_weight - weights["absorption"]) < 1e-14
 
 
 @settings(max_examples=25, deadline=None)

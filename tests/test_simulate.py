@@ -136,6 +136,22 @@ def test_zero_absorption_gives_the_lossless_populations():
     assert np.max(np.abs(np.diag(rho.matrix).real - np.abs(amps) ** 2)) < 1e-12
 
 
+def test_broken_kraus_family_fails_the_final_state_check(monkeypatch):
+    # the intermediate states are not validated, so a family that gains
+    # weight after its completeness check must still fail at the end
+    inner = cli.lossy_bs_channel
+
+    def inflated(params, cutoff):
+        channel = inner(params, cutoff)
+        channel.kraus = (1.01 * channel.kraus[0],) + channel.kraus[1:]
+        return channel
+
+    monkeypatch.setattr(cli, "lossy_bs_channel", inflated)
+    text, cutoff = LOSSY["strong absorption"]
+    with pytest.raises(ValueError, match="exceeds one"):
+        cli._simulate_lossy(cli.parse_circuit(text), cutoff)
+
+
 # ---------------------------------------------------------------------------
 # cost tripwires: permanents one simulate call evaluates, independent of
 # the machine (the whole-basis routes took 180,622 and 11,934)
