@@ -72,7 +72,7 @@ from .lossy import dilation_unitary  # noqa: F401
 # "simulate"): a lossy circuit carries a dense dim x dim density matrix and
 # checks its eigenvalues once, on the final state, and an element's lift
 # evaluates permanents as large as the cutoff, so an absorbing splitter
-# costs about 2 s at cutoff 8 but 18 s at cutoff 10
+# costs about 1.5 s at cutoff 8 but 17 s at cutoff 10
 MAX_SIMULATE_DIMENSION = 1000
 MAX_SIMULATE_CUTOFF = 8
 

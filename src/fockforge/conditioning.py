@@ -7,10 +7,14 @@ detector outcomes leaves a non-unitary operator Y on the signal modes:
     Y[out, in] = <out, det| U(L) |in, aux>
 
 computed exactly in each photon-number sector through permanents with
-repeated indices.  The tests cross-check these amplitudes against an
-independent oracle in tests/oracles.py, which expands them as
-multivariate polynomials in creation operators and never touches the
-permanent code.
+repeated indices.  Every Fock amplitude the package uses is such an
+entry: the unitary lift is the extraction with no ancilla, and an
+absorbing splitter's Kraus blocks are extractions from its dilation
+(see lossy).  ConditionalExtractor's gather tables are the one place
+that walks occupation pairs to fill them.  The tests cross-check these
+amplitudes against an independent oracle in tests/oracles.py, which
+expands them as multivariate polynomials in creation operators and
+never touches the permanent code.
 
 Y is stored exactly as projected, sub-normalized.  Success probabilities
 then compose across interferometer arms by plain multiplication.
@@ -31,7 +35,7 @@ from .fock import (
     TotalPhotonCutoff,
 )
 from .interferometer import ModeUnitary
-from .permanent import _per_flat
+from .permanent import _gather, _per_flat
 
 
 @dataclass(frozen=True)
@@ -94,45 +98,19 @@ def fock_lift_amplitude(u, input_occ, output_occ) -> complex:
         raise ValueError("occupations must be non-negative")
     if sum(n_in) != sum(n_out):
         return 0j
-    rows = [i for i, c in enumerate(n_out) for _ in range(c)]
-    cols = [j for j, c in enumerate(n_in) for _ in range(c)]
-    k = len(rows)
-    flat = [m[i, j] for i in rows for j in cols]
+    gather, k, norm = _amplitude_entry(n_in, n_out, m.shape[0])
+    flat = m.ravel().tolist()
+    return complex(_per_flat([flat[g] for g in gather], k)) / norm
+
+
+def _amplitude_entry(occ_in, occ_out, n: int):
+    """Gather indices into a row-major n-mode matrix, permanent size and
+    factorial norm of <occ_out| U |occ_in>, for equal photon totals."""
     norm = math.sqrt(
-        math.prod(math.factorial(x) for x in n_in)
-        * math.prod(math.factorial(x) for x in n_out)
+        math.prod(math.factorial(x) for x in occ_in)
+        * math.prod(math.factorial(x) for x in occ_out)
     )
-    return complex(_per_flat(flat, k)) / norm
-
-
-def lift_unitary(u, basis: FockBasis) -> FockOperator:
-    """Full Fock-space matrix of a lifted mode unitary.
-
-    Exact on a total-photon basis: the lift is block diagonal in total
-    photon number and such a basis holds every state of each sector it
-    admits.  A per-mode cutoff would chop sectors open (|2,1> evolves
-    partly into |3,0>) and the result would not be unitary, so those
-    bases are rejected instead of silently truncated.
-    """
-    m = _as_matrix(u)
-    if basis.mode_count != m.shape[0]:
-        raise ValueError(
-            f"basis has {basis.mode_count} modes, matrix has {m.shape[0]}"
-        )
-    if not isinstance(basis.policy, TotalPhotonCutoff):
-        raise PolicyMismatchError(
-            "unitary lift needs a total-photon basis; per-mode cutoffs "
-            "truncate photon-number sectors"
-        )
-    occs = basis.occupations
-    totals = [sum(o) for o in occs]
-    out = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for col, occ_in in enumerate(occs):
-        for row, occ_out in enumerate(occs):
-            if totals[row] != totals[col]:
-                continue
-            out[row, col] = fock_lift_amplitude(m, occ_in, occ_out)
-    return FockOperator(basis, out)
+    return _gather(occ_out, occ_in, n), sum(occ_out), norm
 
 
 class ConditionalExtractor:
@@ -161,9 +139,6 @@ class ConditionalExtractor:
         self.mode_count = mode_count
         self.signal_modes = signal
         self.aux_modes = aux_modes
-        self.aux = aux
-        self.det = det
-        self.signal_cutoff = signal_cutoff
         self.signal_basis = FockBasis(len(signal), TotalPhotonCutoff(signal_cutoff))
         imbalance = aux.total - det.total
         self.faithful_input_levels = signal_cutoff - max(imbalance, 0)
@@ -172,26 +147,16 @@ class ConditionalExtractor:
                 f"signal cutoff {signal_cutoff} cannot hold the {imbalance} photons "
                 "added by the ancilla/detection imbalance"
             )
-        dim = self.signal_basis.dimension
         occs = self.signal_basis.occupations
         # one gather table per matrix entry in the conserving sector
         self._entries = []
         for col, occ_in in enumerate(occs):
             in_total = sum(occ_in) + aux.total
             full_in = self._scatter(occ_in, aux.counts)
-            cols = [j for j, c in enumerate(full_in) for _ in range(c)]
             for row, occ_out in enumerate(occs):
-                if sum(occ_out) + det.total != in_total:
-                    continue
-                full_out = self._scatter(occ_out, det.counts)
-                rows = [i for i, c in enumerate(full_out) for _ in range(c)]
-                norm = math.sqrt(
-                    math.prod(math.factorial(x) for x in full_in)
-                    * math.prod(math.factorial(x) for x in full_out)
-                )
-                gather = [i * mode_count + j for i in rows for j in cols]
-                self._entries.append((row, col, gather, len(rows), norm))
-        self._dim = dim
+                if sum(occ_out) + det.total == in_total:
+                    full_out = self._scatter(occ_out, det.counts)
+                    self._entries.append((row, col) + _amplitude_entry(full_in, full_out, mode_count))
 
     def _scatter(self, signal_occ, aux_occ):
         full = [0] * self.mode_count
@@ -206,10 +171,34 @@ class ConditionalExtractor:
         if m.shape[0] != self.mode_count:
             raise ValueError("mode matrix dimension mismatch")
         flat = m.ravel().tolist()
-        out = np.zeros((self._dim, self._dim), dtype=complex)
+        dim = self.signal_basis.dimension
+        out = np.zeros((dim, dim), dtype=complex)
         for row, col, gather, k, norm in self._entries:
             out[row, col] = _per_flat([flat[g] for g in gather], k) / norm
         return out
+
+
+def lift_unitary(u, basis: FockBasis) -> FockOperator:
+    """Full Fock-space matrix of a lifted mode unitary: the conditional
+    extraction with every mode a signal mode and no ancilla.
+
+    Exact on a total-photon basis: the lift is block diagonal in total
+    photon number and such a basis holds every state of each sector it
+    admits.  A per-mode cutoff would chop sectors open (|2,1> evolves
+    partly into |3,0>) and the result would not be unitary, so those
+    bases are rejected instead of silently truncated.
+    """
+    m = _as_matrix(u)
+    n = m.shape[0]
+    if basis.mode_count != n:
+        raise ValueError(f"basis has {basis.mode_count} modes, matrix has {n}")
+    if not isinstance(basis.policy, TotalPhotonCutoff):
+        raise PolicyMismatchError(
+            "unitary lift needs a total-photon basis; per-mode cutoffs "
+            "truncate photon-number sectors"
+        )
+    ex = ConditionalExtractor(n, range(n), AncillaSpec(()), DetectionSpec(()), basis.policy.max_total)
+    return FockOperator(basis, ex.extract_matrix(m))
 
 
 @dataclass
@@ -223,10 +212,6 @@ class ConditionalOperator:
     """
 
     operator: FockOperator
-    mode_unitary: np.ndarray
-    signal_modes: tuple
-    aux: object
-    det: DetectionSpec
     faithful_input_levels: int
 
     def __post_init__(self):
@@ -263,9 +248,7 @@ class AncillaStateExtractor:
         ]
         if not self.parts:
             raise ValueError("ancilla state is identically zero")
-        first = self.parts[0][1]
-        self.signal_modes = first.signal_modes
-        self.signal_basis = first.signal_basis
+        self.signal_basis = self.parts[0][1].signal_basis
         self.faithful_input_levels = min(ex.faithful_input_levels for _, ex in self.parts)
 
     def extract_matrix(self, mode_matrix) -> np.ndarray:
@@ -276,13 +259,9 @@ class AncillaStateExtractor:
         return out
 
 
-def _extract(ex, m, aux, det) -> ConditionalOperator:
+def _extract(ex, m) -> ConditionalOperator:
     return ConditionalOperator(
         operator=FockOperator(ex.signal_basis, ex.extract_matrix(m)),
-        mode_unitary=m,
-        signal_modes=ex.signal_modes,
-        aux=aux,
-        det=det,
         faithful_input_levels=ex.faithful_input_levels,
     )
 
@@ -296,14 +275,14 @@ def extract_conditional_operator(u, signal_modes, aux: AncillaSpec, det: Detecti
     ascending order.
     """
     m = _as_matrix(u)
-    return _extract(ConditionalExtractor(m.shape[0], signal_modes, aux, det, signal_cutoff), m, aux, det)
+    return _extract(ConditionalExtractor(m.shape[0], signal_modes, aux, det, signal_cutoff), m)
 
 
 def extract_with_ancilla_state(u, signal_modes, ancilla: PureState, det: DetectionSpec, signal_cutoff: int) -> ConditionalOperator:
     """Conditional operator for a superposed ancilla input; see
     AncillaStateExtractor."""
     m = _as_matrix(u)
-    return _extract(AncillaStateExtractor(m.shape[0], signal_modes, ancilla, det, signal_cutoff), m, ancilla, det)
+    return _extract(AncillaStateExtractor(m.shape[0], signal_modes, ancilla, det, signal_cutoff), m)
 
 
 def success_probability(y: ConditionalOperator, state: PureState) -> float:

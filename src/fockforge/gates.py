@@ -22,6 +22,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize
 
 from .conditioning import (
     AncillaSpec,
@@ -29,7 +30,6 @@ from .conditioning import (
     DetectionSpec,
     extract_conditional_operator,
     extract_with_ancilla_state,
-    fock_lift_amplitude,
     lift_unitary,
 )
 from .fock import (
@@ -1027,11 +1027,9 @@ def cnot_basis_lift(transmission: complex, reflection: complex) -> np.ndarray:
         ],
         dtype=complex,
     )
-    out = np.zeros((6, 6), dtype=complex)
-    for j, occ_in in enumerate(_CNOT_BASIS):
-        for i, occ_out in enumerate(_CNOT_BASIS):
-            out[i, j] = fock_lift_amplitude(u, occ_in, occ_out)
-    return out
+    basis = FockBasis(2, TotalPhotonCutoff(2))
+    idx = [basis.index_of(occ) for occ in _CNOT_BASIS]
+    return lift_unitary(u, basis).matrix[np.ix_(idx, idx)]
 
 
 @dataclass(frozen=True)
@@ -1046,7 +1044,7 @@ class CnotSearchReport:
     evaluations: int
 
 
-def _product_slab_residual(phi, phi_prime, target, rng, als_iters=40, inits=3, warm=None):
+def _product_slab_residual(phi, phi_prime, target, rng, inits=3, warm=None):
     """Best scale-invariant residual of U(phi') (N1 x N2) U(phi) on the
     qubit columns against the target slab, N1 and N2 free diagonal
     single-mode operators, optimized by alternating least squares."""
@@ -1101,7 +1099,7 @@ def _product_slab_residual(phi, phi_prime, target, rng, als_iters=40, inits=3, w
         n1 = np.asarray(n1, dtype=complex)
         n2 = np.asarray(n2, dtype=complex)
         rho_prev = -1.0
-        for _ in range(als_iters):
+        for _ in range(40):
             n1 = solve_factor(n2, 0)
             n2 = solve_factor(n1, 1)
             rho, _ = cosine(n1, n2)
@@ -1116,7 +1114,7 @@ def _product_slab_residual(phi, phi_prime, target, rng, als_iters=40, inits=3, w
     return residual, n1, n2
 
 
-def _slab_search(target, grid_size, restarts, seed, polish=True):
+def _slab_search(target, grid_size, restarts, seed):
     rng = np.random.default_rng(seed)
     count = [0]
 
@@ -1136,22 +1134,19 @@ def _slab_search(target, grid_size, restarts, seed, polish=True):
         res, n1, n2 = evaluate(angles)
         if res < best[0]:
             best = (res, tuple(angles), n1, n2)
-    if polish:
-        from scipy.optimize import minimize
+    warm = (best[2], best[3])
 
-        warm = (best[2], best[3])
+    def fun(x):
+        res, _, _ = evaluate(x, warm=warm, inits=1)
+        return res
 
-        def fun(x):
-            res, _, _ = evaluate(x, warm=warm, inits=1)
-            return res
-
-        nm = minimize(
-            fun, np.array(best[1]), method="Nelder-Mead",
-            options={"maxfev": 80, "xatol": 1e-10, "fatol": 1e-14},
-        )
-        res, n1, n2 = evaluate(nm.x, warm=warm, inits=1)
-        if res < best[0]:
-            best = (res, tuple(float(v) for v in nm.x), n1, n2)
+    nm = minimize(
+        fun, np.array(best[1]), method="Nelder-Mead",
+        options={"maxfev": 80, "xatol": 1e-10, "fatol": 1e-14},
+    )
+    res, n1, n2 = evaluate(nm.x, warm=warm, inits=1)
+    if res < best[0]:
+        best = (res, tuple(float(v) for v in nm.x), n1, n2)
     return best, count[0]
 
 

@@ -4,11 +4,12 @@ sign-flip experiment.
 An absorbing element is described by a transmission block T and an
 absorption block A closing to T T^dag + A A^dag = I.  The channel it
 generates is computed exactly in Stinespring form: a four-mode unitary
-whose field-field block is T acts on the physical pair plus two vacuum
-device modes, and the device pair is traced out.  On a finite photon
-sector this dilation is exact, so no Kraus-integral sampling is needed;
-the textbook M = S C^{-1} T coupling matrix is still derived and checked
-against the closure identity M M^dag = I - T T^dag.
+whose field-field block is T acts on the physical pair plus two device
+modes, and Kraus block d is the dilation conditioned on vacuum device
+inputs and device outcome d.  On a finite photon sector this dilation
+is exact, so no Kraus-integral sampling is needed; the textbook
+M = S C^{-1} T coupling matrix is still derived and checked against the
+closure identity M M^dag = I - T T^dag.
 
 Inefficient detectors are the binomial POVM
 Pi(n) = sum_k C(k, n) eta^n (1 - eta)^{k - n} |k><k|.
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .conditioning import fock_lift_amplitude
+from .conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec
 from .fock import FockBasis, FockOperator, MixedState, PureState, TotalPhotonCutoff
 from .interferometer import ModeUnitary
 
@@ -151,23 +152,19 @@ def lossy_bs_channel(params: LossyBSParams, cutoff: int) -> ChannelOperator:
     """Quantum channel of the absorbing element on states of at most
     cutoff photons.
 
-    The photon sector is closed under the dilation (the device modes
-    soak up exactly what the field loses), so the Kraus family indexed
-    by device occupations is finite and complete.
+    Kraus block d is the four-mode dilation conditioned on vacuum device
+    inputs and device outcome d: the conditional extraction with the
+    physical pair as signal modes.  The photon sector is closed under the
+    dilation (the device modes soak up exactly what the field loses), so
+    the family indexed by device occupations is finite and complete.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
     ext = dilation_unitary(params)
     basis = FockBasis(2, TotalPhotonCutoff(cutoff))
     devices, kraus = [], []
-    # block d reads the lift only from inputs with both device modes in
-    # vacuum, and the lift vanishes between photon sectors
     for dev in sorted(basis.occupations):
-        block = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-        for row, occ_out in enumerate(basis.occupations):
-            for col, occ_in in enumerate(basis.occupations):
-                if sum(occ_out) + sum(dev) == sum(occ_in):
-                    block[row, col] = fock_lift_amplitude(ext, occ_in + (0, 0), occ_out + dev)
+        block = ConditionalExtractor(4, (0, 1), AncillaSpec((0, 0)), DetectionSpec(dev), cutoff).extract_matrix(ext)
         if np.max(np.abs(block)) > 1e-14:
             devices.append(dev)
             kraus.append(block)

@@ -2,10 +2,12 @@
 
 Every conditional amplitude in this package reduces to a permanent of a
 submatrix of the mode transformation, with rows and columns repeated
-according to the output and input occupations.  Two independent code
-paths are kept on purpose: a Gray-code Ryser evaluator used everywhere,
-and a brute-force expansion over permutations that serves as the oracle
-in the test suite.  Do not merge them.
+according to the output and input occupations.  That repeated-index
+expansion is written once, in ``_gather``; ``repeated_index_permanent``
+and every gather table in ``conditioning`` are built from it.  Two
+independent code paths are kept on purpose: a Gray-code Ryser evaluator
+used everywhere, and a brute-force expansion over permutations that
+serves as the oracle in the test suite.  Do not merge them.
 """
 
 from __future__ import annotations
@@ -160,6 +162,14 @@ def subpermanent(m, drop_rows, drop_cols) -> complex:
     return permanent_ryser(sub)
 
 
+def _gather(row_mult, col_mult, n: int) -> list[int]:
+    """Row-major indices into an n x n matrix of the matrix with row i
+    repeated row_mult[i] times and column j repeated col_mult[j] times."""
+    rows = [i for i, c in enumerate(row_mult) for _ in range(c)]
+    cols = [j for j, c in enumerate(col_mult) for _ in range(c)]
+    return [i * n + j for i in rows for j in cols]
+
+
 def repeated_index_permanent(m, row_mult, col_mult) -> complex:
     """Permanent of the matrix with row i repeated row_mult[i] times and
     column j repeated col_mult[j] times.
@@ -185,12 +195,8 @@ def repeated_index_permanent(m, row_mult, col_mult) -> complex:
         )
     if total > MAX_DIMENSION:
         raise PermanentSizeError(f"expanded dimension {total} exceeds the supported maximum {MAX_DIMENSION}")
-    if total == 0:
-        return 1.0 + 0.0j
-    rows = [i for i in range(n) for _ in range(row_mult[i])]
-    cols = [j for j in range(n) for _ in range(col_mult[j])]
-    flat = [complex(a[i, j]) for i in rows for j in cols]
-    return _per_flat(flat, total)
+    flat = a.ravel().tolist()
+    return _per_flat([flat[g] for g in _gather(row_mult, col_mult, n)], total)
 
 
 def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -16,7 +16,14 @@ from fockforge.conditioning import (
     success_probability,
     verify_proposition,
 )
-from fockforge.fock import FockBasis, PureState, TotalPhotonCutoff, fock_state
+from fockforge.fock import (
+    FockBasis,
+    PerModeCutoff,
+    PolicyMismatchError,
+    PureState,
+    TotalPhotonCutoff,
+    fock_state,
+)
 from fockforge.interferometer import (
     BeamSplitterParams,
     bs_matrix,
@@ -65,6 +72,39 @@ def test_fock_lift_amplitude_entry():
     occ_in = (1, 2)
     amp = fock_lift_amplitude(u, occ_in, occ_out)
     assert abs(amp - lift[basis.index_of(occ_out), basis.index_of(occ_in)]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda u: lift_unitary(u, FockBasis(2, PerModeCutoff(2))), PolicyMismatchError),
+        (lambda u: lift_unitary(u, FockBasis(3, TotalPhotonCutoff(2))), ValueError),
+        (lambda u: lift_unitary(u, FockBasis(2, TotalPhotonCutoff(0))).matrix, np.ones((1, 1))),
+        (lambda u: fock_lift_amplitude(u, (1,), (1, 0)), ValueError),
+        (lambda u: fock_lift_amplitude(u, (1, 0), (1, 0, 0)), ValueError),
+        (lambda u: fock_lift_amplitude(u, (1, -1), (0, 0)), ValueError),
+        (lambda u: fock_lift_amplitude(u, (2, 1), (1, 1)), 0j),
+    ],
+    ids=[
+        "lift-per-mode-cutoff",
+        "lift-mode-count",
+        "lift-cutoff-0",
+        "amplitude-input-length",
+        "amplitude-output-length",
+        "amplitude-negative",
+        "amplitude-unequal-totals",
+    ],
+)
+def test_guards_before_the_shared_amplitude_expansion(call, expected):
+    u = random_unitary(2, 4).matrix
+    if isinstance(expected, type):
+        with pytest.raises(expected) as info:
+            call(u)
+        assert info.type is expected
+    else:
+        got = call(u)
+        assert np.array_equal(got, expected)
+        assert type(got) is type(expected)
 
 
 def test_catalysis_closed_form_single_bs():
