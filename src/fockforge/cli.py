@@ -50,6 +50,7 @@ from .fock import (
     PureState,
     TotalPhotonCutoff,
     coherent_state,
+    tmsv_ladder,
 )
 from .interferometer import (
     BeamSplitterParams,
@@ -348,7 +349,9 @@ def _inputs_by_mode(cf: CircuitFile) -> dict:
 def _joint_input_state(cf: CircuitFile, cutoff: int) -> PureState:
     basis = FockBasis(cf.mode_count, TotalPhotonCutoff(cutoff))
     by_mode = _inputs_by_mode(cf)
-    tmsv_pairs = [spec for spec in cf.inputs if spec[0] == "tmsv"]
+    tmsv_pairs = [
+        (spec[1], spec[2], tmsv_ladder(spec[3], cutoff)) for spec in cf.inputs if spec[0] == "tmsv"
+    ]
     ladders = {}
     for m in range(cf.mode_count):
         spec = by_mode.get(m)
@@ -358,13 +361,11 @@ def _joint_input_state(cf: CircuitFile, cutoff: int) -> PureState:
     amps = np.zeros(basis.dimension, dtype=complex)
     for i, occ in enumerate(basis.occupations):
         a = 1.0 + 0j
-        for spec in tmsv_pairs:
-            q = spec[3]
-            n1, n2 = occ[spec[1]], occ[spec[2]]
-            if n1 != n2:
+        for m1, m2, ladder in tmsv_pairs:
+            if occ[m1] != occ[m2]:
                 a = 0.0
                 break
-            a *= math.sqrt(1.0 - q * q) * q**n1
+            a *= ladder[occ[m1]]
         if a == 0.0:
             continue
         for m, lad in ladders.items():
@@ -663,9 +664,7 @@ def _cmd_optimize(args) -> int:
         objective = gates.nss_objective()
     else:
         objective = gates.su3_objective(args.phi1, args.phi2)
-    result = optimize_gate(
-        objective, objective.mode_count, seed=args.seed or 0, restarts=_restarts(args, 24)
-    )
+    result = optimize_gate(objective, seed=args.seed or 0, restarts=_restarts(args, 24))
     rows = [
         ("objective", args.objective),
         ("residual", _fmt(result.residual)),

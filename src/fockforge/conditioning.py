@@ -1,20 +1,22 @@
 """Conditional operators from post-selected linear networks.
 
 A passive network with mode matrix L sends a_j^dag to sum_l L_lj a_l^dag.
-Injecting fixed Fock states on auxiliary modes and projecting them on
+Injecting an ancilla on the auxiliary modes and projecting them on
 detector outcomes leaves a non-unitary operator Y on the signal modes:
 
     Y[out, in] = <out, det| U(L) |in, aux>
 
 computed exactly in each photon-number sector through permanents with
-repeated indices.  Every Fock amplitude the package uses is such an
-entry: the unitary lift is the extraction with no ancilla, and an
-absorbing splitter's Kraus blocks are extractions from its dilation
-(see lossy).  ConditionalExtractor's gather tables are the one place
-that walks occupation pairs to fill them.  The tests cross-check these
-amplitudes against an independent oracle in tests/oracles.py, which
-expands them as multivariate polynomials in creation operators and
-never touches the permanent code.
+repeated indices.  Y is linear in the ancilla ket, so one extractor
+serves a Fock ancilla (AncillaSpec) and a superposed one (PureState),
+the amplitude-weighted sum of its Fock components.  Every Fock amplitude
+the package uses is such an entry: the unitary lift is the extraction
+with no ancilla, and an absorbing splitter's Kraus blocks are
+extractions from its dilation (see lossy).  ConditionalExtractor's
+gather tables are the one place that walks occupation pairs to fill
+them.  The tests cross-check these amplitudes against an independent
+oracle in tests/oracles.py, which expands them as multivariate
+polynomials in creation operators and never touches the permanent code.
 
 Y is stored exactly as projected, sub-normalized.  Success probabilities
 then compose across interferometer arms by plain multiplication.
@@ -34,7 +36,7 @@ from .fock import (
     PureState,
     TotalPhotonCutoff,
 )
-from .interferometer import ModeUnitary
+from .interferometer import ModeUnitary, random_unitary
 from .permanent import _gather, _per_flat
 
 
@@ -117,20 +119,36 @@ class ConditionalExtractor:
     """Precomputed gather tables for one (network shape, ancilla, detection,
     cutoff) combination.
 
+    The ancilla is an AncillaSpec (one Fock component of amplitude 1) or a
+    PureState on the auxiliary modes (one table per nonzero amplitude,
+    weighted and summed).  Only exactly-zero components are left out; one
+    whose photon surplus cannot fit under the cutoff is rejected rather
+    than silently dropped, so crop the state first if its tail may go.
+
     Building the tables costs a basis walk; each subsequent extraction per
     candidate mode matrix is just entry gathering plus small permanents,
     which is what makes optimizer loops over thousands of candidate
     networks affordable.
     """
 
-    def __init__(self, mode_count: int, signal_modes, aux: AncillaSpec, det: DetectionSpec, signal_cutoff: int):
+    def __init__(self, mode_count: int, signal_modes, ancilla, det: DetectionSpec, signal_cutoff: int):
         signal = tuple(int(s) for s in signal_modes)
         if len(set(signal)) != len(signal):
             raise ValueError("signal modes repeat")
         if any(not 0 <= s < mode_count for s in signal):
             raise IndexError("signal mode out of range")
         aux_modes = tuple(m for m in range(mode_count) if m not in signal)
-        if len(aux.counts) != len(aux_modes) or len(det.counts) != len(aux_modes):
+        if isinstance(ancilla, AncillaSpec):
+            components = [(1, ancilla.counts)]
+        elif isinstance(ancilla, PureState):
+            if ancilla.basis.mode_count != len(aux_modes):
+                raise ValueError(f"ancilla state has {ancilla.basis.mode_count} modes, need {len(aux_modes)}")
+            components = [(complex(a), occ) for occ, a in zip(ancilla.basis.occupations, ancilla.amplitudes) if a != 0]
+            if not components:
+                raise ValueError("ancilla state is identically zero")
+        else:
+            raise TypeError("ancilla must be an AncillaSpec or a PureState")
+        if len(components[0][1]) != len(aux_modes) or len(det.counts) != len(aux_modes):
             raise ValueError(
                 f"ancilla/detection specs must cover the {len(aux_modes)} non-signal modes"
             )
@@ -140,7 +158,7 @@ class ConditionalExtractor:
         self.signal_modes = signal
         self.aux_modes = aux_modes
         self.signal_basis = FockBasis(len(signal), TotalPhotonCutoff(signal_cutoff))
-        imbalance = aux.total - det.total
+        imbalance = max(sum(counts) for _, counts in components) - det.total
         self.faithful_input_levels = signal_cutoff - max(imbalance, 0)
         if self.faithful_input_levels < 0:
             raise ValueError(
@@ -148,15 +166,18 @@ class ConditionalExtractor:
                 "added by the ancilla/detection imbalance"
             )
         occs = self.signal_basis.occupations
-        # one gather table per matrix entry in the conserving sector
-        self._entries = []
-        for col, occ_in in enumerate(occs):
-            in_total = sum(occ_in) + aux.total
-            full_in = self._scatter(occ_in, aux.counts)
-            for row, occ_out in enumerate(occs):
-                if sum(occ_out) + det.total == in_total:
-                    full_out = self._scatter(occ_out, det.counts)
-                    self._entries.append((row, col) + _amplitude_entry(full_in, full_out, mode_count))
+        # (amplitude, one gather table per matrix entry in the conserving sector)
+        self._parts = []
+        for amp, counts in components:
+            entries = []
+            for col, occ_in in enumerate(occs):
+                in_total = sum(occ_in) + sum(counts)
+                full_in = self._scatter(occ_in, counts)
+                for row, occ_out in enumerate(occs):
+                    if sum(occ_out) + det.total == in_total:
+                        full_out = self._scatter(occ_out, det.counts)
+                        entries.append((row, col) + _amplitude_entry(full_in, full_out, mode_count))
+            self._parts.append((amp, entries))
 
     def _scatter(self, signal_occ, aux_occ):
         full = [0] * self.mode_count
@@ -172,9 +193,18 @@ class ConditionalExtractor:
             raise ValueError("mode matrix dimension mismatch")
         flat = m.ravel().tolist()
         dim = self.signal_basis.dimension
-        out = np.zeros((dim, dim), dtype=complex)
-        for row, col, gather, k, norm in self._entries:
-            out[row, col] = _per_flat([flat[g] for g in gather], k) / norm
+        out = None
+        # one partial matrix per component; a unit amplitude leaves it as filled
+        for amp, entries in self._parts:
+            part = np.zeros((dim, dim), dtype=complex)
+            for row, col, gather, k, norm in entries:
+                part[row, col] = _per_flat([flat[g] for g in gather], k) / norm
+            if amp != 1:
+                part = amp * part
+            if out is None:
+                out = part
+            else:
+                out += part
         return out
 
 
@@ -223,66 +253,25 @@ class ConditionalOperator:
             )
 
 
-class AncillaStateExtractor:
-    """Extractor for a superposed (non-Fock) ancilla ket.
+def extract_conditional_operator(u, signal_modes, ancilla, det: DetectionSpec, signal_cutoff: int) -> ConditionalOperator:
+    """Project the lifted network on the detection outcome.
 
-    Y is linear in the ancilla ket, so this is the amplitude-weighted sum
-    of one Fock-ancilla extractor per component.  Only exactly-zero
-    components are left out; every other one is kept, and one whose
-    photon surplus cannot fit under the cutoff is rejected rather than
-    silently dropped.  Crop the ancilla state first if a truncated tail
-    is acceptable.
+    Matrix entries are <out, det| U |in, aux> over signal occupations up
+    to signal_cutoff, exact in each conserving sector.  Signal modes may
+    sit anywhere in the network; the auxiliary modes are the others in
+    ascending order.  The ancilla is an AncillaSpec or a PureState on the
+    auxiliary modes, as for ConditionalExtractor.
     """
-
-    def __init__(self, mode_count: int, signal_modes, ancilla: PureState, det: DetectionSpec, signal_cutoff: int):
-        n_aux = mode_count - len(tuple(signal_modes))
-        if ancilla.basis.mode_count != n_aux:
-            raise ValueError(f"ancilla state has {ancilla.basis.mode_count} modes, need {n_aux}")
-        self.parts = [
-            (
-                complex(amp),
-                ConditionalExtractor(mode_count, signal_modes, AncillaSpec(occ), det, signal_cutoff),
-            )
-            for occ, amp in zip(ancilla.basis.occupations, ancilla.amplitudes)
-            if amp != 0
-        ]
-        if not self.parts:
-            raise ValueError("ancilla state is identically zero")
-        self.signal_basis = self.parts[0][1].signal_basis
-        self.faithful_input_levels = min(ex.faithful_input_levels for _, ex in self.parts)
-
-    def extract_matrix(self, mode_matrix) -> np.ndarray:
-        amp0, ex0 = self.parts[0]
-        out = amp0 * ex0.extract_matrix(mode_matrix)
-        for amp, ex in self.parts[1:]:
-            out += amp * ex.extract_matrix(mode_matrix)
-        return out
-
-
-def _extract(ex, m) -> ConditionalOperator:
+    m = _as_matrix(u)
+    ex = ConditionalExtractor(m.shape[0], signal_modes, ancilla, det, signal_cutoff)
     return ConditionalOperator(
         operator=FockOperator(ex.signal_basis, ex.extract_matrix(m)),
         faithful_input_levels=ex.faithful_input_levels,
     )
 
 
-def extract_conditional_operator(u, signal_modes, aux: AncillaSpec, det: DetectionSpec, signal_cutoff: int) -> ConditionalOperator:
-    """Project the lifted network on the detection outcome.
-
-    Matrix entries are <out, det| U |in, aux> over signal occupations up
-    to signal_cutoff, exact in each conserving sector.  Signal modes may
-    sit anywhere in the network; the auxiliary modes are the others in
-    ascending order.
-    """
-    m = _as_matrix(u)
-    return _extract(ConditionalExtractor(m.shape[0], signal_modes, aux, det, signal_cutoff), m)
-
-
-def extract_with_ancilla_state(u, signal_modes, ancilla: PureState, det: DetectionSpec, signal_cutoff: int) -> ConditionalOperator:
-    """Conditional operator for a superposed ancilla input; see
-    AncillaStateExtractor."""
-    m = _as_matrix(u)
-    return _extract(AncillaStateExtractor(m.shape[0], signal_modes, ancilla, det, signal_cutoff), m)
+# the superposed-ancilla name of the same entry point
+extract_with_ancilla_state = extract_conditional_operator
 
 
 def success_probability(y: ConditionalOperator, state: PureState) -> float:
@@ -307,12 +296,6 @@ class PropositionReport:
     leading_coefficient_deviation: float | None = None
 
 
-def _haar_from_seed(dim: int, seed: int) -> np.ndarray:
-    from .permanent import _haar_unitary
-
-    return _haar_unitary(dim, np.random.default_rng(seed))
-
-
 def verify_proposition(which: int, n_aux: int, seed: int, cutoff: int = 6) -> PropositionReport:
     """Check one of the three closed forms on a seeded random network.
 
@@ -335,7 +318,7 @@ def verify_proposition(which: int, n_aux: int, seed: int, cutoff: int = 6) -> Pr
     used = seed
     reseeds = 0
     while True:
-        lam = _haar_from_seed(dim, used)
+        lam = random_unitary(dim, used).matrix
         if abs(lam[0, 0]) >= 1e-2:
             break
         used += 1

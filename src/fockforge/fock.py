@@ -218,9 +218,6 @@ class FockOperator:
         _check_same_basis(self, state)
         return PureState(self.basis, self.matrix @ state.amplitudes, unchecked=True)
 
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.basis, self.matrix.conj().T)
-
     def compose(self, other: "FockOperator") -> "FockOperator":
         """self after other: (self.compose(other)).apply(s) = self(other(s))."""
         _check_same_basis(self, other)
@@ -253,6 +250,13 @@ def coherent_state(alpha: complex, cutoff: int) -> PureState:
     return PureState(basis, amps)
 
 
+def tmsv_ladder(q: float, cutoff: int) -> list:
+    """Amplitudes sqrt(1 - q^2) q^n, n = 0..cutoff, of the two-mode squeezed
+    vacuum on |n, n>; the truncated tail is simply missing."""
+    scale = math.sqrt(1.0 - q * q)
+    return [scale * q**n for n in range(cutoff + 1)]
+
+
 def _occ_step(occ, mode, delta):
     lst = list(occ)
     lst[mode] += delta
@@ -262,7 +266,7 @@ def _occ_step(occ, mode, delta):
 def apply_ladder(kind: str, mode: int, state: PureState) -> PureState:
     """Apply a single ladder operator to a state.
 
-    kind is one of 'create', 'annihilate', 'number'.  Creation raises
+    kind is 'create' or 'annihilate'.  Creation raises
     CutoffOverflowError if any nonzero amplitude would leave the basis;
     truncation never silently eats photons.  Results are returned as
     unchecked vectors since ladder action rescales norms.
@@ -289,11 +293,8 @@ def apply_ladder(kind: str, mode: int, state: PureState) -> PureState:
             if amp == 0 or occ[mode] == 0:
                 continue
             out[basis.index_of(_occ_step(occ, mode, -1))] += amp * math.sqrt(occ[mode])
-    elif kind == "number":
-        for i, occ in enumerate(basis.occupations):
-            out[i] = state.amplitudes[i] * occ[mode]
     else:
-        raise ValueError("kind must be 'create', 'annihilate' or 'number'")
+        raise ValueError("kind must be 'create' or 'annihilate'")
     return PureState(basis, out, unchecked=True)
 
 

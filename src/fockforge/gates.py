@@ -42,6 +42,7 @@ from .fock import (
     coherent_state,
     displacement_operator_for,
     number_polynomial,
+    tmsv_ladder,
 )
 from .interferometer import (
     BeamSplitterParams,
@@ -176,7 +177,7 @@ def _solve(objective_of, args: tuple, seed: int, restarts: int):
     impose one constraint family share a solve: the sign shift with the
     controlled-z arm check, the SU(3) element with the four-photon
     controlled phase."""
-    result = optimize_gate(objective_of(*args), 3, seed=seed, restarts=restarts)
+    result = optimize_gate(objective_of(*args), seed=seed, restarts=restarts)
     return result, compose(result.network(3))
 
 
@@ -752,9 +753,8 @@ def tmsv_state(q: float, cutoff: int) -> PureState:
         )
     basis = FockBasis(2, PerModeCutoff(cutoff))
     amps = np.zeros(basis.dimension, dtype=complex)
-    scale = math.sqrt(1.0 - q * q)
-    for n in range(cutoff + 1):
-        amps[basis.index_of((n, n))] = scale * q**n
+    for n, amp in enumerate(tmsv_ladder(q, cutoff)):
+        amps[basis.index_of((n, n))] = amp
     return PureState(basis, amps)
 
 
@@ -1036,8 +1036,6 @@ def cnot_basis_lift(transmission: complex, reflection: complex) -> np.ndarray:
 class CnotSearchReport:
     min_residual: float
     best_angles: tuple
-    best_n1: tuple
-    best_n2: tuple
     control_residual: float
     lift_deviation: float
     contradiction_found: bool
@@ -1181,7 +1179,7 @@ def cnot_obstruction_search(grid_size: int = 13, restarts: int = 200, seed: int 
     cnot = np.zeros((6, 4), dtype=complex)
     for j, i in enumerate((0, 1, 3, 2)):
         cnot[i, j] = 1.0
-    (res, angles, n1, n2), evals = _slab_search(cnot, grid_size, restarts, seed)
+    (res, angles, _, _), evals = _slab_search(cnot, grid_size, restarts, seed)
 
     cz = np.zeros((6, 4), dtype=complex)
     for j, s in enumerate((1.0, 1.0, 1.0, -1.0)):
@@ -1191,8 +1189,6 @@ def cnot_obstruction_search(grid_size: int = 13, restarts: int = 200, seed: int 
     return CnotSearchReport(
         min_residual=float(res),
         best_angles=tuple(float(a) for a in angles),
-        best_n1=tuple(complex(v) for v in n1),
-        best_n2=tuple(complex(v) for v in n2),
         control_residual=float(res_cz),
         lift_deviation=float(dev),
         contradiction_found=bool(res < 1e-6),

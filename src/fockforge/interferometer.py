@@ -126,9 +126,6 @@ class ModeUnitary:
             raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
         object.__setattr__(self, "matrix", m)
 
-    def dagger(self) -> "ModeUnitary":
-        return ModeUnitary(self.dimension, self.matrix.conj().T)
-
 
 def _element_block(element, total_modes: int) -> tuple:
     """(rows, block): the element's action on the rows it touches, rows an

@@ -56,10 +56,10 @@ class LossyBSParams:
         object.__setattr__(self, "a_matrix", a)
 
     def c_matrix(self) -> np.ndarray:
-        return scipy.linalg.sqrtm(self.t_matrix @ self.t_matrix.conj().T).astype(complex)
+        return _psd_sqrt(self.t_matrix @ self.t_matrix.conj().T)
 
     def s_matrix(self) -> np.ndarray:
-        return scipy.linalg.sqrtm(self.a_matrix @ self.a_matrix.conj().T).astype(complex)
+        return _psd_sqrt(self.a_matrix @ self.a_matrix.conj().T)
 
     def m_matrix(self) -> np.ndarray:
         """Device coupling M = S C^{-1} T; raises when T is too close to
@@ -129,18 +129,22 @@ class ChannelOperator:
         return MixedState(self.basis, apply_kraus(self.kraus, rho))
 
 
+def _psd_sqrt(gram: np.ndarray) -> np.ndarray:
+    """Hermitian square root of a positive semidefinite matrix.  gram can
+    dip epsilon-negative at the closure edge, and ULP-level residues would
+    blow up to sqrt-size phantom couplings, so eigenvalues below 1e-13 are
+    taken as zero."""
+    w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+    w = np.clip(w, 0.0, None)
+    w[w < 1e-13] = 0.0
+    return v @ np.diag(np.sqrt(w)) @ v.conj().T
+
+
 def dilation_unitary(params: LossyBSParams) -> ModeUnitary:
     """Four-mode unitary with field-field block T: modes 0-1 physical,
     modes 2-3 the absorbing degrees of freedom."""
     t = params.t_matrix
-    gram = np.eye(2) - t.conj().T @ t
-    # hermitian square root; gram can dip epsilon-negative at closure edge,
-    # and ULP-level residues would blow up to sqrt-size phantom couplings
-    w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    w = np.clip(w, 0.0, None)
-    w[w < 1e-13] = 0.0
-    k = v @ np.diag(np.sqrt(w)) @ v.conj().T
-    left = np.vstack([t, k])
+    left = np.vstack([t, _psd_sqrt(np.eye(2) - t.conj().T @ t)])
     comp = scipy.linalg.null_space(left.conj().T)
     if comp.shape != (4, 2):
         raise ArithmeticError("unitary completion failed; closure is degenerate")

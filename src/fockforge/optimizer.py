@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .conditioning import AncillaSpec, AncillaStateExtractor, ConditionalExtractor, DetectionSpec
-from .fock import PureState
+from .conditioning import ConditionalExtractor, DetectionSpec
 from .interferometer import (
     BeamSplitterParams,
     NetworkDescription,
@@ -40,6 +39,8 @@ FEASIBLE_RESIDUAL = 1e-6
 # treated as that degenerate point, not as feasible gates.
 TRIVIAL_PROBABILITY = 1e-8
 PENALTY_WEIGHT = 1e8
+# Nelder-Mead evaluation budget of each feasibility and penalty run
+MAX_EVALUATIONS = 20000
 THREADS_ENV = "FOCKFORGE_THREADS"
 
 
@@ -104,9 +105,10 @@ class Objective:
     a search proxy, not the physical probability.
 
     The ancilla may be an AncillaSpec (Fock occupation) or a PureState on
-    the auxiliary modes, extracted by conditioning.AncillaStateExtractor.
+    the auxiliary modes; conditioning.ConditionalExtractor takes either.
     The extractor is built once, at construction, so a pattern that does
-    not fit the modes or the cutoff raises there.
+    not fit the modes or the cutoff, or an ancilla of another type,
+    raises there.
     """
 
     mode_count: int
@@ -115,11 +117,8 @@ class Objective:
     detection: DetectionSpec
     signal_cutoff: int
     constraints: tuple
-    probability_weight: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.ancilla, (AncillaSpec, PureState)):
-            raise TypeError("ancilla must be an AncillaSpec or a PureState")
         cons = []
         if len(self.constraints) == 0:
             raise ValueError("objective needs at least one constraint")
@@ -156,11 +155,10 @@ class Objective:
         object.__setattr__(self, "_target_norms", norms)
         object.__setattr__(self, "_scale_denominator", sum(norms))
         object.__setattr__(self, "_phase_free", any(free for _, _, free, _ in cons))
-        build = AncillaStateExtractor if isinstance(self.ancilla, PureState) else ConditionalExtractor
         object.__setattr__(
             self,
             "_extractor",
-            build(self.mode_count, self.signal_modes, self.ancilla, self.detection, self.signal_cutoff),
+            ConditionalExtractor(self.mode_count, self.signal_modes, self.ancilla, self.detection, self.signal_cutoff),
         )
 
     def extractor(self):
@@ -275,7 +273,7 @@ def _nelder_mead(fun, x0, maxfev, stop_when=None):
 
 
 def _run_restart(args):
-    objective, seed, index, maxfev = args
+    objective, seed, index = args
     n_modes = objective.mode_count
     k = n_modes * (n_modes - 1) // 2
     rng = np.random.default_rng([seed, index])
@@ -304,7 +302,7 @@ def _run_restart(args):
     evals = 0
     best = None
     for _ in range(4):
-        x1, r1, used = _nelder_mead(residual_of, draw(), maxfev, stop_when=stop_feasible)
+        x1, r1, used = _nelder_mead(residual_of, draw(), MAX_EVALUATIONS, stop_when=stop_feasible)
         evals += used
         r1, p1 = _evaluate(x1, objective)
         if p1 > TRIVIAL_PROBABILITY and (best is None or r1 < best[1]):
@@ -317,13 +315,11 @@ def _run_restart(args):
     if r1 > 1e-10:
         return x1, r1, p1, index, evals
 
-    w = objective.probability_weight
-
     def combined(x):
         residual, prob = _evaluate(x, objective)
-        return PENALTY_WEIGHT * residual - w * prob
+        return PENALTY_WEIGHT * residual - prob
 
-    x2, _, used = _nelder_mead(combined, x1, maxfev)
+    x2, _, used = _nelder_mead(combined, x1, MAX_EVALUATIONS)
     evals += used
     # the penalty phase trades a sliver of feasibility for probability;
     # polish it back without giving the probability up
@@ -348,7 +344,7 @@ def _worker_count(restarts: int) -> int:
     return max(1, min(requested or os.cpu_count() or 1, restarts, 16))
 
 
-def optimize_gate(objective: Objective, template_modes: int, seed: int, restarts: int, maxfev: int = 20000) -> OptimizationResult:
+def optimize_gate(objective: Objective, seed: int, restarts: int) -> OptimizationResult:
     """Multistart search for network parameters realizing the objective.
 
     Deterministic for fixed inputs: restart k draws its starts from
@@ -359,11 +355,9 @@ def optimize_gate(objective: Objective, template_modes: int, seed: int, restarts
     Raises InfeasibleAtBudgetError when nothing feasible was found; the
     best attempt rides along on the exception.
     """
-    if template_modes != objective.mode_count:
-        raise ValueError("template_modes must match the objective's mode count")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    jobs = [(objective, seed, r, maxfev) for r in range(restarts)]
+    jobs = [(objective, seed, r) for r in range(restarts)]
     workers = _worker_count(restarts)
     if workers == 1 or restarts == 1:
         raw = [_run_restart(j) for j in jobs]

@@ -221,8 +221,6 @@ class PermanentBoundsReport:
     unitary_bound_violations: int
     marcus_newman_violations: int
     su3_bound_violations: int
-    min_su3_subpermanent: float
-    max_su3_subpermanent: float
 
 
 def check_appendix_bounds(dimension: int, samples: int, seed: int) -> PermanentBoundsReport:
@@ -235,8 +233,7 @@ def check_appendix_bounds(dimension: int, samples: int, seed: int) -> PermanentB
     * |per AB|^2 <= per(AA*) per(B*B) for Gaussian A (m x n), B (n x m),
     * |2 L12 L21 L13 L31| <= 8 / (27 |L11|^2) on 3 x 3 Haar unitaries.
 
-    Returns worst ratios and violation counts; the dense-coverage fields
-    record the spread of |per U(1|1)| over the 3 x 3 samples.
+    Returns worst ratios and violation counts.
     """
     if not 1 <= dimension <= 7:
         raise ValueError("bounds check supports dimensions 1..7")
@@ -251,8 +248,6 @@ def check_appendix_bounds(dimension: int, samples: int, seed: int) -> PermanentB
     viol_unitary = 0
     viol_mn = 0
     viol_su3 = 0
-    min_cover = math.inf
-    max_cover = 0.0
     for _ in range(samples):
         u = _haar_unitary(dimension, rng)
         p = abs(permanent_ryser(u))
@@ -280,9 +275,6 @@ def check_appendix_bounds(dimension: int, samples: int, seed: int) -> PermanentB
 
         v = _haar_unitary(3, rng)
         lam11 = abs(v[0, 0])
-        cover = abs(v[1, 1] * v[2, 2] + v[1, 2] * v[2, 1])
-        min_cover = min(min_cover, cover)
-        max_cover = max(max_cover, cover)
         if lam11 > 1e-6:
             lhs3 = abs(2.0 * v[0, 1] * v[1, 0] * v[0, 2] * v[2, 0])
             bound3 = 8.0 / (27.0 * lam11 ** 2)
@@ -300,6 +292,4 @@ def check_appendix_bounds(dimension: int, samples: int, seed: int) -> PermanentB
         unitary_bound_violations=viol_unitary,
         marcus_newman_violations=viol_mn,
         su3_bound_violations=viol_su3,
-        min_su3_subpermanent=min_cover,
-        max_su3_subpermanent=max_cover,
     )

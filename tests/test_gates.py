@@ -237,7 +237,7 @@ def test_recipes_of_one_constraint_family_share_a_solve(monkeypatch):
     # the last digits, runs a new one
     calls = []
 
-    def stub(objective, template_modes, seed, restarts):
+    def stub(objective, seed, restarts):
         calls.append((seed, restarts))
         return OptimizationResult(np.linspace(0.1, 0.9, 9), 0.0, 0.25, 0, 1, True)
 

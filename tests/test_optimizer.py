@@ -3,7 +3,12 @@ import os
 import numpy as np
 import pytest
 
-from fockforge.conditioning import AncillaSpec, DetectionSpec, extract_with_ancilla_state
+from fockforge.conditioning import (
+    AncillaSpec,
+    DetectionSpec,
+    extract_conditional_operator,
+    extract_with_ancilla_state,
+)
 from fockforge.fock import FockBasis, PerModeCutoff, PureState, TotalPhotonCutoff
 from fockforge.optimizer import (
     THREADS_ENV,
@@ -22,7 +27,7 @@ from fockforge.interferometer import compose
 E2 = np.eye(3)
 
 
-def _identity_objective(weight=1.0):
+def _identity_objective():
     # pass-through on levels 0 and 1: trivially satisfiable by theta=0
     return Objective(
         mode_count=2,
@@ -34,7 +39,6 @@ def _identity_objective(weight=1.0):
             (E2[0], E2[0], False),
             (E2[1], E2[1], False),
         ),
-        probability_weight=weight,
     )
 
 
@@ -78,7 +82,7 @@ def test_unset_or_zero_thread_count_uses_every_core(monkeypatch, raw):
 
 
 def test_identity_objective_is_feasible():
-    result = optimize_gate(_identity_objective(), 2, seed=1, restarts=4)
+    result = optimize_gate(_identity_objective(), seed=1, restarts=4)
     assert result.feasible
     assert result.residual < 1e-6
     assert result.probability > 0.9
@@ -88,9 +92,9 @@ def test_determinism_across_worker_counts():
     old = os.environ.get(THREADS_ENV)
     try:
         os.environ[THREADS_ENV] = "1"
-        serial = optimize_gate(_identity_objective(), 2, seed=3, restarts=4)
+        serial = optimize_gate(_identity_objective(), seed=3, restarts=4)
         os.environ[THREADS_ENV] = "4"
-        parallel = optimize_gate(_identity_objective(), 2, seed=3, restarts=4)
+        parallel = optimize_gate(_identity_objective(), seed=3, restarts=4)
     finally:
         if old is None:
             os.environ.pop(THREADS_ENV, None)
@@ -100,15 +104,15 @@ def test_determinism_across_worker_counts():
 
 
 def test_repeat_run_is_bitwise_identical():
-    a = optimize_gate(_identity_objective(), 2, seed=9, restarts=3)
-    b = optimize_gate(_identity_objective(), 2, seed=9, restarts=3)
+    a = optimize_gate(_identity_objective(), seed=9, restarts=3)
+    b = optimize_gate(_identity_objective(), seed=9, restarts=3)
     assert _result_tuple(a) == _result_tuple(b)
 
 
 def test_search_trajectory_is_pinned():
     # pinned evaluation count and winning restart: any change to the
     # arithmetic of one objective evaluation would move them
-    result = optimize_gate(_identity_objective(), 2, seed=9, restarts=3)
+    result = optimize_gate(_identity_objective(), seed=9, restarts=3)
     assert result.evaluations == 1776
     assert result.restart_index == 0
 
@@ -129,8 +133,8 @@ def test_unit_weight_matches_unweighted_bitwise():
         detection=DetectionSpec((1,)),
         signal_cutoff=2,
     )
-    a = optimize_gate(Objective(constraints=cons_plain, **base), 2, seed=5, restarts=3)
-    b = optimize_gate(Objective(constraints=cons_weighted, **base), 2, seed=5, restarts=3)
+    a = optimize_gate(Objective(constraints=cons_plain, **base), seed=5, restarts=3)
+    b = optimize_gate(Objective(constraints=cons_weighted, **base), seed=5, restarts=3)
     assert _result_tuple(a) == _result_tuple(b)
 
 
@@ -151,7 +155,6 @@ def test_zero_weight_rows_are_ignored():
             signal_cutoff=2,
             constraints=cons,
         ),
-        2,
         seed=2,
         restarts=4,
     )
@@ -174,7 +177,6 @@ def test_trivial_zero_operator_is_not_a_winner():
                 signal_cutoff=2,
                 constraints=cons,
             ),
-            2,
             seed=0,
             restarts=2,
         )
@@ -197,7 +199,6 @@ def test_pure_state_ancilla_route():
             signal_cutoff=2,
             constraints=((E2[0], E2[0], False), (E2[1], E2[1], False)),
         ),
-        2,
         seed=4,
         restarts=3,
     )
@@ -218,9 +219,10 @@ def _superposed_objective(ancilla, signal=0, cutoff=4):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_superposed_ancilla_search_and_direct_routes_agree(seed):
-    # one extractor serves the search and extract_with_ancilla_state:
-    # the same matrix bit for bit; exact zeros are left out and a
-    # 1e-15 component is kept
+    # one extractor serves the search and extract_with_ancilla_state, and
+    # both equal the amplitude-weighted sum of Fock-ancilla extractions
+    # taken one component at a time, bit for bit; exact zeros are left
+    # out and a 1e-15 component is kept
     rng = np.random.default_rng(seed)
     m = compose(network_from_params(rng.uniform(0.0, 2.0 * np.pi, 9), 3)).matrix
     basis = FockBasis(2, PerModeCutoff(2))
@@ -231,7 +233,37 @@ def test_superposed_ancilla_search_and_direct_routes_agree(seed):
     signal = seed % 3
     via_search = _superposed_objective(anc, signal).extractor().extract_matrix(m)
     direct = extract_with_ancilla_state(m, (signal,), anc, DetectionSpec((1, 0)), 4)
+    per_component = None
+    for occ, amp in zip(basis.occupations, anc.amplitudes):
+        if amp == 0:
+            continue
+        part = complex(amp) * extract_conditional_operator(
+            m, (signal,), AncillaSpec(occ), DetectionSpec((1, 0)), 4
+        ).operator.matrix
+        if per_component is None:
+            per_component = part
+        else:
+            per_component += part
     assert np.array_equal(via_search, direct.operator.matrix)
+    assert np.array_equal(via_search, per_component)
+
+
+@pytest.mark.parametrize("occ", [(0, 0), (1, 0), (2, 1)])
+def test_fock_ket_ancilla_equals_its_spec(occ):
+    # a one-component ket |k> and AncillaSpec(k) are the same ancilla
+    m = compose(network_from_params(np.linspace(0.2, 1.8, 9), 3)).matrix
+    basis = FockBasis(2, PerModeCutoff(2))
+    ket = np.zeros(basis.dimension, dtype=complex)
+    ket[basis.index_of(occ)] = 1.0
+    det = DetectionSpec((1, 0))
+    as_ket = extract_conditional_operator(m, (1,), PureState(basis, ket), det, 4)
+    as_spec = extract_conditional_operator(m, (1,), AncillaSpec(occ), det, 4)
+    assert np.array_equal(as_ket.operator.matrix, as_spec.operator.matrix)
+    assert as_ket.faithful_input_levels == as_spec.faithful_input_levels
+    with pytest.raises(TypeError, match="AncillaSpec or a PureState"):
+        extract_conditional_operator(m, (1,), occ, det, 4)
+    with pytest.raises(TypeError, match="AncillaSpec or a PureState"):
+        _superposed_objective(occ)
 
 
 def _superposed_errors():
@@ -270,17 +302,12 @@ def test_superposed_ancilla_rejects_a_non_unitary_matrix():
 
 
 def test_network_from_params_round_trip():
-    result = optimize_gate(_identity_objective(), 2, seed=1, restarts=2)
+    result = optimize_gate(_identity_objective(), seed=1, restarts=2)
     net = result.network(2)
     assert net.mode_count == 2
     res = constraint_residual(result.params, _identity_objective())
     assert abs(res - result.residual) < 1e-12
     compose(network_from_params(result.params, 2))  # parseable and unitary
-
-
-def test_mode_count_mismatch_rejected():
-    with pytest.raises(ValueError):
-        optimize_gate(_identity_objective(), 3, seed=0, restarts=1)
 
 
 def test_network_from_params_rejects_nan_and_bad_length():
