@@ -69,13 +69,19 @@ from . import gates
 from .fock import partial_trace  # noqa: F401
 from .lossy import dilation_unitary  # noqa: F401
 
-# simulate's size limits, checked before it builds anything (README,
-# "simulate"): a lossy circuit carries a dense dim x dim density matrix and
-# checks its eigenvalues once, on the final state, and an element's lift
-# evaluates permanents as large as the cutoff, so an absorbing splitter
-# costs about 1.5 s at cutoff 8 but 17 s at cutoff 10
+# size limits of simulate and condition, checked before either builds
+# anything (README, "simulate").  A lossy circuit carries a dense dim x dim
+# density matrix, and an element's lift evaluates permanents as large as
+# the cutoff: one absorbing splitter's channel costs 0.2 s at cutoff 8,
+# 0.6 s at 10 and 2.3 s at 12, and the largest lossy circuits the limits
+# allow ran in 0.5 to 1.7 s at each cutoff from 2 to 10.  condition's
+# entries are permanents of up to the cutoff plus the ancilla photons,
+# each photon more doubling their cost: circuits/nss_klm.circuit takes
+# 0.12 s at cutoff 20, 0.5 s at 22 and 4.4 s at 25.  The dimension limit
+# bounds condition's signal basis too.
 MAX_SIMULATE_DIMENSION = 1000
-MAX_SIMULATE_CUTOFF = 8
+MAX_SIMULATE_CUTOFF = 10
+MAX_CONDITION_CUTOFF = 20
 
 
 class CircuitError(ValueError):
@@ -459,19 +465,25 @@ def _simulate_lossy(cf: CircuitFile, cutoff: int) -> MixedState:
     return MixedState(state.basis, rho)
 
 
+def _check_size(command: str, modes: int, cutoff: int, max_cutoff: int) -> None:
+    """Exit 4, before anything is built, for a cutoff or a total-photon
+    basis on `modes` modes above the command's limits."""
+    if cutoff > max_cutoff:
+        raise OverflowError(f"cutoff {cutoff} is above {command}'s limit of {max_cutoff}")
+    dim = math.comb(modes + cutoff, cutoff)
+    if dim > MAX_SIMULATE_DIMENSION:
+        raise OverflowError(
+            f"basis dimension {dim} ({modes} modes, cutoff {cutoff}) is above "
+            f"{command}'s limit of {MAX_SIMULATE_DIMENSION}"
+        )
+
+
 def _cmd_simulate(args) -> int:
     cf = parse_circuit(_read_text(args.circuit))
     if cf.detections:
         raise CircuitError(1, 1, "simulate takes no detect lines; use the condition subcommand")
     cutoff = _pick_cutoff(args, cf)
-    if cutoff > MAX_SIMULATE_CUTOFF:
-        raise OverflowError(f"cutoff {cutoff} is above simulate's limit of {MAX_SIMULATE_CUTOFF}")
-    dim = math.comb(cf.mode_count + cutoff, cutoff)
-    if dim > MAX_SIMULATE_DIMENSION:
-        raise OverflowError(
-            f"basis dimension {dim} ({cf.mode_count} modes, cutoff {cutoff}) is above "
-            f"simulate's limit of {MAX_SIMULATE_DIMENSION}"
-        )
+    _check_size("simulate", cf.mode_count, cutoff, MAX_SIMULATE_CUTOFF)
     out = []
     if any(e[0] == "lossybs" for e in cf.elements):
         rho = _simulate_lossy(cf, cutoff)
@@ -506,6 +518,7 @@ def _cmd_condition(args) -> int:
     signal = tuple(m for m in range(cf.mode_count) if m not in detected)
     if not signal:
         raise CircuitError(1, 1, "every mode is detected; nothing remains as signal")
+    _check_size("condition", len(signal), cutoff, MAX_CONDITION_CUTOFF)
     by_mode = _inputs_by_mode(cf)
     aux_modes = sorted(detected)
     aux_counts = []
@@ -883,7 +896,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("perm", help="permanent of a matrix file")
     sp.add_argument("matrix", nargs="?", default=None)
-    sp.add_argument("--method", choices=["ryser", "naive", "both"], default="both")
+    sp.add_argument("--method", choices=["ryser", "naive", "both"], default="both", help=(
+        "ryser: the fast Glynn kernel up to dimension 30, named, as are its ryser_* keys, for "
+        "the Ryser evaluator it replaced; naive: expansion over permutations up to dimension 9"))
     sp.set_defaults(func=_cmd_perm)
 
     return p

@@ -37,7 +37,7 @@ from .fock import (
     TotalPhotonCutoff,
 )
 from .interferometer import ModeUnitary, random_unitary
-from .permanent import _gather, _per_flat
+from .permanent import MAX_DIMENSION, PermanentSizeError, _gather, _per_flat
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,16 @@ def fock_lift_amplitude(u, input_occ, output_occ) -> complex:
 def _amplitude_entry(occ_in, occ_out, n: int):
     """Gather indices into a row-major n-mode matrix, permanent size and
     factorial norm of <occ_out| U |occ_in>, for equal photon totals."""
+    size = sum(occ_out)
+    if size > MAX_DIMENSION:
+        raise PermanentSizeError(
+            f"{size} photons need a permanent of dimension {size}, above the supported maximum {MAX_DIMENSION}"
+        )
     norm = math.sqrt(
         math.prod(math.factorial(x) for x in occ_in)
         * math.prod(math.factorial(x) for x in occ_out)
     )
-    return _gather(occ_out, occ_in, n), sum(occ_out), norm
+    return _gather(occ_out, occ_in, n), size, norm
 
 
 class ConditionalExtractor:
@@ -124,6 +129,8 @@ class ConditionalExtractor:
     weighted and summed).  Only exactly-zero components are left out; one
     whose photon surplus cannot fit under the cutoff is rejected rather
     than silently dropped, so crop the state first if its tail may go.
+    So is any entry whose permanent would exceed permanent.MAX_DIMENSION
+    (PermanentSizeError).
 
     Building the tables costs a basis walk; each subsequent extraction per
     candidate mode matrix is just entry gathering plus small permanents,

@@ -5,9 +5,10 @@ submatrix of the mode transformation, with rows and columns repeated
 according to the output and input occupations.  That repeated-index
 expansion is written once, in ``_gather``; ``repeated_index_permanent``
 and every gather table in ``conditioning`` are built from it.  Two
-independent code paths are kept on purpose: a Gray-code Ryser evaluator
-used everywhere, and a brute-force expansion over permutations that
-serves as the oracle in the test suite.  Do not merge them.
+independent code paths are kept on purpose: a kernel on Glynn's formula
+(Glynn, Eur. J. Combin. 31, 1887 (2010)) used everywhere, and a
+brute-force expansion over permutations that serves as the oracle in the
+test suite.  Do not merge them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,15 @@ import numpy as np
 
 MAX_DIMENSION = 30
 MAX_NAIVE_DIMENSION = 9
-_COMPENSATED_FROM = 20
+
+# Glynn's sign vectors: entry (i, k) is the sign of matrix row i in sign
+# vector k.  Rows 1..10 hold the bits of k; row 0 and the rows the
+# kernel's Gray walk flips start at +1.  A block of 2^10 sign vectors
+# keeps the kernel's working set under a megabyte at dimension 30.
+_BLOCK_ROWS = 10
+_SIGNS = np.ones((MAX_DIMENSION, 1 << _BLOCK_ROWS), dtype=complex)
+_SIGNS[1:1 + _BLOCK_ROWS] -= 2.0 * ((np.arange(1 << _BLOCK_ROWS) >> np.arange(_BLOCK_ROWS)[:, None]) & 1)
+_SIGN_PRODUCTS = _SIGNS.prod(axis=0)
 
 
 class PermanentSizeError(ValueError):
@@ -38,8 +47,8 @@ def _per_flat(a: list[complex], n: int) -> complex:
     """Permanent of an n x n matrix stored row-major in a flat list.
 
     Hardcoded expansions up to n = 4 keep the conditioning hot loop off
-    the generic subset iteration; n >= 5 falls through to Gray-code
-    Ryser with optional compensated accumulation.
+    numpy, whose call overhead exceeds their cost; n >= 5 runs the Glynn
+    kernel.
     """
     if n == 0:
         return 1.0 + 0.0j
@@ -59,56 +68,47 @@ def _per_flat(a: list[complex], n: int) -> complex:
         p2 = a[4] * (a[9] * a[15] + a[11] * a[13]) + a[5] * (a[8] * a[15] + a[11] * a[12]) + a[7] * (a[8] * a[13] + a[9] * a[12])
         p3 = a[4] * (a[9] * a[14] + a[10] * a[13]) + a[5] * (a[8] * a[14] + a[10] * a[12]) + a[6] * (a[8] * a[13] + a[9] * a[12])
         return a[0] * p0 + a[1] * p1 + a[2] * p2 + a[3] * p3
-    return _ryser_gray(a, n)
+    return _glynn(a, n)
 
 
-def _ryser_gray(a: list[complex], n: int) -> complex:
-    # per(A) = (-1)^n sum_{S != 0} (-1)^|S| prod_i sum_{j in S} a_ij
-    row_sums = [0.0 + 0.0j] * n
-    compensate = n >= _COMPENSATED_FROM
-    total = 0.0 + 0.0j
-    c_re = 0.0
-    c_im = 0.0
-    size = 0
-    for k in range(1, 1 << n):
-        bit = k & -k
-        j = bit.bit_length() - 1
-        if (k ^ (k >> 1)) & bit:
-            size += 1
-            for i in range(n):
-                row_sums[i] += a[i * n + j]
-        else:
-            size -= 1
-            for i in range(n):
-                row_sums[i] -= a[i * n + j]
-        prod = 1.0 + 0.0j
-        for i in range(n):
-            prod *= row_sums[i]
-        term = -prod if (size & 1) else prod
-        if compensate:
-            t = total + term
-            if abs(total.real) >= abs(term.real):
-                c_re += (total.real - t.real) + term.real
-            else:
-                c_re += (term.real - t.real) + total.real
-            if abs(total.imag) >= abs(term.imag):
-                c_im += (total.imag - t.imag) + term.imag
-            else:
-                c_im += (term.imag - t.imag) + total.imag
-            total = t
-        else:
-            total += term
-    if compensate:
-        total += complex(c_re, c_im)
-    return -total if (n & 1) else total
+def _glynn(a: list[complex], n: int) -> complex:
+    # per(A) = 2^(1-n) sum_{d, d_0 = +1} (prod_i d_i) prod_j sum_i d_i a_ij.
+    # Column k of the block is sum_i d_i a_ij for the k-th sign pattern of
+    # rows 1..b; the rows after them are flipped in Gray order, one per
+    # step, so their prod_i d_i alternates with the step.
+    m = np.array(a, dtype=complex).reshape(n, n)
+    b = min(n - 1, _BLOCK_ROWS)
+    size = 1 << b
+    weights = _SIGN_PRODUCTS[:size]
+    block = m.T @ _SIGNS[:n, :size]
+    flips = 2.0 * m[1 + b:, :, None]
+    # Neumaier-compensated sums of the steps' terms, by component
+    s_re = s_im = c_re = c_im = 0.0
+    for k in range(1 << (n - 1 - b)):
+        if k:
+            # step k flips row j; bit j of k's Gray code is set when d_j = -1
+            j = (k & -k).bit_length() - 1
+            block += -flips[j] if (k ^ k >> 1) >> j & 1 else flips[j]
+        term = complex(np.prod(block, axis=0) @ weights) * (-1.0 if k & 1 else 1.0)
+        t = s_re + term.real
+        c_re += (s_re - t) + term.real if abs(s_re) >= abs(term.real) else (term.real - t) + s_re
+        s_re = t
+        t = s_im + term.imag
+        c_im += (s_im - t) + term.imag if abs(s_im) >= abs(term.imag) else (term.imag - t) + s_im
+        s_im = t
+    return complex(s_re + c_re, s_im + c_im) / (1 << (n - 1))
 
 
 def permanent_ryser(m) -> complex:
-    """Permanent by Ryser's formula with Gray-code subset iteration.
+    """Permanent by the package's fast kernel.
 
-    Compensated (Neumaier) accumulation is switched on for dimension
-    >= 20 where cancellation between the 2^n - 1 subset terms starts to
-    matter.  Dimensions above 30 are rejected.
+    The name is kept from the Ryser evaluator this kernel replaced; it
+    evaluates Glynn's formula over 2^(n-1) sign vectors, a dense block of
+    2^10 at a time, with compensated (Neumaier) accumulation of the
+    blocks' sums.  On a 2-core x86 machine with one BLAS thread a complex
+    Gaussian matrix took 0.03 s at n = 20, 2.5 s at n = 26, 11 s at
+    n = 28 and 45 s at n = 30, with peak memory flat across those sizes.
+    Dimensions above 30 are rejected.
     """
     a = _as_square(m)
     n = a.shape[0]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockforge import gates
+from fockforge import cli, gates
 from fockforge.cli import (
     GATES,
     CircuitError,
@@ -363,6 +363,39 @@ def test_condition_detected_mode_needs_fock_input(tmp_path, capsys):
     path.write_text("modes 2\ninput coherent 1 0.3 0\ndetect vacuum 1\n")
     rc, _ = run(capsys, ["condition", str(path)])
     assert rc == 2
+
+
+def test_condition_at_its_cutoff_limit_runs(capsys):
+    rc, out = run(capsys, ["condition", NSS_FIXTURE, "--cutoff", str(cli.MAX_CONDITION_CUTOFF)])
+    assert rc == 0
+    assert abs(float(kv(out)["success_probability"]) - 0.25) < 1e-9
+
+
+def refuse_to_build(*args):
+    raise AssertionError("condition built an extractor past its size limit")
+
+
+@pytest.mark.parametrize(
+    "text, cutoff, named",
+    [
+        # ten signal modes at cutoff 4: C(14, 4) = 1001 basis states
+        ("modes 11\ninput fock 10 1\nbs 0 10 0.3 0 0\ndetect fock 10 1\n", 4,
+         ("1001", str(cli.MAX_SIMULATE_DIMENSION))),
+        (Path(NSS_FIXTURE).read_text(), cli.MAX_CONDITION_CUTOFF + 1,
+         (str(cli.MAX_CONDITION_CUTOFF + 1), str(cli.MAX_CONDITION_CUTOFF))),
+    ],
+    ids=["dimension", "cutoff"],
+)
+def test_condition_above_its_size_limit_is_exit_4(monkeypatch, capsys, text, cutoff, named):
+    monkeypatch.setattr(cli, "extract_conditional_operator", refuse_to_build)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc = main(["condition", "--cutoff", str(cutoff), "-"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure:")
+    for word in named:
+        assert word in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fockforge.interferometer import random_unitary
 from fockforge.permanent import (
+    MAX_DIMENSION,
     PermanentSizeError,
     check_appendix_bounds,
     permanent_naive,
@@ -14,6 +15,7 @@ from fockforge.permanent import (
     repeated_index_permanent,
     subpermanent,
 )
+from fockforge.conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec
 
 from oracles import permanent_expansion
 
@@ -21,6 +23,29 @@ from oracles import permanent_expansion
 def _random_complex(n, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def ryser_gray(m) -> complex:
+    """Reference route: Ryser's formula over column subsets in Gray-code
+    order, per(A) = (-1)^n sum_{S != 0} (-1)^|S| prod_i sum_{j in S} a_ij.
+    It shares no code with the package's Glynn kernel."""
+    a = np.asarray(m, dtype=complex)
+    n = a.shape[0]
+    row_sums = [0j] * n
+    total = 0j
+    size = 0
+    for k in range(1, 1 << n):
+        bit = k & -k
+        j = bit.bit_length() - 1
+        step = 1 if (k ^ (k >> 1)) & bit else -1
+        size += step
+        for i in range(n):
+            row_sums[i] += step * a[i, j]
+        prod = 1 + 0j
+        for i in range(n):
+            prod *= row_sums[i]
+        total += -prod if size & 1 else prod
+    return -total if n & 1 else total
 
 
 def test_known_small_values():
@@ -31,13 +56,42 @@ def test_known_small_values():
     assert abs(permanent_ryser(ones) - math.factorial(4)) < 1e-10
 
 
-def test_ryser_matches_naive_up_to_seven():
-    for n in range(1, 8):
+def test_ryser_matches_naive_up_to_nine():
+    for n in range(1, 10):
         for seed in range(3):
             m = _random_complex(n, 100 * n + seed)
             a = permanent_ryser(m)
             b = permanent_naive(m)
             assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("n", range(10, 17))
+def test_kernel_matches_gray_code_ryser(n):
+    # n = 12 is the first size with rows left over for the kernel's Gray walk
+    m = _random_complex(n, 900 + n) / math.sqrt(2.0)
+    ref = ryser_gray(m)
+    assert abs(permanent_ryser(m) - ref) <= 1e-10 * abs(ref)
+
+
+def test_kernel_closed_forms_at_twenty():
+    n = 20
+    ones = np.ones((n, n), dtype=complex)
+    assert abs(permanent_ryser(ones) - math.factorial(n)) <= 1e-12 * math.factorial(n)
+    rng = np.random.default_rng(20)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    rank_one = math.factorial(n) * np.prod(u) * np.prod(v)
+    assert abs(permanent_ryser(np.outer(u, v)) - rank_one) <= 1e-10 * abs(rank_one)
+    blocks = [_random_complex(k, 40 + k) for k in (9, 6, 5)]
+    diag = np.zeros((n, n), dtype=complex)
+    start = 0
+    for b in blocks:
+        diag[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    product = math.prod(permanent_naive(b) for b in blocks)
+    assert abs(permanent_ryser(diag) - product) <= 1e-10 * abs(product)
+    haar = random_unitary(n, 5).matrix
+    assert abs(permanent_ryser(haar)) <= 1.0
 
 
 def test_ryser_matches_polynomial_expansion_oracle():
@@ -51,6 +105,14 @@ def test_size_limits():
         permanent_naive(np.eye(10, dtype=complex))
     with pytest.raises(PermanentSizeError):
         permanent_ryser(np.eye(31, dtype=complex))
+
+
+def test_extractor_refuses_a_permanent_above_the_maximum():
+    # one signal mode at cutoff 30 plus one ancilla photon, detected again:
+    # the top entry is a permanent of dimension 31
+    with pytest.raises(PermanentSizeError, match=str(MAX_DIMENSION)):
+        ConditionalExtractor(2, (0,), AncillaSpec((1,)), DetectionSpec((1,)), MAX_DIMENSION)
+    ConditionalExtractor(2, (0,), AncillaSpec((1,)), DetectionSpec((1,)), MAX_DIMENSION - 1)
 
 
 def test_subpermanent_expands_by_minors():
