@@ -78,10 +78,15 @@ from .lossy import dilation_unitary  # noqa: F401
 # entries are permanents of up to the cutoff plus the ancilla photons,
 # each photon more doubling their cost: circuits/nss_klm.circuit takes
 # 0.12 s at cutoff 20, 0.5 s at 22 and 4.4 s at 25.  The dimension limit
-# bounds condition's signal basis too.
+# bounds condition's signal basis too.  Entries multiply with the signal
+# modes, so condition also bounds their summed kernel work, entries times
+# 2^size (_condition_work).  On two cores, two signal modes with one
+# ancilla photon took 0.9 s at cutoff 16 (work 6.8e7) and 2.0 s at 17
+# (1.5e8); three took 1.5 s at cutoff 11 (3.8e7) and 2.7 s at 12 (1.1e8).
 MAX_SIMULATE_DIMENSION = 1000
 MAX_SIMULATE_CUTOFF = 10
 MAX_CONDITION_CUTOFF = 20
+MAX_CONDITION_WORK = 10**8
 
 
 class CircuitError(ValueError):
@@ -478,6 +483,19 @@ def _check_size(command: str, modes: int, cutoff: int, max_cutoff: int) -> None:
         )
 
 
+def _condition_work(signal_modes: int, cutoff: int, ancilla: int, detected: int) -> int:
+    """Sum over the extracted operator's entries of 2^(permanent size).
+    The entries from input sector n form a block of (sector n) x (sector
+    n + ancilla - detected) permanents of size n + ancilla."""
+    work = 0
+    for n in range(cutoff + 1):
+        n_out = n + ancilla - detected
+        if 0 <= n_out <= cutoff:
+            sectors = math.comb(n + signal_modes - 1, n) * math.comb(n_out + signal_modes - 1, n_out)
+            work += sectors << (n + ancilla)
+    return work
+
+
 def _cmd_simulate(args) -> int:
     cf = parse_circuit(_read_text(args.circuit))
     if cf.detections:
@@ -530,6 +548,12 @@ def _cmd_condition(args) -> int:
             aux_counts.append(spec[2])
         else:
             raise CircuitError(1, 1, f"detected mode {m} needs a Fock input, not {spec[0]}")
+    work = _condition_work(len(signal), cutoff, sum(aux_counts), sum(detected.values()))
+    if work > MAX_CONDITION_WORK:
+        raise OverflowError(
+            f"kernel work {work:.3g} ({len(signal)} signal modes, cutoff {cutoff}) is above "
+            f"condition's limit of {MAX_CONDITION_WORK:.3g}"
+        )
     cond = extract_conditional_operator(
         compose(_network_of(cf)),
         signal,

@@ -16,7 +16,6 @@ operator and multiply across independent interferometer arms.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -170,13 +169,12 @@ def su3_objective(phi1: float, phi2: float) -> Objective:
     )
 
 
-@functools.lru_cache(maxsize=None)
 def _solve(objective_of, args: tuple, seed: int, restarts: int):
     """(OptimizationResult, composed mode matrix) of the 3-mode search for
-    objective_of(*args).  Cached on the exact arguments, so recipes that
-    impose one constraint family share a solve: the sign shift with the
-    controlled-z arm check, the SU(3) element with the four-photon
-    controlled phase."""
+    objective_of(*args).  Recipes that impose one constraint family (the
+    sign shift and the controlled-z arm check, the SU(3) element and the
+    four-photon controlled phase) each run it, and reach the same network
+    from the same seed and restarts."""
     result = optimize_gate(objective_of(*args), seed=seed, restarts=restarts)
     return result, compose(result.network(3))
 
@@ -278,7 +276,7 @@ def ralph_cz_check(seed: int = 7, restarts: int = 24) -> RalphCzReport:
     The two layer constraints per L(3|3) = L22 and
     2 L12 L21 L11 + L22 L11^2 = -L22 eliminate to the quadratic
     x^2 - 2x - 1 = 0 in x = L11, whose only sub-unit-modulus root is
-    1 - sqrt(2); the optimizer (shared with the sign-shift search, which
+    1 - sqrt(2); the optimizer (run on the sign-shift objective, which
     imposes the identical constraint family) must land there and reach
     |L22|^2 = 1/4.
     """

@@ -6,13 +6,13 @@ phase: N*N real parameters in all, enough to reach every U(N) exactly
 (the elimination construction in the interferometer module produces
 networks of exactly this shape).
 
-The search itself is two-phase Nelder-Mead under multistart: first drive
-the constraint residual to zero, then maximize success probability with
-the residual multiplied into the objective at weight 1e8, followed by a
-short feasibility re-polish.  Everything is deterministic for a fixed
-(objective, seed, restarts) triple, including under parallel restarts:
-restart seeds are spawned from the master seed by counter, and results
-are merged by a fixed ordering rule.
+Each restart runs three bounded phases: Levenberg-Marquardt drives the
+deviation from the constraint pattern to zero, SLSQP maximizes the
+success |s|^2 with the deviation held at zero, and a short second
+Levenberg-Marquardt pass polishes the feasibility back.  Everything is
+deterministic for a fixed (objective, seed, restarts) triple, also under
+parallel restarts: restart seeds are spawned from the master seed by
+counter, and results are merged by a fixed ordering rule.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import approx_fprime, minimize
 
 from .conditioning import ConditionalExtractor, DetectionSpec
 from .interferometer import (
@@ -38,9 +38,10 @@ FEASIBLE_RESIDUAL = 1e-6
 # constraint list exactly. Solutions below this success probability are
 # treated as that degenerate point, not as feasible gates.
 TRIVIAL_PROBABILITY = 1e-8
-PENALTY_WEIGHT = 1e8
-# Nelder-Mead evaluation budget of each feasibility and penalty run
-MAX_EVALUATIONS = 20000
+# Per restart: up to FEASIBILITY_DRAWS starts of FEASIBILITY_BUDGET
+# evaluations, then at most 50 SLSQP steps and a 200-evaluation polish.
+FEASIBILITY_DRAWS = 4
+FEASIBILITY_BUDGET = 400
 THREADS_ENV = "FOCKFORGE_THREADS"
 
 
@@ -122,13 +123,8 @@ class Objective:
         cons = []
         if len(self.constraints) == 0:
             raise ValueError("objective needs at least one constraint")
-        any_target = False
         for item in self.constraints:
-            if len(item) == 3:
-                x, y, free = item
-                w = None
-            else:
-                x, y, free, w = item
+            x, y, free, w = item if len(item) == 4 else (*item, None)
             x = np.asarray(x, dtype=complex)
             y = np.asarray(y, dtype=complex)
             if x.shape != y.shape or x.ndim != 1:
@@ -143,14 +139,12 @@ class Objective:
                     raise ValueError("weights must match the constraint vectors")
                 if np.any(w < 0) or not np.any(w > 0):
                     raise ValueError("weights must be non-negative with at least one positive")
-            if float(np.linalg.norm(w * y)) > 1e-12:
-                any_target = True
             cons.append((x, y, bool(free), w))
-        if not any_target:
-            raise ValueError("all constraint targets are zero")
         object.__setattr__(self, "constraints", tuple(cons))
         # constant terms of _fit_scale and _evaluate, with their exact arithmetic
         norms = tuple(float(np.vdot(w * y, w * y).real) for _, y, _, w in cons)
+        if max(norms) <= 1e-24:
+            raise ValueError("all constraint targets are zero")
         object.__setattr__(self, "_weighted_targets", tuple((1.0 + 0j) * w * y for _, y, _, w in cons))
         object.__setattr__(self, "_target_norms", norms)
         object.__setattr__(self, "_scale_denominator", sum(norms))
@@ -193,25 +187,30 @@ def _fit_scale(outputs, objective):
     return s, phases
 
 
+def _fit(params, objective):
+    """Weighted output norms ||w_k o_k||^2 of the template network, the
+    fitted scale s, and the weighted deviation w_k (o_k - s e^{i chi_k} y_k)
+    stacked over the constraints, real parts then imaginary parts."""
+    lam = compose(network_from_params(params, objective.mode_count))
+    y_op = objective.extractor().extract_matrix(lam.matrix)
+    outputs = [y_op @ x for x, _, _, _ in objective.constraints]
+    s, phases = _fit_scale(outputs, objective)
+    weighted = [w * o for (_, _, _, w), o in zip(objective.constraints, outputs)]
+    deviation = np.concatenate([wo - s * ph * wy for wo, ph, wy in zip(weighted, phases, objective._weighted_targets)])
+    norms = np.array([np.vdot(wo, wo).real for wo in weighted])
+    return norms, s, np.concatenate([deviation.real, deviation.imag])
+
+
 def _evaluate(params, objective):
     """(residual, probability) of the template network for a parameter vector.
 
     Both are computed in the weighted norm, so with non-unit weights the
     probability is a ranking proxy for the search; report the physical
     number from the finished gate, not from here."""
-    lam = compose(network_from_params(params, objective.mode_count))
-    y_op = objective.extractor().extract_matrix(lam.matrix)
-    outputs = [y_op @ x for x, _, _, _ in objective.constraints]
-    s, phases = _fit_scale(outputs, objective)
-    residual = 0.0
-    prob = math.inf
-    for (x, y, free, w), o, ph, ny in zip(objective.constraints, outputs, phases, objective._target_norms):
-        residual += float(np.sum(np.abs(w * (o - s * ph * y)) ** 2))
-        if ny > 1e-24:
-            prob = min(prob, float(np.vdot(w * o, w * o).real) / ny)
-    if not math.isfinite(prob):
-        prob = 0.0
-    return residual, prob
+    norms, _, deviation = _fit(params, objective)
+    targets = np.array(objective._target_norms)
+    live = targets > 1e-24  # Objective holds at least one such target
+    return float(deviation @ deviation), float(np.min(norms[live] / targets[live]))
 
 
 def constraint_residual(params, objective: Objective) -> float:
@@ -233,97 +232,100 @@ class OptimizationResult:
         return network_from_params(self.params, mode_count)
 
 
-class _EarlyStop(Exception):
-    pass
+def _feasibility(objective, x, budget):
+    """Levenberg-Marquardt on the deviation relative to the output norm:
+    (x, evaluations).  Blind to the overall scale, it is not drawn to the
+    zero operator, which meets every pattern at zero success.  A draw ends
+    when it collapses there anyway, stalls at a local minimum, or would
+    overrun its budget with the next forward-difference Jacobian.  It is
+    numpy, not scipy's MINPACK, whose compiled step rounds with the memory
+    alignment of its work arrays: two interpreters took different paths."""
+    floor = TRIVIAL_PROBABILITY * objective._scale_denominator
+    count = 0
+
+    def relative(x):
+        nonlocal count
+        count += 1
+        norms, _, deviation = _fit(x, objective)
+        return deviation / math.sqrt(max(norms.sum(), floor)), norms.sum() <= floor
+
+    r, done = relative(x)
+    damping = 1e-3
+    while not done and r @ r > 1e-28 and damping < 1e12 and count + len(x) < budget:
+        steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
+        jac = np.column_stack([(relative(x + h * e)[0] - r) / h for h, e in zip(steps, np.eye(len(x)))])
+        grad, normal = jac.T @ r, jac.T @ jac
+        while damping < 1e12 and count < budget:
+            trial = x - np.linalg.lstsq(normal + damping * np.eye(len(x)), grad)[0]
+            r_trial, collapsed = relative(trial)
+            if r_trial @ r_trial < r @ r:
+                # a step that gains less than 0.1% marks a local minimum
+                done = collapsed or r @ r - r_trial @ r_trial <= 1e-3 * (r @ r)
+                x, r, damping = trial, r_trial, damping / 10.0
+                break
+            damping *= 10.0
+    return x, count
 
 
-def _nelder_mead(fun, x0, maxfev, stop_when=None):
-    n = len(x0)
-    simplex = np.empty((n + 1, n))
-    simplex[0] = x0
-    for i in range(n):
-        simplex[i + 1] = x0
-        simplex[i + 1, i] += 0.1
-    count = [0]
+def _raise_probability(objective, x0):
+    """SLSQP on -|s|^2 with the deviation held at zero: (x, evaluations).
 
-    def wrapped(x):
-        count[0] += 1
-        v = fun(x)
-        if stop_when is not None and stop_when(v):
-            raise _EarlyStop(x, v)
-        return v
+    The deviation's equations are far from independent (its Jacobian has
+    rank 2 at a feasible Pauli-x network), and SLSQP stops on a singular
+    constraint matrix, so the constraints are the deviation projected on
+    the left singular vectors that carry its Jacobian at the start.
+    Values are kept per point: SLSQP asks for the objective and the
+    constraints, and their forward differences, separately."""
+    memo = {}
 
-    try:
-        res = minimize(
-            wrapped,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "initial_simplex": simplex,
-                "xatol": 1e-12,
-                "fatol": 1e-15,
-                "maxfev": maxfev,
-                "adaptive": False,
-            },
-        )
-        return np.asarray(res.x, dtype=float), float(res.fun), count[0]
-    except _EarlyStop as stop:
-        x, v = stop.args
-        return np.asarray(x, dtype=float), float(v), count[0]
+    def f(x):
+        key = x.tobytes()
+        if key not in memo:
+            _, s, deviation = _fit(x, objective)
+            memo[key] = np.append(deviation, abs(s) ** 2)
+        return memo[key]
+
+    u, sigma, _ = np.linalg.svd(approx_fprime(x0, f)[:-1], full_matrices=False)
+    keep = u[:, sigma > 1e-3 * sigma[0]].T
+    held = {"type": "eq", "fun": lambda x: keep @ f(x)[:-1], "jac": lambda x: keep @ approx_fprime(x, f)[:-1]}
+    res = minimize(
+        lambda x: -f(x)[-1],
+        x0,
+        jac=lambda x: -approx_fprime(x, f)[-1],
+        method="SLSQP",
+        constraints=held,
+        options={"maxiter": 50, "ftol": 1e-8},
+    )
+    return res.x, len(memo)
 
 
 def _run_restart(args):
     objective, seed, index = args
-    n_modes = objective.mode_count
-    k = n_modes * (n_modes - 1) // 2
+    k = objective.mode_count * (objective.mode_count - 1) // 2
     rng = np.random.default_rng([seed, index])
+    # starts: angles in [0, pi/2), internal and diagonal phases in [0, 2 pi)
+    high = np.repeat([math.pi / 2.0, 2.0 * math.pi], [k, k + objective.mode_count])
 
-    def draw():
-        return np.concatenate(
-            [
-                rng.uniform(0.0, math.pi / 2.0, k),
-                rng.uniform(0.0, 2.0 * math.pi, k),
-                rng.uniform(0.0, 2.0 * math.pi, n_modes),
-            ]
-        )
-
-    last_prob = [0.0]
-
-    def residual_of(x):
-        residual, prob = _evaluate(x, objective)
-        last_prob[0] = prob
-        return residual
-
-    def stop_feasible(v):
-        return v < 1e-13 and last_prob[0] > TRIVIAL_PROBABILITY
-
-    # Feasibility phase. A landing on the zero operator (perfect residual,
-    # no success) wastes the start, so redraw a few times before giving up.
+    # Feasibility phase: redraw a few times before giving a restart up.
     evals = 0
     best = None
-    for _ in range(4):
-        x1, r1, used = _nelder_mead(residual_of, draw(), MAX_EVALUATIONS, stop_when=stop_feasible)
+    for _ in range(FEASIBILITY_DRAWS):
+        x1, used = _feasibility(objective, rng.uniform(0.0, high), FEASIBILITY_BUDGET)
         evals += used
         r1, p1 = _evaluate(x1, objective)
         if p1 > TRIVIAL_PROBABILITY and (best is None or r1 < best[1]):
             best = (x1, r1, p1)
             if r1 < 1e-10:
                 break
-    if best is None:
-        return x1, r1, p1, index, evals
+    if best is None or best[1] > 1e-10:
+        return (*(best or (x1, r1, p1)), index, evals)
     x1, r1, p1 = best
-    if r1 > 1e-10:
-        return x1, r1, p1, index, evals
 
-    def combined(x):
-        residual, prob = _evaluate(x, objective)
-        return PENALTY_WEIGHT * residual - prob
-
-    x2, _, used = _nelder_mead(combined, x1, MAX_EVALUATIONS)
+    x2, used = _raise_probability(objective, x1)
     evals += used
-    # the penalty phase trades a sliver of feasibility for probability;
-    # polish it back without giving the probability up
-    x3, r3, used = _nelder_mead(residual_of, x2, 600, stop_when=stop_feasible)
+    # SLSQP meets its constraints only to its own tolerance; polish the
+    # deviation back without giving the probability up
+    x3, used = _feasibility(objective, x2, 200)
     evals += used
     r_final, p_final = _evaluate(x3, objective)
     if r_final > r1 + 1e-12 and p_final <= p1:
@@ -373,15 +375,13 @@ def optimize_gate(objective: Objective, seed: int, restarts: int) -> Optimizatio
             return (1, residual, index)
         return (2, residual, index)
 
-    best = min(raw, key=rank)
-    x, residual, prob, index, evals = best
-    total_evals = sum(item[4] for item in raw)
+    x, residual, prob, index, _ = min(raw, key=rank)
     result = OptimizationResult(
         params=np.asarray(x, dtype=float),
         residual=float(residual),
         probability=float(prob),
         restart_index=int(index),
-        evaluations=int(total_evals),
+        evaluations=sum(int(item[4]) for item in raw),
         feasible=bool(residual < FEASIBLE_RESIDUAL and prob > TRIVIAL_PROBABILITY),
     )
     if not result.feasible:

@@ -4,8 +4,8 @@ Each criterion prints one `ACCEPTANCE NN <name>: PASS` line when it holds
 and fails its assert otherwise.  The file doubles as a standalone runner
 (`python3 tests/test_acceptance.py`) that prints FAIL lines instead of
 tracebacks and exits nonzero on any miss.  Budgeted to finish well under
-five minutes; the searched gates share one solve cache, gates._solve,
-with the rest of the suite, so repeats inside one process are free.
+five minutes; nothing caches a search, so every searched gate here runs
+its own search, as a CLI user's would.
 """
 
 import contextlib

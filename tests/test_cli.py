@@ -17,6 +17,7 @@ from fockforge.cli import (
     parse_circuit,
     serialize_circuit,
 )
+from fockforge.conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec
 from fockforge.fock import FockBasis, TotalPhotonCutoff
 from fockforge.interferometer import (
     BeamSplitterParams,
@@ -365,6 +366,18 @@ def test_condition_detected_mode_needs_fock_input(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "modes, signal, ancilla, detection, cutoff",
+    [(4, (0, 1), (1, 0), (1, 0), 6), (5, (0, 2, 4), (2, 1), (1, 0), 4), (3, (1,), (0, 2), (1, 1), 7)],
+)
+def test_condition_work_counts_the_extractor_entries(modes, signal, ancilla, detection, cutoff):
+    # the limit's figure comes from sector sizes alone; it must be the sum
+    # of 2^size over the entries the extractor would build
+    extractor = ConditionalExtractor(modes, signal, AncillaSpec(ancilla), DetectionSpec(detection), cutoff)
+    built = sum(1 << size for *_, size, _ in extractor._parts[0][1])
+    assert cli._condition_work(len(signal), cutoff, sum(ancilla), sum(detection)) == built
+
+
 def test_condition_at_its_cutoff_limit_runs(capsys):
     rc, out = run(capsys, ["condition", NSS_FIXTURE, "--cutoff", str(cli.MAX_CONDITION_CUTOFF)])
     assert rc == 0
@@ -383,8 +396,14 @@ def refuse_to_build(*args):
          ("1001", str(cli.MAX_SIMULATE_DIMENSION))),
         (Path(NSS_FIXTURE).read_text(), cli.MAX_CONDITION_CUTOFF + 1,
          (str(cli.MAX_CONDITION_CUTOFF + 1), str(cli.MAX_CONDITION_CUTOFF))),
+        # inside both limits, but (sector size)^2 entries on several signal
+        # modes: three at cutoff 16 (969 states), two at cutoff 20
+        ("modes 5\ninput fock 3 1\nbs 0 3 0.3 0 0\nbs 2 4 0.5 0 0\ndetect fock 3 1\ndetect fock 4 0\n", 16,
+         ("5.04e+09", f"{cli.MAX_CONDITION_WORK:.3g}")),
+        ("modes 4\ninput fock 2 1\nbs 0 2 0.3 0 0\nbs 1 3 0.5 0 0\ndetect fock 2 1\ndetect fock 3 0\n", 20,
+         ("1.69e+09", f"{cli.MAX_CONDITION_WORK:.3g}")),
     ],
-    ids=["dimension", "cutoff"],
+    ids=["dimension", "cutoff", "work-three-signal-modes", "work-two-signal-modes"],
 )
 def test_condition_above_its_size_limit_is_exit_4(monkeypatch, capsys, text, cutoff, named):
     monkeypatch.setattr(cli, "extract_conditional_operator", refuse_to_build)
@@ -439,12 +458,13 @@ def test_optimize_feasible(capsys):
     assert head["feasible"] == "true"
     assert abs(float(head["probability"]) - 0.25) < 1e-3
     assert float(head["residual"]) < 1e-6
-    assert head["evaluations"] == "19804"
+    assert head["evaluations"] == "938"
     assert head["restart_index"] == "2"
 
 
 def test_optimize_starved_budget_is_exit_3(capsys):
-    rc, _ = run(capsys, ["optimize", "--objective", "nss", "--seed", "7", "--restarts", "2"])
+    # the one restart of seed 21 ends its four draws short of feasibility
+    rc, _ = run(capsys, ["optimize", "--objective", "nss", "--seed", "21", "--restarts", "1"])
     assert rc == 3
 
 

@@ -1,5 +1,4 @@
 import cmath
-import functools
 import math
 
 import numpy as np
@@ -33,7 +32,7 @@ from fockforge.gates import (
     vacuum_detector_transmissions,
 )
 from fockforge.interferometer import BeamSplitterParams, compose
-from fockforge.optimizer import OptimizationResult
+from fockforge.optimizer import optimize_gate
 
 SQRT2 = math.sqrt(2.0)
 
@@ -228,31 +227,29 @@ def test_cphase_vacuum_detector_rejects_general_phase():
 
 
 # ---------------------------------------------------------------------------
-# searched gates (gates._solve caches each search, so repeats are free)
+# searched gates (each recipe call runs its own search)
 
 
-def test_recipes_of_one_constraint_family_share_a_solve(monkeypatch):
-    # a stub search behind a fresh cache: a second recipe with the same
-    # arguments reuses the solve; another seed, or a phase that differs in
-    # the last digits, runs a new one
-    calls = []
+def test_recipes_of_one_constraint_family_reach_one_network(monkeypatch):
+    # nothing is shared between recipes: each runs its own search, and one
+    # seed and restart count give both recipes of a family the same network
+    found = []
 
-    def stub(objective, seed, restarts):
-        calls.append((seed, restarts))
-        return OptimizationResult(np.linspace(0.1, 0.9, 9), 0.0, 0.25, 0, 1, True)
+    def recording(objective, seed, restarts):
+        result = optimize_gate(objective, seed, restarts)
+        found.append(result.params.tobytes())
+        return result
 
-    monkeypatch.setattr(gates, "optimize_gate", stub)
-    monkeypatch.setattr(gates, "_solve", functools.lru_cache(maxsize=None)(gates._solve.__wrapped__))
-    nss_gate_klm(5, 2)
-    ralph_cz_check(5, 2)
-    assert calls == [(5, 2)]
-    ralph_cz_check(6, 2)
-    assert calls == [(5, 2), (6, 2)]
-    su3_phase_gate(0.0, math.pi, 5, 2)
-    cphase_gate(math.pi, FOUR_PHOTON, 5, 2)
-    assert len(calls) == 3
-    su3_phase_gate(0.0, math.pi + 1e-13, 5, 2)
-    assert len(calls) == 4
+    monkeypatch.setattr(gates, "optimize_gate", recording)
+    recipe, _ = nss_gate_klm(7, 2)
+    cz = ralph_cz_check(7, 2)
+    assert len(found) == 2 and found[0] == found[1]
+    assert cz.lambda11_optimized == complex(compose(recipe.network).matrix[0, 0])
+    arm, _ = su3_phase_gate(0.0, math.pi, 11, 2)
+    sandwich, _ = cphase_gate(math.pi, FOUR_PHOTON, 11, 2)
+    assert len(found) == 4 and found[2] == found[3]
+    embedded = gates._embed_network(arm.network, {0: 0, 1: 2, 2: 3})
+    assert list(sandwich.network.elements[1 : 1 + len(embedded)]) == embedded
 
 
 def test_nss_gate():

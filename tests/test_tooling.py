@@ -8,7 +8,11 @@ here catches that without running the benchmark.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from fockforge import optimizer
+from fockforge.conditioning import AncillaSpec, DetectionSpec
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -27,3 +31,27 @@ tracing = _load_tracing()
 def test_traced_name_resolves(module, attr):
     owner, _, fn = tracing._resolve(module, attr)
     assert owner is not None and callable(fn), f"{module}.{attr} is gone"
+
+
+def test_run_restart_returns_what_the_restart_hook_reads():
+    # Tracer._after_restart unpacks (x, residual, probability, index,
+    # evaluations) from every optimizer._run_restart call
+    e = np.eye(3)
+    objective = optimizer.Objective(
+        mode_count=2,
+        signal_modes=(0,),
+        ancilla=AncillaSpec((1,)),
+        detection=DetectionSpec((1,)),
+        signal_cutoff=2,
+        constraints=((e[0], e[0], False), (e[1], e[1], False)),
+    )
+    result = optimizer._run_restart((objective, 1, 2))
+    assert isinstance(result, tuple) and len(result) == 5
+    x, residual, probability, index, evaluations = result
+    assert isinstance(x, np.ndarray) and x.shape == (4,)
+    assert isinstance(residual, float) and isinstance(probability, float)
+    assert index == 2 and isinstance(evaluations, int) and evaluations > 0
+    tracer = tracing.Tracer()
+    tracer._after_restart((objective, 1, 2), result, 0.0)
+    assert tracer.counts["optimizer.restarts"] == 1
+    assert tracer.counts["optimizer.evaluations"] == evaluations
