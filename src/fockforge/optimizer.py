@@ -7,12 +7,14 @@ phase: N*N real parameters in all, enough to reach every U(N) exactly
 networks of exactly this shape).
 
 Each restart runs three bounded phases: Levenberg-Marquardt drives the
-deviation from the constraint pattern to zero, SLSQP maximizes the
-success |s|^2 with the deviation held at zero, and a short second
-Levenberg-Marquardt pass polishes the feasibility back.  Everything is
-deterministic for a fixed (objective, seed, restarts) triple, also under
-parallel restarts: restart seeds are spawned from the master seed by
-counter, and results are merged by a fixed ordering rule.
+deviation from the constraint pattern to zero, sequential quadratic
+programming maximizes the success |s|^2 with the deviation held at zero,
+and a short second Levenberg-Marquardt pass polishes the feasibility
+back.  Both solvers are numpy loops, so nothing depends on the BLAS
+thread count, and everything is deterministic for a fixed (objective,
+seed, restarts) triple, also under parallel restarts: restart seeds are
+spawned from the master seed by counter, and results are merged by a
+fixed ordering rule.
 """
 
 from __future__ import annotations
@@ -23,15 +25,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import approx_fprime, minimize
+from scipy.linalg import block_diag
 
 from .conditioning import ConditionalExtractor, DetectionSpec
-from .interferometer import (
-    BeamSplitterParams,
-    NetworkDescription,
-    PhaseShifterParams,
-    compose,
-)
+from .interferometer import BeamSplitterParams, NetworkDescription, PhaseShifterParams, compose
 
 FEASIBLE_RESIDUAL = 1e-6
 # With the overall scale free, the all-zero operator satisfies every
@@ -39,7 +36,7 @@ FEASIBLE_RESIDUAL = 1e-6
 # treated as that degenerate point, not as feasible gates.
 TRIVIAL_PROBABILITY = 1e-8
 # Per restart: up to FEASIBILITY_DRAWS starts of FEASIBILITY_BUDGET
-# evaluations, then at most 50 SLSQP steps and a 200-evaluation polish.
+# evaluations, then at most 50 probability steps and a 200-evaluation polish.
 FEASIBILITY_DRAWS = 4
 FEASIBILITY_BUDGET = 400
 THREADS_ENV = "FOCKFORGE_THREADS"
@@ -74,20 +71,11 @@ def network_from_params(params, mode_count: int) -> NetworkDescription:
     p = np.asarray(params, dtype=float)
     if p.shape != (2 * k + mode_count,):
         raise ValueError(f"expected {2 * k + mode_count} parameters for {mode_count} modes")
-    thetas = p[:k]
-    phases = p[k : 2 * k]
-    diag = p[2 * k :]
+    thetas, phases, diag = p[:k], p[k : 2 * k], p[2 * k :]
     elements = [PhaseShifterParams(i, float(diag[i])) for i in range(mode_count)]
-    pairs = [
-        (row - 1, row)
-        for col in range(mode_count - 1)
-        for row in range(mode_count - 1, col, -1)
-    ]
+    pairs = [(row - 1, row) for col in range(mode_count - 1) for row in range(mode_count - 1, col, -1)]
     for idx in range(k - 1, -1, -1):
-        a, b = pairs[idx]
-        elements.append(
-            BeamSplitterParams(a, b, float(thetas[idx]), float(phases[idx]), math.pi)
-        )
+        elements.append(BeamSplitterParams(*pairs[idx], float(thetas[idx]), float(phases[idx]), math.pi))
     return NetworkDescription(mode_count, tuple(elements))
 
 
@@ -125,20 +113,16 @@ class Objective:
             raise ValueError("objective needs at least one constraint")
         for item in self.constraints:
             x, y, free, w = item if len(item) == 4 else (*item, None)
-            x = np.asarray(x, dtype=complex)
-            y = np.asarray(y, dtype=complex)
+            x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
             if x.shape != y.shape or x.ndim != 1:
                 raise ValueError("constraint vectors must be 1-d and equal length")
             if float(np.linalg.norm(x)) < 1e-12:
                 raise ValueError("constraint input is zero")
-            if w is None:
-                w = np.ones(x.shape)
-            else:
-                w = np.asarray(w, dtype=float)
-                if w.shape != x.shape:
-                    raise ValueError("weights must match the constraint vectors")
-                if np.any(w < 0) or not np.any(w > 0):
-                    raise ValueError("weights must be non-negative with at least one positive")
+            w = np.ones(x.shape) if w is None else np.asarray(w, dtype=float)
+            if w.shape != x.shape:
+                raise ValueError("weights must match the constraint vectors")
+            if np.any(w < 0) or not np.any(w > 0):
+                raise ValueError("weights must be non-negative with at least one positive")
             cons.append((x, y, bool(free), w))
         object.__setattr__(self, "constraints", tuple(cons))
         # constant terms of _fit_scale and _evaluate, with their exact arithmetic
@@ -149,11 +133,8 @@ class Objective:
         object.__setattr__(self, "_target_norms", norms)
         object.__setattr__(self, "_scale_denominator", sum(norms))
         object.__setattr__(self, "_phase_free", any(free for _, _, free, _ in cons))
-        object.__setattr__(
-            self,
-            "_extractor",
-            ConditionalExtractor(self.mode_count, self.signal_modes, self.ancilla, self.detection, self.signal_cutoff),
-        )
+        extractor = ConditionalExtractor(self.mode_count, self.signal_modes, self.ancilla, self.detection, self.signal_cutoff)
+        object.__setattr__(self, "_extractor", extractor)
 
     def extractor(self):
         return self._extractor
@@ -169,12 +150,8 @@ def _fit_scale(outputs, objective):
     weighted = [w * o for (_, _, _, w), o in zip(cons, outputs)]
     s = 0j
     for _ in range(20 if objective._phase_free else 1):
-        num = 0j
-        for wy, wo in zip(targets, weighted):
-            num += np.vdot(wy, wo)
-        s_new = num / objective._scale_denominator
-        changed = abs(s_new - s)
-        s = s_new
+        s_new = sum((np.vdot(wy, wo) for wy, wo in zip(targets, weighted)), 0j) / objective._scale_denominator
+        changed, s = abs(s_new - s), s_new
         if abs(s) > 0:
             for i, (x, y, free, w) in enumerate(cons):
                 if free:
@@ -232,14 +209,18 @@ class OptimizationResult:
         return network_from_params(self.params, mode_count)
 
 
+def _jacobian(fun, x, value):
+    """Forward differences of fun at x, where fun(x) is value."""
+    steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
+    return np.column_stack([(fun(x + h * e) - value) / h for h, e in zip(steps, np.eye(len(x)))])
+
+
 def _feasibility(objective, x, budget):
     """Levenberg-Marquardt on the deviation relative to the output norm:
     (x, evaluations).  Blind to the overall scale, it is not drawn to the
-    zero operator, which meets every pattern at zero success.  A draw ends
-    when it collapses there anyway, stalls at a local minimum, or would
-    overrun its budget with the next forward-difference Jacobian.  It is
-    numpy, not scipy's MINPACK, whose compiled step rounds with the memory
-    alignment of its work arrays: two interpreters took different paths."""
+    zero operator.  A draw ends when it collapses there anyway, stalls, or
+    would overrun its budget with the next Jacobian.  It is numpy, not
+    MINPACK, whose step rounds with the alignment of its work arrays."""
     floor = TRIVIAL_PROBABILITY * objective._scale_denominator
     count = 0
 
@@ -252,8 +233,7 @@ def _feasibility(objective, x, budget):
     r, done = relative(x)
     damping = 1e-3
     while not done and r @ r > 1e-28 and damping < 1e12 and count + len(x) < budget:
-        steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
-        jac = np.column_stack([(relative(x + h * e)[0] - r) / h for h, e in zip(steps, np.eye(len(x)))])
+        jac = _jacobian(lambda x: relative(x)[0], x, r)
         grad, normal = jac.T @ r, jac.T @ jac
         while damping < 1e12 and count < budget:
             trial = x - np.linalg.lstsq(normal + damping * np.eye(len(x)), grad)[0]
@@ -268,35 +248,55 @@ def _feasibility(objective, x, budget):
 
 
 def _raise_probability(objective, x0):
-    """SLSQP on -|s|^2 with the deviation held at zero: (x, evaluations).
-
-    The deviation's equations are far from independent (its Jacobian has
-    rank 2 at a feasible Pauli-x network), and SLSQP stops on a singular
-    constraint matrix, so the constraints are the deviation projected on
-    the left singular vectors that carry its Jacobian at the start.
-    Values are kept per point: SLSQP asks for the objective and the
-    constraints, and their forward differences, separately."""
-    memo = {}
+    """Sequential quadratic programming on -|s|^2 with the deviation held
+    at zero, as in SLSQP: (x, evaluations).  The deviation's equations are
+    far from independent (rank 2 at a feasible Pauli-x network), and a
+    singular constraint matrix stalls the step, so the held constraints
+    are the deviation on the left singular vectors of its Jacobian at the
+    start.  It is numpy, not SLSQP, whose step rounds with the BLAS
+    thread count."""
+    count = 0
 
     def f(x):
-        key = x.tobytes()
-        if key not in memo:
-            _, s, deviation = _fit(x, objective)
-            memo[key] = np.append(deviation, abs(s) ** 2)
-        return memo[key]
+        nonlocal count
+        count += 1
+        _, s, deviation = _fit(x, objective)
+        return np.append(deviation, abs(s) ** 2)
 
-    u, sigma, _ = np.linalg.svd(approx_fprime(x0, f)[:-1], full_matrices=False)
-    keep = u[:, sigma > 1e-3 * sigma[0]].T
-    held = {"type": "eq", "fun": lambda x: keep @ f(x)[:-1], "jac": lambda x: keep @ approx_fprime(x, f)[:-1]}
-    res = minimize(
-        lambda x: -f(x)[-1],
-        x0,
-        jac=lambda x: -approx_fprime(x, f)[-1],
-        method="SLSQP",
-        constraints=held,
-        options={"maxiter": 50, "ftol": 1e-8},
-    )
-    return res.x, len(memo)
+    value = f(x0)
+    jac = _jacobian(f, x0, value)
+    u, sigma, _ = np.linalg.svd(jac[:-1], full_matrices=False)
+    # rows from here on: the held deviation, then -|s|^2
+    project = block_diag(u[:, sigma > 1e-3 * sigma[0]].T, -1.0)
+    x, value, jac = x0, project @ value, project @ jac
+    held = len(value) - 1
+    hessian, weight = np.eye(len(x)), 0.0
+    for _ in range(50):
+        kkt = np.block([[hessian, jac[:-1].T], [jac[:-1], np.zeros((held, held))]])
+        solution = np.linalg.lstsq(kkt, -np.append(jac[-1], value[:-1]))[0]
+        step, lagrange = solution[: len(x)], np.append(solution[len(x) :], 1.0)
+        largest = np.abs(lagrange[:-1]).max(initial=0.0)
+        weight = max(largest, 0.5 * (weight + largest))  # of the L1 merit
+        violation = weight * np.abs(value[:-1]).sum()
+        merit, slope = value[-1] + violation, jac[-1] @ step - violation
+        for _ in range(10):
+            trial = project @ f(x + step)
+            if trial[-1] + weight * np.abs(trial[:-1]).sum() <= merit + 0.1 * min(slope, 0.0):
+                break
+            step = 0.5 * step
+        else:
+            break
+        trial_jac = _jacobian(lambda x: project @ f(x), x + step, trial)
+        change, curved = (trial_jac - jac).T @ lagrange, step @ hessian @ step
+        if step @ change < 0.2 * curved:  # Powell's damping keeps the model positive definite
+            mix = 0.8 * curved / (curved - step @ change)
+            change = mix * change + (1.0 - mix) * (hessian @ step)
+        hessian += np.outer(change, change) / (step @ change) - np.outer(hessian @ step, hessian @ step) / curved
+        done = abs(trial[-1] - value[-1]) < 1e-8 and np.abs(trial[:-1]).sum() < 1e-8
+        x, value, jac = x + step, trial, trial_jac
+        if done:
+            break
+    return x, count
 
 
 def _run_restart(args):
@@ -321,12 +321,11 @@ def _run_restart(args):
         return (*(best or (x1, r1, p1)), index, evals)
     x1, r1, p1 = best
 
-    x2, used = _raise_probability(objective, x1)
-    evals += used
-    # SLSQP meets its constraints only to its own tolerance; polish the
-    # deviation back without giving the probability up
-    x3, used = _feasibility(objective, x2, 200)
-    evals += used
+    x2, raised = _raise_probability(objective, x1)
+    # the last step meets the held deviation only to 1e-8; polish it back
+    # without giving the probability up
+    x3, polished = _feasibility(objective, x2, 200)
+    evals += raised + polished
     r_final, p_final = _evaluate(x3, objective)
     if r_final > r1 + 1e-12 and p_final <= p1:
         return x1, r1, p1, index, evals

@@ -458,7 +458,7 @@ def test_optimize_feasible(capsys):
     assert head["feasible"] == "true"
     assert abs(float(head["probability"]) - 0.25) < 1e-3
     assert float(head["residual"]) < 1e-6
-    assert head["evaluations"] == "938"
+    assert head["evaluations"] == "965"
     assert head["restart_index"] == "2"
 
 

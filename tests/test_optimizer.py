@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,11 +119,31 @@ def test_repeat_run_is_bitwise_identical():
     assert _result_tuple(a) == _result_tuple(b)
 
 
+def test_search_is_bitwise_identical_across_blas_thread_counts():
+    # the printed parameters must not depend on the machine's core count,
+    # which sets the default BLAS thread count
+    import fockforge
+
+    code = (
+        "from fockforge import gates, optimizer\n"
+        "r = optimizer.optimize_gate(gates.su3_objective(0.0, 3.141592653589793), 7, 4)\n"
+        "print(r.params.tobytes().hex(), r.evaluations)"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env[THREADS_ENV] = "1"
+        env["PYTHONPATH"] = str(Path(fockforge.__file__).parents[1])
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+
+
 def test_search_trajectory_is_pinned():
     # pinned evaluation count and winning restart: any change to the
     # arithmetic of one objective evaluation would move them
     result = optimize_gate(_identity_objective(), seed=9, restarts=3)
-    assert result.evaluations == 231
+    assert result.evaluations == 255
     assert result.restart_index == 2
 
 
