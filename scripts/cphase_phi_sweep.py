@@ -3,9 +3,9 @@
 target phase varies.
 
 Each row solves the two-constraint phase problem from scratch at the
-given restart budget: the 5-point example below takes about 3 s on two
-cores, some 0.6 s per point, a 25-point sweep about 15 s, and the time
-grows with --restarts.  The last
+given restart budget: the 5-point example below takes about 3.4 s on
+two cores, some 0.5 s per point, a 25-point sweep about 13 s, and the
+time grows with --restarts.  The last
 column cross-checks the permanent route against the direct lift route;
 it should sit at rounding noise whenever the optimizer converged.
 
