@@ -32,7 +32,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .conditioning import (
     AncillaSpec,
@@ -60,7 +59,7 @@ from .interferometer import (
     compose,
     element_matrix,
 )
-from .lossy import LossyBSParams, apply_kraus, lossy_bs_channel, noisy_sigma_z_experiment
+from .lossy import LossyBSParams, lossy_bs_channel, noisy_sigma_z_experiment
 from .optimizer import InfeasibleAtBudgetError, optimize_gate
 from .permanent import check_appendix_bounds, permanent_naive, permanent_ryser
 from . import gates
@@ -419,32 +418,49 @@ def _local_operators(e, cutoff: int):
 
 
 def _embed(ops, modes, basis: FockBasis) -> list:
-    """Operators on a total-photon basis of `modes` alone, as sparse
-    matrices on `basis`: each basis state is paired with its occupation on
-    `modes`, and only entries between states whose other modes agree are
-    kept.
+    """Operators on a total-photon basis of `modes` alone, lifted to
+    `basis`, each as (rows, apply): apply(x) is K x on the rows of a
+    vector or matrix x, restricted to the basis states `rows`, in that
+    order, outside of which K x is zero.
+
+    The states whose other modes hold k photons pair with the local states
+    of at most cutoff - k photons, a prefix of the local basis, so all of
+    them see the same leading block of K: each such bucket is one gather,
+    one matrix product and one scatter, over just the local states where
+    K has nonzero rows and columns (an absorbing block lowers the photon
+    count, so most of them are zero).  No operator of the basis dimension
+    is ever built.
 
     Nothing is lost when an operator never raises the photon count on its
     modes (a passive element keeps it, an absorber lowers it): every entry
     it can reach then lies inside `basis`."""
     local = FockBasis(len(modes), basis.policy)
-    by_rest: dict = {}
+    groups: dict = {}
     for b, occ in enumerate(basis.occupations):
-        by_rest.setdefault(tuple(n for m, n in enumerate(occ) if m not in modes), []).append(b)
-    loc = np.array([local.index[tuple(occ[m] for m in modes)] for occ in basis.occupations])
-    groups = [np.array(states) for states in by_rest.values()]
-    rows = np.concatenate([np.repeat(g, len(g)) for g in groups])
-    cols = np.concatenate([np.tile(g, len(g)) for g in groups])
+        rest = tuple(n for m, n in enumerate(occ) if m not in modes)
+        groups.setdefault(rest, []).append((local.index[tuple(occ[m] for m in modes)], b))
+    by_count: dict = {}
+    for rest, pairs in groups.items():
+        by_count.setdefault(sum(rest), []).append([b for _, b in sorted(pairs)])
+    # one (local state, group) array of basis indices per bucket
+    buckets = [np.array(states).T for states in by_count.values()]
     out = []
     for op in ops:
-        vals = op[loc[rows], loc[cols]]
-        keep = vals != 0
-        out.append(
-            scipy.sparse.csr_array(
-                (vals[keep], (rows[keep], cols[keep])), shape=(basis.dimension, basis.dimension)
-            )
-        )
+        nz_rows, nz_cols = np.flatnonzero(op.any(axis=1)), np.flatnonzero(op.any(axis=0))
+        parts = []
+        for idx in buckets:
+            r, c = nz_rows[nz_rows < len(idx)], nz_cols[nz_cols < len(idx)]
+            if len(r) and len(c):
+                parts.append((op[np.ix_(r, c)], idx[r].ravel(), idx[c]))
+        rows = np.concatenate([p[1] for p in parts])
+        out.append((rows, functools.partial(_apply_embedded, parts)))
     return out
+
+
+def _apply_embedded(parts, x):
+    return np.concatenate(
+        [np.tensordot(block, x[cols], axes=1).reshape((-1,) + x.shape[1:]) for block, _, cols in parts]
+    )
 
 
 def _simulate_pure(cf: CircuitFile, cutoff: int) -> PureState:
@@ -453,8 +469,10 @@ def _simulate_pure(cf: CircuitFile, cutoff: int) -> PureState:
     amps = state.amplitudes
     for e in cf.elements:
         modes, ops = _local_operators(e, cutoff)
-        (op,) = _embed(ops, modes, state.basis)
-        amps = op @ amps
+        ((rows, op),) = _embed(ops, modes, state.basis)
+        moved = np.zeros_like(amps)
+        moved[rows] = op(amps)
+        amps = moved
     return PureState(state.basis, amps, unchecked=True)
 
 
@@ -466,7 +484,10 @@ def _simulate_lossy(cf: CircuitFile, cutoff: int) -> MixedState:
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
     for e in cf.elements:
         modes, ops = _local_operators(e, cutoff)
-        rho = apply_kraus(_embed(ops, modes, state.basis), rho)
+        out = np.zeros_like(rho)
+        for rows, k in _embed(ops, modes, state.basis):
+            out[np.ix_(rows, rows)] += k(k(rho).conj().T).conj().T
+        rho = out
     return MixedState(state.basis, rho)
 
 
@@ -579,14 +600,13 @@ def _cmd_condition(args) -> int:
         ("success_probability", _fmt(prob)),
         ("faithful_input_levels", str(cond.faithful_input_levels)),
         ("signal_modes", _occ_str(signal)),
+        ("out", "in", "re", "im"),
     ]
-    basis = cond.operator.basis
-    rows.append(("out", "in", "re", "im"))
-    mat = cond.operator.matrix
-    for i, oo in enumerate(basis.occupations):
-        for j, oi in enumerate(basis.occupations):
-            rows.append((_occ_str(oo), _occ_str(oi), _fmt(mat[i, j].real), _fmt(mat[i, j].imag)))
     sys.stdout.write(_rows_to_tsv(rows))
+    # one write per output state: the dim^2 entries are never all in memory
+    labels = [_occ_str(occ) for occ in cond.operator.basis.occupations]
+    for oo, row in zip(labels, cond.operator.matrix):
+        sys.stdout.write(_rows_to_tsv((oo, oi, _fmt(v.real), _fmt(v.imag)) for oi, v in zip(labels, row)))
     return 0
 
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 DEFAULT_GUARD_BAND = 4
 
@@ -340,9 +339,20 @@ def number_polynomial(coeffs, mode: int, basis: FockBasis) -> FockOperator:
     return FockOperator(basis, np.diag(diag))
 
 
-def _generator(alpha: complex, dim: int) -> np.ndarray:
+def _displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
+    """exp(alpha a^dag - alpha^* a) on levels < dim, as R D(|alpha|) R^dag.
+
+    R = diag((alpha/|alpha|)^n) carries the phase; its cumulative product
+    keeps +-1 and +-i exact.  D(|alpha|) is real: with S = diag(i^n),
+    a^dag - a = -i S (a + a^dag) S^dag, so it is S V e^{-i|alpha|L} V^T S^dag
+    for the eigendecomposition V L V^T of the real symmetric a + a^dag.
+    """
     a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
-    return alpha * a.conj().T - np.conjugate(alpha) * a
+    lam, v = np.linalg.eigh(a + a.T)
+    sv = np.cumprod(np.r_[1.0, np.full(dim - 1, 1j)])[:, None] * v
+    real = ((sv * np.exp(-1j * abs(alpha) * lam)) @ sv.conj().T).real
+    r = np.cumprod(np.r_[1.0, np.full(dim - 1, complex(alpha) / abs(alpha))])
+    return real * np.outer(r, r.conj())
 
 
 def displacement_operator(alpha: complex, cutoff: int, guard: int = DEFAULT_GUARD_BAND) -> FockOperator:
@@ -363,14 +373,14 @@ def displacement_operator(alpha: complex, cutoff: int, guard: int = DEFAULT_GUAR
     if alpha == 0:
         return FockOperator(basis, np.eye(cutoff + 1, dtype=complex))
     dim = cutoff + 1
-    d = expm(_generator(alpha, dim))
+    d = _displacement_matrix(alpha, dim)
     g = cutoff - guard + 1
     if g <= 0:
         raise CutoffTooSmallError(
             f"cutoff {cutoff} leaves no guarded block below guard band {guard}"
         )
     pad = max(12, guard + 8)
-    ref = expm(_generator(alpha, dim + pad))[:g, :g]
+    ref = _displacement_matrix(alpha, dim + pad)[:g, :g]
     dev = float(np.max(np.abs(d[:g, :g] - ref)))
     if dev > 1e-10:
         raise CutoffTooSmallError(

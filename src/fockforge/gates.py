@@ -16,12 +16,12 @@ operator and multiply across independent interferometer arms.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .conditioning import (
     AncillaSpec,
@@ -1040,7 +1040,7 @@ class CnotSearchReport:
     evaluations: int
 
 
-def _product_slab_residual(phi, phi_prime, target, rng, inits=3, warm=None):
+def _product_slab_residual(phi, phi_prime, target, rng):
     """Best scale-invariant residual of U(phi') (N1 x N2) U(phi) on the
     qubit columns against the target slab, N1 and N2 free diagonal
     single-mode operators, optimized by alternating least squares."""
@@ -1057,9 +1057,8 @@ def _product_slab_residual(phi, phi_prime, target, rng, inits=3, warm=None):
             a += n1[ak] * n2[bk] * slabs[k]
         na2 = float(np.linalg.norm(a) ** 2)
         if na2 < 1e-24:
-            return 0.0, a
-        ip = complex(np.sum(target.conj() * a))
-        return abs(ip) ** 2 / na2, a
+            return 0.0
+        return abs(complex(np.sum(target.conj() * a))) ** 2 / na2
 
     def solve_factor(fixed_other, axis):
         # residual is linear in this factor; maximize |c.x|^2 / x*G x
@@ -1080,70 +1079,37 @@ def _product_slab_residual(phi, phi_prime, target, rng, inits=3, warm=None):
         nx = np.linalg.norm(x)
         return x / nx if nx > 0 else np.array([1.0, 1.0, 1.0], dtype=complex)
 
-    best = (0.0, None, None)
-    starts = []
-    if warm is not None:
-        starts.append(warm)
-    for _ in range(inits):
-        starts.append(
-            (
-                rng.normal(size=3) + 1j * rng.normal(size=3),
-                rng.normal(size=3) + 1j * rng.normal(size=3),
-            )
-        )
-    for n1, n2 in starts:
-        n1 = np.asarray(n1, dtype=complex)
-        n2 = np.asarray(n2, dtype=complex)
+    best = 0.0
+    for _ in range(3):
+        n1 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        n2 = rng.normal(size=3) + 1j * rng.normal(size=3)
         rho_prev = -1.0
         for _ in range(40):
             n1 = solve_factor(n2, 0)
             n2 = solve_factor(n1, 1)
-            rho, _ = cosine(n1, n2)
+            rho = cosine(n1, n2)
             if rho - rho_prev < 1e-14:
                 break
             rho_prev = rho
-        rho, _ = cosine(n1, n2)
-        if rho > best[0]:
-            best = (rho, n1, n2)
-    rho, n1, n2 = best
-    residual = math.sqrt(max(0.0, 1.0 - rho / tnorm2))
-    return residual, n1, n2
+        best = max(best, cosine(n1, n2))
+    return math.sqrt(max(0.0, 1.0 - best / tnorm2))
 
 
 def _slab_search(target, grid_size, restarts, seed):
+    """Lowest residual over the angle grid, then over seeded random angle
+    pairs: ((residual, (phi, phi')), evaluations)."""
     rng = np.random.default_rng(seed)
-    count = [0]
-
-    def evaluate(angles, warm=None, inits=3):
-        count[0] += 1
-        return _product_slab_residual(angles[0], angles[1], target, rng, warm=warm, inits=inits)
-
-    best = (math.inf, (0.0, 0.0), None, None)
     axis = np.linspace(0.0, math.pi, grid_size)
-    for p in axis:
-        for pp in axis:
-            res, n1, n2 = evaluate((p, pp))
-            if res < best[0]:
-                best = (res, (p, pp), n1, n2)
-    for _ in range(restarts):
-        angles = rng.uniform(0.0, math.pi, 2)
-        res, n1, n2 = evaluate(angles)
+    grid = ((p, pp) for p in axis for pp in axis)
+    # drawn lazily, so each pair's draw precedes its evaluation's random
+    # starts in the seeded stream
+    drawn = (tuple(rng.uniform(0.0, math.pi, 2)) for _ in range(restarts))
+    best = (math.inf, (0.0, 0.0))
+    for angles in itertools.chain(grid, drawn):
+        res = _product_slab_residual(*angles, target, rng)
         if res < best[0]:
-            best = (res, tuple(angles), n1, n2)
-    warm = (best[2], best[3])
-
-    def fun(x):
-        res, _, _ = evaluate(x, warm=warm, inits=1)
-        return res
-
-    nm = minimize(
-        fun, np.array(best[1]), method="Nelder-Mead",
-        options={"maxfev": 80, "xatol": 1e-10, "fatol": 1e-14},
-    )
-    res, n1, n2 = evaluate(nm.x, warm=warm, inits=1)
-    if res < best[0]:
-        best = (res, tuple(float(v) for v in nm.x), n1, n2)
-    return best, count[0]
+            best = (res, angles)
+    return best, grid_size**2 + restarts
 
 
 def cnot_obstruction_search(grid_size: int = 13, restarts: int = 200, seed: int = 0) -> CnotSearchReport:
@@ -1156,7 +1122,7 @@ def cnot_obstruction_search(grid_size: int = 13, restarts: int = 200, seed: int 
     splitters' internal phases decompose into product-diagonal factors
     the N's absorb).  For each angle pair the N's are solved by
     alternating least squares, which is exact per factor; the angle grid
-    plus seeded restarts plus a simplex polish then bound the landscape.
+    plus seeded random angle pairs then bound the landscape.
     The residual is scale-invariant, so the controlled-z target - which
     the same sandwich family does reach - must come out at machine zero,
     and it does, while the CNOT floor stays above 1e-2.  A CNOT residual
@@ -1177,12 +1143,12 @@ def cnot_obstruction_search(grid_size: int = 13, restarts: int = 200, seed: int 
     cnot = np.zeros((6, 4), dtype=complex)
     for j, i in enumerate((0, 1, 3, 2)):
         cnot[i, j] = 1.0
-    (res, angles, _, _), evals = _slab_search(cnot, grid_size, restarts, seed)
+    (res, angles), evals = _slab_search(cnot, grid_size, restarts, seed)
 
     cz = np.zeros((6, 4), dtype=complex)
     for j, s in enumerate((1.0, 1.0, 1.0, -1.0)):
         cz[j, j] = s
-    (res_cz, _, _, _), evals_cz = _slab_search(cz, grid_size, 20, seed + 1)
+    (res_cz, _), evals_cz = _slab_search(cz, grid_size, 20, seed + 1)
 
     return CnotSearchReport(
         min_residual=float(res),

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec
 from .fock import FockBasis, FockOperator, MixedState, PureState, TotalPhotonCutoff
@@ -88,11 +87,7 @@ class LossyBSParams:
 
 
 def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
-    """rho -> sum_K K rho K^dag, for dense or sparse K.
-
-    The sum accumulates into a copy of rho's layout: products with a
-    sparse K come back in Fortran order, which MixedState cannot take.
-    """
+    """rho -> sum_K K rho K^dag."""
     out = np.zeros_like(rho)
     for k in kraus:
         out += k @ rho @ k.conj().T
@@ -145,10 +140,11 @@ def dilation_unitary(params: LossyBSParams) -> ModeUnitary:
     modes 2-3 the absorbing degrees of freedom."""
     t = params.t_matrix
     left = np.vstack([t, _psd_sqrt(np.eye(2) - t.conj().T @ t)])
-    comp = scipy.linalg.null_space(left.conj().T)
-    if comp.shape != (4, 2):
+    # the last two right-singular vectors of left^dag span its null space
+    _, sigma, vh = np.linalg.svd(left.conj().T)
+    if sigma[1] <= 4 * np.finfo(float).eps * sigma[0]:
         raise ArithmeticError("unitary completion failed; closure is degenerate")
-    u = np.hstack([left, comp])
+    u = np.hstack([left, vh[2:].conj().T])
     return ModeUnitary(4, u)
 
 

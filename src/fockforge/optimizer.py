@@ -25,7 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .conditioning import ConditionalExtractor, DetectionSpec
 from .interferometer import BeamSplitterParams, NetworkDescription, PhaseShifterParams, compose
@@ -267,7 +266,9 @@ def _raise_probability(objective, x0):
     jac = _jacobian(f, x0, value)
     u, sigma, _ = np.linalg.svd(jac[:-1], full_matrices=False)
     # rows from here on: the held deviation, then -|s|^2
-    project = block_diag(u[:, sigma > 1e-3 * sigma[0]].T, -1.0)
+    basis = u[:, sigma > 1e-3 * sigma[0]].T
+    project = np.zeros((len(basis) + 1, len(value)))
+    project[:-1, :-1], project[-1, -1] = basis, -1.0
     x, value, jac = x0, project @ value, project @ jac
     held = len(value) - 1
     hessian, weight = np.eye(len(x)), 0.0

@@ -16,6 +16,7 @@ from fockforge.fock import (
     apply_annihilation,
     apply_creation,
     coherent_state,
+    displacement_operator,
     displacement_operator_for,
     fock_state,
     ladder_matrix,
@@ -105,6 +106,39 @@ def test_displacement_displaces_vacuum():
     target = coherent_state(alpha, u.shape[0] - 1).amplitudes
     # the guarded block is exact; the very top rows may carry truncation
     assert np.max(np.abs(moved[:7] - target[:7])) < 1e-9
+
+
+def displacement_entry(alpha: complex, m: int, n: int) -> complex:
+    """<m|D(alpha)|n> of the untruncated displacement, in closed form:
+    sqrt(n!/m!) alpha^(m-n) e^(-|alpha|^2/2) L_n^(m-n)(|alpha|^2) for m >= n,
+    and the same with m, n swapped and alpha -> -alpha^* for m < n."""
+    if m < n:
+        alpha, m, n = -alpha.conjugate(), n, m
+    x = abs(alpha) ** 2
+    laguerre = sum((-1) ** i * math.comb(m, n - i) * x**i / math.factorial(i) for i in range(n + 1))
+    return math.sqrt(math.factorial(n) / math.factorial(m)) * alpha ** (m - n) * math.exp(-x / 2) * laguerre
+
+
+@pytest.mark.parametrize("alpha", [0.7, -0.7, 2.5, -1.9])
+def test_displacement_at_real_alpha_is_real(alpha):
+    d = displacement_operator_for(alpha, 10).matrix
+    assert np.all(d.imag == 0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, -1.2, 0.5j, 0.6 - 0.8j, -1.1 + 1.4j])
+def test_displacement_guarded_block_matches_the_closed_form(alpha):
+    top = 8
+    d = displacement_operator_for(alpha, top).matrix
+    for m in range(top + 1):
+        for n in range(top + 1):
+            assert abs(d[m, n] - displacement_entry(complex(alpha), m, n)) < 1e-10, (m, n)
+
+
+@pytest.mark.parametrize("alpha", [0.4, -0.9j, 0.8 + 0.3j, -1.5 - 2.0j])
+def test_displacement_composes_with_its_inverse_to_the_identity(alpha):
+    cutoff, guard = 30, 22
+    d = displacement_operator(alpha, cutoff, guard).matrix @ displacement_operator(-alpha, cutoff, guard).matrix
+    assert np.max(np.abs(d - np.eye(cutoff + 1))) < 1e-13
 
 
 def test_displacement_for_top_level_guards_growth():

@@ -12,7 +12,7 @@ from fockforge.conditioning import (
     lift_unitary,
 )
 from fockforge.fock import FockBasis, MixedState, TotalPhotonCutoff
-from fockforge.interferometer import ModeUnitary
+from fockforge.interferometer import BeamSplitterParams, ModeUnitary, bs_matrix
 from fockforge.lossy import (
     ChannelOperator,
     DetectorModel,
@@ -74,6 +74,26 @@ def test_dilation_unitary():
     p = LossyBSParams.symmetric_slab(0.45, 0.25)
     u = dilation_unitary(p).matrix
     assert u.shape == (4, 4)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
+    assert np.max(np.abs(u[:2, :2] - p.t_matrix)) < 1e-12
+
+
+def closed_pairs():
+    """(T, A) pairs that close: the top blocks of random unitaries, and a
+    splitter scaled to almost total and to no absorption."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        w, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        yield pytest.param(w[:2, :2], w[:2, 2:], id=f"random-{seed}")
+    block = bs_matrix(BeamSplitterParams(0, 1, 1.1, 0.2, -0.4), 2).matrix
+    for scale in (1e-3, 1.0):
+        yield pytest.param(scale * block, math.sqrt(1.0 - scale**2) * np.eye(2), id=f"transmission-{scale}")
+
+
+@pytest.mark.parametrize("t, a", closed_pairs())
+def test_dilation_unitary_completes_any_closed_pair(t, a):
+    p = LossyBSParams(t, a)
+    u = dilation_unitary(p).matrix
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
     assert np.max(np.abs(u[:2, :2] - p.t_matrix)) < 1e-12
 

@@ -96,6 +96,46 @@ def test_pure_evolution_matches_the_whole_basis_lift(seed, modes):
     assert np.max(np.abs(got - lift_oracle(u.matrix, psi.basis) @ psi.amplitudes)) < 1e-12
 
 
+def dense_embedding(op, modes, basis):
+    """The local operator op on `modes`, written out on the whole basis
+    entry by entry: <a|E|b> = <a_modes|op|b_modes> where a and b agree on
+    every other mode, and zero elsewhere."""
+    local = FockBasis(len(modes), basis.policy)
+    rest = [m for m in range(basis.mode_count) if m not in modes]
+    dense = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    for a, occ_a in enumerate(basis.occupations):
+        for b, occ_b in enumerate(basis.occupations):
+            if all(occ_a[m] == occ_b[m] for m in rest):
+                dense[a, b] = op[local.index_of(tuple(occ_a[m] for m in modes)), local.index_of(tuple(occ_b[m] for m in modes))]
+    return dense
+
+
+@pytest.mark.parametrize(
+    "line", ["bs 3 1 0.7 0.4 -1.2", "bs 0 2 1.1 -0.3 2.0", "lossybs 2 0 0.6 1.0 0.1 0.7", "lossybs 1 3 0.9 -0.5 0.4 0.3"]
+)
+def test_embedded_operators_match_the_dense_embedding(line):
+    cutoff = 5
+    (e,) = cli.parse_circuit(f"modes 4\n{line}\n").elements
+    basis = FockBasis(4, TotalPhotonCutoff(cutoff))
+    modes, ops = cli._local_operators(e, cutoff)
+    rng = np.random.default_rng(3)
+    vec = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+    rho = np.outer(vec, vec.conj()) + rng.normal(size=(basis.dimension,) * 2)
+    embedded = cli._embed(ops, modes, basis)
+    assert len(embedded) == len(ops) > (1 if e[0] == "lossybs" else 0)
+    for op, (rows, apply) in zip(ops, embedded):
+        dense = dense_embedding(op, modes, basis)
+        got = np.zeros(basis.dimension, dtype=complex)
+        got[rows] = apply(vec)
+        assert np.max(np.abs(got - dense @ vec)) < 1e-13
+        got = np.zeros_like(rho)
+        got[rows] = apply(rho)
+        assert np.max(np.abs(got - dense @ rho)) < 1e-13
+        got = np.zeros_like(rho)
+        got[np.ix_(rows, rows)] = apply(apply(rho).conj().T).conj().T
+        assert np.max(np.abs(got - dense @ rho @ dense.conj().T)) < 1e-12
+
+
 LOSSY = {
     "no absorption": (
         "modes 3\ninput fock 0 1\ninput fock 1 2\n"

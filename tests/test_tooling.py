@@ -1,11 +1,17 @@
-"""The benchmark's tracer wraps names inside fockforge from outside.
+"""Checks on the package from outside: its declared dependencies, and
+the names the benchmark's tracer wraps.
 
 A wrapped name that disappears is skipped at run time, so renaming or
 deleting one silently drops the metrics it feeds.  Resolving every name
 here catches that without running the benchmark.
 """
 
+import ast
 import importlib.util
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +20,33 @@ import pytest
 from fockforge import optimizer
 from fockforge.conditioning import AncillaSpec, DetectionSpec
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def test_imports_are_the_declared_dependencies():
+    # every import in the package, at any depth, that is neither the
+    # standard library nor the package itself must be a declared
+    # dependency, and every dependency must be imported
+    imported = set()
+    for path in (ROOT / "src" / "fockforge").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"fockforge"}
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.split(r"[<>=!~;\[ ]", dep, maxsplit=1)[0] for dep in project["dependencies"]}
+    assert third_party == declared
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, fockforge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def _load_tracing():
