@@ -26,6 +26,7 @@ error, 3 infeasible optimization, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import math
 import sys
@@ -143,18 +144,22 @@ def _token_columns(raw: str):
     return cols
 
 
-def _parse_number(tok: str, line: int, col: int, kind: str = "number") -> float:
+def _parse_number(tok: str, line: int, col: int, kind: str = "number", parse=float):
+    # float() and complex() also read digit-group underscores and non-ASCII
+    # digits, which the decimal grammar does not have
     try:
-        v = float(tok)
+        if not tok.isascii() or "_" in tok:
+            raise ValueError
+        v = parse(tok)
     except ValueError:
         raise CircuitError(line, col, f"expected {kind}, got {tok!r}") from None
-    if not math.isfinite(v):
+    if not cmath.isfinite(v):
         raise CircuitError(line, col, f"{kind} must be finite")
     return v
 
 
 def _parse_count(tok: str, line: int, col: int, kind: str) -> int:
-    if not tok.isdigit():
+    if not (tok.isascii() and tok.isdigit()):
         raise CircuitError(line, col, f"expected {kind}, got {tok!r}")
     return int(tok)
 
@@ -812,13 +817,6 @@ def _cmd_verify(args) -> int:
     raise ValueError("verify needs --prop or --appendix")
 
 
-def _parse_complex_token(tok: str, line: int, col: int) -> complex:
-    try:
-        return complex(tok)
-    except ValueError:
-        raise CircuitError(line, col, f"expected a complex number, got {tok!r}") from None
-
-
 def _cmd_perm(args) -> int:
     text = _read_text(args.matrix)
     rows = []
@@ -827,7 +825,7 @@ def _cmd_perm(args) -> int:
         toks = _token_columns(stripped)
         if not toks:
             continue
-        rows.append([_parse_complex_token(t, ln, c) for (t, c) in toks])
+        rows.append([_parse_number(t, ln, c, "complex number", complex) for (t, c) in toks])
     if not rows:
         raise CircuitError(1, 1, "matrix file is empty")
     width = len(rows[0])
@@ -839,17 +837,20 @@ def _cmd_perm(args) -> int:
     m = np.array(rows, dtype=complex)
     out = []
     method = args.method
-    if method in ("ryser", "both"):
-        v = permanent_ryser(m)
-        out.append(("ryser_re", _fmt(v.real)))
-        out.append(("ryser_im", _fmt(v.imag)))
-    if method in ("naive", "both"):
-        v2 = permanent_naive(m)
-        out.append(("naive_re", _fmt(v2.real)))
-        out.append(("naive_im", _fmt(v2.imag)))
-    if method == "both":
-        out.append(("difference", _fmt(abs(v - v2))))
-    sys.stdout.write(_rows_to_tsv(out))
+    # a permanent too large for a double is a numeric failure (exit 4)
+    with np.errstate(over="raise", invalid="raise"):
+        if method in ("ryser", "both"):
+            v = permanent_ryser(m)
+            out += [("ryser_re", v.real), ("ryser_im", v.imag)]
+        if method in ("naive", "both"):
+            v2 = permanent_naive(m)
+            out += [("naive_re", v2.real), ("naive_im", v2.imag)]
+        if method == "both":
+            out.append(("difference", abs(v - v2)))
+    # the Glynn sums are Python floats, which overflow to inf silently
+    if not all(math.isfinite(x) for _, x in out):
+        raise ArithmeticError("permanent is not finite")
+    sys.stdout.write(_rows_to_tsv((key, _fmt(x)) for key, x in out))
     return 0
 
 

@@ -16,7 +16,6 @@ operator and multiply across independent interferometer arms.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -1040,76 +1039,55 @@ class CnotSearchReport:
     evaluations: int
 
 
-def _product_slab_residual(phi, phi_prime, target, rng):
+def _slab_residuals(target, angles, starts):
     """Best scale-invariant residual of U(phi') (N1 x N2) U(phi) on the
-    qubit columns against the target slab, N1 and N2 free diagonal
-    single-mode operators, optimized by alternating least squares."""
-    left = cnot_basis_matrix(math.cos(phi_prime), math.sin(phi_prime))
-    right = cnot_basis_matrix(math.cos(phi), math.sin(phi))
-    # rank-one slabs: the middle operator weights basis element k by
-    # n1[a_k] * n2[b_k], so the slab is sum_k n1[a] n2[b] outer(L[:,k], R[k,:4])
-    slabs = [np.outer(left[:, k], right[k, :4]) for k in range(6)]
+    qubit columns against the target slab, per angle pair (phi, phi') of
+    `angles` (P, 2), N1 and N2 free diagonal single-mode operators,
+    optimized by alternating least squares from each N2 start of
+    `starts` (P, S, 3), all at once."""
+    left = np.array([cnot_basis_matrix(math.cos(pp), math.sin(pp)) for _, pp in angles])
+    right = np.array([cnot_basis_matrix(math.cos(p), math.sin(p)) for p, _ in angles])[:, :, :4]
+    # the middle operator weights basis element k by z_k = n1[a_k] n2[b_k],
+    # so the slab is sum_k z_k outer(L[:,k], R[k,:4]); L is unitary, so the
+    # six slabs are orthogonal: <T, A> = c.z and |A|^2 = sum_k g_k |z_k|^2
+    c = np.einsum("ij,pik,pkj->pk", target.conj(), left, right)[:, None, :]
+    g = np.einsum("pkj,pkj->pk", right, right.conj()).real[:, None, :]
+    a, b = np.array(_CNOT_BASIS).T
+
+    def solve_factor(fixed_other, fixed_levels, levels):
+        # the Gram matrix of the free factor is diagonal: x_l = conj(u_l) / h_l,
+        # with levels of negligible weight left at zero as a pseudo-inverse would
+        w = fixed_other[..., fixed_levels]
+        u = np.einsum("psk,kl->psl", c * w, np.eye(3)[levels])
+        h = np.einsum("psk,kl->psl", g * np.abs(w) ** 2, np.eye(3)[levels])
+        x = np.zeros_like(u)
+        np.divide(u.conj(), h, out=x, where=h > 1e-12 * h.max(axis=2, keepdims=True))
+        nx = np.linalg.norm(x, axis=2, keepdims=True)
+        return np.divide(x, nx, out=np.ones_like(x), where=nx > 0)
+
+    n2 = starts
+    for _ in range(40):
+        n1 = solve_factor(n2, b, a)
+        n2 = solve_factor(n1, a, b)
+    z = n1[..., a] * n2[..., b]
+    overlap = np.abs(np.sum(c * z, axis=2)) ** 2
+    na2 = np.sum(g * np.abs(z) ** 2, axis=2)
+    cosine = np.divide(overlap, na2, out=np.zeros_like(na2), where=na2 >= 1e-24)
     tnorm2 = float(np.linalg.norm(target) ** 2)
-
-    def cosine(n1, n2):
-        a = np.zeros((6, 4), dtype=complex)
-        for k, (ak, bk) in enumerate(_CNOT_BASIS):
-            a += n1[ak] * n2[bk] * slabs[k]
-        na2 = float(np.linalg.norm(a) ** 2)
-        if na2 < 1e-24:
-            return 0.0
-        return abs(complex(np.sum(target.conj() * a))) ** 2 / na2
-
-    def solve_factor(fixed_other, axis):
-        # residual is linear in this factor; maximize |c.x|^2 / x*G x
-        qs = []
-        for level in range(3):
-            qa = np.zeros((6, 4), dtype=complex)
-            for k, (ak, bk) in enumerate(_CNOT_BASIS):
-                idx = ak if axis == 0 else bk
-                other = bk if axis == 0 else ak
-                if idx == level:
-                    qa += fixed_other[other] * slabs[k]
-            qs.append(qa)
-        c = np.array([complex(np.sum(target.conj() * qa)) for qa in qs])
-        g = np.array(
-            [[complex(np.sum(qa.conj() * qb)) for qb in qs] for qa in qs]
-        )
-        x = np.linalg.pinv(g, rcond=1e-12) @ c.conj()
-        nx = np.linalg.norm(x)
-        return x / nx if nx > 0 else np.array([1.0, 1.0, 1.0], dtype=complex)
-
-    best = 0.0
-    for _ in range(3):
-        n1 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        n2 = rng.normal(size=3) + 1j * rng.normal(size=3)
-        rho_prev = -1.0
-        for _ in range(40):
-            n1 = solve_factor(n2, 0)
-            n2 = solve_factor(n1, 1)
-            rho = cosine(n1, n2)
-            if rho - rho_prev < 1e-14:
-                break
-            rho_prev = rho
-        best = max(best, cosine(n1, n2))
-    return math.sqrt(max(0.0, 1.0 - best / tnorm2))
+    return np.sqrt(np.maximum(0.0, 1.0 - cosine.max(axis=1) / tnorm2))
 
 
 def _slab_search(target, grid_size, restarts, seed):
     """Lowest residual over the angle grid, then over seeded random angle
-    pairs: ((residual, (phi, phi')), evaluations)."""
+    pairs, three random starts each: ((residual, (phi, phi')), evaluations)."""
     rng = np.random.default_rng(seed)
     axis = np.linspace(0.0, math.pi, grid_size)
-    grid = ((p, pp) for p in axis for pp in axis)
-    # drawn lazily, so each pair's draw precedes its evaluation's random
-    # starts in the seeded stream
-    drawn = (tuple(rng.uniform(0.0, math.pi, 2)) for _ in range(restarts))
-    best = (math.inf, (0.0, 0.0))
-    for angles in itertools.chain(grid, drawn):
-        res = _product_slab_residual(*angles, target, rng)
-        if res < best[0]:
-            best = (res, angles)
-    return best, grid_size**2 + restarts
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    angles = np.concatenate([grid, rng.uniform(0.0, math.pi, (restarts, 2))])
+    starts = rng.normal(size=(len(angles), 3, 3)) + 1j * rng.normal(size=(len(angles), 3, 3))
+    res = _slab_residuals(target, angles, starts)
+    best = int(np.argmin(res))
+    return (res[best], tuple(angles[best])), len(angles)
 
 
 def cnot_obstruction_search(grid_size: int = 13, restarts: int = 200, seed: int = 0) -> CnotSearchReport:
@@ -1120,8 +1098,13 @@ def cnot_obstruction_search(grid_size: int = 13, restarts: int = 200, seed: int 
     six-dimensional basis ((0,0),(1,0),(0,1),(1,1),(2,0),(0,2)) with
     real splitter angles on [0, pi] and free complex diagonal N's (the
     splitters' internal phases decompose into product-diagonal factors
-    the N's absorb).  For each angle pair the N's are solved by
-    alternating least squares, which is exact per factor; the angle grid
+    the N's absorb).  The middle operator weights basis element k by
+    z_k = N1[a_k] N2[b_k], and since U(phi') is unitary the six rank-one
+    slabs it weights are mutually orthogonal: the sandwich's overlap
+    with the target is c.z and its squared norm sum_k g_k |z_k|^2, two
+    6-vectors per angle pair.  So the N's are solved by alternating least
+    squares with diagonal Gram matrices, each factor update in closed
+    form, for every angle pair and random start at once; the angle grid
     plus seeded random angle pairs then bound the landscape.
     The residual is scale-invariant, so the controlled-z target - which
     the same sandwich family does reach - must come out at machine zero,

@@ -2,7 +2,10 @@
 
 Nothing here touches the permanent code: the lift oracle expands
 creation-operator polynomials monomial by monomial, which is slow but
-follows the definition directly.
+follows the definition directly.  The CNOT slab residual is alternating
+least squares over dense 6x4 slabs with pseudo-inverted Gram matrices,
+one angle pair at a time, the route the batched closed-form scan
+replaced.
 """
 
 import math
@@ -10,6 +13,7 @@ import math
 import numpy as np
 
 from fockforge.fock import FockBasis
+from fockforge.gates import _CNOT_BASIS, cnot_basis_matrix
 
 
 def lift_oracle(mode_matrix, basis: FockBasis) -> np.ndarray:
@@ -61,3 +65,58 @@ def permanent_expansion(m) -> complex:
     ones = tuple([1] * n)
     col = lift_oracle(a, basis)
     return complex(col[basis.index_of(ones), basis.index_of(ones)])
+
+
+def _product_slab_residual(phi, phi_prime, target, rng):
+    """Best scale-invariant residual of U(phi') (N1 x N2) U(phi) on the
+    qubit columns against the target slab, N1 and N2 free diagonal
+    single-mode operators, optimized by alternating least squares."""
+    left = cnot_basis_matrix(math.cos(phi_prime), math.sin(phi_prime))
+    right = cnot_basis_matrix(math.cos(phi), math.sin(phi))
+    # rank-one slabs: the middle operator weights basis element k by
+    # n1[a_k] * n2[b_k], so the slab is sum_k n1[a] n2[b] outer(L[:,k], R[k,:4])
+    slabs = [np.outer(left[:, k], right[k, :4]) for k in range(6)]
+    tnorm2 = float(np.linalg.norm(target) ** 2)
+
+    def cosine(n1, n2):
+        a = np.zeros((6, 4), dtype=complex)
+        for k, (ak, bk) in enumerate(_CNOT_BASIS):
+            a += n1[ak] * n2[bk] * slabs[k]
+        na2 = float(np.linalg.norm(a) ** 2)
+        if na2 < 1e-24:
+            return 0.0
+        return abs(complex(np.sum(target.conj() * a))) ** 2 / na2
+
+    def solve_factor(fixed_other, axis):
+        # residual is linear in this factor; maximize |c.x|^2 / x*G x
+        qs = []
+        for level in range(3):
+            qa = np.zeros((6, 4), dtype=complex)
+            for k, (ak, bk) in enumerate(_CNOT_BASIS):
+                idx = ak if axis == 0 else bk
+                other = bk if axis == 0 else ak
+                if idx == level:
+                    qa += fixed_other[other] * slabs[k]
+            qs.append(qa)
+        c = np.array([complex(np.sum(target.conj() * qa)) for qa in qs])
+        g = np.array(
+            [[complex(np.sum(qa.conj() * qb)) for qb in qs] for qa in qs]
+        )
+        x = np.linalg.pinv(g, rcond=1e-12) @ c.conj()
+        nx = np.linalg.norm(x)
+        return x / nx if nx > 0 else np.array([1.0, 1.0, 1.0], dtype=complex)
+
+    best = 0.0
+    for _ in range(3):
+        n1 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        n2 = rng.normal(size=3) + 1j * rng.normal(size=3)
+        rho_prev = -1.0
+        for _ in range(40):
+            n1 = solve_factor(n2, 0)
+            n2 = solve_factor(n1, 1)
+            rho = cosine(n1, n2)
+            if rho - rho_prev < 1e-14:
+                break
+            rho_prev = rho
+        best = max(best, cosine(n1, n2))
+    return math.sqrt(max(0.0, 1.0 - best / tnorm2))

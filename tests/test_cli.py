@@ -116,6 +116,8 @@ def test_detect_eta_serialization():
         ("modes 2\ninput squeezed 0 1\n", "unknown input kind", 2),
         ("modes 2\nphase 0\n", "usage", 2),
         ("modes 2\nbs 0 1 abc 0 0\n", "expected angle", 2),
+        ("modes ²\n", "expected mode count", 1),
+        ("modes 2\nbs 0 1 1_0 0 0\n", "expected angle", 2),
         ("", "missing modes", 1),
     ],
 )
@@ -652,6 +654,38 @@ def test_perm_rejects_non_square(tmp_path, capsys):
     path.write_text("1 2 3\n4 5 6\n")
     rc, _ = run(capsys, ["perm", str(path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "-infj", "1e400", "1_0"])
+@pytest.mark.parametrize("method", ["ryser", "naive", "both"])
+def test_perm_rejects_non_finite_or_non_decimal_entry(tmp_path, capsys, entry, method):
+    path = tmp_path / "m.txt"
+    path.write_text(f"1 1\n1 {entry}\n")
+    rc = main(["perm", str(path), "--method", method])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: line 2 column 3:")
+
+
+@pytest.mark.parametrize(
+    "text, method",
+    [
+        ("1e200 1e200\n1e200 1e200\n", "ryser"),
+        ("1e200 1e200\n1e200 1e200\n", "naive"),
+        ("1e200 1e200\n1e200 1e200\n", "both"),
+        # per = 1e305 is a double, but the kernel's Python-float sums overflow
+        ("".join(" ".join("2.610157215682544e+25" if i == j else "0" for j in range(12)) + "\n" for i in range(12)), "ryser"),
+    ],
+)
+def test_perm_overflow_is_exit_4(tmp_path, capsys, text, method):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    rc = main(["perm", str(path), "--method", method])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure:")
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from fockforge.gates import (
 )
 from fockforge.interferometer import BeamSplitterParams, compose
 from fockforge.optimizer import optimize_gate
+from oracles import _product_slab_residual
 
 SQRT2 = math.sqrt(2.0)
 
@@ -368,8 +369,44 @@ def test_cnot_basis_routes_agree():
         assert np.max(np.abs(a - b)) < 1e-10
 
 
-def test_cnot_search_reports_floor():
-    rep = cnot_obstruction_search()
+def _slab_target(pairs):
+    t = np.zeros((6, 4), dtype=complex)
+    for j, (i, v) in enumerate(pairs):
+        t[i, j] = v
+    return t
+
+
+@pytest.mark.parametrize(
+    "target, tolerance",
+    [
+        # CNOT: the sub-grid holds phi = pi/4, where one slab weight vanishes
+        (_slab_target([(0, 1), (1, 1), (3, 1), (2, 1)]), 1e-12),
+        # controlled-z: at phi = pi/2 the zero-weight cut must match the
+        # reference's pinv cut; the reference stops early, which leaves
+        # about 1e-8 on slowly converging pairs
+        (_slab_target([(0, 1), (1, 1), (2, 1), (3, -1)]), 1e-6),
+    ],
+    ids=["cnot", "cz"],
+)
+def test_slab_residuals_match_dense_reference(target, tolerance):
+    # the batched closed-form scan against the per-pair dense alternating
+    # least squares it replaced, from the same N2 starts
+    rng = np.random.default_rng(1)
+    axis = np.linspace(0.0, math.pi, 5)
+    grid = [(p, pp) for p in axis for pp in axis]
+    angles = np.concatenate([grid, rng.uniform(0.0, math.pi, (10, 2))])
+    state = rng.bit_generator.state
+    reference = [_product_slab_residual(p, pp, target, rng) for p, pp in angles]
+    # the reference draws N1 then N2 per start, real parts before imaginary
+    rng.bit_generator.state = state
+    draws = rng.normal(size=(len(angles), 3, 4, 3))
+    batched = gates._slab_residuals(target, angles, draws[:, :, 2] + 1j * draws[:, :, 3])
+    assert np.max(np.abs(batched - reference)) < tolerance
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cnot_search_reports_floor(seed):
+    rep = cnot_obstruction_search(seed=seed)
     assert rep.control_residual < 1e-8
     assert rep.min_residual > 0.01
     assert not rep.contradiction_found

@@ -124,19 +124,21 @@ def test_search_is_bitwise_identical_across_blas_thread_counts():
     # which sets the default BLAS thread count
     import fockforge
 
-    code = (
+    codes = (
         "from fockforge import gates, optimizer\n"
         "r = optimizer.optimize_gate(gates.su3_objective(0.0, 3.141592653589793), 7, 4)\n"
-        "print(r.params.tobytes().hex(), r.evaluations)"
+        "print(r.params.tobytes().hex(), r.evaluations)",
+        "from fockforge import gates\nprint(repr(gates.cnot_obstruction_search()))",
     )
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-        env[THREADS_ENV] = "1"
-        env["PYTHONPATH"] = str(Path(fockforge.__file__).parents[1])
-        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        outputs.append(run.stdout)
-    assert outputs[0] == outputs[1]
+    for code in codes:
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            env[THREADS_ENV] = "1"
+            env["PYTHONPATH"] = str(Path(fockforge.__file__).parents[1])
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
 
 def test_search_trajectory_is_pinned():
