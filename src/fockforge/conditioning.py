@@ -37,7 +37,11 @@ from .fock import (
     TotalPhotonCutoff,
 )
 from .interferometer import ModeUnitary, random_unitary
-from .permanent import MAX_DIMENSION, PermanentSizeError, _gather, _per_flat
+from .permanent import MAX_DIMENSION, PermanentSizeError, _gather, _per_flat, _per_stack
+
+# Largest basis lift_unitary lifts: the dense lift holds dimension^2
+# amplitudes (16 MB at 1,000 states) and its tables walk as many pairs.
+MAX_LIFT_DIMENSION = 1000
 
 
 @dataclass(frozen=True)
@@ -133,9 +137,11 @@ class ConditionalExtractor:
     (PermanentSizeError).
 
     Building the tables costs a basis walk; each subsequent extraction per
-    candidate mode matrix is just entry gathering plus small permanents,
-    which is what makes optimizer loops over thousands of candidate
-    networks affordable.
+    candidate mode matrix is just entry gathering plus small permanents.
+    extract_stack extracts a whole stack of mode matrices at once, which is
+    what makes optimizer loops over thousands of candidate networks
+    affordable; the index arrays it needs are built on its first call, so
+    one-shot extractions never pay for them.
     """
 
     def __init__(self, mode_count: int, signal_modes, ancilla, det: DetectionSpec, signal_cutoff: int):
@@ -185,6 +191,7 @@ class ConditionalExtractor:
                         full_out = self._scatter(occ_out, det.counts)
                         entries.append((row, col) + _amplitude_entry(full_in, full_out, mode_count))
             self._parts.append((amp, entries))
+        self._stack_tables = None
 
     def _scatter(self, signal_occ, aux_occ):
         full = [0] * self.mode_count
@@ -214,6 +221,39 @@ class ConditionalExtractor:
                 out += part
         return out
 
+    def extract_stack(self, mode_matrices) -> np.ndarray:
+        """extract_matrix of each matrix in a (B, N, N) stack: (B, d, d).
+
+        Entries are grouped by permanent size across the ancilla
+        components, and each group is one stacked permanent evaluation.
+        """
+        m = np.asarray(mode_matrices, dtype=complex)
+        if m.ndim != 3 or m.shape[1:] != (self.mode_count, self.mode_count):
+            raise ValueError("mode matrix stack dimension mismatch")
+        if self._stack_tables is None:
+            self._stack_tables = self._group_by_size()
+        flat = m.reshape(len(m), -1)
+        dim = self.signal_basis.dimension
+        out = np.zeros((len(m), dim * dim), dtype=complex)
+        for k, gather, weight, target in self._stack_tables:
+            np.add.at(out, (slice(None), target), _per_stack(flat[:, gather], k) * weight)
+        return out.reshape(len(m), dim, dim)
+
+    def _group_by_size(self):
+        """(size, gather indices (E, size^2), amplitude / norm (E,), flat
+        destination (E,)) for each permanent size among the entries."""
+        dim = self.signal_basis.dimension
+        groups = {}
+        for amp, entries in self._parts:
+            for row, col, gather, k, norm in entries:
+                groups.setdefault(k, []).append((gather, amp / norm, row * dim + col))
+        tables = []
+        for k, items in sorted(groups.items()):
+            gathers, weights, targets = zip(*items)
+            gathers = np.array(gathers, dtype=np.intp).reshape(len(items), k * k)
+            tables.append((k, gathers, np.array(weights, dtype=complex), np.array(targets)))
+        return tables
+
 
 def lift_unitary(u, basis: FockBasis) -> FockOperator:
     """Full Fock-space matrix of a lifted mode unitary: the conditional
@@ -223,7 +263,8 @@ def lift_unitary(u, basis: FockBasis) -> FockOperator:
     photon number and such a basis holds every state of each sector it
     admits.  A per-mode cutoff would chop sectors open (|2,1> evolves
     partly into |3,0>) and the result would not be unitary, so those
-    bases are rejected instead of silently truncated.
+    bases are rejected instead of silently truncated.  So is a basis of
+    more than MAX_LIFT_DIMENSION states, before anything is allocated.
     """
     m = _as_matrix(u)
     n = m.shape[0]
@@ -234,6 +275,8 @@ def lift_unitary(u, basis: FockBasis) -> FockOperator:
             "unitary lift needs a total-photon basis; per-mode cutoffs "
             "truncate photon-number sectors"
         )
+    if basis.dimension > MAX_LIFT_DIMENSION:
+        raise ValueError(f"basis dimension {basis.dimension} is above the lift's limit of {MAX_LIFT_DIMENSION}")
     ex = ConditionalExtractor(n, range(n), AncillaSpec(()), DetectionSpec(()), basis.policy.max_total)
     return FockOperator(basis, ex.extract_matrix(m))
 

@@ -15,6 +15,15 @@ thread count, and everything is deterministic for a fixed (objective,
 seed, restarts) triple, also under parallel restarts: restart seeds are
 spawned from the master seed by counter, and results are merged by a
 fixed ordering rule.
+
+Every network evaluation runs on a stack of parameter vectors: they are
+decoded straight into mode matrices (mesh_matrices) and extracted
+together (ConditionalExtractor.extract_stack).  A forward-difference
+Jacobian is one stacked evaluation of all its columns, and a line-search
+trial is a stack of one.  Each column still counts as one evaluation
+against the budgets.  The stacked arithmetic is elementwise, with every
+reduction in a fixed order, so a row's result does not depend on the
+rest of its stack.
 """
 
 from __future__ import annotations
@@ -27,7 +36,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditioning import ConditionalExtractor, DetectionSpec
-from .interferometer import BeamSplitterParams, NetworkDescription, PhaseShifterParams, compose
+from .interferometer import BeamSplitterParams, NetworkDescription, PhaseShifterParams
+from .permanent import _ordered_sum
+
+# unused here: imported only so that perfbench/tracing.py's WRAPPED names resolve
+from .interferometer import compose  # noqa: F401
 
 FEASIBLE_RESIDUAL = 1e-6
 # With the overall scale free, the all-zero operator satisfies every
@@ -72,10 +85,53 @@ def network_from_params(params, mode_count: int) -> NetworkDescription:
         raise ValueError(f"expected {2 * k + mode_count} parameters for {mode_count} modes")
     thetas, phases, diag = p[:k], p[k : 2 * k], p[2 * k :]
     elements = [PhaseShifterParams(i, float(diag[i])) for i in range(mode_count)]
-    pairs = [(row - 1, row) for col in range(mode_count - 1) for row in range(mode_count - 1, col, -1)]
+    pairs = _mesh_pairs(mode_count)
     for idx in range(k - 1, -1, -1):
         elements.append(BeamSplitterParams(*pairs[idx], float(thetas[idx]), float(phases[idx]), math.pi))
     return NetworkDescription(mode_count, tuple(elements))
+
+
+def _mesh_pairs(mode_count: int) -> list:
+    """Adjacent mode pairs of the template's splitters, in parameter order;
+    the splitters act last parameter first."""
+    return [(row - 1, row) for col in range(mode_count - 1) for row in range(mode_count - 1, col, -1)]
+
+
+def mesh_matrices(stack, mode_count: int) -> np.ndarray:
+    """Mode matrices (B, N, N) of a (B, N*N) stack of parameter vectors.
+
+    Row b is compose(network_from_params(stack[b])), decoded without
+    element objects: the diagonal phases, then one vectorised 2x2 row
+    update per splitter.  A splitter of angle theta and internal phase
+    phi is [[T, R], [-R*, T*]] with T = cos(theta) e^{i phi} and R =
+    -sin(theta), equal to the element the canonicalization folds any
+    angle into.  Raises ValueError on a non-finite parameter, which would
+    give a non-finite entry, and, as ModeUnitary does, on a matrix not
+    unitary to 1e-10.
+    """
+    n = mode_count
+    k = n * (n - 1) // 2
+    p = np.asarray(stack, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 2 * k + n:
+        raise ValueError(f"expected a stack of {2 * k + n} parameters for {n} modes")
+    if not np.isfinite(p).all():
+        raise ValueError("non-finite parameter")
+    # m[i] holds row i of every matrix, and each splitter's coefficients are
+    # repeated along the rows they multiply, so every update is between
+    # complex arrays of one shape
+    t = np.repeat((np.cos(p[:, :k]) * np.exp(1j * p[:, k : 2 * k])).T[:, :, None], n, axis=2)
+    r = np.repeat(np.sin(p[:, :k]).T[:, :, None] + 0j, n, axis=2)
+    m = np.zeros((n, len(p), n), dtype=complex)
+    for i, phase in enumerate(np.exp(1j * p[:, 2 * k :]).T):
+        m[i, :, i] = phase
+    for idx, (a, b) in reversed(list(enumerate(_mesh_pairs(n)))):
+        row_a, row_b = m[a], m[b]
+        m[a], m[b] = t[idx] * row_a - r[idx] * row_b, r[idx] * row_a + t[idx].conj() * row_b
+    m = m.transpose(1, 0, 2)
+    dev = float(np.max(np.abs(np.einsum("bij,bkj->bik", m, m.conj()) - np.eye(n)), initial=0.0))
+    if dev > 1e-10:
+        raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
+    return m
 
 
 @dataclass(frozen=True)
@@ -124,57 +180,66 @@ class Objective:
                 raise ValueError("weights must be non-negative with at least one positive")
             cons.append((x, y, bool(free), w))
         object.__setattr__(self, "constraints", tuple(cons))
-        # constant terms of _fit_scale and _evaluate, with their exact arithmetic
+        # constant terms of _fit_scale and _evaluate
         norms = tuple(float(np.vdot(w * y, w * y).real) for _, y, _, w in cons)
         if max(norms) <= 1e-24:
             raise ValueError("all constraint targets are zero")
-        object.__setattr__(self, "_weighted_targets", tuple((1.0 + 0j) * w * y for _, y, _, w in cons))
         object.__setattr__(self, "_target_norms", norms)
         object.__setattr__(self, "_scale_denominator", sum(norms))
         object.__setattr__(self, "_phase_free", any(free for _, _, free, _ in cons))
         extractor = ConditionalExtractor(self.mode_count, self.signal_modes, self.ancilla, self.detection, self.signal_cutoff)
         object.__setattr__(self, "_extractor", extractor)
+        dim = extractor.signal_basis.dimension
+        if any(len(x) != dim for x, _, _, _ in cons):
+            raise ValueError(f"constraint vectors must have the signal basis dimension {dim}")
+        # the constraints as (K, d) arrays, and which tuples are phase-free
+        object.__setattr__(self, "_inputs", np.array([x for x, _, _, _ in cons]))
+        object.__setattr__(self, "_weights", np.array([w for _, _, _, w in cons]))
+        object.__setattr__(self, "_weighted_targets", np.array([(1.0 + 0j) * w * y for _, y, _, w in cons]))
+        object.__setattr__(self, "_free", np.array([free for _, _, free, _ in cons]))
 
     def extractor(self):
         return self._extractor
 
 
-def _fit_scale(outputs, objective):
-    """Common scale s (and per-tuple phases where allowed) minimizing
-    sum_k ||w_k (o_k - s e^{i chi_k} y_k)||^2 by coordinate descent.
-    Without phase_free tuples the first pass is already exact."""
-    cons = objective.constraints
-    phases = [1.0 + 0j] * len(cons)
-    targets = list(objective._weighted_targets)
-    weighted = [w * o for (_, _, _, w), o in zip(cons, outputs)]
-    s = 0j
+def _fit_scale(weighted, objective):
+    """Common scale s (B,) and per-tuple phases e^{i chi_k} (B, K)
+    minimizing sum_k ||w_k o_k - s e^{i chi_k} w_k y_k||^2 for each row of
+    weighted outputs w_k o_k (B, K, d), by coordinate descent.  A row stops
+    updating once its scale moves by less than 1e-15, so it gets the result
+    it would get alone.  Without phase_free tuples the first pass is
+    already exact."""
+    overlaps = _ordered_sum(objective._weighted_targets.conj() * weighted)  # <w_k y_k, w_k o_k>
+    phases = np.ones(overlaps.shape, dtype=complex)
+    if not objective._phase_free:
+        return _ordered_sum(overlaps) / objective._scale_denominator, phases
+    s = np.zeros(len(weighted), dtype=complex)
+    active = np.ones(len(weighted), dtype=bool)
     for _ in range(20 if objective._phase_free else 1):
-        s_new = sum((np.vdot(wy, wo) for wy, wo in zip(targets, weighted)), 0j) / objective._scale_denominator
-        changed, s = abs(s_new - s), s_new
-        if abs(s) > 0:
-            for i, (x, y, free, w) in enumerate(cons):
-                if free:
-                    ip = np.vdot(s * w * y, weighted[i])
-                    if abs(ip) > 0:
-                        phases[i] = ip / abs(ip)
-                        targets[i] = phases[i] * w * y
-        if changed < 1e-15:
+        s_new = _ordered_sum(phases.conj() * overlaps) / objective._scale_denominator
+        changed = np.abs(s_new - s)
+        s = np.where(active, s_new, s)
+        inner = s.conj()[:, None] * overlaps  # <s w_k y_k, w_k o_k>
+        size = np.abs(inner)
+        turn = active[:, None] & objective._free & (size > 0)
+        phases = np.where(turn, inner / np.where(turn, size, 1.0), phases)
+        active &= changed >= 1e-15
+        if not active.any():
             break
     return s, phases
 
 
-def _fit(params, objective):
-    """Weighted output norms ||w_k o_k||^2 of the template network, the
-    fitted scale s, and the weighted deviation w_k (o_k - s e^{i chi_k} y_k)
-    stacked over the constraints, real parts then imaginary parts."""
-    lam = compose(network_from_params(params, objective.mode_count))
-    y_op = objective.extractor().extract_matrix(lam.matrix)
-    outputs = [y_op @ x for x, _, _, _ in objective.constraints]
-    s, phases = _fit_scale(outputs, objective)
-    weighted = [w * o for (_, _, _, w), o in zip(objective.constraints, outputs)]
-    deviation = np.concatenate([wo - s * ph * wy for wo, ph, wy in zip(weighted, phases, objective._weighted_targets)])
-    norms = np.array([np.vdot(wo, wo).real for wo in weighted])
-    return norms, s, np.concatenate([deviation.real, deviation.imag])
+def _fit(stack, objective):
+    """For each row of a (B, N*N) parameter stack: the weighted output
+    norms ||w_k o_k||^2 (B, K), the fitted scale s (B,), and the weighted
+    deviation w_k (o_k - s e^{i chi_k} y_k) stacked over the constraints,
+    real parts then imaginary parts (B, 2 K d)."""
+    y_ops = objective.extractor().extract_stack(mesh_matrices(stack, objective.mode_count))
+    weighted = objective._weights * _ordered_sum(y_ops[:, None] * objective._inputs[:, None, :])
+    s, phases = _fit_scale(weighted, objective)
+    deviation = (weighted - (s[:, None] * phases)[:, :, None] * objective._weighted_targets).reshape(len(weighted), -1)
+    norms = _ordered_sum(weighted.real**2 + weighted.imag**2)
+    return norms, s, np.concatenate([deviation.real, deviation.imag], axis=1)
 
 
 def _evaluate(params, objective):
@@ -183,7 +248,7 @@ def _evaluate(params, objective):
     Both are computed in the weighted norm, so with non-unit weights the
     probability is a ranking proxy for the search; report the physical
     number from the finished gate, not from here."""
-    norms, _, deviation = _fit(params, objective)
+    (norms,), _, (deviation,) = _fit(np.asarray(params, dtype=float)[None], objective)
     targets = np.array(objective._target_norms)
     live = targets > 1e-24  # Objective holds at least one such target
     return float(deviation @ deviation), float(np.min(norms[live] / targets[live]))
@@ -209,9 +274,11 @@ class OptimizationResult:
 
 
 def _jacobian(fun, x, value):
-    """Forward differences of fun at x, where fun(x) is value."""
+    """Forward differences at x of fun, which maps a stack of points to a
+    stack of values, where fun(x[None]) is value[None]: every column from
+    one call on x + diag(steps)."""
     steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
-    return np.column_stack([(fun(x + h * e) - value) / h for h, e in zip(steps, np.eye(len(x)))])
+    return ((fun(x + np.diag(steps)) - value) / steps[:, None]).T
 
 
 def _feasibility(objective, x, budget):
@@ -223,20 +290,21 @@ def _feasibility(objective, x, budget):
     floor = TRIVIAL_PROBABILITY * objective._scale_denominator
     count = 0
 
-    def relative(x):
+    def relative(stack):
         nonlocal count
-        count += 1
-        norms, _, deviation = _fit(x, objective)
-        return deviation / math.sqrt(max(norms.sum(), floor)), norms.sum() <= floor
+        count += len(stack)
+        norms, _, deviation = _fit(stack, objective)
+        total = _ordered_sum(norms)
+        return deviation / np.sqrt(np.maximum(total, floor))[:, None], total <= floor
 
-    r, done = relative(x)
+    (r,), (done,) = relative(x[None])
     damping = 1e-3
     while not done and r @ r > 1e-28 and damping < 1e12 and count + len(x) < budget:
-        jac = _jacobian(lambda x: relative(x)[0], x, r)
+        jac = _jacobian(lambda stack: relative(stack)[0], x, r)
         grad, normal = jac.T @ r, jac.T @ jac
         while damping < 1e12 and count < budget:
             trial = x - np.linalg.lstsq(normal + damping * np.eye(len(x)), grad)[0]
-            r_trial, collapsed = relative(trial)
+            (r_trial,), (collapsed,) = relative(trial[None])
             if r_trial @ r_trial < r @ r:
                 # a step that gains less than 0.1% marks a local minimum
                 done = collapsed or r @ r - r_trial @ r_trial <= 1e-3 * (r @ r)
@@ -256,19 +324,23 @@ def _raise_probability(objective, x0):
     thread count."""
     count = 0
 
-    def f(x):
+    def f(stack):
         nonlocal count
-        count += 1
-        _, s, deviation = _fit(x, objective)
-        return np.append(deviation, abs(s) ** 2)
+        count += len(stack)
+        _, s, deviation = _fit(stack, objective)
+        return np.concatenate([deviation, np.abs(s)[:, None] ** 2], axis=1)
 
-    value = f(x0)
+    (value,) = f(x0[None])
     jac = _jacobian(f, x0, value)
     u, sigma, _ = np.linalg.svd(jac[:-1], full_matrices=False)
     # rows from here on: the held deviation, then -|s|^2
     basis = u[:, sigma > 1e-3 * sigma[0]].T
     project = np.zeros((len(basis) + 1, len(value)))
     project[:-1, :-1], project[-1, -1] = basis, -1.0
+
+    def projected(stack):
+        return _ordered_sum(f(stack)[:, None, :] * project)  # project @ f(x) for each row
+
     x, value, jac = x0, project @ value, project @ jac
     held = len(value) - 1
     hessian, weight = np.eye(len(x)), 0.0
@@ -281,13 +353,13 @@ def _raise_probability(objective, x0):
         violation = weight * np.abs(value[:-1]).sum()
         merit, slope = value[-1] + violation, jac[-1] @ step - violation
         for _ in range(10):
-            trial = project @ f(x + step)
+            (trial,) = projected((x + step)[None])
             if trial[-1] + weight * np.abs(trial[:-1]).sum() <= merit + 0.1 * min(slope, 0.0):
                 break
             step = 0.5 * step
         else:
             break
-        trial_jac = _jacobian(lambda x: project @ f(x), x + step, trial)
+        trial_jac = _jacobian(projected, x + step, trial)
         change, curved = (trial_jac - jac).T @ lagrange, step @ hessian @ step
         if step @ change < 0.2 * curved:  # Powell's damping keeps the model positive definite
             mix = 0.8 * curved / (curved - step @ change)

@@ -30,6 +30,15 @@ _BLOCK_ROWS = 10
 _SIGNS = np.ones((MAX_DIMENSION, 1 << _BLOCK_ROWS), dtype=complex)
 _SIGNS[1:1 + _BLOCK_ROWS] -= 2.0 * ((np.arange(1 << _BLOCK_ROWS) >> np.arange(_BLOCK_ROWS)[:, None]) & 1)
 _SIGN_PRODUCTS = _SIGNS.prod(axis=0)
+# Row-major positions (i, s(i)) of every permutation s of range(n), n <= 4.
+_EXPANSIONS = [
+    np.array([[i * n + j for i, j in enumerate(s)] for s in itertools.permutations(range(n))], dtype=np.intp)
+    .reshape(math.factorial(n), n)
+    for n in range(5)
+]
+# Above this size a stacked permanent runs the kernel matrix by matrix: the
+# all-at-once sum holds 2^(n-1) n terms per matrix.
+_STACK_GLYNN_MAX = 6
 
 
 class PermanentSizeError(ValueError):
@@ -99,6 +108,48 @@ def _glynn(a: list[complex], n: int) -> complex:
     return complex(s_re + c_re, s_im + c_im) / (1 << (n - 1))
 
 
+def _ordered_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in index order.
+
+    numpy's sum and prod reductions pick their loop, and with it the
+    association order and whether a complex product is fused, from the
+    array's shape, so a row's result could change with the stack around
+    it.  A cumulative sum is sequential by definition, and elementwise
+    operations act on every element alike.
+    """
+    return a.cumsum(axis=-1)[..., -1]
+
+
+def _per_stack(blocks: np.ndarray, n: int) -> np.ndarray:
+    """Permanents of a stack of n x n matrices, blocks[..., :] row-major.
+
+    Up to n = 4, the expansion over all n! permutations as one gather;
+    up to n = _STACK_GLYNN_MAX, Glynn's sum over every sign vector at once;
+    above that, the Glynn kernel one matrix at a time.  The sums are
+    plain, not compensated: this serves the search's stacked extractions.
+    Each matrix's permanent has the same bits in any stack.
+    """
+    if n > _STACK_GLYNN_MAX:
+        values = [_glynn(row.tolist(), n) for row in blocks.reshape(-1, n * n)]
+        return np.array(values, dtype=complex).reshape(blocks.shape[:-1])
+    if n <= 4:
+        # factors[..., p, i] is entry (i, s_p(i))
+        factors = blocks[..., _EXPANSIONS[n]]
+    else:
+        # factors[..., s, j] is sum_i d_i a_ij, sign vectors d with d_0 = +1
+        # built up one row at a time
+        m = blocks.reshape(*blocks.shape[:-1], n, n)
+        factors = m[..., :1, :]
+        for i in range(1, n):
+            factors = np.concatenate([factors + m[..., i : i + 1, :], factors - m[..., i : i + 1, :]], axis=-2)
+    terms = factors[..., 0] if n else np.ones(factors.shape[:-1], dtype=complex)
+    for j in range(1, n):
+        terms = terms * factors[..., j]
+    if n <= 4:
+        return _ordered_sum(terms)
+    return _ordered_sum(terms * _SIGN_PRODUCTS[: 1 << (n - 1)]) / (1 << (n - 1))
+
+
 def permanent_ryser(m) -> complex:
     """Permanent by the package's fast kernel.
 
@@ -109,11 +160,27 @@ def permanent_ryser(m) -> complex:
     Gaussian matrix took 0.03 s at n = 20, 2.5 s at n = 26, 11 s at
     n = 28 and 45 s at n = 30, with peak memory flat across those sizes.
     Dimensions above 30 are rejected.
+
+    The kernel's sums hold per(A) 2^(n-1), and none of its terms exceeds
+    2^(n-1) (n max|a_ij|)^n.  Where that bound could overflow, each row is
+    scaled by an exact power of two to a largest entry in [1/2, 1) and the
+    exponents are restored at the end, so the result is finite whenever
+    per(A) is a double; one beyond that range raises OverflowError.  Other
+    matrices are not scaled, and the conditional amplitudes, whose entries
+    are at most 1, never need it.
     """
     a = _as_square(m)
     n = a.shape[0]
     if n > MAX_DIMENSION:
         raise PermanentSizeError(f"dimension {n} exceeds the supported maximum {MAX_DIMENSION}")
+    if n and np.abs(a).max() > 2.0 ** ((1000 - n) / n) / n:
+        exponents = np.frexp(np.abs(a).max(axis=1))[1]
+        a = np.ldexp(a.real, -exponents[:, None]) + 1j * np.ldexp(a.imag, -exponents[:, None])
+        value, shift = _per_flat(list(a.ravel()), n), int(exponents.sum())
+        try:
+            return complex(math.ldexp(value.real, shift), math.ldexp(value.imag, shift))
+        except OverflowError:
+            raise OverflowError("permanent is beyond the double range") from None
     return _per_flat(list(a.ravel()), n)
 
 

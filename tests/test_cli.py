@@ -461,7 +461,9 @@ def test_optimize_feasible(capsys):
     assert abs(float(head["probability"]) - 0.25) < 1e-3
     assert float(head["residual"]) < 1e-6
     assert head["evaluations"] == "965"
-    assert head["restart_index"] == "2"
+    # restarts 1 and 2 both reach p = 1/4 within 1e-16, so the last bits
+    # of the evaluation pick the winner
+    assert head["restart_index"] == "1"
 
 
 def test_optimize_starved_budget_is_exit_3(capsys):
@@ -674,8 +676,6 @@ def test_perm_rejects_non_finite_or_non_decimal_entry(tmp_path, capsys, entry, m
         ("1e200 1e200\n1e200 1e200\n", "ryser"),
         ("1e200 1e200\n1e200 1e200\n", "naive"),
         ("1e200 1e200\n1e200 1e200\n", "both"),
-        # per = 1e305 is a double, but the kernel's Python-float sums overflow
-        ("".join(" ".join("2.610157215682544e+25" if i == j else "0" for j in range(12)) + "\n" for i in range(12)), "ryser"),
     ],
 )
 def test_perm_overflow_is_exit_4(tmp_path, capsys, text, method):
@@ -686,6 +686,17 @@ def test_perm_overflow_is_exit_4(tmp_path, capsys, text, method):
     assert rc == 4
     assert captured.out == ""
     assert captured.err.startswith("numeric failure:")
+
+
+def test_perm_near_the_double_range_is_printed(tmp_path, capsys):
+    # per = 1e305 is a double, though the kernel's sums hold per * 2^11
+    path = tmp_path / "m.txt"
+    path.write_text("".join(" ".join("2.610157215682544e+25" if i == j else "0" for j in range(12)) + "\n" for i in range(12)))
+    rc, out = run(capsys, ["perm", str(path), "--method", "ryser"])
+    assert rc == 0
+    head = kv(out)
+    assert abs(float(head["ryser_re"]) - 1e305) <= 1e-12 * 1e305
+    assert head["ryser_im"] == "0"
 
 
 # ---------------------------------------------------------------------------

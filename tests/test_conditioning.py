@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockforge.conditioning import (
+    MAX_LIFT_DIMENSION,
     AncillaSpec,
+    ConditionalExtractor,
     ConditionalOperator,
     DetectionSpec,
     extract_conditional_operator,
@@ -29,6 +31,9 @@ from fockforge.interferometer import (
     bs_matrix,
     random_unitary,
 )
+
+from fockforge.gates import _pauli_objective, nss_objective, su3_objective
+from fockforge.optimizer import mesh_matrices
 
 from oracles import lift_oracle
 
@@ -200,3 +205,56 @@ def test_lift_oracle_agreement_random_two_mode(seed):
     lift = lift_unitary(u, basis).matrix
     oracle = lift_oracle(u, basis)
     assert np.max(np.abs(lift - oracle)) < 1e-10
+
+
+def _extractors():
+    ladder = np.random.default_rng(5).standard_normal(9)
+    return {
+        "nss": nss_objective().extractor(),
+        "su3": su3_objective(0.0, np.pi).extractor(),
+        # nine superposed components, permanents of size 1 to 5
+        "pauli": _pauli_objective("x", tuple(ladder / np.linalg.norm(ladder))).extractor(),
+        # permanents of size 5 to 8: the all-at-once Glynn sum and the
+        # one-matrix kernel above it
+        "large": ConditionalExtractor(3, (0,), AncillaSpec((3, 2)), DetectionSpec((2, 1)), 5),
+    }
+
+
+@pytest.mark.parametrize("name", ["nss", "su3", "pauli", "large"])
+def test_extract_stack_matches_extract_matrix(name):
+    ex = _extractors()[name]
+    sizes = {k for _, entries in ex._parts for _, _, _, k, _ in entries}
+    if name == "large":
+        assert min(sizes) == 5 and max(sizes) == 8
+    stack = mesh_matrices(np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, (7, 9)), 3)
+    got = ex.extract_stack(stack)
+    assert got.shape == (7, ex.signal_basis.dimension, ex.signal_basis.dimension)
+    for m, y in zip(stack, got):
+        assert np.max(np.abs(y - ex.extract_matrix(m))) < 1e-14
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ex.extract_stack(stack[0])
+
+
+def test_one_shot_extractions_build_no_stacked_tables():
+    ex = _extractors()["nss"]
+    ex.extract_matrix(np.eye(3))
+    assert ex._stack_tables is None
+    ex.extract_stack(np.eye(3)[None])
+    assert ex._stack_tables is not None
+
+
+def test_lift_above_its_dimension_limit_allocates_nothing():
+    import tracemalloc
+
+    basis = FockBasis(10, TotalPhotonCutoff(4))
+    assert basis.dimension == MAX_LIFT_DIMENSION + 1
+    u = np.eye(10, dtype=complex)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limit of 1000"):
+            lift_unitary(u, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense lift alone would be dimension^2 complex amplitudes, 16 MB
+    assert peak < 1e6

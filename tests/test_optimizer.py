@@ -24,10 +24,12 @@ from fockforge.optimizer import (
     InfeasibleAtBudgetError,
     Objective,
     OptimizationResult,
+    _fit,
     _fit_scale,
     _run_restart,
     _worker_count,
     constraint_residual,
+    mesh_matrices,
     network_from_params,
     optimize_gate,
 )
@@ -145,7 +147,7 @@ def test_search_trajectory_is_pinned():
     # pinned evaluation count and winning restart: any change to the
     # arithmetic of one objective evaluation would move them
     result = optimize_gate(_identity_objective(), seed=9, restarts=3)
-    assert result.evaluations == 255
+    assert result.evaluations == 260
     assert result.restart_index == 2
 
 
@@ -237,9 +239,10 @@ def test_infeasible_restarts_keep_their_draw_budgets(monkeypatch):
     calls = [0]
     fit = optimizer._fit
 
-    def counting(params, objective):
-        calls[0] += 1
-        return fit(params, objective)
+    def counting(stack, objective):
+        # one stacked call evaluates every row: a whole Jacobian, or one trial
+        calls[0] += len(stack)
+        return fit(stack, objective)
 
     monkeypatch.setattr(optimizer, "_fit", counting)
     objective = Objective(
@@ -424,6 +427,45 @@ def test_network_from_params_rejects_nan_and_bad_length():
         network_from_params(np.zeros(8), 3)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_mesh_matrices_match_composed_networks(n):
+    # angles on both sides of [0, pi/2] exercise the splitter's
+    # canonicalization folds, which the stacked decoding never runs
+    rng = np.random.default_rng(n)
+    k = n * (n - 1) // 2
+    stack = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, (12, n * n))
+    stack[0, :k] = -0.3
+    stack[1, :k] = 2.5
+    folds = stack[:, :k]
+    assert (folds < 0).any() and (folds > np.pi / 2).any() and ((folds > 0) & (folds < np.pi / 2)).any()
+    got = mesh_matrices(stack, n)
+    for row, m in zip(stack, got):
+        assert np.max(np.abs(m - compose(network_from_params(row, n)).matrix)) < 1e-14
+
+
+def test_mesh_matrices_reject_nan_and_bad_shape():
+    stack = np.zeros((3, 9))
+    stack[2, 4] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        mesh_matrices(stack, 3)
+    with pytest.raises(ValueError):
+        mesh_matrices(np.zeros(9), 3)
+    with pytest.raises(ValueError):
+        mesh_matrices(np.zeros((2, 8)), 3)
+
+
+@pytest.mark.parametrize("objective", [nss_objective(), su3_objective(0.0, np.pi)], ids=["nss", "su3"])
+def test_stacked_fit_rows_equal_single_row_fits(objective):
+    # a Jacobian's columns are one stacked call and a line-search trial is
+    # a stack of one: both must give a point the same bits
+    stack = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, (10, 9))
+    together = _fit(stack, objective)
+    for row in range(len(stack)):
+        alone = _fit(stack[row : row + 1], objective)
+        for a, b in zip(together, alone):
+            assert np.array_equal(a[row], b[0])
+
+
 def _fit_scale_reference(outputs, objective):
     # reference: the plain coordinate-descent loop, which recomputes the
     # objective's constant terms on every pass
@@ -451,6 +493,10 @@ def _fit_scale_reference(outputs, objective):
 
 @pytest.mark.parametrize("free", [(False, False, False), (False, True, False), (True, True, True)])
 def test_fit_scale_matches_coordinate_descent(free):
+    # the stacked descent factors the overlaps <w y, w o> out of the loop,
+    # which moves the last bits: it must match the reference to a few
+    # rounding errors, and each row of a stack must equal its own
+    # single-row result bit for bit
     rng = np.random.default_rng(sum(free))
     weights = np.array([1.0, 0.5, 2.0])
     objective = Objective(
@@ -465,9 +511,14 @@ def test_fit_scale_matches_coordinate_descent(free):
             (E2[2], -E2[2] + 0.2 * E2[1], free[2]),
         ),
     )
-    for _ in range(25):
-        outputs = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(3)]
-        s, phases = _fit_scale(outputs, objective)
-        s_ref, phases_ref = _fit_scale_reference(outputs, objective)
-        assert s == s_ref
-        assert phases == phases_ref
+    outputs = rng.normal(size=(25, 3, 3)) + 1j * rng.normal(size=(25, 3, 3))
+    weighted = outputs * objective._weights
+    s, phases = _fit_scale(weighted, objective)
+    tol = 16 * np.finfo(float).eps
+    for row in range(len(outputs)):
+        s_ref, phases_ref = _fit_scale_reference(list(outputs[row]), objective)
+        assert abs(s[row] - s_ref) <= tol * abs(s_ref)
+        assert np.max(np.abs(phases[row] - phases_ref)) <= tol
+        (s_alone,), (phases_alone,) = _fit_scale(weighted[row : row + 1], objective)
+        assert s_alone == s[row]
+        assert np.array_equal(phases_alone, phases[row])

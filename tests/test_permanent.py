@@ -186,3 +186,19 @@ def test_transpose_invariance(n, seed):
     a = permanent_ryser(m)
     b = permanent_ryser(m.T)
     assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
+
+
+def test_kernel_reaches_the_double_range():
+    # the kernel's sums hold per * 2^(n-1); rows scaled by powers of two
+    # keep them finite wherever the permanent itself is a double
+    with np.errstate(over="raise", invalid="raise"):
+        v = permanent_ryser(np.eye(12) * 2.610157215682544e25)
+        assert abs(v - 1e305) <= 1e-12 * 1e305
+        # one row near the top of the range and the rest small: every
+        # unscaled term would overflow, the permanent does not
+        m = _random_complex(7, 3)
+        m[0] *= 1e300
+        m[1:] *= 1e-10
+        assert abs(permanent_ryser(m) - permanent_naive(m)) <= 1e-12 * abs(permanent_naive(m))
+    with pytest.raises(OverflowError, match="beyond the double range"):
+        permanent_ryser(np.eye(12) * 1e30)
