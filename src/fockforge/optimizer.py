@@ -205,27 +205,28 @@ class Objective:
 def _fit_scale(weighted, objective):
     """Common scale s (B,) and per-tuple phases e^{i chi_k} (B, K)
     minimizing sum_k ||w_k o_k - s e^{i chi_k} w_k y_k||^2 for each row of
-    weighted outputs w_k o_k (B, K, d), by coordinate descent.  A row stops
-    updating once its scale moves by less than 1e-15, so it gets the result
-    it would get alone.  Without phase_free tuples the first pass is
-    already exact."""
-    overlaps = _ordered_sum(objective._weighted_targets.conj() * weighted)  # <w_k y_k, w_k o_k>
-    phases = np.ones(overlaps.shape, dtype=complex)
-    if not objective._phase_free:
-        return _ordered_sum(overlaps) / objective._scale_denominator, phases
+    weighted outputs w_k o_k (B, K, d), by coordinate descent.  The rows
+    run one at a time through np.vdot, so each gets the bits it would get
+    alone.  Without phase_free tuples the first pass is already exact."""
+    cons = objective.constraints
     s = np.zeros(len(weighted), dtype=complex)
-    active = np.ones(len(weighted), dtype=bool)
-    for _ in range(20 if objective._phase_free else 1):
-        s_new = _ordered_sum(phases.conj() * overlaps) / objective._scale_denominator
-        changed = np.abs(s_new - s)
-        s = np.where(active, s_new, s)
-        inner = s.conj()[:, None] * overlaps  # <s w_k y_k, w_k o_k>
-        size = np.abs(inner)
-        turn = active[:, None] & objective._free & (size > 0)
-        phases = np.where(turn, inner / np.where(turn, size, 1.0), phases)
-        active &= changed >= 1e-15
-        if not active.any():
-            break
+    phases = np.ones(weighted.shape[:2], dtype=complex)
+    for row, outputs in enumerate(weighted):
+        targets = list(objective._weighted_targets)
+        s_row = 0j
+        for _ in range(20 if objective._phase_free else 1):
+            s_new = sum((np.vdot(wy, wo) for wy, wo in zip(targets, outputs)), 0j) / objective._scale_denominator
+            changed, s_row = abs(s_new - s_row), s_new
+            if abs(s_row) > 0:
+                for i, (_, y, free, w) in enumerate(cons):
+                    if free:
+                        ip = np.vdot(s_row * w * y, outputs[i])
+                        if abs(ip) > 0:
+                            phases[row, i] = ip / abs(ip)
+                            targets[i] = phases[row, i] * w * y
+            if changed < 1e-15:
+                break
+        s[row] = s_row
     return s, phases
 
 

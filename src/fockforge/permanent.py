@@ -13,6 +13,7 @@ test suite.  Do not merge them.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -161,27 +162,29 @@ def permanent_ryser(m) -> complex:
     n = 28 and 45 s at n = 30, with peak memory flat across those sizes.
     Dimensions above 30 are rejected.
 
-    The kernel's sums hold per(A) 2^(n-1), and none of its terms exceeds
-    2^(n-1) (n max|a_ij|)^n.  Where that bound could overflow, each row is
-    scaled by an exact power of two to a largest entry in [1/2, 1) and the
-    exponents are restored at the end, so the result is finite whenever
-    per(A) is a double; one beyond that range raises OverflowError.  Other
-    matrices are not scaled, and the conditional amplitudes, whose entries
-    are at most 1, never need it.
+    The kernel's sums hold per(A) 2^(n-1).  When they overflow, the
+    kernel runs again with each row scaled by an exact power of two to a
+    largest real or imaginary part in [1/2, 1), and the exponents are
+    restored at the end, so the result is finite whenever per(A) is a
+    double; one beyond that range raises OverflowError.  A matrix whose
+    first run is finite is never scaled.
     """
     a = _as_square(m)
     n = a.shape[0]
     if n > MAX_DIMENSION:
         raise PermanentSizeError(f"dimension {n} exceeds the supported maximum {MAX_DIMENSION}")
-    if n and np.abs(a).max() > 2.0 ** ((1000 - n) / n) / n:
-        exponents = np.frexp(np.abs(a).max(axis=1))[1]
-        a = np.ldexp(a.real, -exponents[:, None]) + 1j * np.ldexp(a.imag, -exponents[:, None])
-        value, shift = _per_flat(list(a.ravel()), n), int(exponents.sum())
-        try:
-            return complex(math.ldexp(value.real, shift), math.ldexp(value.imag, shift))
-        except OverflowError:
-            raise OverflowError("permanent is beyond the double range") from None
-    return _per_flat(list(a.ravel()), n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _per_flat(list(a.ravel()), n)
+    if cmath.isfinite(value) or not np.isfinite(a).all():
+        return value
+    top = np.maximum(np.abs(a.real), np.abs(a.imag)).max(axis=1)
+    exponents = np.frexp(top)[1][:, None]
+    scaled = np.ldexp(a.real, -exponents) + 1j * np.ldexp(a.imag, -exponents)
+    value, shift = _per_flat(list(scaled.ravel()), n), int(exponents.sum())
+    try:
+        return complex(math.ldexp(value.real, shift), math.ldexp(value.imag, shift))
+    except OverflowError:
+        raise OverflowError("permanent is beyond the double range") from None
 
 
 def permanent_naive(m) -> complex:

@@ -200,5 +200,10 @@ def test_kernel_reaches_the_double_range():
         m[0] *= 1e300
         m[1:] *= 1e-10
         assert abs(permanent_ryser(m) - permanent_naive(m)) <= 1e-12 * abs(permanent_naive(m))
+        # a first run that is finite stands: scaling this matrix's rows by
+        # their largest entries would flush 1e-300 to zero
+        assert permanent_ryser([[1e300, 1e-300], [1e300, 0.0]]) == 1.0
+        # an entry near the top of the range, whose modulus overflows
+        assert permanent_ryser([[1.7e308 + 1.7e308j]]) == 1.7e308 + 1.7e308j
     with pytest.raises(OverflowError, match="beyond the double range"):
         permanent_ryser(np.eye(12) * 1e30)
