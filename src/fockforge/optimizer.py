@@ -192,11 +192,10 @@ class Objective:
         dim = extractor.signal_basis.dimension
         if any(len(x) != dim for x, _, _, _ in cons):
             raise ValueError(f"constraint vectors must have the signal basis dimension {dim}")
-        # the constraints as (K, d) arrays, and which tuples are phase-free
+        # the constraints as (K, d) arrays
         object.__setattr__(self, "_inputs", np.array([x for x, _, _, _ in cons]))
         object.__setattr__(self, "_weights", np.array([w for _, _, _, w in cons]))
         object.__setattr__(self, "_weighted_targets", np.array([(1.0 + 0j) * w * y for _, y, _, w in cons]))
-        object.__setattr__(self, "_free", np.array([free for _, _, free, _ in cons]))
 
     def extractor(self):
         return self._extractor
