@@ -122,6 +122,17 @@ def _rows_to_tsv(rows) -> str:
     return "".join("\t".join(str(c) for c in row) + "\n" for row in rows)
 
 
+def _amplitude_rows(out_labels, in_labels, matrix) -> str:
+    """TSV rows (out, in, re, im) of a matrix's entries in _fmt's bytes;
+    adding 0.0 collapses negative zeros as _fmt does."""
+    z = np.asarray(matrix, dtype=complex) + 0.0
+    return "".join(
+        f"{o}\t{i}\t{re:.12g}\t{im:.12g}\n"
+        for o, row_re, row_im in zip(out_labels, z.real.tolist(), z.imag.tolist())
+        for i, re, im in zip(in_labels, row_re, row_im)
+    )
+
+
 def _occ_str(occ) -> str:
     return ",".join(str(n) for n in occ)
 
@@ -611,7 +622,7 @@ def _cmd_condition(args) -> int:
     # one write per output state: the dim^2 entries are never all in memory
     labels = [_occ_str(occ) for occ in cond.operator.basis.occupations]
     for oo, row in zip(labels, cond.operator.matrix):
-        sys.stdout.write(_rows_to_tsv((oo, oi, _fmt(v.real), _fmt(v.imag)) for oi, v in zip(labels, row)))
+        sys.stdout.write(_amplitude_rows((oo,), labels, row[None]))
     return 0
 
 
@@ -636,7 +647,7 @@ def _remap_input(spec, position):
 # non-circuit subcommands
 
 
-def _report_rows(name: str, report) -> list:
+def _report_rows(name: str, report) -> str:
     rows = [("gate", name)]
     rows.append(("residual", _fmt(report.residual)))
     rows.append(("success_probability", _fmt(report.success_probability)))
@@ -649,10 +660,7 @@ def _report_rows(name: str, report) -> list:
             rows.append((key, _fmt(val)))
     rows.append(("row", "col", "re", "im"))
     a = report.achieved
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            rows.append((str(i), str(j), _fmt(a[i, j].real), _fmt(a[i, j].imag)))
-    return rows
+    return _rows_to_tsv(rows) + _amplitude_rows(range(a.shape[0]), range(a.shape[1]), a)
 
 
 def _restarts(args, default: int) -> int:
@@ -680,9 +688,9 @@ GATES = {
 }
 
 
-def _gate_rows(name: str, out) -> list:
+def _gate_rows(name: str, out) -> str:
     if isinstance(out, gates.RalphCzReport):
-        return [
+        return _rows_to_tsv([
             ("gate", name),
             ("lambda11_analytic_re", _fmt(out.lambda11_analytic.real)),
             ("lambda11_optimized_re", _fmt(out.lambda11_optimized.real)),
@@ -690,9 +698,9 @@ def _gate_rows(name: str, out) -> list:
             ("max_success", _fmt(out.max_success)),
             ("constraint_residual_1", _fmt(out.constraint_residuals[0])),
             ("constraint_residual_2", _fmt(out.constraint_residuals[1])),
-        ]
+        ])
     if isinstance(out, gates.CnotSearchReport):
-        return [
+        return _rows_to_tsv([
             ("gate", name),
             ("min_residual", _fmt(out.min_residual)),
             ("control_residual", _fmt(out.control_residual)),
@@ -701,7 +709,7 @@ def _gate_rows(name: str, out) -> list:
             ("best_phi", _fmt(out.best_angles[0])),
             ("best_phi_prime", _fmt(out.best_angles[1])),
             ("evaluations", str(out.evaluations)),
-        ]
+        ])
     _, report = out
     return _report_rows(name, report)
 
@@ -717,7 +725,7 @@ def _cmd_gate(args) -> int:
         raise ValueError(f"unrecognized arguments for gate {label}: {' '.join(unread)}")
     _restarts(args, None)
     out = recipe(**given)
-    sys.stdout.write(_rows_to_tsv(_gate_rows(args.name, out)))
+    sys.stdout.write(_gate_rows(args.name, out))
     return 0
 
 
@@ -763,10 +771,7 @@ def _cmd_loss(args) -> int:
         ("row", "col", "re", "im"),
     ]
     m = rep.output.matrix
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            rows.append((str(i), str(j), _fmt(m[i, j].real), _fmt(m[i, j].imag)))
-    sys.stdout.write(_rows_to_tsv(rows))
+    sys.stdout.write(_rows_to_tsv(rows) + _amplitude_rows(range(m.shape[0]), range(m.shape[1]), m))
     return 0
 
 
@@ -949,10 +954,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -12,11 +12,10 @@ serves a Fock ancilla (AncillaSpec) and a superposed one (PureState),
 the amplitude-weighted sum of its Fock components.  Every Fock amplitude
 the package uses is such an entry: the unitary lift is the extraction
 with no ancilla, and an absorbing splitter's Kraus blocks are
-extractions from its dilation (see lossy).  ConditionalExtractor's
-gather tables are the one place that walks occupation pairs to fill
-them.  The tests cross-check these amplitudes against an independent
-oracle in tests/oracles.py, which expands them as multivariate
-polynomials in creation operators and never touches the permanent code.
+extractions from its dilation (see lossy), filled by ConditionalExtractor.
+The tests cross-check them against tests/oracles.py, which expands them as
+polynomials in creation operators without the permanent code, and which
+also keeps the per-entry loop, through the flat kernel, as a second route.
 
 Y is stored exactly as projected, sub-normalized.  Success probabilities
 then compose across interferometer arms by plain multiplication.
@@ -37,11 +36,13 @@ from .fock import (
     TotalPhotonCutoff,
 )
 from .interferometer import ModeUnitary, random_unitary
-from .permanent import MAX_DIMENSION, PermanentSizeError, _gather, _per_flat, _per_stack
+from .permanent import _STACK_CHUNK, MAX_DIMENSION, PermanentSizeError, _gather, _per_flat, _per_stack
 
 # Largest basis lift_unitary lifts: the dense lift holds dimension^2
-# amplitudes (16 MB at 1,000 states) and its tables walk as many pairs.
+# amplitudes (16 MB at 1,000 states) and evaluates as many permanents.
 MAX_LIFT_DIMENSION = 1000
+# exact integers: a product of factorials is rounded once, to a float
+_FACTORIALS = np.array([math.factorial(n) for n in range(MAX_DIMENSION + 1)], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -104,44 +105,37 @@ def fock_lift_amplitude(u, input_occ, output_occ) -> complex:
         raise ValueError("occupations must be non-negative")
     if sum(n_in) != sum(n_out):
         return 0j
-    gather, k, norm = _amplitude_entry(n_in, n_out, m.shape[0])
+    size = _checked_size(sum(n_out))
+    norm = math.sqrt(math.prod(math.factorial(x) for x in n_in + n_out))
     flat = m.ravel().tolist()
-    return complex(_per_flat([flat[g] for g in gather], k)) / norm
+    return complex(_per_flat([flat[g] for g in _gather(n_out, n_in, m.shape[0])], size)) / norm
 
 
-def _amplitude_entry(occ_in, occ_out, n: int):
-    """Gather indices into a row-major n-mode matrix, permanent size and
-    factorial norm of <occ_out| U |occ_in>, for equal photon totals."""
-    size = sum(occ_out)
+def _checked_size(size: int) -> int:
     if size > MAX_DIMENSION:
-        raise PermanentSizeError(
-            f"{size} photons need a permanent of dimension {size}, above the supported maximum {MAX_DIMENSION}"
-        )
-    norm = math.sqrt(
-        math.prod(math.factorial(x) for x in occ_in)
-        * math.prod(math.factorial(x) for x in occ_out)
-    )
-    return _gather(occ_out, occ_in, n), size, norm
+        raise PermanentSizeError(f"{size} photons need a permanent of dimension {size}, above the supported maximum {MAX_DIMENSION}")
+    return size
 
 
 class ConditionalExtractor:
-    """Precomputed gather tables for one (network shape, ancilla, detection,
+    """Extraction tables for one (network shape, ancilla, detection,
     cutoff) combination.
 
     The ancilla is an AncillaSpec (one Fock component of amplitude 1) or a
-    PureState on the auxiliary modes (one table per nonzero amplitude,
-    weighted and summed).  Only exactly-zero components are left out; one
-    whose photon surplus cannot fit under the cutoff is rejected rather
-    than silently dropped, so crop the state first if its tail may go.
-    So is any entry whose permanent would exceed permanent.MAX_DIMENSION
-    (PermanentSizeError).
+    PureState on the auxiliary modes (its nonzero components extracted
+    together, weighted and summed).  Only exactly-zero components are
+    left out; one whose photon surplus cannot fit under the cutoff is
+    rejected rather than silently dropped, so crop the state first if its
+    tail may go.  So is any entry whose permanent would exceed
+    permanent.MAX_DIMENSION (PermanentSizeError).
 
-    Building the tables costs a basis walk; each subsequent extraction per
-    candidate mode matrix is just entry gathering plus small permanents.
-    extract_stack extracts a whole stack of mode matrices at once, which is
-    what makes optimizer loops over thousands of candidate networks
-    affordable; the index arrays it needs are built on its first call, so
-    one-shot extractions never pay for them.
+    Entries are grouped by permanent size k, which fixes the output
+    sector and each component's input sector.  A size stores only the
+    expanded modes of its output rows and input columns (row i of an
+    entry's matrix is the mode of the i-th output photon, column j that of
+    the j-th input photon); every extraction, one-shot or of a stack of
+    mode matrices, gathers the blocks a chunk of rows at a time and
+    evaluates them as stacked permanents.
     """
 
     def __init__(self, mode_count: int, signal_modes, ancilla, det: DetectionSpec, signal_cutoff: int):
@@ -178,81 +172,69 @@ class ConditionalExtractor:
                 f"signal cutoff {signal_cutoff} cannot hold the {imbalance} photons "
                 "added by the ancilla/detection imbalance"
             )
-        occs = self.signal_basis.occupations
-        # (amplitude, one gather table per matrix entry in the conserving sector)
-        self._parts = []
-        for amp, counts in components:
-            entries = []
-            for col, occ_in in enumerate(occs):
-                in_total = sum(occ_in) + sum(counts)
-                full_in = self._scatter(occ_in, counts)
-                for row, occ_out in enumerate(occs):
-                    if sum(occ_out) + det.total == in_total:
-                        full_out = self._scatter(occ_out, det.counts)
-                        entries.append((row, col) + _amplitude_entry(full_in, full_out, mode_count))
-            self._parts.append((amp, entries))
-        self._stack_tables = None
+        occs = np.array(self.signal_basis.occupations, dtype=np.intp).reshape(self.signal_basis.dimension, len(signal))
+        totals = occs.sum(axis=1)
+        # components feeding size k, from their input sector k - (ancilla photons)
+        feeds = {}
+        for c, (_, counts) in enumerate(components):
+            for t in range(signal_cutoff + 1):
+                if 0 <= t + sum(counts) - det.total <= signal_cutoff:
+                    feeds.setdefault(_checked_size(t + sum(counts)), []).append(c)
+        self._amplitudes = [amp for amp, _ in components]
+        # factorial products of the full occupations of rows (d, 1) and columns (C, 1, d)
+        self._out_fact = np.ones((len(occs), 1))
+        self._in_fact = np.ones((len(components), 1, len(occs)))
+        # per size: (size, rows, their modes (S_out, 1, size, 1), columns, their modes
+        # (1, S_in, 1, size)), rows and columns offsets into the flat (C, d, d) parts
+        self._sectors = []
+        for k in sorted(feeds):
+            rows = np.flatnonzero(totals == k - det.total)
+            out_modes, self._out_fact[rows, 0] = self._expand(occs[rows], det.counts)
+            cols, in_modes = [], []
+            for c in feeds[k]:
+                col = np.flatnonzero(totals == k - sum(components[c][1]))
+                modes, self._in_fact[c, 0, col] = self._expand(occs[col], components[c][1])
+                cols.append(c * len(occs) ** 2 + col)
+                in_modes.append(modes)
+            in_modes = np.concatenate(in_modes)[None, :, None, :]
+            self._sectors.append((k, rows * len(occs), out_modes[:, None, :, None], np.concatenate(cols), in_modes))
 
-    def _scatter(self, signal_occ, aux_occ):
-        full = [0] * self.mode_count
-        for s, n in zip(self.signal_modes, signal_occ):
-            full[s] = n
-        for a, n in zip(self.aux_modes, aux_occ):
-            full[a] = n
-        return tuple(full)
+    def _expand(self, signal_occs, aux_occ):
+        """Expanded modes (S, size) and factorial products (S,) of the
+        full occupations of signal_occs (S, signal modes) beside aux_occ."""
+        full = np.zeros((len(signal_occs), self.mode_count), dtype=np.intp)
+        full[:, list(self.signal_modes)] = signal_occs
+        full[:, list(self.aux_modes)] = aux_occ
+        modes = np.repeat(np.tile(np.arange(self.mode_count), len(full)), full.ravel())
+        return modes.reshape(len(full), -1), _FACTORIALS[full].prod(axis=1).astype(float)
 
     def extract_matrix(self, mode_matrix) -> np.ndarray:
-        m = _as_matrix(mode_matrix)
-        if m.shape[0] != self.mode_count:
-            raise ValueError("mode matrix dimension mismatch")
-        flat = m.ravel().tolist()
-        dim = self.signal_basis.dimension
-        out = None
-        # one partial matrix per component; a unit amplitude leaves it as filled
-        for amp, entries in self._parts:
-            part = np.zeros((dim, dim), dtype=complex)
-            for row, col, gather, k, norm in entries:
-                part[row, col] = _per_flat([flat[g] for g in gather], k) / norm
-            if amp != 1:
-                part = amp * part
-            if out is None:
-                out = part
-            else:
-                out += part
-        return out
+        return self.extract_stack(_as_matrix(mode_matrix)[None])[0]
 
     def extract_stack(self, mode_matrices) -> np.ndarray:
         """extract_matrix of each matrix in a (B, N, N) stack: (B, d, d).
 
-        Entries are grouped by permanent size across the ancilla
-        components, and each group is one stacked permanent evaluation.
+        Each component's part is filled with permanents, divided by its
+        factorial norms and weighted by its amplitude; the parts are summed
+        in component order.
         """
         m = np.asarray(mode_matrices, dtype=complex)
         if m.ndim != 3 or m.shape[1:] != (self.mode_count, self.mode_count):
-            raise ValueError("mode matrix stack dimension mismatch")
-        if self._stack_tables is None:
-            self._stack_tables = self._group_by_size()
-        flat = m.reshape(len(m), -1)
+            raise ValueError("mode matrix dimension mismatch")
         dim = self.signal_basis.dimension
-        out = np.zeros((len(m), dim * dim), dtype=complex)
-        for k, gather, weight, target in self._stack_tables:
-            np.add.at(out, (slice(None), target), _per_stack(flat[:, gather], k) * weight)
-        return out.reshape(len(m), dim, dim)
-
-    def _group_by_size(self):
-        """(size, gather indices (E, size^2), amplitude / norm (E,), flat
-        destination (E,)) for each permanent size among the entries."""
-        dim = self.signal_basis.dimension
-        groups = {}
-        for amp, entries in self._parts:
-            for row, col, gather, k, norm in entries:
-                groups.setdefault(k, []).append((gather, amp / norm, row * dim + col))
-        tables = []
-        for k, items in sorted(groups.items()):
-            gathers, weights, targets = zip(*items)
-            gathers = np.array(gathers, dtype=np.intp).reshape(len(items), k * k)
-            tables.append((k, gathers, np.array(weights, dtype=complex), np.array(targets)))
-        return tables
+        parts = np.zeros((len(m), len(self._amplitudes), dim, dim), dtype=complex)
+        entries = parts.reshape(len(m), -1)
+        for k, rows, out_modes, cols, in_modes in self._sectors:
+            step = max(1, _STACK_CHUNK // (max(len(m), 1) * len(cols) * max(k * k, 1)))
+            for lo in range(0, len(rows), step):
+                blocks = m[:, out_modes[lo : lo + step], in_modes]
+                entries[:, rows[lo : lo + step, None] + cols] = _per_stack(blocks, k)
+        parts /= np.sqrt(self._out_fact * self._in_fact)
+        # a unit amplitude leaves its part as filled
+        out = parts[:, 0] if self._amplitudes[0] == 1 else self._amplitudes[0] * parts[:, 0]
+        for c, amp in enumerate(self._amplitudes[1:], 1):
+            out += parts[:, c] if amp == 1 else amp * parts[:, c]
+        return out
 
 
 def lift_unitary(u, basis: FockBasis) -> FockOperator:

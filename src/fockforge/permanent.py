@@ -2,9 +2,8 @@
 
 Every conditional amplitude in this package reduces to a permanent of a
 submatrix of the mode transformation, with rows and columns repeated
-according to the output and input occupations.  That repeated-index
-expansion is written once, in ``_gather``; ``repeated_index_permanent``
-and every gather table in ``conditioning`` are built from it.  Two
+according to the output and input occupations, written for one entry in
+``_gather`` and for a whole sector in ``conditioning.ConditionalExtractor``.  Two
 independent code paths are kept on purpose: a kernel on Glynn's formula
 (Glynn, Eur. J. Combin. 31, 1887 (2010)) used everywhere, and a
 brute-force expansion over permutations that serves as the oracle in the
@@ -39,7 +38,10 @@ _EXPANSIONS = [
 ]
 # Above this size a stacked permanent runs the kernel matrix by matrix: the
 # all-at-once sum holds 2^(n-1) n terms per matrix.
-_STACK_GLYNN_MAX = 6
+_STACK_GLYNN_MAX = 11
+# A stacked permanent takes as many matrices at a time as keep its largest
+# intermediate, n! n or 2^(n-1) n values per matrix, near this size.
+_STACK_CHUNK = 1 << 13
 
 
 class PermanentSizeError(ValueError):
@@ -122,33 +124,42 @@ def _ordered_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _per_stack(blocks: np.ndarray, n: int) -> np.ndarray:
-    """Permanents of a stack of n x n matrices, blocks[..., :] row-major.
+    """Permanents of a stack of n x n matrices, blocks[..., n, n].
 
-    Up to n = 4, the expansion over all n! permutations as one gather;
-    up to n = _STACK_GLYNN_MAX, Glynn's sum over every sign vector at once;
-    above that, the Glynn kernel one matrix at a time.  The sums are
-    plain, not compensated: this serves the search's stacked extractions.
-    Each matrix's permanent has the same bits in any stack.
+    Up to n = 4, the expansion over all n! permutations (written out up to
+    n = 2); up to n = _STACK_GLYNN_MAX, Glynn's sum over every sign vector
+    at once, _STACK_CHUNK values at a time; above that, the Glynn kernel
+    one matrix at a time.  The sums are plain, not compensated.  Each
+    matrix's permanent has the same bits in any stack.
     """
+    lead = blocks.shape[:-2]
+    if n == 0:
+        return np.ones(lead, dtype=complex)
+    if n == 1:
+        return blocks[..., 0, 0]
+    if n == 2:
+        return blocks[..., 0, 0] * blocks[..., 1, 1] + blocks[..., 0, 1] * blocks[..., 1, 0]
+    flat = blocks.reshape(-1, n, n)
     if n > _STACK_GLYNN_MAX:
-        values = [_glynn(row.tolist(), n) for row in blocks.reshape(-1, n * n)]
-        return np.array(values, dtype=complex).reshape(blocks.shape[:-1])
-    if n <= 4:
-        # factors[..., p, i] is entry (i, s_p(i))
-        factors = blocks[..., _EXPANSIONS[n]]
-    else:
-        # factors[..., s, j] is sum_i d_i a_ij, sign vectors d with d_0 = +1
-        # built up one row at a time
-        m = blocks.reshape(*blocks.shape[:-1], n, n)
-        factors = m[..., :1, :]
-        for i in range(1, n):
-            factors = np.concatenate([factors + m[..., i : i + 1, :], factors - m[..., i : i + 1, :]], axis=-2)
-    terms = factors[..., 0] if n else np.ones(factors.shape[:-1], dtype=complex)
-    for j in range(1, n):
-        terms = terms * factors[..., j]
-    if n <= 4:
-        return _ordered_sum(terms)
-    return _ordered_sum(terms * _SIGN_PRODUCTS[: 1 << (n - 1)]) / (1 << (n - 1))
+        return np.array([_glynn(b.ravel().tolist(), n) for b in flat], dtype=complex).reshape(lead)
+    step = max(1, _STACK_CHUNK // (n * (math.factorial(n) if n <= 4 else 1 << (n - 1))))
+    out = []
+    for lo in range(0, len(flat), step):
+        m = flat[lo : lo + step]
+        if n <= 4:
+            # factors[e, p, i] is entry (i, s_p(i))
+            factors = m.reshape(len(m), n * n)[:, _EXPANSIONS[n]]
+        else:
+            # factors[e, s, j] is sum_i d_i a_ij, sign vectors d with d_0 = +1
+            # built up one row at a time
+            factors = m[:, :1, :]
+            for i in range(1, n):
+                factors = np.concatenate([factors + m[:, i : i + 1, :], factors - m[:, i : i + 1, :]], axis=1)
+        terms = factors[..., 0]
+        for j in range(1, n):
+            terms = terms * factors[..., j]
+        out.append(_ordered_sum(terms) if n <= 4 else _ordered_sum(terms * _SIGN_PRODUCTS[: 1 << (n - 1)]) / (1 << (n - 1)))
+    return (out[0] if len(out) == 1 else np.concatenate(out)).reshape(lead)
 
 
 def permanent_ryser(m) -> complex:

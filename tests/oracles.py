@@ -1,19 +1,24 @@
 """Independent reference routes used to cross-check the package.
 
-Nothing here touches the permanent code: the lift oracle expands
+The lift oracle never touches the permanent code: it expands
 creation-operator polynomials monomial by monomial, which is slow but
-follows the definition directly.  The CNOT slab residual is alternating
-least squares over dense 6x4 slabs with pseudo-inverted Gram matrices,
-one angle pair at a time, the route the batched closed-form scan
-replaced.
+follows the definition directly.  The per-entry extraction is the loop
+the sector tables of ConditionalExtractor replaced: one gather list and
+one flat-kernel permanent per operator entry (hardcoded expansions up to
+size 4, the compensated Glynn kernel above), where the extractor runs
+stacked permanents.  The CNOT slab residual is alternating least squares
+over dense 6x4 slabs with pseudo-inverted Gram matrices, one angle pair
+at a time, the route the batched closed-form scan replaced.
 """
 
 import math
 
 import numpy as np
 
-from fockforge.fock import FockBasis
+from fockforge.conditioning import AncillaSpec
+from fockforge.fock import FockBasis, TotalPhotonCutoff
 from fockforge.gates import _CNOT_BASIS, cnot_basis_matrix
+from fockforge.permanent import _gather, _per_flat
 
 
 def lift_oracle(mode_matrix, basis: FockBasis) -> np.ndarray:
@@ -51,6 +56,57 @@ def lift_oracle(mode_matrix, basis: FockBasis) -> np.ndarray:
         for occ, coef in poly.items():
             if occ in basis:
                 out[basis.index_of(occ), col] = coef / norm
+    return out
+
+
+def per_entry_extraction(mode_count, signal_modes, ancilla, det, signal_cutoff, mode_matrix) -> np.ndarray:
+    """Conditional operator of ConditionalExtractor(mode_count, signal_modes,
+    ancilla, det, signal_cutoff) at one mode matrix, entry by entry."""
+    signal = tuple(signal_modes)
+    aux_modes = tuple(m for m in range(mode_count) if m not in signal)
+    if isinstance(ancilla, AncillaSpec):
+        components = [(1, ancilla.counts)]
+    else:
+        components = [(complex(a), occ) for occ, a in zip(ancilla.basis.occupations, ancilla.amplitudes) if a != 0]
+    occs = FockBasis(len(signal), TotalPhotonCutoff(signal_cutoff)).occupations
+
+    def scatter(signal_occ, aux_occ):
+        full = [0] * mode_count
+        for s, n in zip(signal, signal_occ):
+            full[s] = n
+        for a, n in zip(aux_modes, aux_occ):
+            full[a] = n
+        return tuple(full)
+
+    # (amplitude, (row, col, gather, size, norm) per entry in the conserving sector)
+    parts = []
+    for amp, counts in components:
+        entries = []
+        for col, occ_in in enumerate(occs):
+            in_total = sum(occ_in) + sum(counts)
+            full_in = scatter(occ_in, counts)
+            for row, occ_out in enumerate(occs):
+                if sum(occ_out) + det.total == in_total:
+                    full_out = scatter(occ_out, det.counts)
+                    norm = math.sqrt(
+                        math.prod(math.factorial(x) for x in full_in)
+                        * math.prod(math.factorial(x) for x in full_out)
+                    )
+                    entries.append((row, col, _gather(full_out, full_in, mode_count), in_total, norm))
+        parts.append((amp, entries))
+    flat = np.asarray(mode_matrix, dtype=complex).ravel().tolist()
+    dim = len(occs)
+    out = None
+    for amp, entries in parts:
+        part = np.zeros((dim, dim), dtype=complex)
+        for row, col, gather, k, norm in entries:
+            part[row, col] = _per_flat([flat[g] for g in gather], k) / norm
+        if amp != 1:
+            part = amp * part
+        if out is None:
+            out = part
+        else:
+            out += part
     return out
 
 

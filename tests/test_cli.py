@@ -13,6 +13,7 @@ from fockforge.cli import (
     CircuitError,
     CircuitFile,
     _fmt,
+    _rows_to_tsv,
     main,
     parse_circuit,
     serialize_circuit,
@@ -68,6 +69,21 @@ def test_fmt():
     assert _fmt(0.25) == "0.25"
     assert _fmt(1.0 / 3.0) == "0.333333333333"
     assert _fmt(np.float64(0.5)) == "0.5"
+
+
+def test_amplitude_rows_match_fmt_bytes():
+    rng = np.random.default_rng(4)
+    special = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 3.0, -2.0, 1e15, 0.5]
+    re = np.concatenate([special, rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40)])
+    im = np.concatenate([special[::-1], rng.standard_normal(40)])
+    matrix = np.empty(len(re), dtype=complex)
+    matrix.real, matrix.imag = re, im
+    assert np.signbit(matrix.real[0]) and np.signbit(matrix.imag[9])
+    matrix = matrix.reshape(5, 10)
+    outs, ins = [f"{i},{i % 3}" for i in range(5)], [f"{j % 4},{j}" for j in range(10)]
+    expected = _rows_to_tsv((o, i, _fmt(v.real), _fmt(v.imag)) for o, row in zip(outs, matrix) for i, v in zip(ins, row))
+    assert cli._amplitude_rows(outs, ins, matrix) == expected
+    assert cli._amplitude_rows(outs[:1], ins, matrix[:1]) == expected[: expected.index("\n" + outs[1]) + 1]
 
 
 def test_parse_canonical_circuit():
@@ -376,7 +392,7 @@ def test_condition_work_counts_the_extractor_entries(modes, signal, ancilla, det
     # the limit's figure comes from sector sizes alone; it must be the sum
     # of 2^size over the entries the extractor would build
     extractor = ConditionalExtractor(modes, signal, AncillaSpec(ancilla), DetectionSpec(detection), cutoff)
-    built = sum(1 << size for *_, size, _ in extractor._parts[0][1])
+    built = sum(len(rows) * len(cols) << size for size, rows, _, cols, _ in extractor._sectors)
     assert cli._condition_work(len(signal), cutoff, sum(ancilla), sum(detection)) == built
 
 

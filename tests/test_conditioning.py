@@ -35,7 +35,7 @@ from fockforge.interferometer import (
 from fockforge.gates import _pauli_objective, nss_objective, su3_objective
 from fockforge.optimizer import mesh_matrices
 
-from oracles import lift_oracle
+from oracles import lift_oracle, per_entry_extraction
 
 
 def test_lift_of_identity_is_identity():
@@ -207,40 +207,80 @@ def test_lift_oracle_agreement_random_two_mode(seed):
     assert np.max(np.abs(lift - oracle)) < 1e-10
 
 
-def _extractors():
+def _specs():
+    """(mode count, signal modes, ancilla, detection, cutoff) per table."""
     ladder = np.random.default_rng(5).standard_normal(9)
-    return {
-        "nss": nss_objective().extractor(),
-        "su3": su3_objective(0.0, np.pi).extractor(),
+    searched = {
+        "nss": nss_objective(),
+        "su3": su3_objective(0.0, np.pi),
         # nine superposed components, permanents of size 1 to 5
-        "pauli": _pauli_objective("x", tuple(ladder / np.linalg.norm(ladder))).extractor(),
-        # permanents of size 5 to 8: the all-at-once Glynn sum and the
-        # one-matrix kernel above it
-        "large": ConditionalExtractor(3, (0,), AncillaSpec((3, 2)), DetectionSpec((2, 1)), 5),
+        "pauli": _pauli_objective("x", tuple(ladder / np.linalg.norm(ladder))),
     }
+    specs = {
+        name: (o.mode_count, o.signal_modes, o.ancilla, o.detection, o.signal_cutoff)
+        for name, o in searched.items()
+    }
+    # permanents of size 5 to 8 and 5 to 10: the all-at-once Glynn sum
+    specs["large"] = (3, (0,), AncillaSpec((3, 2)), DetectionSpec((2, 1)), 5)
+    specs["ten"] = (3, (0,), AncillaSpec((3, 2)), DetectionSpec((3, 2)), 5)
+    return specs
 
 
-@pytest.mark.parametrize("name", ["nss", "su3", "pauli", "large"])
+def _sizes(ex):
+    return {k for k, *_ in ex._sectors}
+
+
+@pytest.mark.parametrize("name", ["nss", "su3", "pauli", "large", "ten"])
 def test_extract_stack_matches_extract_matrix(name):
-    ex = _extractors()[name]
-    sizes = {k for _, entries in ex._parts for _, _, _, k, _ in entries}
-    if name == "large":
-        assert min(sizes) == 5 and max(sizes) == 8
+    # both hold to the per-entry loop of tests/oracles.py, an independent
+    # route through the flat permanent kernel
+    spec = _specs()[name]
+    ex = ConditionalExtractor(*spec)
+    if name in ("large", "ten"):
+        assert min(_sizes(ex)) == 5 and max(_sizes(ex)) == {"large": 8, "ten": 10}[name]
     stack = mesh_matrices(np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, (7, 9)), 3)
     got = ex.extract_stack(stack)
     assert got.shape == (7, ex.signal_basis.dimension, ex.signal_basis.dimension)
     for m, y in zip(stack, got):
-        assert np.max(np.abs(y - ex.extract_matrix(m))) < 1e-14
+        assert np.max(np.abs(y - per_entry_extraction(*spec, m))) < 1e-14
+        assert np.array_equal(y, ex.extract_matrix(m))
     with pytest.raises(ValueError, match="dimension mismatch"):
         ex.extract_stack(stack[0])
 
 
-def test_one_shot_extractions_build_no_stacked_tables():
-    ex = _extractors()["nss"]
-    ex.extract_matrix(np.eye(3))
-    assert ex._stack_tables is None
-    ex.extract_stack(np.eye(3)[None])
-    assert ex._stack_tables is not None
+@pytest.mark.parametrize("name", ["sizes", "pauli"])
+def test_stacked_rows_equal_single_row_extractions(name):
+    # each row must get the bits it gets alone, which the search's
+    # determinism needs.  "sizes" is a stack long enough that every
+    # permanent size is split across chunks: sizes 3 and 4 (permutation
+    # expansion), 5 to 11 (the all-at-once Glynn sum) and 12 (one matrix
+    # at a time); "pauli" weights and sums nine ancilla components
+    if name == "sizes":
+        ex = ConditionalExtractor(2, (0,), AncillaSpec((3,)), DetectionSpec((3,)), 9)
+        assert _sizes(ex) == set(range(3, 13))
+        stack = np.array([random_unitary(2, seed).matrix for seed in range(500)])
+    else:
+        ex = ConditionalExtractor(*_specs()["pauli"])
+        stack = mesh_matrices(np.random.default_rng(2).uniform(0.0, 2.0 * np.pi, (40, 9)), 3)
+    together = ex.extract_stack(stack)
+    for m, y in zip(stack, together):
+        assert np.array_equal(y, ex.extract_stack(m[None])[0])
+
+
+def test_extractor_tables_stay_small_on_924_states():
+    # six signal modes at cutoff 6: 296,438 entries.  With one gather list
+    # per entry, `condition` on this shape peaked at 209 MB; the tables
+    # now hold only each size's expanded occupations
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        ex = ConditionalExtractor(7, range(6), AncillaSpec((0,)), DetectionSpec((0,)), 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ex.signal_basis.dimension == 924
+    assert peak < 2e6
 
 
 def test_lift_above_its_dimension_limit_allocates_nothing():

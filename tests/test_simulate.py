@@ -198,18 +198,18 @@ def test_broken_kraus_family_fails_the_final_state_check(monkeypatch):
 
 
 def count_permanents(monkeypatch, capsys, text, cutoff) -> int:
-    calls = []
-    inner = conditioning._per_flat
+    rows = []
+    inner = conditioning._per_stack
 
-    def counting(a, n):
-        calls.append(n)
-        return inner(a, n)
+    def counting(blocks, n):
+        rows.append(math.prod(blocks.shape[:-2]))
+        return inner(blocks, n)
 
-    monkeypatch.setattr(conditioning, "_per_flat", counting)
+    monkeypatch.setattr(conditioning, "_per_stack", counting)
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert cli.main(["simulate", "--cutoff", str(cutoff), "-"]) == 0
     capsys.readouterr()
-    return len(calls)
+    return sum(rows)
 
 
 def test_lossy_simulate_permanent_count(monkeypatch, capsys):
