@@ -880,6 +880,7 @@ def _pick_cutoff(args, cf: CircuitFile) -> int:
     return cutoff
 
 
+@functools.cache  # built on the first main() call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fockforge",
@@ -954,12 +955,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_PARSER = _build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -12,25 +12,22 @@ programming maximizes the success |s|^2 with the deviation held at zero,
 and a short second Levenberg-Marquardt pass polishes the feasibility
 back.  Both solvers are numpy loops, so nothing depends on the BLAS
 thread count, and everything is deterministic for a fixed (objective,
-seed, restarts) triple, also under parallel restarts: restart seeds are
-spawned from the master seed by counter, and results are merged by a
-fixed ordering rule.
+seed, restarts) triple: restart seeds are spawned from the master seed
+by counter, and results are merged by a fixed ordering rule.
 
-Every network evaluation runs on a stack of parameter vectors: they are
-decoded straight into mode matrices (mesh_matrices) and extracted
-together (ConditionalExtractor.extract_stack).  A forward-difference
-Jacobian is one stacked evaluation of all its columns, and a line-search
-trial is a stack of one.  Each column still counts as one evaluation
-against the budgets.  The stacked arithmetic is elementwise, with every
-reduction in a fixed order, so a row's result does not depend on the
-rest of its stack.
+Every evaluation runs on a stack of parameter vectors, decoded straight
+into mode matrices (mesh_matrices) and extracted together.  Each phase
+is a generator that yields the stack it needs next (a Jacobian's
+columns, a line-search trial, a scoring point) and receives its _fit
+rows, and the restarts run in lockstep: one _fit call per step on the
+stacks of every live restart.  Each row counts as one evaluation against
+its restart's budgets, and every reduction runs in a fixed order, so a
+restart's result does not depend on the restarts evaluated beside it.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +48,6 @@ TRIVIAL_PROBABILITY = 1e-8
 # evaluations, then at most 50 probability steps and a 200-evaluation polish.
 FEASIBILITY_DRAWS = 4
 FEASIBILITY_BUDGET = 400
-THREADS_ENV = "FOCKFORGE_THREADS"
 
 
 class InfeasibleAtBudgetError(RuntimeError):
@@ -180,7 +176,7 @@ class Objective:
                 raise ValueError("weights must be non-negative with at least one positive")
             cons.append((x, y, bool(free), w))
         object.__setattr__(self, "constraints", tuple(cons))
-        # constant terms of _fit_scale and _evaluate
+        # constant terms of _fit_scale and _score
         norms = tuple(float(np.vdot(w * y, w * y).real) for _, y, _, w in cons)
         if max(norms) <= 1e-24:
             raise ValueError("all constraint targets are zero")
@@ -242,13 +238,13 @@ def _fit(stack, objective):
     return norms, s, np.concatenate([deviation.real, deviation.imag], axis=1)
 
 
-def _evaluate(params, objective):
-    """(residual, probability) of the template network for a parameter vector.
+def _score(rows, objective):
+    """(residual, probability) from the _fit rows of a stack of one.
 
     Both are computed in the weighted norm, so with non-unit weights the
     probability is a ranking proxy for the search; report the physical
     number from the finished gate, not from here."""
-    (norms,), _, (deviation,) = _fit(np.asarray(params, dtype=float)[None], objective)
+    (norms,), _, (deviation,) = rows
     targets = np.array(objective._target_norms)
     live = targets > 1e-24  # Objective holds at least one such target
     return float(deviation @ deviation), float(np.min(norms[live] / targets[live]))
@@ -257,7 +253,7 @@ def _evaluate(params, objective):
 def constraint_residual(params, objective: Objective) -> float:
     """Sum of squared scale- and phase-invariant deviations of the
     extracted conditional operator from the target pattern."""
-    return _evaluate(params, objective)[0]
+    return _score(_fit(np.asarray(params, dtype=float)[None], objective), objective)[0]
 
 
 @dataclass(frozen=True)
@@ -274,11 +270,11 @@ class OptimizationResult:
 
 
 def _jacobian(fun, x, value):
-    """Forward differences at x of fun, which maps a stack of points to a
-    stack of values, where fun(x[None]) is value[None]: every column from
-    one call on x + diag(steps)."""
+    """Forward differences at x of fun, which maps the _fit rows of a stack
+    of points to a stack of values, where value is its value at x: every
+    column from one stack, x + diag(steps)."""
     steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
-    return ((fun(x + np.diag(steps)) - value) / steps[:, None]).T
+    return ((fun((yield x + np.diag(steps))) - value) / steps[:, None]).T
 
 
 def _feasibility(objective, x, budget):
@@ -290,21 +286,21 @@ def _feasibility(objective, x, budget):
     floor = TRIVIAL_PROBABILITY * objective._scale_denominator
     count = 0
 
-    def relative(stack):
+    def relative(rows):
         nonlocal count
-        count += len(stack)
-        norms, _, deviation = _fit(stack, objective)
+        norms, s, deviation = rows
+        count += len(s)
         total = _ordered_sum(norms)
         return deviation / np.sqrt(np.maximum(total, floor))[:, None], total <= floor
 
-    (r,), (done,) = relative(x[None])
+    (r,), (done,) = relative((yield x[None]))
     damping = 1e-3
     while not done and r @ r > 1e-28 and damping < 1e12 and count + len(x) < budget:
-        jac = _jacobian(lambda stack: relative(stack)[0], x, r)
+        jac = yield from _jacobian(lambda rows: relative(rows)[0], x, r)
         grad, normal = jac.T @ r, jac.T @ jac
         while damping < 1e12 and count < budget:
             trial = x - np.linalg.lstsq(normal + damping * np.eye(len(x)), grad)[0]
-            (r_trial,), (collapsed,) = relative(trial[None])
+            (r_trial,), (collapsed,) = relative((yield trial[None]))
             if r_trial @ r_trial < r @ r:
                 # a step that gains less than 0.1% marks a local minimum
                 done = collapsed or r @ r - r_trial @ r_trial <= 1e-3 * (r @ r)
@@ -324,22 +320,22 @@ def _raise_probability(objective, x0):
     thread count."""
     count = 0
 
-    def f(stack):
+    def f(rows):
         nonlocal count
-        count += len(stack)
-        _, s, deviation = _fit(stack, objective)
+        _, s, deviation = rows
+        count += len(s)
         return np.concatenate([deviation, np.abs(s)[:, None] ** 2], axis=1)
 
-    (value,) = f(x0[None])
-    jac = _jacobian(f, x0, value)
+    (value,) = f((yield x0[None]))
+    jac = yield from _jacobian(f, x0, value)
     u, sigma, _ = np.linalg.svd(jac[:-1], full_matrices=False)
     # rows from here on: the held deviation, then -|s|^2
     basis = u[:, sigma > 1e-3 * sigma[0]].T
     project = np.zeros((len(basis) + 1, len(value)))
     project[:-1, :-1], project[-1, -1] = basis, -1.0
 
-    def projected(stack):
-        return _ordered_sum(f(stack)[:, None, :] * project)  # project @ f(x) for each row
+    def projected(rows):
+        return _ordered_sum(f(rows)[:, None, :] * project)  # project @ f(x) for each row
 
     x, value, jac = x0, project @ value, project @ jac
     held = len(value) - 1
@@ -353,13 +349,13 @@ def _raise_probability(objective, x0):
         violation = weight * np.abs(value[:-1]).sum()
         merit, slope = value[-1] + violation, jac[-1] @ step - violation
         for _ in range(10):
-            (trial,) = projected((x + step)[None])
+            (trial,) = projected((yield (x + step)[None]))
             if trial[-1] + weight * np.abs(trial[:-1]).sum() <= merit + 0.1 * min(slope, 0.0):
                 break
             step = 0.5 * step
         else:
             break
-        trial_jac = _jacobian(projected, x + step, trial)
+        trial_jac = yield from _jacobian(projected, x + step, trial)
         change, curved = (trial_jac - jac).T @ lagrange, step @ hessian @ step
         if step @ change < 0.2 * curved:  # Powell's damping keeps the model positive definite
             mix = 0.8 * curved / (curved - step @ change)
@@ -372,8 +368,7 @@ def _raise_probability(objective, x0):
     return x, count
 
 
-def _run_restart(args):
-    objective, seed, index = args
+def _restart(objective, seed, index):
     k = objective.mode_count * (objective.mode_count - 1) // 2
     rng = np.random.default_rng([seed, index])
     # starts: angles in [0, pi/2), internal and diagonal phases in [0, 2 pi)
@@ -383,9 +378,9 @@ def _run_restart(args):
     evals = 0
     best = None
     for _ in range(FEASIBILITY_DRAWS):
-        x1, used = _feasibility(objective, rng.uniform(0.0, high), FEASIBILITY_BUDGET)
+        x1, used = yield from _feasibility(objective, rng.uniform(0.0, high), FEASIBILITY_BUDGET)
         evals += used
-        r1, p1 = _evaluate(x1, objective)
+        r1, p1 = _score((yield x1[None]), objective)
         if p1 > TRIVIAL_PROBABILITY and (best is None or r1 < best[1]):
             best = (x1, r1, p1)
             if r1 < 1e-10:
@@ -394,50 +389,56 @@ def _run_restart(args):
         return (*(best or (x1, r1, p1)), index, evals)
     x1, r1, p1 = best
 
-    x2, raised = _raise_probability(objective, x1)
+    x2, raised = yield from _raise_probability(objective, x1)
     # the last step meets the held deviation only to 1e-8; polish it back
     # without giving the probability up
-    x3, polished = _feasibility(objective, x2, 200)
+    x3, polished = yield from _feasibility(objective, x2, 200)
     evals += raised + polished
-    r_final, p_final = _evaluate(x3, objective)
+    r_final, p_final = _score((yield x3[None]), objective)
     if r_final > r1 + 1e-12 and p_final <= p1:
         return x1, r1, p1, index, evals
     return x3, r_final, p_final, index, evals
 
 
-def _worker_count(restarts: int) -> int:
-    """Search processes for a run: FOCKFORGE_THREADS, where unset or 0
-    means every core, capped by the restart count and at 16."""
-    raw = os.environ.get(THREADS_ENV, "0")
-    try:
-        requested = int(raw)
-    except ValueError:
-        requested = -1
-    if requested < 0:
-        raise ValueError(f"{THREADS_ENV} must be a non-negative integer, got {raw!r}")
-    return max(1, min(requested or os.cpu_count() or 1, restarts, 16))
+def _run_restarts(jobs):
+    """(x, residual, probability, index, evaluations) of each restart
+    (objective, seed, index), run in lockstep: each step is one _fit call
+    on every pending stack.  The jobs must share one objective."""
+    objective = jobs[0][0]
+    phases = [_restart(*job) for job in jobs]
+    results = [None] * len(jobs)
+    pending = {i: next(phase) for i, phase in enumerate(phases)}
+    while pending:
+        stacks = list(pending.items())
+        rows = _fit(np.concatenate([stack for _, stack in stacks]), objective)
+        for (i, stack), end in zip(stacks, np.cumsum([len(stack) for _, stack in stacks])):
+            try:
+                pending[i] = phases[i].send(tuple(part[end - len(stack) : end] for part in rows))
+            except StopIteration as done:
+                results[i] = done.value
+                del pending[i]
+    return results
+
+
+def _run_restart(args):
+    return _run_restarts([args])[0]
 
 
 def optimize_gate(objective: Objective, seed: int, restarts: int) -> OptimizationResult:
     """Multistart search for network parameters realizing the objective.
 
-    Deterministic for fixed inputs: restart k draws its starts from
-    default_rng([seed, k]) regardless of worker count, and the winner is
-    chosen by a fixed rule - feasible restarts (residual < 1e-6 at
-    nontrivial success) ranked by probability then restart index,
+    The restarts run in lockstep in this process.  Deterministic for
+    fixed inputs: restart k draws its starts from default_rng([seed, k]),
+    its result does not depend on the restarts evaluated beside it, and
+    the winner is chosen by a fixed rule - feasible restarts (residual <
+    1e-6 at nontrivial success) ranked by probability then restart index,
     infeasible ones by residual with zero-operator landings last.
     Raises InfeasibleAtBudgetError when nothing feasible was found; the
     best attempt rides along on the exception.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    jobs = [(objective, seed, r) for r in range(restarts)]
-    workers = _worker_count(restarts)
-    if workers == 1 or restarts == 1:
-        raw = [_run_restart(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_run_restart, jobs, chunksize=max(1, restarts // (4 * workers))))
+    raw = _run_restarts([(objective, seed, r) for r in range(restarts)])
 
     def rank(item):
         _, residual, prob, index, _ = item

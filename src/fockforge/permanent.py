@@ -37,8 +37,9 @@ _EXPANSIONS = [
     for n in range(5)
 ]
 # Above this size a stacked permanent runs the kernel matrix by matrix: the
-# all-at-once sum holds 2^(n-1) n terms per matrix.
-_STACK_GLYNN_MAX = 11
+# all-at-once sum holds 2^(n-1) n terms per matrix, and from n = 9 it is
+# slower than the kernel even on stacks of 200.
+_STACK_GLYNN_MAX = 8
 # A stacked permanent takes as many matrices at a time as keep its largest
 # intermediate, n! n or 2^(n-1) n values per matrix, near this size.
 _STACK_CHUNK = 1 << 13

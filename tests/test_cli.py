@@ -539,16 +539,6 @@ def test_gate_forwards_only_the_search_flags_given(monkeypatch, capsys, flags, f
     assert seen == {name: forwarded for name in reading}
 
 
-@pytest.mark.parametrize("raw", ["abc", "-3"])
-def test_bad_thread_count_is_exit_2(monkeypatch, capsys, raw):
-    monkeypatch.setenv("FOCKFORGE_THREADS", raw)
-    rc = main(["optimize", "--objective", "nss", "--restarts", "1"])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert "FOCKFORGE_THREADS" in captured.err
-
-
 @pytest.mark.parametrize(
     "argv",
     [

@@ -19,7 +19,6 @@ from fockforge.optimizer import (
     FEASIBILITY_BUDGET,
     FEASIBILITY_DRAWS,
     FEASIBLE_RESIDUAL,
-    THREADS_ENV,
     TRIVIAL_PROBABILITY,
     InfeasibleAtBudgetError,
     Objective,
@@ -27,7 +26,7 @@ from fockforge.optimizer import (
     _fit,
     _fit_scale,
     _run_restart,
-    _worker_count,
+    _run_restarts,
     constraint_residual,
     mesh_matrices,
     network_from_params,
@@ -54,6 +53,18 @@ def _identity_objective():
     )
 
 
+def _one_photon_as_two_objective():
+    # photon-non-conserving, so no network meets it
+    return Objective(
+        mode_count=2,
+        signal_modes=(0,),
+        ancilla=AncillaSpec((0,)),
+        detection=DetectionSpec((0,)),
+        signal_cutoff=2,
+        constraints=((E2[1], E2[2], False),),
+    )
+
+
 def _result_tuple(r: OptimizationResult):
     return (
         r.params.tobytes(),
@@ -77,42 +88,11 @@ def test_objective_rejects_an_ancilla_short_of_the_non_signal_modes():
         )
 
 
-@pytest.mark.parametrize("raw", ["abc", "-3"])
-def test_bad_thread_count_raises(monkeypatch, raw):
-    monkeypatch.setenv(THREADS_ENV, raw)
-    with pytest.raises(ValueError, match=THREADS_ENV):
-        _worker_count(8)
-
-
-@pytest.mark.parametrize("raw", [None, "0"])
-def test_unset_or_zero_thread_count_uses_every_core(monkeypatch, raw):
-    if raw is None:
-        monkeypatch.delenv(THREADS_ENV, raising=False)
-    else:
-        monkeypatch.setenv(THREADS_ENV, raw)
-    assert _worker_count(8) == max(1, min(os.cpu_count() or 1, 8))
-
-
 def test_identity_objective_is_feasible():
     result = optimize_gate(_identity_objective(), seed=1, restarts=4)
     assert result.feasible
     assert result.residual < 1e-6
     assert result.probability > 0.9
-
-
-def test_determinism_across_worker_counts():
-    old = os.environ.get(THREADS_ENV)
-    try:
-        os.environ[THREADS_ENV] = "1"
-        serial = optimize_gate(_identity_objective(), seed=3, restarts=4)
-        os.environ[THREADS_ENV] = "4"
-        parallel = optimize_gate(_identity_objective(), seed=3, restarts=4)
-    finally:
-        if old is None:
-            os.environ.pop(THREADS_ENV, None)
-        else:
-            os.environ[THREADS_ENV] = old
-    assert _result_tuple(serial) == _result_tuple(parallel)
 
 
 def test_repeat_run_is_bitwise_identical():
@@ -136,7 +116,6 @@ def test_search_is_bitwise_identical_across_blas_thread_counts():
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            env[THREADS_ENV] = "1"
             env["PYTHONPATH"] = str(Path(fockforge.__file__).parents[1])
             run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
             outputs.append(run.stdout)
@@ -245,14 +224,7 @@ def test_infeasible_restarts_keep_their_draw_budgets(monkeypatch):
         return fit(stack, objective)
 
     monkeypatch.setattr(optimizer, "_fit", counting)
-    objective = Objective(
-        mode_count=2,
-        signal_modes=(0,),
-        ancilla=AncillaSpec((0,)),
-        detection=DetectionSpec((0,)),
-        signal_cutoff=2,
-        constraints=((E2[1], E2[2], False),),
-    )
+    objective = _one_photon_as_two_objective()
     for index in range(3):
         calls[0] = 0
         _, residual, _, _, evaluations = _run_restart((objective, 0, index))
@@ -260,6 +232,27 @@ def test_infeasible_restarts_keep_their_draw_budgets(monkeypatch):
         assert 0 < evaluations <= FEASIBILITY_DRAWS * FEASIBILITY_BUDGET
         # plus one scoring evaluation per draw
         assert calls[0] == evaluations + FEASIBILITY_DRAWS
+
+
+@pytest.mark.parametrize(
+    "objective, seed, restarts",
+    [(nss_objective(), 7, 6), (_one_photon_as_two_objective(), 0, 3)],
+    ids=["nss", "infeasible"],
+)
+def test_lockstep_restarts_equal_restarts_run_alone(objective, seed, restarts):
+    # nss restarts end after different numbers of steps, and the infeasible
+    # ones exhaust their draw budgets; a restart's rows must not depend on
+    # the restarts evaluated beside it
+    jobs = [(objective, seed, index) for index in range(restarts)]
+    together = _run_restarts(jobs)
+    alone = [_run_restart(job) for job in jobs]
+
+    def key(result):
+        x, residual, probability, index, evaluations = result
+        return x.tobytes(), residual, probability, index, evaluations
+
+    assert [key(r) for r in together] == [key(r) for r in alone]
+    assert len({r[4] for r in together}) > 1
 
 
 def test_pauli_x_search_reaches_its_optimum(monkeypatch):

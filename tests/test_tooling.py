@@ -43,8 +43,10 @@ def test_imports_are_the_declared_dependencies():
 
 
 def test_cli_import_loads_no_scipy():
+    # nor the process-pool modules: the search runs its restarts in one process
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = "import sys, fockforge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    roots = "('scipy', 'multiprocessing', 'concurrent')"
+    code = f"import sys, fockforge.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in {roots}))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 
