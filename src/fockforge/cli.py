@@ -70,23 +70,14 @@ from .fock import partial_trace  # noqa: F401
 from .lossy import dilation_unitary  # noqa: F401
 
 # size limits of simulate and condition, checked before either builds
-# anything (README, "simulate").  A lossy circuit carries a dense dim x dim
-# density matrix, and an element's lift evaluates permanents as large as
-# the cutoff: one absorbing splitter's channel costs 0.2 s at cutoff 8,
-# 0.6 s at 10 and 2.3 s at 12, and the largest lossy circuits the limits
-# allow ran in 0.5 to 1.7 s at each cutoff from 2 to 10.  condition's
-# entries are permanents of up to the cutoff plus the ancilla photons,
-# each photon more doubling their cost: circuits/nss_klm.circuit takes
-# 0.12 s at cutoff 20, 0.5 s at 22 and 4.4 s at 25.  The dimension limit
-# bounds condition's signal basis too.  Entries multiply with the signal
-# modes, so condition also bounds their summed kernel work, entries times
-# 2^size (_condition_work).  On two cores, two signal modes with one
-# ancilla photon took 0.9 s at cutoff 16 (work 6.8e7) and 2.0 s at 17
-# (1.5e8); three took 1.5 s at cutoff 11 (3.8e7) and 2.7 s at 12 (1.1e8).
+# anything (README, "simulate"): the largest lossy circuits they allow ran
+# in 0.3 to 1.6 s at each cutoff from 2 to 10, and the largest condition
+# runs below the limit on its recurrence's multiply-adds (_condition_work)
+# in 0.5 to 2.0 s on two cores, most of it printing rows.
 MAX_SIMULATE_DIMENSION = 1000
 MAX_SIMULATE_CUTOFF = 10
 MAX_CONDITION_CUTOFF = 20
-MAX_CONDITION_WORK = 10**8
+MAX_CONDITION_WORK = 5 * 10**6
 
 
 class CircuitError(ValueError):
@@ -520,17 +511,23 @@ def _check_size(command: str, modes: int, cutoff: int, max_cutoff: int) -> None:
         )
 
 
-def _condition_work(signal_modes: int, cutoff: int, ancilla: int, detected: int) -> int:
-    """Sum over the extracted operator's entries of 2^(permanent size).
-    The entries from input sector n form a block of (sector n) x (sector
-    n + ancilla - detected) permanents of size n + ancilla."""
-    work = 0
-    for n in range(cutoff + 1):
-        n_out = n + ancilla - detected
-        if 0 <= n_out <= cutoff:
-            sectors = math.comb(n + signal_modes - 1, n) * math.comb(n_out + signal_modes - 1, n_out)
-            work += sectors << (n + ancilla)
-    return work
+def _condition_work(signal_modes: int, cutoff: int, ancilla: int, detection) -> int:
+    """Multiply-adds of conditioning.ConditionalExtractor's recurrence on
+    one mode matrix: on each photon level k, its column nodes (ancilla
+    chain, then signal columns) times its states (signal occupations beside
+    auxiliary ones at or below `detection`) times min(modes, k)."""
+    aux = [1]  # auxiliary occupations at or below the detection pattern, by photons
+    for n in detection:
+        aux = [sum(aux[max(0, j - n) : j + 1]) for j in range(len(aux) + n)]
+    sector = [math.comb(n + signal_modes - 1, n) for n in range(cutoff + 1)] + [0] * len(aux)
+    # signal columns up to `top` photons; no levels at all without an output row
+    top = min(cutoff, cutoff + sum(detection) - ancilla) if cutoff + ancilla >= sum(detection) else -ancilla
+    return sum(
+        (sector[k - ancilla] if k >= ancilla else 1)
+        * sum(count * sector[k - j] for j, count in enumerate(aux) if j <= k)
+        * min(signal_modes + len(detection), k)
+        for k in range(1, top + ancilla + 1)
+    )
 
 
 def _cmd_simulate(args) -> int:
@@ -585,10 +582,10 @@ def _cmd_condition(args) -> int:
             aux_counts.append(spec[2])
         else:
             raise CircuitError(1, 1, f"detected mode {m} needs a Fock input, not {spec[0]}")
-    work = _condition_work(len(signal), cutoff, sum(aux_counts), sum(detected.values()))
+    work = _condition_work(len(signal), cutoff, sum(aux_counts), [detected[m] for m in aux_modes])
     if work > MAX_CONDITION_WORK:
         raise OverflowError(
-            f"kernel work {work:.3g} ({len(signal)} signal modes, cutoff {cutoff}) is above "
+            f"recurrence work {work:.3g} ({len(signal)} signal modes, cutoff {cutoff}) is above "
             f"condition's limit of {MAX_CONDITION_WORK:.3g}"
         )
     cond = extract_conditional_operator(

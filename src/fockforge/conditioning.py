@@ -6,16 +6,16 @@ detector outcomes leaves a non-unitary operator Y on the signal modes:
 
     Y[out, in] = <out, det| U(L) |in, aux>
 
-computed exactly in each photon-number sector through permanents with
-repeated indices.  Y is linear in the ancilla ket, so one extractor
+computed exactly in each photon-number sector by a creation recurrence
+(ConditionalExtractor).  Y is linear in the ancilla ket, so one extractor
 serves a Fock ancilla (AncillaSpec) and a superposed one (PureState),
-the amplitude-weighted sum of its Fock components.  Every Fock amplitude
-the package uses is such an entry: the unitary lift is the extraction
-with no ancilla, and an absorbing splitter's Kraus blocks are
-extractions from its dilation (see lossy), filled by ConditionalExtractor.
-The tests cross-check them against tests/oracles.py, which expands them as
-polynomials in creation operators without the permanent code, and which
-also keeps the per-entry loop, through the flat kernel, as a second route.
+the amplitude-weighted sum of its Fock components.  Every Fock operator
+the package uses is such an extraction: the unitary lift is the
+extraction with no ancilla, and an absorbing splitter's Kraus blocks are
+slices of its dilation's lift (see lossy).  The tests cross-check them
+against tests/oracles.py, which expands them as polynomials in creation
+operators, and which also keeps a per-entry loop of permanents with
+repeated indices, through the flat kernel, as a second route.
 
 Y is stored exactly as projected, sub-normalized.  Success probabilities
 then compose across interferometer arms by plain multiplication.
@@ -23,6 +23,7 @@ then compose across interferometer arms by plain multiplication.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,13 +37,14 @@ from .fock import (
     TotalPhotonCutoff,
 )
 from .interferometer import ModeUnitary, random_unitary
-from .permanent import _STACK_CHUNK, MAX_DIMENSION, PermanentSizeError, _gather, _per_flat, _per_stack
+from .permanent import MAX_DIMENSION, PermanentSizeError, _gather, _ordered_sum, _per_flat
 
 # Largest basis lift_unitary lifts: the dense lift holds dimension^2
-# amplitudes (16 MB at 1,000 states) and evaluates as many permanents.
+# amplitudes, 16 MB at 1,000 states.
 MAX_LIFT_DIMENSION = 1000
-# exact integers: a product of factorials is rounded once, to a float
-_FACTORIALS = np.array([math.factorial(n) for n in range(MAX_DIMENSION + 1)], dtype=object)
+# A recurrence level gathers (B, nodes, states, slots) terms for at most
+# this many at a time, 4 MB of complex values.
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,18 @@ def fock_lift_amplitude(u, input_occ, output_occ) -> complex:
     return complex(_per_flat([flat[g] for g in _gather(n_out, n_in, m.shape[0])], size)) / norm
 
 
+def _lookup(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index in `rows` (occupations, the first of equal ones) of each
+    occupation in `queries` (..., modes), entries below 256; arbitrary
+    for one not there."""
+    def keys(a):
+        return np.ascontiguousarray(a, dtype=np.uint8).reshape(-1, rows.shape[1]).view(f"V{rows.shape[1]}").ravel()
+
+    order = np.argsort(keys(rows), kind="stable")
+    found = np.searchsorted(keys(rows)[order], keys(queries))
+    return order[np.minimum(found, len(order) - 1)].reshape(queries.shape[:-1])
+
+
 def _checked_size(size: int) -> int:
     if size > MAX_DIMENSION:
         raise PermanentSizeError(f"{size} photons need a permanent of dimension {size}, above the supported maximum {MAX_DIMENSION}")
@@ -126,16 +140,16 @@ class ConditionalExtractor:
     together, weighted and summed).  Only exactly-zero components are
     left out; one whose photon surplus cannot fit under the cutoff is
     rejected rather than silently dropped, so crop the state first if its
-    tail may go.  So is any entry whose permanent would exceed
-    permanent.MAX_DIMENSION (PermanentSizeError).
+    tail may go.  So is any entry of more than permanent.MAX_DIMENSION
+    photons (PermanentSizeError), which the tests' permanent route checks.
 
-    Entries are grouped by permanent size k, which fixes the output
-    sector and each component's input sector.  A size stores only the
-    expanded modes of its output rows and input columns (row i of an
-    entry's matrix is the mode of the i-th output photon, column j that of
-    the j-th input photon); every extraction, one-shot or of a stack of
-    mode matrices, gathers the blocks a chunk of rows at a time and
-    evaluates them as stacked permanents.
+    The entries come from the creation recurrence (Miatto & Quesada,
+    Quantum 4, 366 (2020)): <t|U|n> = sum_m L_mj sqrt(t_m) <t - e_m|U|n -
+    e_j> / sqrt(n_j).  Each input column is built from its parent, first
+    the ancilla photons one at a time, then the signal basis, which is
+    closed under lowering, on the states an output row can pass through:
+    each signal occupation within the cutoff beside each auxiliary one at
+    or below the detection pattern.
     """
 
     def __init__(self, mode_count: int, signal_modes, ancilla, det: DetectionSpec, signal_cutoff: int):
@@ -172,41 +186,82 @@ class ConditionalExtractor:
                 f"signal cutoff {signal_cutoff} cannot hold the {imbalance} photons "
                 "added by the ancilla/detection imbalance"
             )
-        occs = np.array(self.signal_basis.occupations, dtype=np.intp).reshape(self.signal_basis.dimension, len(signal))
-        totals = occs.sum(axis=1)
-        # components feeding size k, from their input sector k - (ancilla photons)
-        feeds = {}
-        for c, (_, counts) in enumerate(components):
-            for t in range(signal_cutoff + 1):
-                if 0 <= t + sum(counts) - det.total <= signal_cutoff:
-                    feeds.setdefault(_checked_size(t + sum(counts)), []).append(c)
         self._amplitudes = [amp for amp, _ in components]
-        # factorial products of the full occupations of rows (d, 1) and columns (C, 1, d)
-        self._out_fact = np.ones((len(occs), 1))
-        self._in_fact = np.ones((len(components), 1, len(occs)))
-        # per size: (size, rows, their modes (S_out, 1, size, 1), columns, their modes
-        # (1, S_in, 1, size)), rows and columns offsets into the flat (C, d, d) parts
-        self._sectors = []
-        for k in sorted(feeds):
-            rows = np.flatnonzero(totals == k - det.total)
-            out_modes, self._out_fact[rows, 0] = self._expand(occs[rows], det.counts)
-            cols, in_modes = [], []
-            for c in feeds[k]:
-                col = np.flatnonzero(totals == k - sum(components[c][1]))
-                modes, self._in_fact[c, 0, col] = self._expand(occs[col], components[c][1])
-                cols.append(c * len(occs) ** 2 + col)
-                in_modes.append(modes)
-            in_modes = np.concatenate(in_modes)[None, :, None, :]
-            self._sectors.append((k, rows * len(occs), out_modes[:, None, :, None], np.concatenate(cols), in_modes))
+        dim = self.signal_basis.dimension
+        occs = np.array(self.signal_basis.occupations, dtype=np.intp).reshape(dim, len(signal))
+        totals = occs.sum(axis=1)
+        # the tables number the modes signal first, then auxiliary
+        self._local = np.array(signal + aux_modes, dtype=np.intp)
 
-    def _expand(self, signal_occs, aux_occ):
-        """Expanded modes (S, size) and factorial products (S,) of the
-        full occupations of signal_occs (S, signal modes) beside aux_occ."""
-        full = np.zeros((len(signal_occs), self.mode_count), dtype=np.intp)
-        full[:, list(self.signal_modes)] = signal_occs
-        full[:, list(self.aux_modes)] = aux_occ
-        modes = np.repeat(np.tile(np.arange(self.mode_count), len(full)), full.ravel())
-        return modes.reshape(len(full), -1), _FACTORIALS[full].prod(axis=1).astype(float)
+        # nodes: each component's input columns, then its ancilla chain
+        # (component -1), the auxiliary modes filled in order from vacuum
+        nodes, comps, cols = [], [], []
+        for c, (_, counts) in enumerate(components):
+            top = min(signal_cutoff, signal_cutoff + det.total - sum(counts))
+            if top < det.total - sum(counts):
+                continue  # no output row in any sector: the part stays zero
+            _checked_size(top + sum(counts))
+            n = int(np.searchsorted(totals, top, side="right"))
+            chain = np.zeros((sum(counts), mode_count), dtype=np.intp)
+            chain[np.arange(1, sum(counts)), len(signal) + np.repeat(np.arange(len(aux_modes)), counts)[:-1]] = 1
+            nodes += [np.hstack([occs[:n], np.tile(np.array(counts, dtype=np.intp), (n, 1))]), chain.cumsum(axis=0)]
+            comps += [np.full(n, c), np.full(len(chain), -1)]
+            cols += [np.arange(n), np.zeros(len(chain), dtype=np.intp)]
+        self._levels = []
+        if not nodes:
+            return
+        nodes, comps, cols = (np.concatenate(a) for a in (nodes, comps, cols))
+        # nodes by photon level, each level's output columns first
+        node_levels = nodes.sum(axis=1)
+        by_level = np.argsort(2 * node_levels + (comps < 0), kind="stable")
+        nodes, comps, cols, node_levels = nodes[by_level], comps[by_level], cols[by_level], node_levels[by_level]
+        top = int(node_levels[-1])
+        # each node's parent lowers its last occupied mode in the order
+        # (auxiliary, signal): signal photons go before ancilla photons
+        order = np.roll(np.arange(mode_count), len(aux_modes))[::-1]
+        lowered = order[np.argmax(nodes[:, order] > 0, axis=1)]
+        parents = _lookup(nodes, nodes.astype(np.uint8) - (lowered[:, None] == np.arange(mode_count)))
+        inv = 1.0 / np.sqrt(np.maximum(nodes[np.arange(len(nodes)), lowered], 1))
+
+        # states: every signal occupation beside every auxiliary occupation
+        # at or below the detection pattern, up to the top node level, by
+        # level with each level's output rows first
+        aux = list(itertools.product(*(range(n + 1) for n in det.counts)))
+        aux = np.array(aux, dtype=np.intp).reshape(len(aux), len(aux_modes))
+        states = np.hstack([np.repeat(occs, len(aux), axis=0), np.tile(aux, (dim, 1))])
+        outputs = (states[:, len(signal) :] == det.counts).all(axis=1)
+        state_levels = states.sum(axis=1)
+        keep = np.flatnonzero(state_levels <= top)
+        keep = keep[np.argsort(2 * state_levels[keep] + ~outputs[keep], kind="stable")]
+        states, outputs, state_levels, rows = states[keep], outputs[keep], state_levels[keep], keep // len(aux)
+        # slot i of a state: its i-th occupied mode, the sqrt weight, and
+        # the state one photon lower there; a slot past the occupied modes
+        # has weight 0
+        slots = np.argsort(states == 0, axis=1, kind="stable")[:, : min(mode_count, top)]
+        weights = np.sqrt(np.take_along_axis(states, slots, axis=1))
+        below = _lookup(states, states.astype(np.uint8)[:, None, :] - (slots[:, :, None] == np.arange(mode_count)))
+
+        # parents and lowered states as indices into the level below
+        node_starts = np.searchsorted(node_levels, np.arange(top + 2))
+        state_starts = np.searchsorted(state_levels, np.arange(top + 2))
+        parents -= node_starts[np.maximum(node_levels - 1, 0)]
+        below = np.where(weights > 0, below - state_starts[np.maximum(state_levels - 1, 0), None], 0)
+        out_nodes = np.concatenate([[0], np.cumsum(comps >= 0)])[node_starts]
+        out_states = np.concatenate([[0], np.cumsum(outputs)])[state_starts]
+        # flat offsets into the (component, row, column) parts: an output
+        # column's component and column, an output state's row
+        cols = comps * dim * dim + cols
+        rows *= dim
+        # per level: the parents, lowered modes and 1/sqrt(n_j) of its
+        # nodes, the gathers, slot modes and weights of its states, and the
+        # offsets of its output columns (c, 1) and rows (r,)
+        for k in range(top + 1):
+            (n0, n1), (t0, t1), w = node_starts[k : k + 2], state_starts[k : k + 2], min(mode_count, k)
+            self._levels.append((
+                parents[n0:n1], lowered[n0:n1], inv[n0:n1],
+                below[t0:t1, :w], slots[t0:t1, :w], weights[t0:t1, :w],
+                cols[n0 : n0 + out_nodes[k + 1] - out_nodes[k], None], rows[t0 : t0 + out_states[k + 1] - out_states[k]],
+            ))
 
     def extract_matrix(self, mode_matrix) -> np.ndarray:
         return self.extract_stack(_as_matrix(mode_matrix)[None])[0]
@@ -214,22 +269,32 @@ class ConditionalExtractor:
     def extract_stack(self, mode_matrices) -> np.ndarray:
         """extract_matrix of each matrix in a (B, N, N) stack: (B, d, d).
 
-        Each component's part is filled with permanents, divided by its
-        factorial norms and weighted by its amplitude; the parts are summed
-        in component order.
+        The levels run on the whole stack with elementwise products and
+        sums in slot order, so each matrix gets the bits it gets alone.
+        Each component's part is weighted by its amplitude; the parts are
+        summed in component order.
         """
         m = np.asarray(mode_matrices, dtype=complex)
         if m.ndim != 3 or m.shape[1:] != (self.mode_count, self.mode_count):
             raise ValueError("mode matrix dimension mismatch")
+        m = m[:, self._local[:, None], self._local]
         dim = self.signal_basis.dimension
         parts = np.zeros((len(m), len(self._amplitudes), dim, dim), dtype=complex)
         entries = parts.reshape(len(m), -1)
-        for k, rows, out_modes, cols, in_modes in self._sectors:
-            step = max(1, _STACK_CHUNK // (max(len(m), 1) * len(cols) * max(k * k, 1)))
-            for lo in range(0, len(rows), step):
-                blocks = m[:, out_modes[lo : lo + step], in_modes]
-                entries[:, rows[lo : lo + step, None] + cols] = _per_stack(blocks, k)
-        parts /= np.sqrt(self._out_fact * self._in_fact)
+        # the vacuum column on the vacuum state
+        values = np.ones((len(m), 1, 1), dtype=complex)
+        for k, (parents, lowered, inv, gather, slots, weights, out_cols, out_rows) in enumerate(self._levels):
+            if k:
+                coef = m[:, :, lowered] * inv  # L_mj / sqrt(n_j), (B, N, nodes)
+                nodes = np.arange(len(parents))[:, None, None]
+                step = max(1, _CHUNK // max(len(m) * gather.size, 1))
+                new = np.empty((len(m), len(parents), len(gather)), dtype=complex)
+                for lo in range(0, len(parents), step):
+                    at = slice(lo, lo + step)
+                    terms = values[:, parents[at, None, None], gather] * coef[:, slots, nodes[at]] * weights
+                    new[:, at] = _ordered_sum(terms)
+                values = new
+            entries[:, out_cols + out_rows] = values[:, : len(out_cols), : len(out_rows)]
         # a unit amplitude leaves its part as filled
         out = parts[:, 0] if self._amplitudes[0] == 1 else self._amplitudes[0] * parts[:, 0]
         for c, amp in enumerate(self._amplitudes[1:], 1):

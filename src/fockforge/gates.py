@@ -1016,7 +1016,7 @@ def cnot_basis_matrix(transmission: complex, reflection: complex) -> np.ndarray:
 
 
 def cnot_basis_lift(transmission: complex, reflection: complex) -> np.ndarray:
-    """Same matrix through the permanent lift, as a cross-check."""
+    """Same matrix through the Fock lift, as a cross-check."""
     u = np.array(
         [
             [transmission, reflection],

@@ -30,6 +30,10 @@ from .conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec
 from .fock import FockBasis, FockOperator, MixedState, PureState, TotalPhotonCutoff
 from .interferometer import ModeUnitary
 
+# Largest cutoff lossy_bs_channel takes: its dense lift of the four-mode
+# dilation has C(cutoff + 4, 4) states, 1,001 (16 MB) at this cutoff.
+MAX_CHANNEL_CUTOFF = 10
+
 
 @dataclass(frozen=True)
 class LossyBSParams:
@@ -153,18 +157,26 @@ def lossy_bs_channel(params: LossyBSParams, cutoff: int) -> ChannelOperator:
     cutoff photons.
 
     Kraus block d is the four-mode dilation conditioned on vacuum device
-    inputs and device outcome d: the conditional extraction with the
-    physical pair as signal modes.  The photon sector is closed under the
-    dilation (the device modes soak up exactly what the field loses), so
-    the family indexed by device occupations is finite and complete.
+    inputs and device outcome d, sliced from one lift of the dilation.
+    The photon sector is closed under the dilation (the device modes soak
+    up exactly what the field loses), so the family indexed by device
+    occupations is finite and complete.  A cutoff above
+    MAX_CHANNEL_CUTOFF is refused before anything is built.
     """
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    ext = dilation_unitary(params)
+    if cutoff > MAX_CHANNEL_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} is above the channel's limit of {MAX_CHANNEL_CUTOFF}")
     basis = FockBasis(2, TotalPhotonCutoff(cutoff))
+    # the dilation's lift on its closed sector, and a zero row last for
+    # the rows (out, d) above it; block d is rows (out, d) x columns (in, 0, 0)
+    closed = ConditionalExtractor(4, range(4), AncillaSpec(()), DetectionSpec(()), cutoff)
+    lift = np.vstack([closed.extract_matrix(dilation_unitary(params)), np.zeros(closed.signal_basis.dimension)])
+    index = closed.signal_basis.index
+    cols = [index[occ + (0, 0)] for occ in basis.occupations]
     devices, kraus = [], []
     for dev in sorted(basis.occupations):
-        block = ConditionalExtractor(4, (0, 1), AncillaSpec((0, 0)), DetectionSpec(dev), cutoff).extract_matrix(ext)
+        block = lift[np.ix_([index.get(occ + dev, -1) for occ in basis.occupations], cols)]
         if np.max(np.abs(block)) > 1e-14:
             devices.append(dev)
             kraus.append(block)

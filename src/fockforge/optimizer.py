@@ -44,6 +44,9 @@ FEASIBLE_RESIDUAL = 1e-6
 # constraint list exactly. Solutions below this success probability are
 # treated as that degenerate point, not as feasible gates.
 TRIVIAL_PROBABILITY = 1e-8
+# Feasible restarts within this of the best probability tie, and the
+# lowest index wins: their last bits must not pick the network.
+TIED_PROBABILITY = 1e-9
 # Per restart: up to FEASIBILITY_DRAWS starts of FEASIBILITY_BUDGET
 # evaluations, then at most 50 probability steps and a 200-evaluation polish.
 FEASIBILITY_DRAWS = 4
@@ -430,25 +433,22 @@ def optimize_gate(objective: Objective, seed: int, restarts: int) -> Optimizatio
     The restarts run in lockstep in this process.  Deterministic for
     fixed inputs: restart k draws its starts from default_rng([seed, k]),
     its result does not depend on the restarts evaluated beside it, and
-    the winner is chosen by a fixed rule - feasible restarts (residual <
-    1e-6 at nontrivial success) ranked by probability then restart index,
-    infeasible ones by residual with zero-operator landings last.
+    the winner is chosen by a fixed rule - among feasible restarts
+    (residual < 1e-6 at nontrivial success), the lowest restart index
+    whose probability is within TIED_PROBABILITY of the best; failing
+    those, the lowest residual, zero-operator landings last.
     Raises InfeasibleAtBudgetError when nothing feasible was found; the
     best attempt rides along on the exception.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
     raw = _run_restarts([(objective, seed, r) for r in range(restarts)])
-
-    def rank(item):
-        _, residual, prob, index, _ = item
-        if residual < FEASIBLE_RESIDUAL and prob > TRIVIAL_PROBABILITY:
-            return (0, -prob, index)
-        if prob > TRIVIAL_PROBABILITY:
-            return (1, residual, index)
-        return (2, residual, index)
-
-    x, residual, prob, index, _ = min(raw, key=rank)
+    feasible = [item for item in raw if item[1] < FEASIBLE_RESIDUAL and item[2] > TRIVIAL_PROBABILITY]
+    if feasible:
+        top = max(item[2] for item in feasible)
+        x, residual, prob, index, _ = next(item for item in feasible if item[2] >= top - TIED_PROBABILITY)
+    else:
+        x, residual, prob, index, _ = min(raw, key=lambda item: (item[2] <= TRIVIAL_PROBABILITY, item[1], item[3]))
     result = OptimizationResult(
         params=np.asarray(x, dtype=float),
         residual=float(residual),

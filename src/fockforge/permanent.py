@@ -1,9 +1,9 @@
 """Matrix permanents and the bounds they obey on unitary blocks.
 
-Every conditional amplitude in this package reduces to a permanent of a
+Every conditional amplitude in this package equals a permanent of a
 submatrix of the mode transformation, with rows and columns repeated
-according to the output and input occupations, written for one entry in
-``_gather`` and for a whole sector in ``conditioning.ConditionalExtractor``.  Two
+according to the output and input occupations (``_gather``); the tests
+hold conditioning.ConditionalExtractor's recurrence to them.  Two
 independent code paths are kept on purpose: a kernel on Glynn's formula
 (Glynn, Eur. J. Combin. 31, 1887 (2010)) used everywhere, and a
 brute-force expansion over permutations that serves as the oracle in the
@@ -30,19 +30,6 @@ _BLOCK_ROWS = 10
 _SIGNS = np.ones((MAX_DIMENSION, 1 << _BLOCK_ROWS), dtype=complex)
 _SIGNS[1:1 + _BLOCK_ROWS] -= 2.0 * ((np.arange(1 << _BLOCK_ROWS) >> np.arange(_BLOCK_ROWS)[:, None]) & 1)
 _SIGN_PRODUCTS = _SIGNS.prod(axis=0)
-# Row-major positions (i, s(i)) of every permutation s of range(n), n <= 4.
-_EXPANSIONS = [
-    np.array([[i * n + j for i, j in enumerate(s)] for s in itertools.permutations(range(n))], dtype=np.intp)
-    .reshape(math.factorial(n), n)
-    for n in range(5)
-]
-# Above this size a stacked permanent runs the kernel matrix by matrix: the
-# all-at-once sum holds 2^(n-1) n terms per matrix, and from n = 9 it is
-# slower than the kernel even on stacks of 200.
-_STACK_GLYNN_MAX = 8
-# A stacked permanent takes as many matrices at a time as keep its largest
-# intermediate, n! n or 2^(n-1) n values per matrix, near this size.
-_STACK_CHUNK = 1 << 13
 
 
 class PermanentSizeError(ValueError):
@@ -57,31 +44,8 @@ def _as_square(m) -> np.ndarray:
 
 
 def _per_flat(a: list[complex], n: int) -> complex:
-    """Permanent of an n x n matrix stored row-major in a flat list.
-
-    Hardcoded expansions up to n = 4 keep the conditioning hot loop off
-    numpy, whose call overhead exceeds their cost; n >= 5 runs the Glynn
-    kernel.
-    """
-    if n == 0:
-        return 1.0 + 0.0j
-    if n == 1:
-        return a[0]
-    if n == 2:
-        return a[0] * a[3] + a[1] * a[2]
-    if n == 3:
-        return (
-            a[0] * (a[4] * a[8] + a[5] * a[7])
-            + a[1] * (a[3] * a[8] + a[5] * a[6])
-            + a[2] * (a[3] * a[7] + a[4] * a[6])
-        )
-    if n == 4:
-        p0 = a[5] * (a[10] * a[15] + a[11] * a[14]) + a[6] * (a[9] * a[15] + a[11] * a[13]) + a[7] * (a[9] * a[14] + a[10] * a[13])
-        p1 = a[4] * (a[10] * a[15] + a[11] * a[14]) + a[6] * (a[8] * a[15] + a[11] * a[12]) + a[7] * (a[8] * a[14] + a[10] * a[12])
-        p2 = a[4] * (a[9] * a[15] + a[11] * a[13]) + a[5] * (a[8] * a[15] + a[11] * a[12]) + a[7] * (a[8] * a[13] + a[9] * a[12])
-        p3 = a[4] * (a[9] * a[14] + a[10] * a[13]) + a[5] * (a[8] * a[14] + a[10] * a[12]) + a[6] * (a[8] * a[13] + a[9] * a[12])
-        return a[0] * p0 + a[1] * p1 + a[2] * p2 + a[3] * p3
-    return _glynn(a, n)
+    """Permanent of an n x n matrix stored row-major in a flat list."""
+    return 1.0 + 0.0j if n == 0 else _glynn(a, n)
 
 
 def _glynn(a: list[complex], n: int) -> complex:
@@ -122,45 +86,6 @@ def _ordered_sum(a: np.ndarray) -> np.ndarray:
     operations act on every element alike.
     """
     return a.cumsum(axis=-1)[..., -1]
-
-
-def _per_stack(blocks: np.ndarray, n: int) -> np.ndarray:
-    """Permanents of a stack of n x n matrices, blocks[..., n, n].
-
-    Up to n = 4, the expansion over all n! permutations (written out up to
-    n = 2); up to n = _STACK_GLYNN_MAX, Glynn's sum over every sign vector
-    at once, _STACK_CHUNK values at a time; above that, the Glynn kernel
-    one matrix at a time.  The sums are plain, not compensated.  Each
-    matrix's permanent has the same bits in any stack.
-    """
-    lead = blocks.shape[:-2]
-    if n == 0:
-        return np.ones(lead, dtype=complex)
-    if n == 1:
-        return blocks[..., 0, 0]
-    if n == 2:
-        return blocks[..., 0, 0] * blocks[..., 1, 1] + blocks[..., 0, 1] * blocks[..., 1, 0]
-    flat = blocks.reshape(-1, n, n)
-    if n > _STACK_GLYNN_MAX:
-        return np.array([_glynn(b.ravel().tolist(), n) for b in flat], dtype=complex).reshape(lead)
-    step = max(1, _STACK_CHUNK // (n * (math.factorial(n) if n <= 4 else 1 << (n - 1))))
-    out = []
-    for lo in range(0, len(flat), step):
-        m = flat[lo : lo + step]
-        if n <= 4:
-            # factors[e, p, i] is entry (i, s_p(i))
-            factors = m.reshape(len(m), n * n)[:, _EXPANSIONS[n]]
-        else:
-            # factors[e, s, j] is sum_i d_i a_ij, sign vectors d with d_0 = +1
-            # built up one row at a time
-            factors = m[:, :1, :]
-            for i in range(1, n):
-                factors = np.concatenate([factors + m[:, i : i + 1, :], factors - m[:, i : i + 1, :]], axis=1)
-        terms = factors[..., 0]
-        for j in range(1, n):
-            terms = terms * factors[..., j]
-        out.append(_ordered_sum(terms) if n <= 4 else _ordered_sum(terms * _SIGN_PRODUCTS[: 1 << (n - 1)]) / (1 << (n - 1)))
-    return (out[0] if len(out) == 1 else np.concatenate(out)).reshape(lead)
 
 
 def permanent_ryser(m) -> complex:

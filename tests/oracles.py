@@ -2,11 +2,10 @@
 
 The lift oracle never touches the permanent code: it expands
 creation-operator polynomials monomial by monomial, which is slow but
-follows the definition directly.  The per-entry extraction is the loop
-the sector tables of ConditionalExtractor replaced: one gather list and
-one flat-kernel permanent per operator entry (hardcoded expansions up to
-size 4, the compensated Glynn kernel above), where the extractor runs
-stacked permanents.  The CNOT slab residual is alternating least squares
+follows the definition directly.  The per-entry extraction is the
+definition the recurrence of ConditionalExtractor replaced: one gather
+list and one flat-kernel (compensated Glynn) permanent per operator
+entry, with rows and columns repeated by the occupations.  The CNOT slab residual is alternating least squares
 over dense 6x4 slabs with pseudo-inverted Gram matrices, one angle pair
 at a time, the route the batched closed-form scan replaced.
 """

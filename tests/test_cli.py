@@ -386,14 +386,22 @@ def test_condition_detected_mode_needs_fock_input(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "modes, signal, ancilla, detection, cutoff",
-    [(4, (0, 1), (1, 0), (1, 0), 6), (5, (0, 2, 4), (2, 1), (1, 0), 4), (3, (1,), (0, 2), (1, 1), 7)],
+    [
+        (4, (0, 1), (1, 0), (1, 0), 6),
+        (5, (0, 2, 4), (2, 1), (1, 0), 4),
+        (3, (1,), (0, 2), (1, 1), 7),
+        # ancilla- and detector-heavy: a five-photon chain, 3 x 2 x 4 x 2
+        # detection patterns per signal occupation
+        (6, (1, 4), (2, 0, 3, 0), (2, 1, 3, 1), 5),
+    ],
 )
 def test_condition_work_counts_the_extractor_entries(modes, signal, ancilla, detection, cutoff):
-    # the limit's figure comes from sector sizes alone; it must be the sum
-    # of 2^size over the entries the extractor would build
+    # the limit's figure comes from sector sizes alone; it must be the
+    # multiply-adds of the recurrence tables the extractor builds: nodes x
+    # states x slots on each photon level
     extractor = ConditionalExtractor(modes, signal, AncillaSpec(ancilla), DetectionSpec(detection), cutoff)
-    built = sum(len(rows) * len(cols) << size for size, rows, _, cols, _ in extractor._sectors)
-    assert cli._condition_work(len(signal), cutoff, sum(ancilla), sum(detection)) == built
+    built = sum(len(parents) * gather.size for parents, _, _, gather, *_ in extractor._levels)
+    assert cli._condition_work(len(signal), cutoff, sum(ancilla), detection) == built > 0
 
 
 def test_condition_at_its_cutoff_limit_runs(capsys):
@@ -406,6 +414,33 @@ def refuse_to_build(*args):
     raise AssertionError("condition built an extractor past its size limit")
 
 
+# detector-heavy networks: one photon in, and three or two detected, on
+# each auxiliary mode (HEAVY_TWO also sends six photons into signal mode 0)
+HEAVY_THREE = "modes 6\n" + "".join(f"input fock {m} 1\ndetect fock {m} 3\n" for m in (3, 4, 5))
+HEAVY_THREE += "bs 0 3 0.3 0 0\nbs 1 4 0.5 0 0\nbs 2 5 0.7 0 0\nbs 3 4 0.4 0 0\n"
+HEAVY_TWO = "modes 8\ninput fock 0 6\n" + "".join(f"input fock {m} 1\ndetect fock {m} 2\n" for m in range(2, 8))
+HEAVY_TWO += "".join(f"bs {m} {m + 1} 0.{m + 2} 0 0\n" for m in range(7))
+
+
+@pytest.mark.parametrize(
+    "text, cutoff",
+    [
+        # rejected when the work counted 2^size per entry: three signal
+        # modes at cutoff 16 (969 states), two at cutoff 20
+        ("modes 5\ninput fock 3 1\nbs 0 3 0.3 0 0\nbs 2 4 0.5 0 0\ndetect fock 3 1\ndetect fock 4 0\n", 16),
+        ("modes 4\ninput fock 2 1\nbs 0 2 0.3 0 0\nbs 1 3 0.5 0 0\ndetect fock 2 1\ndetect fock 3 0\n", 20),
+        # a cutoff below HEAVY_TWO's rejected one
+        (HEAVY_TWO, 13),
+    ],
+    ids=["three-signal-modes", "two-signal-modes", "detector-heavy"],
+)
+def test_condition_inside_its_work_limit_runs(monkeypatch, capsys, text, cutoff):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["condition", "--cutoff", str(cutoff), "-"]) == 0
+    out = capsys.readouterr().out
+    assert 0.0 < float(kv(out)["success_probability"]) <= 1.0
+
+
 @pytest.mark.parametrize(
     "text, cutoff, named",
     [
@@ -414,12 +449,11 @@ def refuse_to_build(*args):
          ("1001", str(cli.MAX_SIMULATE_DIMENSION))),
         (Path(NSS_FIXTURE).read_text(), cli.MAX_CONDITION_CUTOFF + 1,
          (str(cli.MAX_CONDITION_CUTOFF + 1), str(cli.MAX_CONDITION_CUTOFF))),
-        # inside both limits, but (sector size)^2 entries on several signal
-        # modes: three at cutoff 16 (969 states), two at cutoff 20
-        ("modes 5\ninput fock 3 1\nbs 0 3 0.3 0 0\nbs 2 4 0.5 0 0\ndetect fock 3 1\ndetect fock 4 0\n", 16,
-         ("5.04e+09", f"{cli.MAX_CONDITION_WORK:.3g}")),
-        ("modes 4\ninput fock 2 1\nbs 0 2 0.3 0 0\nbs 1 3 0.5 0 0\ndetect fock 2 1\ndetect fock 3 0\n", 20,
-         ("1.69e+09", f"{cli.MAX_CONDITION_WORK:.3g}")),
+        # inside both limits, but the recurrence's nodes times states grow
+        # with the detection patterns beside the signal basis: three signal
+        # modes beside 4^3 patterns at cutoff 12, two beside 3^6 at cutoff 14
+        (HEAVY_THREE, 12, ("7.15e+06", f"{cli.MAX_CONDITION_WORK:.3g}")),
+        (HEAVY_TWO, 14, ("6.14e+06", f"{cli.MAX_CONDITION_WORK:.3g}")),
     ],
     ids=["dimension", "cutoff", "work-three-signal-modes", "work-two-signal-modes"],
 )
@@ -477,9 +511,9 @@ def test_optimize_feasible(capsys):
     assert abs(float(head["probability"]) - 0.25) < 1e-3
     assert float(head["residual"]) < 1e-6
     assert head["evaluations"] == "965"
-    # restarts 1 and 2 both reach p = 1/4 within 1e-16, so the last bits
-    # of the evaluation pick the winner
-    assert head["restart_index"] == "1"
+    # restarts 0, 1 and 2 all reach p = 1/4 within 1e-14: tied, so the
+    # lowest index wins whatever the last bits of the evaluation
+    assert head["restart_index"] == "0"
 
 
 def test_optimize_starved_budget_is_exit_3(capsys):

@@ -193,23 +193,24 @@ def test_broken_kraus_family_fails_the_final_state_check(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# cost tripwires: permanents one simulate call evaluates, independent of
-# the machine (the whole-basis routes took 180,622 and 11,934)
+# cost tripwires: amplitudes the extraction recurrence fills in one
+# simulate call, independent of the machine (the whole-basis routes took
+# 180,622 and 11,934 permanents)
 
 
-def count_permanents(monkeypatch, capsys, text, cutoff) -> int:
-    rows = []
-    inner = conditioning._per_stack
+def count_amplitudes(monkeypatch, capsys, text, cutoff) -> int:
+    filled = []
+    inner = conditioning.ConditionalExtractor.extract_stack
 
-    def counting(blocks, n):
-        rows.append(math.prod(blocks.shape[:-2]))
-        return inner(blocks, n)
+    def counting(self, mode_matrices):
+        filled.append(len(mode_matrices) * sum(len(level[0]) * len(level[3]) for level in self._levels))
+        return inner(self, mode_matrices)
 
-    monkeypatch.setattr(conditioning, "_per_stack", counting)
+    monkeypatch.setattr(conditioning.ConditionalExtractor, "extract_stack", counting)
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert cli.main(["simulate", "--cutoff", str(cutoff), "-"]) == 0
     capsys.readouterr()
-    return sum(rows)
+    return sum(filled)
 
 
 def test_lossy_simulate_permanent_count(monkeypatch, capsys):
@@ -218,7 +219,7 @@ def test_lossy_simulate_permanent_count(monkeypatch, capsys):
         "bs 1 2 0.8 1.0 2.0\nlossybs 0 1 0.5 0.3 4.0 0.4\nlossybs 2 3 1.1 5.0 0.2 0.4\n"
         "bs 0 2 0.3 2.5 1.5\nphase 3 0.9\n"
     )
-    assert 0 < count_permanents(monkeypatch, capsys, text, 5) <= 2000
+    assert 0 < count_amplitudes(monkeypatch, capsys, text, 5) <= 10000
 
 
 def test_lossless_simulate_permanent_count(monkeypatch, capsys):
@@ -229,7 +230,7 @@ def test_lossless_simulate_permanent_count(monkeypatch, capsys):
     )
     text = "modes 4\ninput fock 0 2\ninput fock 1 1\ninput fock 3 3\n" + mesh
     text += "".join(f"phase {m} {0.4 * m}\n" for m in range(4))
-    assert 0 < count_permanents(monkeypatch, capsys, text, 6) <= 1000
+    assert 0 < count_amplitudes(monkeypatch, capsys, text, 6) <= 1000
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,28 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_runs_load_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call (numpy 2.4), about 18 ms
+    # and 1.2 MB of peak RSS in a process that otherwise never needs it
+    lossy = tmp_path / "lossy.circuit"
+    lossy.write_text("modes 3\ninput fock 0 1\ninput fock 2 1\nlossybs 0 1 0.7 0.3 1.1 0.4\nbs 1 2 0.5 0 0\n")
+    runs = [
+        ["condition", str(ROOT / "circuits" / "nss_klm.circuit")],
+        ["gate", "--name", "nss"],
+        ["simulate", "--cutoff", "3", str(lossy)],
+    ]
+    code = (
+        "import contextlib, io, sys\nfrom fockforge import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
