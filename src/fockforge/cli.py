@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -39,6 +40,7 @@ from .conditioning import (
     DetectionSpec,
     extract_conditional_operator,
     lift_unitary,
+    recurrence_work,
     success_probability,
     verify_proposition,
 )
@@ -58,7 +60,6 @@ from .interferometer import (
     PhaseShifterParams,
     bs_matrix,
     compose,
-    element_matrix,
 )
 from .lossy import LossyBSParams, lossy_bs_channel, noisy_sigma_z_experiment
 from .optimizer import InfeasibleAtBudgetError, optimize_gate
@@ -67,17 +68,18 @@ from . import gates
 
 # unused here: imported only so that perfbench/tracing.py's WRAPPED names resolve
 from .fock import partial_trace  # noqa: F401
+from .interferometer import element_matrix  # noqa: F401
 from .lossy import dilation_unitary  # noqa: F401
 
 # size limits of simulate and condition, checked before either builds
-# anything (README, "simulate"): the largest lossy circuits they allow ran
-# in 0.3 to 1.6 s at each cutoff from 2 to 10, and the largest condition
-# runs below the limit on its recurrence's multiply-adds (_condition_work)
-# in 0.5 to 2.0 s on two cores, most of it printing rows.
+# anything (README, "simulate"): on two cores the largest circuits
+# simulate allows ran in 0.3 to 1.9 s at each cutoff from 2 to 10 (18 s
+# for 900 modes at cutoff 1), and the largest condition runs below the
+# extractor's limit on its recurrence's multiply-adds
+# (conditioning.recurrence_work) in 0.5 to 2.0 s, most of it printing rows.
 MAX_SIMULATE_DIMENSION = 1000
 MAX_SIMULATE_CUTOFF = 10
 MAX_CONDITION_CUTOFF = 20
-MAX_CONDITION_WORK = 5 * 10**6
 
 
 class CircuitError(ValueError):
@@ -409,19 +411,24 @@ def _network_of(cf: CircuitFile) -> NetworkDescription:
     return NetworkDescription(cf.mode_count, tuple(_element(e) for e in cf.elements))
 
 
-def _local_operators(e, cutoff: int):
-    """The modes an element touches, in its listed order, and its operators
-    on a total-photon basis of just those modes: the lifted unitary of a
-    phase or splitter, or the Kraus family of an absorbing splitter."""
-    if e[0] == "phase":
-        u = element_matrix(PhaseShifterParams(0, e[2]), 1)
-        return e[1:2], (lift_unitary(u, FockBasis(1, TotalPhotonCutoff(cutoff))).matrix,)
-    block = bs_matrix(BeamSplitterParams(0, 1, *e[3:6]), 2)
-    if e[0] == "bs":
-        return e[1:3], (lift_unitary(block, FockBasis(2, TotalPhotonCutoff(cutoff))).matrix,)
-    ab = e[6]
-    params = LossyBSParams(math.sqrt(1.0 - ab * ab) * block.matrix, ab * np.eye(2))
-    return e[1:3], lossy_bs_channel(params, cutoff).kraus
+def _stages(cf: CircuitFile, cutoff: int):
+    """Each stage of the circuit as (modes, operators on a total-photon
+    basis of those modes): a maximal run of phases and splitters composed,
+    restricted to the sorted modes it touches (it is the identity on the
+    others) and lifted once, or an absorbing splitter's Kraus family on
+    its two listed modes."""
+    for lossy, run in itertools.groupby(cf.elements, key=lambda e: e[0] == "lossybs"):
+        if lossy:
+            for e in run:
+                ab = e[6]
+                block = bs_matrix(BeamSplitterParams(0, 1, *e[3:6]), 2).matrix
+                params = LossyBSParams(math.sqrt(1.0 - ab * ab) * block, ab * np.eye(2))
+                yield e[1:3], lossy_bs_channel(params, cutoff).kraus
+            continue
+        run = tuple(run)
+        modes = sorted({m for e in run for m in e[1 : 3 if e[0] == "bs" else 2]})
+        u = compose(NetworkDescription(cf.mode_count, tuple(map(_element, run)))).matrix[np.ix_(modes, modes)]
+        yield modes, (lift_unitary(u, FockBasis(len(modes), TotalPhotonCutoff(cutoff))).matrix,)
 
 
 def _embed(ops, modes, basis: FockBasis) -> list:
@@ -435,16 +442,16 @@ def _embed(ops, modes, basis: FockBasis) -> list:
     them see the same leading block of K: each such bucket is one gather,
     one matrix product and one scatter, over just the local states where
     K has nonzero rows and columns (an absorbing block lowers the photon
-    count, so most of them are zero).  No operator of the basis dimension
-    is ever built.
+    count, so most of them are zero).  K is never written out on `basis`.
 
     Nothing is lost when an operator never raises the photon count on its
     modes (a passive element keeps it, an absorber lowers it): every entry
     it can reach then lies inside `basis`."""
     local = FockBasis(len(modes), basis.policy)
+    others = [m for m in range(basis.mode_count) if m not in modes]
     groups: dict = {}
     for b, occ in enumerate(basis.occupations):
-        rest = tuple(n for m, n in enumerate(occ) if m not in modes)
+        rest = tuple(occ[m] for m in others)
         groups.setdefault(rest, []).append((local.index[tuple(occ[m] for m in modes)], b))
     by_count: dict = {}
     for rest, pairs in groups.items():
@@ -470,32 +477,23 @@ def _apply_embedded(parts, x):
     )
 
 
-def _simulate_pure(cf: CircuitFile, cutoff: int) -> PureState:
-    """State-vector evolution, one element at a time."""
+def _simulate(cf: CircuitFile, cutoff: int):
+    """The output state, one stage at a time: the state vector of a
+    lossless circuit, or the density matrix of a lossy one (rho -> sum_K K
+    rho K^dag).  Each Kraus map keeps rho positive, so only the final
+    state is validated."""
     state = _joint_input_state(cf, cutoff)
-    amps = state.amplitudes
-    for e in cf.elements:
-        modes, ops = _local_operators(e, cutoff)
-        ((rows, op),) = _embed(ops, modes, state.basis)
-        moved = np.zeros_like(amps)
-        moved[rows] = op(amps)
-        amps = moved
-    return PureState(state.basis, amps, unchecked=True)
-
-
-def _simulate_lossy(cf: CircuitFile, cutoff: int) -> MixedState:
-    """Density-matrix evolution for circuits containing lossybs elements:
-    rho -> sum_K K rho K^dag, one element at a time.  Each Kraus map keeps
-    rho positive, so only the final state is validated."""
-    state = _joint_input_state(cf, cutoff)
-    rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    for e in cf.elements:
-        modes, ops = _local_operators(e, cutoff)
-        out = np.zeros_like(rho)
+    lossy = any(e[0] == "lossybs" for e in cf.elements)
+    x = np.outer(state.amplitudes, state.amplitudes.conj()) if lossy else state.amplitudes
+    for modes, ops in _stages(cf, cutoff):
+        out = np.zeros_like(x)
         for rows, k in _embed(ops, modes, state.basis):
-            out[np.ix_(rows, rows)] += k(k(rho).conj().T).conj().T
-        rho = out
-    return MixedState(state.basis, rho)
+            if lossy:
+                out[np.ix_(rows, rows)] += k(k(x).conj().T).conj().T
+            else:
+                out[rows] = k(x)
+        x = out
+    return MixedState(state.basis, x) if lossy else PureState(state.basis, x, unchecked=True)
 
 
 def _check_size(command: str, modes: int, cutoff: int, max_cutoff: int) -> None:
@@ -511,45 +509,19 @@ def _check_size(command: str, modes: int, cutoff: int, max_cutoff: int) -> None:
         )
 
 
-def _condition_work(signal_modes: int, cutoff: int, ancilla: int, detection) -> int:
-    """Multiply-adds of conditioning.ConditionalExtractor's recurrence on
-    one mode matrix: on each photon level k, its column nodes (ancilla
-    chain, then signal columns) times its states (signal occupations beside
-    auxiliary ones at or below `detection`) times min(modes, k)."""
-    aux = [1]  # auxiliary occupations at or below the detection pattern, by photons
-    for n in detection:
-        aux = [sum(aux[max(0, j - n) : j + 1]) for j in range(len(aux) + n)]
-    sector = [math.comb(n + signal_modes - 1, n) for n in range(cutoff + 1)] + [0] * len(aux)
-    # signal columns up to `top` photons; no levels at all without an output row
-    top = min(cutoff, cutoff + sum(detection) - ancilla) if cutoff + ancilla >= sum(detection) else -ancilla
-    return sum(
-        (sector[k - ancilla] if k >= ancilla else 1)
-        * sum(count * sector[k - j] for j, count in enumerate(aux) if j <= k)
-        * min(signal_modes + len(detection), k)
-        for k in range(1, top + ancilla + 1)
-    )
-
-
 def _cmd_simulate(args) -> int:
     cf = parse_circuit(_read_text(args.circuit))
     if cf.detections:
         raise CircuitError(1, 1, "simulate takes no detect lines; use the condition subcommand")
     cutoff = _pick_cutoff(args, cf)
     _check_size("simulate", cf.mode_count, cutoff, MAX_SIMULATE_CUTOFF)
-    out = []
-    if any(e[0] == "lossybs" for e in cf.elements):
-        rho = _simulate_lossy(cf, cutoff)
-        out.append(tuple(f"n{m}" for m in range(cf.mode_count)) + ("population",))
-        for i, occ in enumerate(rho.basis.occupations):
-            out.append(tuple(str(n) for n in occ) + (_fmt(rho.matrix[i, i].real),))
+    state = _simulate(cf, cutoff)
+    if isinstance(state, MixedState):
+        columns, values = ("population",), [(_fmt(p.real),) for p in np.diag(state.matrix)]
     else:
-        state = _simulate_pure(cf, cutoff)
-        final = state.amplitudes
-        out.append(tuple(f"n{m}" for m in range(cf.mode_count)) + ("re", "im"))
-        for i, occ in enumerate(state.basis.occupations):
-            out.append(
-                tuple(str(n) for n in occ) + (_fmt(final[i].real), _fmt(final[i].imag))
-            )
+        columns, values = ("re", "im"), [(_fmt(a.real), _fmt(a.imag)) for a in state.amplitudes]
+    out = [tuple(f"n{m}" for m in range(cf.mode_count)) + columns]
+    out += [tuple(map(str, occ)) + v for occ, v in zip(state.basis.occupations, values)]
     sys.stdout.write(_rows_to_tsv(out))
     return 0
 
@@ -582,12 +554,7 @@ def _cmd_condition(args) -> int:
             aux_counts.append(spec[2])
         else:
             raise CircuitError(1, 1, f"detected mode {m} needs a Fock input, not {spec[0]}")
-    work = _condition_work(len(signal), cutoff, sum(aux_counts), [detected[m] for m in aux_modes])
-    if work > MAX_CONDITION_WORK:
-        raise OverflowError(
-            f"recurrence work {work:.3g} ({len(signal)} signal modes, cutoff {cutoff}) is above "
-            f"condition's limit of {MAX_CONDITION_WORK:.3g}"
-        )
+    recurrence_work(len(signal), cutoff, [sum(aux_counts)], [detected[m] for m in aux_modes])
     cond = extract_conditional_operator(
         compose(_network_of(cf)),
         signal,

@@ -43,8 +43,12 @@ from .permanent import MAX_DIMENSION, PermanentSizeError, _gather, _ordered_sum,
 # amplitudes, 16 MB at 1,000 states.
 MAX_LIFT_DIMENSION = 1000
 # A recurrence level gathers (B, nodes, states, slots) terms for at most
-# this many at a time, 4 MB of complex values.
-_CHUNK = 1 << 18
+# this many at a time, 256 kB of complex values.
+_CHUNK = 1 << 14
+# Most multiply-adds an extractor's recurrence may do on one mode matrix
+# (recurrence_work); the largest lift within MAX_LIFT_DIMENSION does
+# 2.03e6 (16 modes, cutoff 3).
+MAX_RECURRENCE_WORK = 5 * 10**6
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,32 @@ def _lookup(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return order[np.minimum(found, len(order) - 1)].reshape(queries.shape[:-1])
 
 
+def recurrence_work(signal_modes: int, cutoff: int, ancilla_photons, detection) -> int:
+    """Multiply-adds of ConditionalExtractor's recurrence on one mode
+    matrix, from sector sizes alone: on each photon level k, its column
+    nodes (each ancilla component's chain, then its signal columns) times
+    its states (signal occupations beside auxiliary ones at or below
+    `detection`) times min(modes, k).  `ancilla_photons` holds each
+    component's photon total.  OverflowError above MAX_RECURRENCE_WORK."""
+    sector = [math.comb(n + signal_modes - 1, n) for n in range(cutoff + 1)]
+    states = sector  # by photon level; each detector of n photons spreads them over n + 1 levels
+    for n in detection:
+        states = [sum(states[max(0, k - n) : k + 1]) for k in range(len(states) + n)]
+    nodes = [0] * len(states)  # column nodes by photon level
+    for a in ancilla_photons:
+        top = min(cutoff, cutoff + sum(detection) - a)  # signal columns up to `top` photons
+        if top >= sum(detection) - a:  # else no output row: the component has no nodes
+            for k in range(a + top + 1):
+                nodes[k] += sector[k - a] if k >= a else 1
+    work = sum(n * s * min(signal_modes + len(detection), k) for k, (n, s) in enumerate(zip(nodes, states)))
+    if work > MAX_RECURRENCE_WORK:
+        raise OverflowError(
+            f"recurrence work {work:.3g} ({signal_modes} signal modes, cutoff {cutoff}) is above "
+            f"the extractor's limit of {MAX_RECURRENCE_WORK:.3g}"
+        )
+    return work
+
+
 def _checked_size(size: int) -> int:
     if size > MAX_DIMENSION:
         raise PermanentSizeError(f"{size} photons need a permanent of dimension {size}, above the supported maximum {MAX_DIMENSION}")
@@ -149,7 +179,8 @@ class ConditionalExtractor:
     the ancilla photons one at a time, then the signal basis, which is
     closed under lowering, on the states an output row can pass through:
     each signal occupation within the cutoff beside each auxiliary one at
-    or below the detection pattern.
+    or below the detection pattern.  A shape above MAX_RECURRENCE_WORK is
+    refused (OverflowError, see recurrence_work) before anything is built.
     """
 
     def __init__(self, mode_count: int, signal_modes, ancilla, det: DetectionSpec, signal_cutoff: int):
@@ -175,10 +206,6 @@ class ConditionalExtractor:
             )
         if signal_cutoff < 0:
             raise ValueError("signal cutoff must be non-negative")
-        self.mode_count = mode_count
-        self.signal_modes = signal
-        self.aux_modes = aux_modes
-        self.signal_basis = FockBasis(len(signal), TotalPhotonCutoff(signal_cutoff))
         imbalance = max(sum(counts) for _, counts in components) - det.total
         self.faithful_input_levels = signal_cutoff - max(imbalance, 0)
         if self.faithful_input_levels < 0:
@@ -186,6 +213,11 @@ class ConditionalExtractor:
                 f"signal cutoff {signal_cutoff} cannot hold the {imbalance} photons "
                 "added by the ancilla/detection imbalance"
             )
+        recurrence_work(len(signal), signal_cutoff, [sum(counts) for _, counts in components], det.counts)
+        self.mode_count = mode_count
+        self.signal_modes = signal
+        self.aux_modes = aux_modes
+        self.signal_basis = FockBasis(len(signal), TotalPhotonCutoff(signal_cutoff))
         self._amplitudes = [amp for amp, _ in components]
         dim = self.signal_basis.dimension
         occs = np.array(self.signal_basis.occupations, dtype=np.intp).reshape(dim, len(signal))

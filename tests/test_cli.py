@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockforge import cli, gates
+from fockforge import cli, conditioning, gates
 from fockforge.cli import (
     GATES,
     CircuitError,
@@ -19,7 +19,7 @@ from fockforge.cli import (
     serialize_circuit,
 )
 from fockforge.conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec
-from fockforge.fock import FockBasis, TotalPhotonCutoff
+from fockforge.fock import FockBasis, PureState, TotalPhotonCutoff
 from fockforge.interferometer import (
     BeamSplitterParams,
     NetworkDescription,
@@ -393,15 +393,25 @@ def test_condition_detected_mode_needs_fock_input(tmp_path, capsys):
         # ancilla- and detector-heavy: a five-photon chain, 3 x 2 x 4 x 2
         # detection patterns per signal occupation
         (6, (1, 4), (2, 0, 3, 0), (2, 1, 3, 1), 5),
+        # a superposed ancilla: a chain and signal columns per component,
+        # except the vacuum one, which has no output row at cutoff 1
+        (5, (0, 3), ((1, 0, 2), (0, 0, 0), (3, 1, 0), (0, 2, 0)), (1, 2, 0), 1),
     ],
 )
 def test_condition_work_counts_the_extractor_entries(modes, signal, ancilla, detection, cutoff):
     # the limit's figure comes from sector sizes alone; it must be the
     # multiply-adds of the recurrence tables the extractor builds: nodes x
     # states x slots on each photon level
-    extractor = ConditionalExtractor(modes, signal, AncillaSpec(ancilla), DetectionSpec(detection), cutoff)
+    if isinstance(ancilla[0], tuple):  # one Fock component per tuple
+        basis = FockBasis(len(detection), TotalPhotonCutoff(max(map(sum, ancilla))))
+        amplitudes = np.zeros(basis.dimension, dtype=complex)
+        amplitudes[[basis.index_of(c) for c in ancilla]] = 0.5
+        spec, photons = PureState(basis, amplitudes), [sum(c) for c in ancilla]
+    else:
+        spec, photons = AncillaSpec(ancilla), [sum(ancilla)]
+    extractor = ConditionalExtractor(modes, signal, spec, DetectionSpec(detection), cutoff)
     built = sum(len(parents) * gather.size for parents, _, _, gather, *_ in extractor._levels)
-    assert cli._condition_work(len(signal), cutoff, sum(ancilla), detection) == built > 0
+    assert conditioning.recurrence_work(len(signal), cutoff, photons, detection) == built > 0
 
 
 def test_condition_at_its_cutoff_limit_runs(capsys):
@@ -452,8 +462,8 @@ def test_condition_inside_its_work_limit_runs(monkeypatch, capsys, text, cutoff)
         # inside both limits, but the recurrence's nodes times states grow
         # with the detection patterns beside the signal basis: three signal
         # modes beside 4^3 patterns at cutoff 12, two beside 3^6 at cutoff 14
-        (HEAVY_THREE, 12, ("7.15e+06", f"{cli.MAX_CONDITION_WORK:.3g}")),
-        (HEAVY_TWO, 14, ("6.14e+06", f"{cli.MAX_CONDITION_WORK:.3g}")),
+        (HEAVY_THREE, 12, ("7.15e+06", f"{conditioning.MAX_RECURRENCE_WORK:.3g}")),
+        (HEAVY_TWO, 14, ("6.14e+06", f"{conditioning.MAX_RECURRENCE_WORK:.3g}")),
     ],
     ids=["dimension", "cutoff", "work-three-signal-modes", "work-two-signal-modes"],
 )

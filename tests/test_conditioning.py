@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fockforge.conditioning import (
     _CHUNK,
     MAX_LIFT_DIMENSION,
+    MAX_RECURRENCE_WORK,
     AncillaSpec,
     ConditionalExtractor,
     ConditionalOperator,
@@ -16,6 +17,7 @@ from fockforge.conditioning import (
     extract_with_ancilla_state,
     fock_lift_amplitude,
     lift_unitary,
+    recurrence_work,
     success_probability,
     verify_proposition,
 )
@@ -34,6 +36,7 @@ from fockforge.interferometer import (
 )
 
 from fockforge.gates import _pauli_objective, nss_objective, su3_objective
+from fockforge.lossy import MAX_CHANNEL_CUTOFF
 from fockforge.optimizer import mesh_matrices
 
 from oracles import lift_oracle, per_entry_extraction
@@ -309,3 +312,31 @@ def test_lift_above_its_dimension_limit_allocates_nothing():
         tracemalloc.stop()
     # the dense lift alone would be dimension^2 complex amplitudes, 16 MB
     assert peak < 1e6
+
+
+def test_extractor_above_its_work_limit_allocates_nothing():
+    # nine modes, two of them signal, beside seven two-photon detectors at
+    # cutoff 16: built, its tables peaked at 210 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError, match="1.61e\\+07"):
+            ConditionalExtractor(9, (0, 1), AncillaSpec((2,) * 7), DetectionSpec((2,) * 7), 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_every_lift_within_its_dimension_limit_is_within_the_work_limit():
+    # the work limit must refuse no lift that MAX_LIFT_DIMENSION admits (a
+    # cutoff of 0 does no work), nor the absorbing splitter's channel
+    lifts = []
+    for cutoff in range(1, MAX_LIFT_DIMENSION):
+        modes = 1
+        while math.comb(modes + cutoff, cutoff) <= MAX_LIFT_DIMENSION:
+            lifts.append((recurrence_work(modes, cutoff, [0], ()), modes, cutoff))
+            modes += 1
+    assert max(lifts) == (2034816, 16, 3)
+    assert recurrence_work(4, MAX_CHANNEL_CUTOFF, [0], ()) == 734368 < MAX_RECURRENCE_WORK

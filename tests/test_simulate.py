@@ -1,11 +1,13 @@
-"""simulate evolves one element at a time; these tests hold it to the
-whole-basis routes it replaced.
+"""simulate evolves one stage at a time: each maximal run of phases and
+splitters lifted once on just the modes it touches, each absorbing
+splitter as its Kraus family.  These tests hold it to whole-basis routes.
 
-Lossless circuits are checked against the permanent lift of the composed
-network and against the polynomial oracle.  Lossy circuits are checked
-against the (n+2)-mode dilation route, kept here only as the reference:
-every element lifted on the whole basis, each absorbing splitter embedded
-with two vacuum device modes that are traced out afterwards.
+Lossless circuits are checked against the lift of the composed network on
+the whole basis and against the polynomial oracle.  Lossy circuits are
+checked against the (n+2)-mode dilation route, kept here only as the
+reference: every element lifted on the whole basis, each absorbing
+splitter embedded with two vacuum device modes that are traced out
+afterwards.
 """
 
 import io
@@ -14,8 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from fockforge import cli, conditioning
-from fockforge.conditioning import lift_unitary
+from fockforge import cli
+from fockforge.conditioning import ConditionalExtractor, lift_unitary
 from fockforge.fock import FockBasis, MixedState, TotalPhotonCutoff, partial_trace
 from fockforge.interferometer import BeamSplitterParams, ModeUnitary, bs_matrix, compose, element_matrix
 from fockforge.lossy import LossyBSParams, dilation_unitary
@@ -90,7 +92,7 @@ def test_pure_evolution_matches_the_whole_basis_lift(seed, modes):
     text, cutoff = random_circuit(seed, modes)
     cf = cli.parse_circuit(text)
     psi = cli._joint_input_state(cf, cutoff)
-    got = cli._simulate_pure(cf, cutoff).amplitudes
+    got = cli._simulate(cf, cutoff).amplitudes
     u = compose(cli._network_of(cf))
     assert np.max(np.abs(got - lift_unitary(u, psi.basis).matrix @ psi.amplitudes)) < 1e-12
     assert np.max(np.abs(got - lift_oracle(u.matrix, psi.basis) @ psi.amplitudes)) < 1e-12
@@ -115,14 +117,13 @@ def dense_embedding(op, modes, basis):
 )
 def test_embedded_operators_match_the_dense_embedding(line):
     cutoff = 5
-    (e,) = cli.parse_circuit(f"modes 4\n{line}\n").elements
     basis = FockBasis(4, TotalPhotonCutoff(cutoff))
-    modes, ops = cli._local_operators(e, cutoff)
+    ((modes, ops),) = cli._stages(cli.parse_circuit(f"modes 4\n{line}\n"), cutoff)
     rng = np.random.default_rng(3)
     vec = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
     rho = np.outer(vec, vec.conj()) + rng.normal(size=(basis.dimension,) * 2)
     embedded = cli._embed(ops, modes, basis)
-    assert len(embedded) == len(ops) > (1 if e[0] == "lossybs" else 0)
+    assert len(embedded) == len(ops) > (1 if line.startswith("lossybs") else 0)
     for op, (rows, apply) in zip(ops, embedded):
         dense = dense_embedding(op, modes, basis)
         got = np.zeros(basis.dimension, dtype=complex)
@@ -157,6 +158,12 @@ LOSSY = {
         "lossybs 0 1 0.7 0.2 0.3 0.5\nlossybs 1 2 1.1 -0.3 0.9 0.35\nphase 1 2.2\n",
         3,
     ),
+    # the lossless run touches modes 3 and 1 only, listed in reverse
+    "restricted run": (
+        "modes 4\ninput fock 0 1\ninput fock 1 1\ninput coherent 3 0.4 0.2\n"
+        "lossybs 0 2 0.7 0.3 -0.2 0.6\nbs 3 1 0.9 0.4 -1.3\nphase 1 0.8\nlossybs 2 3 0.5 1.1 0.6 0.3\n",
+        4,
+    ),
 }
 
 
@@ -164,15 +171,15 @@ LOSSY = {
 def test_lossy_evolution_matches_the_dilation_route(name):
     text, cutoff = LOSSY[name]
     cf = cli.parse_circuit(text)
-    got = cli._simulate_lossy(cf, cutoff).matrix
+    got = cli._simulate(cf, cutoff).matrix
     assert np.max(np.abs(got - dilation_reference(cf, cutoff).matrix)) < 1e-12
 
 
 def test_zero_absorption_gives_the_lossless_populations():
     text, cutoff = LOSSY["no absorption"]
-    rho = cli._simulate_lossy(cli.parse_circuit(text), cutoff)
+    rho = cli._simulate(cli.parse_circuit(text), cutoff)
     lossless = cli.parse_circuit(text.replace("lossybs 1 2 0.9 0.2 0.5 0.0", "bs 1 2 0.9 0.2 0.5"))
-    amps = cli._simulate_pure(lossless, cutoff).amplitudes
+    amps = cli._simulate(lossless, cutoff).amplitudes
     assert np.max(np.abs(np.diag(rho.matrix).real - np.abs(amps) ** 2)) < 1e-12
 
 
@@ -189,40 +196,54 @@ def test_broken_kraus_family_fails_the_final_state_check(monkeypatch):
     monkeypatch.setattr(cli, "lossy_bs_channel", inflated)
     text, cutoff = LOSSY["strong absorption"]
     with pytest.raises(ValueError, match="exceeds one"):
-        cli._simulate_lossy(cli.parse_circuit(text), cutoff)
+        cli._simulate(cli.parse_circuit(text), cutoff)
 
 
 # ---------------------------------------------------------------------------
-# cost tripwires: amplitudes the extraction recurrence fills in one
-# simulate call, independent of the machine (the whole-basis routes took
-# 180,622 and 11,934 permanents)
+# cost tripwires: extractor builds in one simulate call, and the amplitudes
+# their recurrences fill, independent of the machine.  Each stage is one
+# build on a total-photon basis of its modes (an absorber's basis is its
+# four-mode dilation), which fills sum_k (sector size)^2 amplitudes.  The
+# per-element route built one extractor per element (10 and 5 here).
 
 
-def count_amplitudes(monkeypatch, capsys, text, cutoff) -> int:
-    filled = []
-    inner = conditioning.ConditionalExtractor.extract_stack
+def count_extractions(monkeypatch, capsys, text, cutoff) -> tuple:
+    builds, filled = [], []
+    init, extract = ConditionalExtractor.__init__, ConditionalExtractor.extract_stack
 
-    def counting(self, mode_matrices):
+    def counting_init(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    def counting_extract(self, mode_matrices):
         filled.append(len(mode_matrices) * sum(len(level[0]) * len(level[3]) for level in self._levels))
-        return inner(self, mode_matrices)
+        return extract(self, mode_matrices)
 
-    monkeypatch.setattr(conditioning.ConditionalExtractor, "extract_stack", counting)
+    monkeypatch.setattr(ConditionalExtractor, "__init__", counting_init)
+    monkeypatch.setattr(ConditionalExtractor, "extract_stack", counting_extract)
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert cli.main(["simulate", "--cutoff", str(cutoff), "-"]) == 0
     capsys.readouterr()
-    return sum(filled)
+    return len(builds), sum(filled)
 
 
-def test_lossy_simulate_permanent_count(monkeypatch, capsys):
+def lift_amplitudes(modes: int, cutoff: int) -> int:
+    return sum(math.comb(k + modes - 1, k) ** 2 for k in range(cutoff + 1))
+
+
+def test_lossy_simulate_extraction_count(monkeypatch, capsys):
+    # stages: the run on modes 1, 2; two absorbers; the run on modes 0, 2, 3
     text = (
         "modes 4\ninput fock 0 1\ninput fock 1 1\ninput fock 3 1\n"
         "bs 1 2 0.8 1.0 2.0\nlossybs 0 1 0.5 0.3 4.0 0.4\nlossybs 2 3 1.1 5.0 0.2 0.4\n"
         "bs 0 2 0.3 2.5 1.5\nphase 3 0.9\n"
     )
-    assert 0 < count_amplitudes(monkeypatch, capsys, text, 5) <= 10000
+    expected = lift_amplitudes(2, 5) + 2 * lift_amplitudes(4, 5) + lift_amplitudes(3, 5)
+    assert count_extractions(monkeypatch, capsys, text, 5) == (4, expected) == (4, 10659)
 
 
-def test_lossless_simulate_permanent_count(monkeypatch, capsys):
+def test_lossless_simulate_extraction_count(monkeypatch, capsys):
+    # one run of ten elements on all four modes
     mesh = "".join(
         f"bs {row - 1} {row} {0.3 + 0.1 * row + 0.05 * col} {col} {row}\n"
         for col in range(3)
@@ -230,7 +251,7 @@ def test_lossless_simulate_permanent_count(monkeypatch, capsys):
     )
     text = "modes 4\ninput fock 0 2\ninput fock 1 1\ninput fock 3 3\n" + mesh
     text += "".join(f"phase {m} {0.4 * m}\n" for m in range(4))
-    assert 0 < count_amplitudes(monkeypatch, capsys, text, 6) <= 1000
+    assert count_extractions(monkeypatch, capsys, text, 6) == (1, lift_amplitudes(4, 6)) == (1, 11934)
 
 
 # ---------------------------------------------------------------------------
