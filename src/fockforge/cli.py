@@ -73,8 +73,8 @@ from .lossy import dilation_unitary  # noqa: F401
 
 # size limits of simulate and condition, checked before either builds
 # anything (README, "simulate"): on two cores the largest circuits
-# simulate allows ran in 0.3 to 1.9 s at each cutoff from 2 to 10 (18 s
-# for 900 modes at cutoff 1), and the largest condition runs below the
+# simulate allows ran in 0.3 to 1.9 s at each cutoff from 2 to 10 (4.8 s
+# for 999 modes at cutoff 1), and the largest condition runs below the
 # extractor's limit on its recurrence's multiply-adds
 # (conditioning.recurrence_work) in 0.5 to 2.0 s, most of it printing rows.
 MAX_SIMULATE_DIMENSION = 1000
@@ -271,25 +271,15 @@ def parse_circuit(text: str) -> CircuitFile:
             if kind == "fock":
                 if len(toks) not in (4, 5):
                     raise CircuitError(ln, col0, "usage: detect fock M K [ETA]")
-                m = mode_ref(2)
-                k = _parse_count(toks[3][0], ln, toks[3][1], "photon count")
-                eta = (
-                    _parse_number(toks[4][0], ln, toks[4][1], "efficiency")
-                    if len(toks) == 5
-                    else 1.0
-                )
+                m, k = mode_ref(2), _parse_count(toks[3][0], ln, toks[3][1], "photon count")
             elif kind == "vacuum":
                 if len(toks) not in (3, 4):
                     raise CircuitError(ln, col0, "usage: detect vacuum M [ETA]")
-                m = mode_ref(2)
-                k = 0
-                eta = (
-                    _parse_number(toks[3][0], ln, toks[3][1], "efficiency")
-                    if len(toks) == 4
-                    else 1.0
-                )
+                m, k = mode_ref(2), 0
             else:
                 raise CircuitError(ln, toks[1][1], f"unknown detect kind {kind!r}")
+            last = 4 if kind == "fock" else 3  # the optional efficiency
+            eta = _parse_number(toks[last][0], ln, toks[last][1], "efficiency") if len(toks) > last else 1.0
             if not 0.0 < eta <= 1.0:
                 raise CircuitError(ln, col0, "efficiency must lie in (0, 1]")
             if m in claimed_detects:
@@ -407,16 +397,22 @@ def _element(e):
     raise ValueError("lossy elements need the density-matrix path")
 
 
+def _renumbered(spec, position):
+    """An input, splitter or phase tuple with the modes it names renumbered."""
+    end = 3 if spec[0] in ("tmsv", "bs") else 2
+    return (spec[0], *(position[m] for m in spec[1:end]), *spec[end:])
+
+
 def _network_of(cf: CircuitFile) -> NetworkDescription:
     return NetworkDescription(cf.mode_count, tuple(_element(e) for e in cf.elements))
 
 
 def _stages(cf: CircuitFile, cutoff: int):
     """Each stage of the circuit as (modes, operators on a total-photon
-    basis of those modes): a maximal run of phases and splitters composed,
-    restricted to the sorted modes it touches (it is the identity on the
-    others) and lifted once, or an absorbing splitter's Kraus family on
-    its two listed modes."""
+    basis of those modes): a maximal run of phases and splitters composed
+    on the sorted modes it touches, renumbered from 0 (it is the identity
+    on the others), and lifted once, or an absorbing splitter's Kraus
+    family on its two listed modes."""
     for lossy, run in itertools.groupby(cf.elements, key=lambda e: e[0] == "lossybs"):
         if lossy:
             for e in run:
@@ -427,7 +423,8 @@ def _stages(cf: CircuitFile, cutoff: int):
             continue
         run = tuple(run)
         modes = sorted({m for e in run for m in e[1 : 3 if e[0] == "bs" else 2]})
-        u = compose(NetworkDescription(cf.mode_count, tuple(map(_element, run)))).matrix[np.ix_(modes, modes)]
+        at = {m: i for i, m in enumerate(modes)}
+        u = compose(NetworkDescription(len(modes), tuple(_element(_renumbered(e, at)) for e in run))).matrix
         yield modes, (lift_unitary(u, FockBasis(len(modes), TotalPhotonCutoff(cutoff))).matrix,)
 
 
@@ -564,17 +561,8 @@ def _cmd_condition(args) -> int:
     )
     # the reference input lives on the signal modes, renumbered from 0
     position = {m: i for i, m in enumerate(signal)}
-    sig_cf = CircuitFile(
-        len(signal),
-        tuple(
-            _remap_input(spec, position)
-            for spec in cf.inputs
-            if _input_on_signal(spec, detected)
-        ),
-        (),
-        (),
-    )
-    ref = _joint_input_state(sig_cf, cutoff).normalized()
+    inputs = tuple(_renumbered(spec, position) for spec in cf.inputs if _input_on_signal(spec, detected))
+    ref = _joint_input_state(CircuitFile(len(signal), inputs, (), ()), cutoff).normalized()
     prob = success_probability(cond, ref)
     rows = [
         ("success_probability", _fmt(prob)),
@@ -597,14 +585,6 @@ def _input_on_signal(spec, detected) -> bool:
             raise CircuitError(1, 1, "tmsv pair split across signal and detection")
         return on[0]
     return spec[1] not in detected
-
-
-def _remap_input(spec, position):
-    if spec[0] == "tmsv":
-        return ("tmsv", position[spec[1]], position[spec[2]], spec[3])
-    if spec[0] == "fock":
-        return ("fock", position[spec[1]], spec[2])
-    return ("coherent", position[spec[1]], spec[2], spec[3])
 
 
 # ---------------------------------------------------------------------------

@@ -62,13 +62,25 @@ class PerModeCutoff:
 
 
 def _compositions(total, parts, bound):
-    if parts == 1:
-        if total <= bound:
-            yield (total,)
-        return
-    for first in range(min(total, bound) + 1):
-        for rest in _compositions(total - first, parts - 1, bound):
-            yield (first,) + rest
+    """Occupations of `parts` modes holding `total` (at most parts * bound)
+    photons, at most `bound` in each, in lexicographic order, each stepped
+    from the last in place: no frame or tuple is built per mode."""
+    occ, i, rest = [0] * parts, -1, total
+    while True:
+        # the modes after i take the rest, pushed right as far as they go
+        full, part = divmod(rest, bound or 1)
+        occ[i + 1 :] = ([0] * parts + [part] + [bound] * full)[i + 1 - parts :]
+        yield tuple(occ)
+        # the last mode i that can take one of the photons after it does
+        rest = occ[-1]
+        for i in range(parts - 2, -1, -1):
+            if occ[i] < bound and rest:
+                break
+            rest += occ[i]
+        else:
+            return
+        occ[i] += 1
+        rest -= 1
 
 
 class FockBasis:
@@ -87,9 +99,7 @@ class FockBasis:
         else:
             max_total = policy.max_per_mode * mode_count
             bound = policy.max_per_mode
-        occs = []
-        for total in range(max_total + 1):
-            occs.extend(_compositions(total, mode_count, bound))
+        occs = [occ for total in range(max_total + 1) for occ in _compositions(total, mode_count, bound)]
         self.occupations: tuple[tuple[int, ...], ...] = tuple(occs)
         self.index: dict[tuple[int, ...], int] = {o: i for i, o in enumerate(occs)}
         self.dimension = len(occs)

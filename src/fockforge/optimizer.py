@@ -17,12 +17,15 @@ by counter, and results are merged by a fixed ordering rule.
 
 Every evaluation runs on a stack of parameter vectors, decoded straight
 into mode matrices (mesh_matrices) and extracted together.  Each phase
-is a generator that yields the stack it needs next (a Jacobian's
-columns, a line-search trial, a scoring point) and receives its _fit
-rows, and the restarts run in lockstep: one _fit call per step on the
-stacks of every live restart.  Each row counts as one evaluation against
-its restart's budgets, and every reduction runs in a fixed order, so a
-restart's result does not depend on the restarts evaluated beside it.
+is a generator that yields the stack it needs next and receives its _fit
+rows; the restarts run in lockstep, one _fit call per step on the stacks
+of every live restart.  A point evaluated alone (a start, a trial) rides
+with its Jacobian's forward-difference points, which a phase that moves
+there uses without another step, and each phase hands its final rows on.
+A point's row counts against its restart's budgets when read, its
+Jacobian rows when used, and every reduction runs in a fixed order, so a
+row has the same bits in any stack: the counts, the trajectory and the
+result are those of each restart run alone, one stack per point.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ TIED_PROBABILITY = 1e-9
 # evaluations, then at most 50 probability steps and a 200-evaluation polish.
 FEASIBILITY_DRAWS = 4
 FEASIBILITY_BUDGET = 400
+_STEP = np.sqrt(np.finfo(float).eps)  # of the forward differences, relative to max(1, |x|)
 
 
 class InfeasibleAtBudgetError(RuntimeError):
@@ -185,7 +189,7 @@ class Objective:
             raise ValueError("all constraint targets are zero")
         object.__setattr__(self, "_target_norms", norms)
         object.__setattr__(self, "_scale_denominator", sum(norms))
-        object.__setattr__(self, "_phase_free", any(free for _, _, free, _ in cons))
+        object.__setattr__(self, "_free", np.array([free for _, _, free, _ in cons]))
         extractor = ConditionalExtractor(self.mode_count, self.signal_modes, self.ancilla, self.detection, self.signal_cutoff)
         object.__setattr__(self, "_extractor", extractor)
         dim = extractor.signal_basis.dimension
@@ -203,28 +207,25 @@ class Objective:
 def _fit_scale(weighted, objective):
     """Common scale s (B,) and per-tuple phases e^{i chi_k} (B, K)
     minimizing sum_k ||w_k o_k - s e^{i chi_k} w_k y_k||^2 for each row of
-    weighted outputs w_k o_k (B, K, d), by coordinate descent.  The rows
-    run one at a time through np.vdot, so each gets the bits it would get
-    alone.  Without phase_free tuples the first pass is already exact."""
-    cons = objective.constraints
-    s = np.zeros(len(weighted), dtype=complex)
+    weighted outputs w_k o_k (B, K, d), by coordinate descent on the whole
+    stack.  Each dot product is an elementwise product summed in index
+    order, and a row that has settled is left as it is, so every row gets
+    the bits it would get alone.  Without phase_free tuples the first pass
+    is already exact."""
+    wy, denominator = objective._weighted_targets, objective._scale_denominator
     phases = np.ones(weighted.shape[:2], dtype=complex)
-    for row, outputs in enumerate(weighted):
-        targets = list(objective._weighted_targets)
-        s_row = 0j
-        for _ in range(20 if objective._phase_free else 1):
-            s_new = sum((np.vdot(wy, wo) for wy, wo in zip(targets, outputs)), 0j) / objective._scale_denominator
-            changed, s_row = abs(s_new - s_row), s_new
-            if abs(s_row) > 0:
-                for i, (_, y, free, w) in enumerate(cons):
-                    if free:
-                        ip = np.vdot(s_row * w * y, outputs[i])
-                        if abs(ip) > 0:
-                            phases[row, i] = ip / abs(ip)
-                            targets[i] = phases[row, i] * w * y
-            if changed < 1e-15:
-                break
-        s[row] = s_row
+    if not objective._free.any():
+        return _ordered_sum(_ordered_sum(wy.conj() * weighted)) / denominator, phases
+    s, moving = np.zeros(len(weighted), dtype=complex), np.arange(len(weighted))
+    for _ in range(20):
+        out, turned = weighted[moving], phases[moving]
+        s_new = _ordered_sum(_ordered_sum((turned[:, :, None] * wy).conj() * out)) / denominator
+        ip = _ordered_sum((s_new[:, None, None] * wy).conj() * out)
+        np.divide(ip, np.abs(ip), out=turned, where=objective._free & (ip != 0))  # ip is 0 where s is
+        changed, s[moving], phases[moving] = np.abs(s_new - s[moving]), s_new, turned
+        moving = moving[changed >= 1e-15]
+        if not len(moving):
+            break
     return s, phases
 
 
@@ -242,12 +243,12 @@ def _fit(stack, objective):
 
 
 def _score(rows, objective):
-    """(residual, probability) from the _fit rows of a stack of one.
+    """(residual, probability) from the first of a stack's _fit rows.
 
     Both are computed in the weighted norm, so with non-unit weights the
     probability is a ranking proxy for the search; report the physical
     number from the finished gate, not from here."""
-    (norms,), _, (deviation,) = rows
+    norms, _, deviation = (part[0] for part in rows)
     targets = np.array(objective._target_norms)
     live = targets > 1e-24  # Objective holds at least one such target
     return float(deviation @ deviation), float(np.min(norms[live] / targets[live]))
@@ -272,65 +273,69 @@ class OptimizationResult:
         return network_from_params(self.params, mode_count)
 
 
-def _jacobian(fun, x, value):
-    """Forward differences at x of fun, which maps the _fit rows of a stack
-    of points to a stack of values, where value is its value at x: every
-    column from one stack, x + diag(steps)."""
-    steps = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(x))
-    return ((fun((yield x + np.diag(steps))) - value) / steps[:, None]).T
+def _look_ahead(x):
+    """x's look-ahead: the stack of x and its forward-difference points
+    x + diag(steps), whose rows give a phase its value at x and, if it
+    moves there, its Jacobian."""
+    return np.vstack([x, x + np.diag(_STEP * np.maximum(1.0, np.abs(x)))])
 
 
-def _feasibility(objective, x, budget):
+def _jacobian(values, x):
+    """Forward differences at x from a phase's values on _look_ahead(x)."""
+    return ((values[1:] - values[0]) / (_STEP * np.maximum(1.0, np.abs(x)))[:, None]).T
+
+
+def _feasibility(objective, x, budget, rows=None):
     """Levenberg-Marquardt on the deviation relative to the output norm:
-    (x, evaluations).  Blind to the overall scale, it is not drawn to the
+    (x, the _fit rows of its look-ahead, evaluations), from x and, if
+    known, those rows.  Blind to the overall scale, it is not drawn to the
     zero operator.  A draw ends when it collapses there anyway, stalls, or
     would overrun its budget with the next Jacobian.  It is numpy, not
     MINPACK, whose step rounds with the alignment of its work arrays."""
     floor = TRIVIAL_PROBABILITY * objective._scale_denominator
-    count = 0
 
     def relative(rows):
-        nonlocal count
-        norms, s, deviation = rows
-        count += len(s)
+        norms, _, deviation = rows
         total = _ordered_sum(norms)
-        return deviation / np.sqrt(np.maximum(total, floor))[:, None], total <= floor
+        return deviation / np.sqrt(np.maximum(total, floor))[:, None], total[0] <= floor
 
-    (r,), (done,) = relative((yield x[None]))
-    damping = 1e-3
+    if rows is None:
+        rows = yield _look_ahead(x)
+    values, done = relative(rows)
+    r, count, damping = values[0], 1, 1e-3
     while not done and r @ r > 1e-28 and damping < 1e12 and count + len(x) < budget:
-        jac = yield from _jacobian(lambda rows: relative(rows)[0], x, r)
+        jac, count = _jacobian(values, x), count + len(x)
         grad, normal = jac.T @ r, jac.T @ jac
         while damping < 1e12 and count < budget:
             trial = x - np.linalg.lstsq(normal + damping * np.eye(len(x)), grad)[0]
-            (r_trial,), (collapsed,) = relative((yield trial[None]))
+            trial_rows = yield _look_ahead(trial)
+            trial_values, collapsed = relative(trial_rows)
+            r_trial, count = trial_values[0], count + 1
             if r_trial @ r_trial < r @ r:
                 # a step that gains less than 0.1% marks a local minimum
                 done = collapsed or r @ r - r_trial @ r_trial <= 1e-3 * (r @ r)
-                x, r, damping = trial, r_trial, damping / 10.0
+                x, rows, values, r, damping = trial, trial_rows, trial_values, r_trial, damping / 10.0
                 break
             damping *= 10.0
-    return x, count
+    return x, rows, count
 
 
-def _raise_probability(objective, x0):
+def _raise_probability(objective, x0, rows):
     """Sequential quadratic programming on -|s|^2 with the deviation held
-    at zero, as in SLSQP: (x, evaluations).  The deviation's equations are
+    at zero, as in SLSQP: (x, the _fit rows of its look-ahead,
+    evaluations), from x0 and those rows.  The deviation's equations are
     far from independent (rank 2 at a feasible Pauli-x network), and a
     singular constraint matrix stalls the step, so the held constraints
     are the deviation on the left singular vectors of its Jacobian at the
     start.  It is numpy, not SLSQP, whose step rounds with the BLAS
     thread count."""
-    count = 0
 
     def f(rows):
-        nonlocal count
         _, s, deviation = rows
-        count += len(s)
         return np.concatenate([deviation, np.abs(s)[:, None] ** 2], axis=1)
 
-    (value,) = f((yield x0[None]))
-    jac = yield from _jacobian(f, x0, value)
+    values = f(rows)
+    value, jac, count = values[0], _jacobian(values, x0), 1 + len(x0)
     u, sigma, _ = np.linalg.svd(jac[:-1], full_matrices=False)
     # rows from here on: the held deviation, then -|s|^2
     basis = u[:, sigma > 1e-3 * sigma[0]].T
@@ -352,23 +357,24 @@ def _raise_probability(objective, x0):
         violation = weight * np.abs(value[:-1]).sum()
         merit, slope = value[-1] + violation, jac[-1] @ step - violation
         for _ in range(10):
-            (trial,) = projected((yield (x + step)[None]))
-            if trial[-1] + weight * np.abs(trial[:-1]).sum() <= merit + 0.1 * min(slope, 0.0):
+            trial_rows = yield _look_ahead(x + step)
+            values, count = projected(trial_rows), count + 1
+            if values[0, -1] + weight * np.abs(values[0, :-1]).sum() <= merit + 0.1 * min(slope, 0.0):
                 break
             step = 0.5 * step
         else:
             break
-        trial_jac = yield from _jacobian(projected, x + step, trial)
+        trial, trial_jac, count = values[0], _jacobian(values, x + step), count + len(x)
         change, curved = (trial_jac - jac).T @ lagrange, step @ hessian @ step
         if step @ change < 0.2 * curved:  # Powell's damping keeps the model positive definite
             mix = 0.8 * curved / (curved - step @ change)
             change = mix * change + (1.0 - mix) * (hessian @ step)
         hessian += np.outer(change, change) / (step @ change) - np.outer(hessian @ step, hessian @ step) / curved
         done = abs(trial[-1] - value[-1]) < 1e-8 and np.abs(trial[:-1]).sum() < 1e-8
-        x, value, jac = x + step, trial, trial_jac
+        x, value, jac, rows = x + step, trial, trial_jac, trial_rows
         if done:
             break
-    return x, count
+    return x, rows, count
 
 
 def _restart(objective, seed, index):
@@ -378,26 +384,25 @@ def _restart(objective, seed, index):
     high = np.repeat([math.pi / 2.0, 2.0 * math.pi], [k, k + objective.mode_count])
 
     # Feasibility phase: redraw a few times before giving a restart up.
-    evals = 0
-    best = None
+    evals, best = 0, None
     for _ in range(FEASIBILITY_DRAWS):
-        x1, used = yield from _feasibility(objective, rng.uniform(0.0, high), FEASIBILITY_BUDGET)
+        x1, rows1, used = yield from _feasibility(objective, rng.uniform(0.0, high), FEASIBILITY_BUDGET)
         evals += used
-        r1, p1 = _score((yield x1[None]), objective)
+        r1, p1 = _score(rows1, objective)
         if p1 > TRIVIAL_PROBABILITY and (best is None or r1 < best[1]):
-            best = (x1, r1, p1)
+            best = (x1, r1, p1, rows1)
             if r1 < 1e-10:
                 break
     if best is None or best[1] > 1e-10:
-        return (*(best or (x1, r1, p1)), index, evals)
-    x1, r1, p1 = best
+        return (*(best or (x1, r1, p1))[:3], index, evals)
+    x1, r1, p1, rows1 = best
 
-    x2, raised = yield from _raise_probability(objective, x1)
+    x2, rows2, raised = yield from _raise_probability(objective, x1, rows1)
     # the last step meets the held deviation only to 1e-8; polish it back
     # without giving the probability up
-    x3, polished = yield from _feasibility(objective, x2, 200)
+    x3, rows3, polished = yield from _feasibility(objective, x2, 200, rows2)
     evals += raised + polished
-    r_final, p_final = _score((yield x3[None]), objective)
+    r_final, p_final = _score(rows3, objective)
     if r_final > r1 + 1e-12 and p_final <= p1:
         return x1, r1, p1, index, evals
     return x3, r_final, p_final, index, evals

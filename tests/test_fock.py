@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +38,28 @@ def test_total_cutoff_dimension_is_binomial():
 def test_per_mode_cutoff_dimension_is_power():
     basis = FockBasis(3, PerModeCutoff(2))
     assert basis.dimension == 27
+
+
+@pytest.mark.parametrize("modes", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "policy", [TotalPhotonCutoff(0), TotalPhotonCutoff(3), PerModeCutoff(0), PerModeCutoff(2)], ids=repr
+)
+def test_basis_orders_by_total_then_lexicographically(modes, policy):
+    bound = policy.max_total if isinstance(policy, TotalPhotonCutoff) else policy.max_per_mode
+    grid = (occ for occ in itertools.product(range(bound + 1), repeat=modes) if policy.admits(occ))
+    expected = tuple(sorted(grid, key=lambda occ: (sum(occ), occ)))
+    basis = FockBasis(modes, policy)
+    assert basis.occupations == expected
+    assert basis.index == {occ: i for i, occ in enumerate(expected)}
+
+
+def test_basis_of_999_modes_builds():
+    # 1,000 states, inside simulate's dimension limit; a recursion per mode
+    # would overflow the interpreter's stack here
+    basis = FockBasis(999, TotalPhotonCutoff(1))
+    assert basis.dimension == 1000
+    assert basis.occupations[:2] == ((0,) * 999, (0,) * 998 + (1,))
+    assert basis.occupations[-1] == (1,) + (0,) * 998
 
 
 def test_index_of_round_trips():

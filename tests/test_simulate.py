@@ -254,6 +254,42 @@ def test_lossless_simulate_extraction_count(monkeypatch, capsys):
     assert count_extractions(monkeypatch, capsys, text, 6) == (1, lift_amplitudes(4, 6)) == (1, 11934)
 
 
+def test_each_run_is_composed_on_its_own_modes(monkeypatch, capsys):
+    # a run on modes 4, 1 of six, an absorber, then a run on modes 5, 0, 3:
+    # each run is composed on just the modes it touches, renumbered in order
+    seen = []
+
+    def recording(network):
+        modes = [(e.mode_a, e.mode_b) if hasattr(e, "mode_a") else (e.mode,) for e in network.elements]
+        seen.append((network.mode_count, modes))
+        return compose(network)
+
+    monkeypatch.setattr(cli, "compose", recording)
+    text = (
+        "modes 6\ninput fock 4 1\ninput fock 5 1\nbs 4 1 0.8 1.0 2.0\nphase 1 0.3\n"
+        "lossybs 1 2 0.5 0.3 4.0 0.4\nbs 5 0 0.3 2.5 1.5\nphase 3 0.9\n"
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.main(["simulate", "--cutoff", "2", "-"]) == 0
+    capsys.readouterr()
+    assert seen == [(2, [(1, 0), (0,)]), (3, [(2, 0), (1,)])]
+
+
+def test_simulate_on_999_modes_at_cutoff_1(monkeypatch, capsys):
+    # 1,000 basis states, inside the dimension limit
+    text = "modes 999\ninput fock 0 1\nbs 0 998 0.3 0.1 0.2\nphase 500 0.4\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.main(["simulate", "--cutoff", "1", "-"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 1001 and len(rows[0]) == 1001
+    # the photon's mode on each row but the vacuum's, and its amplitude
+    lit = {r.index("1"): complex(float(r[-2]), float(r[-1])) for r in rows[2:]}
+    lit = {mode: a for mode, a in lit.items() if a != 0}
+    assert sorted(lit) == [0, 998]
+    assert abs(abs(lit[0]) - math.cos(0.3)) < 1e-11
+    assert abs(abs(lit[0]) ** 2 + abs(lit[998]) ** 2 - 1.0) < 1e-11
+
+
 # ---------------------------------------------------------------------------
 # size limits
 
