@@ -30,6 +30,7 @@ import cmath
 import functools
 import itertools
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -38,6 +39,7 @@ import numpy as np
 from .conditioning import (
     AncillaSpec,
     DetectionSpec,
+    _lookup,
     extract_conditional_operator,
     lift_unitary,
     recurrence_work,
@@ -73,10 +75,10 @@ from .lossy import dilation_unitary  # noqa: F401
 
 # size limits of simulate and condition, checked before either builds
 # anything (README, "simulate"): on two cores the largest circuits
-# simulate allows ran in 0.3 to 1.9 s at each cutoff from 2 to 10 (4.8 s
+# simulate allows ran in 0.3 to 1.6 s at each cutoff from 2 to 10 (2.6 s
 # for 999 modes at cutoff 1), and the largest condition runs below the
 # extractor's limit on its recurrence's multiply-adds
-# (conditioning.recurrence_work) in 0.5 to 2.0 s, most of it printing rows.
+# (conditioning.recurrence_work) in 0.5 to 1.0 s.
 MAX_SIMULATE_DIMENSION = 1000
 MAX_SIMULATE_CUTOFF = 10
 MAX_CONDITION_CUTOFF = 20
@@ -112,22 +114,23 @@ def _fmt(x) -> str:
 
 
 def _rows_to_tsv(rows) -> str:
-    return "".join("\t".join(str(c) for c in row) + "\n" for row in rows)
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+def _floats(values) -> list:
+    return [f"{v:.12g}" if v else "0" for v in (np.asarray(values, dtype=float) + 0.0).tolist()]
 
 
 def _amplitude_rows(out_labels, in_labels, matrix) -> str:
-    """TSV rows (out, in, re, im) of a matrix's entries in _fmt's bytes;
-    adding 0.0 collapses negative zeros as _fmt does."""
+    """TSV rows (out, in, re, im) of a matrix's entries.  Here and in _floats numbers take
+    _fmt's bytes without a call each: adding 0.0 collapses negative zeros as _fmt does,
+    and an exact zero (most of a conditional operator's entries) is written as is."""
     z = np.asarray(matrix, dtype=complex) + 0.0
     return "".join(
-        f"{o}\t{i}\t{re:.12g}\t{im:.12g}\n"
+        f"{o}\t{i}\t{re:.12g}\t{im:.12g}\n" if re or im else f"{o}\t{i}\t0\t0\n"
         for o, row_re, row_im in zip(out_labels, z.real.tolist(), z.imag.tolist())
         for i, re, im in zip(in_labels, row_re, row_im)
     )
-
-
-def _occ_str(occ) -> str:
-    return ",".join(str(n) for n in occ)
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +138,8 @@ def _occ_str(occ) -> str:
 
 
 def _token_columns(raw: str):
-    cols = []
-    i = 0
-    while i < len(raw):
-        if raw[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < len(raw) and not raw[i].isspace():
-            i += 1
-        cols.append((raw[start:i], start + 1))
-    return cols
+    # \s matches exactly the characters for which str.isspace is true
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", raw)]
 
 
 def _parse_number(tok: str, line: int, col: int, kind: str = "number", parse=float):
@@ -428,11 +422,11 @@ def _stages(cf: CircuitFile, cutoff: int):
         yield modes, (lift_unitary(u, FockBasis(len(modes), TotalPhotonCutoff(cutoff))).matrix,)
 
 
-def _embed(ops, modes, basis: FockBasis) -> list:
+def _embed(ops, modes, basis: FockBasis, occ: np.ndarray) -> list:
     """Operators on a total-photon basis of `modes` alone, lifted to
-    `basis`, each as (rows, apply): apply(x) is K x on the rows of a
-    vector or matrix x, restricted to the basis states `rows`, in that
-    order, outside of which K x is zero.
+    `basis`, whose occupations are the rows of `occ`, each as (rows, apply):
+    apply(x) is K x on the rows of a vector or matrix x, restricted to the
+    basis states `rows`, in that order, outside of which K x is zero.
 
     The states whose other modes hold k photons pair with the local states
     of at most cutoff - k photons, a prefix of the local basis, so all of
@@ -444,17 +438,17 @@ def _embed(ops, modes, basis: FockBasis) -> list:
     Nothing is lost when an operator never raises the photon count on its
     modes (a passive element keeps it, an absorber lowers it): every entry
     it can reach then lies inside `basis`."""
-    local = FockBasis(len(modes), basis.policy)
-    others = [m for m in range(basis.mode_count) if m not in modes]
-    groups: dict = {}
-    for b, occ in enumerate(basis.occupations):
-        rest = tuple(occ[m] for m in others)
-        groups.setdefault(rest, []).append((local.index[tuple(occ[m] for m in modes)], b))
-    by_count: dict = {}
-    for rest, pairs in groups.items():
-        by_count.setdefault(sum(rest), []).append([b for _, b in sorted(pairs)])
-    # one (local state, group) array of basis indices per bucket
-    buckets = [np.array(states).T for states in by_count.values()]
+    at = _lookup(np.array(FockBasis(len(modes), basis.policy).occupations, dtype=np.uint8), occ[:, modes])
+    vacated = occ.copy()
+    vacated[:, modes] = 0
+    group, count = _lookup(occ, vacated), vacated.sum(axis=1, dtype=np.intp)
+    # one (local state, group) array of basis indices per bucket, by count;
+    # a group is named by its first state, the one with `modes` empty
+    order = np.lexsort((at, group, count))
+    buckets = [
+        states.reshape(-1, np.count_nonzero(group[states] == states[0])).T
+        for states in np.split(order, np.flatnonzero(np.diff(count[order])) + 1)
+    ]
     out = []
     for op in ops:
         nz_rows, nz_cols = np.flatnonzero(op.any(axis=1)), np.flatnonzero(op.any(axis=0))
@@ -470,7 +464,7 @@ def _embed(ops, modes, basis: FockBasis) -> list:
 
 def _apply_embedded(parts, x):
     return np.concatenate(
-        [np.tensordot(block, x[cols], axes=1).reshape((-1,) + x.shape[1:]) for block, _, cols in parts]
+        [np.dot(block, x[cols].reshape(len(cols), -1)).reshape((-1,) + x.shape[1:]) for block, _, cols in parts]
     )
 
 
@@ -482,9 +476,10 @@ def _simulate(cf: CircuitFile, cutoff: int):
     state = _joint_input_state(cf, cutoff)
     lossy = any(e[0] == "lossybs" for e in cf.elements)
     x = np.outer(state.amplitudes, state.amplitudes.conj()) if lossy else state.amplitudes
+    occ = np.array(state.basis.occupations, dtype=np.uint8)
     for modes, ops in _stages(cf, cutoff):
         out = np.zeros_like(x)
-        for rows, k in _embed(ops, modes, state.basis):
+        for rows, k in _embed(ops, modes, state.basis, occ):
             if lossy:
                 out[np.ix_(rows, rows)] += k(k(x).conj().T).conj().T
             else:
@@ -514,11 +509,11 @@ def _cmd_simulate(args) -> int:
     _check_size("simulate", cf.mode_count, cutoff, MAX_SIMULATE_CUTOFF)
     state = _simulate(cf, cutoff)
     if isinstance(state, MixedState):
-        columns, values = ("population",), [(_fmt(p.real),) for p in np.diag(state.matrix)]
+        columns, values = ("population",), zip(_floats(np.diag(state.matrix).real))
     else:
-        columns, values = ("re", "im"), [(_fmt(a.real), _fmt(a.imag)) for a in state.amplitudes]
+        columns, values = ("re", "im"), zip(_floats(state.amplitudes.real), _floats(state.amplitudes.imag))
     out = [tuple(f"n{m}" for m in range(cf.mode_count)) + columns]
-    out += [tuple(map(str, occ)) + v for occ, v in zip(state.basis.occupations, values)]
+    out += [occ + v for occ, v in zip(state.basis.occupations, values)]
     sys.stdout.write(_rows_to_tsv(out))
     return 0
 
@@ -567,14 +562,15 @@ def _cmd_condition(args) -> int:
     rows = [
         ("success_probability", _fmt(prob)),
         ("faithful_input_levels", str(cond.faithful_input_levels)),
-        ("signal_modes", _occ_str(signal)),
+        ("signal_modes", ",".join(map(str, signal))),
         ("out", "in", "re", "im"),
     ]
     sys.stdout.write(_rows_to_tsv(rows))
-    # one write per output state: the dim^2 entries are never all in memory
-    labels = [_occ_str(occ) for occ in cond.operator.basis.occupations]
-    for oo, row in zip(labels, cond.operator.matrix):
-        sys.stdout.write(_amplitude_rows((oo,), labels, row[None]))
+    # one write per block of output states, at most 2^14 entries formatted at once
+    labels = [",".join(map(str, occ)) for occ in cond.operator.basis.occupations]
+    step = max(1, (1 << 14) // len(labels))
+    for s in range(0, len(labels), step):
+        sys.stdout.write(_amplitude_rows(labels[s : s + step], labels, cond.operator.matrix[s : s + step]))
     return 0
 
 

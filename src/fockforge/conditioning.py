@@ -35,6 +35,7 @@ from .fock import (
     PolicyMismatchError,
     PureState,
     TotalPhotonCutoff,
+    block_spectrum,
 )
 from .interferometer import ModeUnitary, random_unitary
 from .permanent import MAX_DIMENSION, PermanentSizeError, _gather, _ordered_sum, _per_flat
@@ -374,7 +375,7 @@ class ConditionalOperator:
     faithful_input_levels: int
 
     def __post_init__(self):
-        top = float(np.linalg.norm(self.operator.matrix, 2))
+        top = float(block_spectrum(self.operator.basis, self.operator.matrix, hermitian=False).max())
         if top > 1.0 + 1e-9:
             raise ValueError(
                 f"conditional operator norm {top} exceeds one; "

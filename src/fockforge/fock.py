@@ -128,6 +128,29 @@ class FockBasis:
         return f"FockBasis(mode_count={self.mode_count}, policy={self.policy}, dimension={self.dimension})"
 
 
+def block_spectrum(basis: FockBasis, matrix: np.ndarray, hermitian: bool) -> np.ndarray:
+    """0 and the singular values (eigenvalues if `hermitian`) of a matrix on
+    `basis`, one factorization per shape of its coupled blocks: rows and
+    columns grouped by photon number, two groups joined by a nonzero block
+    between them and, if `hermitian`, a number's row and column groups.
+    Permuted (alike if `hermitian`), the matrix is their direct sum and 0.
+    Up to 120 states one factorization of the whole costs less."""
+    stacks = {matrix.shape: [matrix]}
+    if basis.dimension > 120:
+        totals = np.fromiter(map(sum, basis.occupations), dtype=np.intp, count=basis.dimension)
+        starts = np.flatnonzero(np.diff(totals, prepend=-1))  # every photon number from 0 up, in order
+        s, eye = len(starts), np.eye(len(starts), dtype=bool)
+        nz = np.logical_or.reduceat(np.logical_or.reduceat(matrix != 0, starts, axis=0), starts, axis=1) | (eye & hermitian)
+        reach = np.linalg.matrix_power(np.block([[eye, nz], [nz.T, eye]]), 2 * s)  # row groups, then column groups
+        label, stacks = reach.argmax(axis=1), {}
+        for c in np.flatnonzero(label == np.arange(2 * s)):
+            rows, cols = np.flatnonzero(label[totals] == c), np.flatnonzero(label[s + totals] == c)
+            if len(rows) and len(cols):
+                stacks.setdefault((len(rows), len(cols)), []).append(matrix[np.ix_(rows, cols)])
+    values = (np.linalg.eigvalsh(b) if hermitian else np.linalg.svd(b, compute_uv=False) for b in map(np.stack, stacks.values()))
+    return np.concatenate([np.zeros(1), *(v.ravel() for v in values)])
+
+
 def _check_same_basis(a, b):
     if a.basis != b.basis:
         raise PolicyMismatchError(f"bases differ: {a.basis} vs {b.basis}")
@@ -196,9 +219,9 @@ class MixedState:
         tr = float(np.trace(m).real)
         if tr > 1.0 + 1e-12:
             raise ValueError(f"trace {tr} exceeds one")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if w[0] < -1e-10:
-            raise ValueError(f"negative eigenvalue {w[0]}")
+        w = float(block_spectrum(self.basis, (m + m.conj().T) / 2.0, hermitian=True).min())
+        if w < -1e-10:
+            raise ValueError(f"negative eigenvalue {w}")
         self.matrix = m
 
     def trace(self) -> float:

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -74,16 +75,70 @@ def test_fmt():
 def test_amplitude_rows_match_fmt_bytes():
     rng = np.random.default_rng(4)
     special = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 3.0, -2.0, 1e15, 0.5]
-    re = np.concatenate([special, rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40)])
-    im = np.concatenate([special[::-1], rng.standard_normal(40)])
+    # both parts zero in all four sign combinations, and zeros beside the
+    # smallest subnormal
+    zeros = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (5e-324, 0.0), (-0.0, -5e-324), (0.0, 5e-324)]
+    re = np.concatenate([special, rng.standard_normal(40) * 10.0 ** rng.integers(-20, 20, 40), [z[0] for z in zeros]])
+    im = np.concatenate([special[::-1], rng.standard_normal(40), [z[1] for z in zeros]])
+    re, im = np.append(re, np.zeros(3)), np.append(im, -np.zeros(3))
     matrix = np.empty(len(re), dtype=complex)
     matrix.real, matrix.imag = re, im
-    assert np.signbit(matrix.real[0]) and np.signbit(matrix.imag[9])
-    matrix = matrix.reshape(5, 10)
-    outs, ins = [f"{i},{i % 3}" for i in range(5)], [f"{j % 4},{j}" for j in range(10)]
+    assert np.signbit(matrix.real[0]) and np.signbit(matrix.imag[9]) and np.signbit(matrix.imag[-1])
+    matrix = matrix.reshape(6, 10)
+    outs, ins = [f"{i},{i % 3}" for i in range(6)], [f"{j % 4},{j}" for j in range(10)]
     expected = _rows_to_tsv((o, i, _fmt(v.real), _fmt(v.imag)) for o, row in zip(outs, matrix) for i, v in zip(ins, row))
+    assert "\t0\t0\n" in expected and "\t4.94065645841e-324\t0\n" in expected and "\t0\t-4.94065645841e-324\n" in expected
     assert cli._amplitude_rows(outs, ins, matrix) == expected
     assert cli._amplitude_rows(outs[:1], ins, matrix[:1]) == expected[: expected.index("\n" + outs[1]) + 1]
+    assert cli._floats(matrix.real.ravel()) == [_fmt(v) for v in matrix.real.ravel()]
+    assert cli._floats(matrix.imag.ravel()) == [_fmt(v) for v in matrix.imag.ravel()]
+
+
+def test_condition_blocks_print_the_operator_in_fmt_bytes(capsys, tmp_path, monkeypatch):
+    # 136 output states, 120 to a block of at most 2^14 entries: the last
+    # block holds the 16 rows left over
+    text = "modes 3\ninput fock 0 1\ninput fock 2 1\nbs 0 2 0.7 0.1 0.2\nbs 1 2 0.4 0.3 -0.5\ndetect fock 2 1\n"
+    path = tmp_path / "c.circuit"
+    path.write_text(text)
+    blocks, inner = [], cli._amplitude_rows
+    monkeypatch.setattr(cli, "_amplitude_rows", lambda o, i, m: blocks.append(len(o) * len(i)) or inner(o, i, m))
+    rc, out = run(capsys, ["condition", "--cutoff", "15", str(path)])
+    assert rc == 0 and blocks == [120 * 136, 16 * 136]
+    cond = conditioning.extract_conditional_operator(
+        compose(cli._network_of(parse_circuit(text))), (0, 1), AncillaSpec((1,)), DetectionSpec((1,)), 15
+    )
+    labels = [",".join(map(str, occ)) for occ in cond.operator.basis.occupations]
+    entries = [(o, i, _fmt(v.real), _fmt(v.imag)) for o, row in zip(labels, cond.operator.matrix) for i, v in zip(labels, row)]
+    assert out.endswith("out\tin\tre\tim\n" + _rows_to_tsv(entries))
+    assert sum(e[2:] == ("0", "0") for e in entries) > len(entries) // 2
+
+
+def _scanned_token_columns(raw):
+    """The per-character scan that _token_columns replaced."""
+    cols, i = [], 0
+    while i < len(raw):
+        if raw[i].isspace():
+            i += 1
+            continue
+        start = i
+        while i < len(raw) and not raw[i].isspace():
+            i += 1
+        cols.append((raw[start:i], start + 1))
+    return cols
+
+
+def test_token_columns_match_the_isspace_scan():
+    every = "".join(map(chr, range(0x110000)))
+    spaces = [c for c in every if c.isspace()]
+    assert re.findall(r"\s", every) == spaces and "\x1c" in spaces and "\u3000" in spaces
+    rng = np.random.default_rng(8)
+    words = ["modes", "3", "-0.25e-3", "bs", "é", "x\u200b", "１", "#", "a_b", "\x00"]
+    for _ in range(300):
+        parts = [rng.choice(words) if k % 2 else "".join(rng.choice(spaces, rng.integers(0, 4))) for k in range(rng.integers(0, 9))]
+        line = "".join(parts)
+        assert cli._token_columns(line) == _scanned_token_columns(line)
+    line = "".join(spaces) + "x" + "".join(spaces) + "yz" + "".join(spaces)
+    assert cli._token_columns(line) == _scanned_token_columns(line) == [("x", len(spaces) + 1), ("yz", 2 * len(spaces) + 2)]
 
 
 def test_parse_canonical_circuit():

@@ -23,6 +23,7 @@ from fockforge.conditioning import (
 )
 from fockforge.fock import (
     FockBasis,
+    FockOperator,
     PerModeCutoff,
     PolicyMismatchError,
     PureState,
@@ -162,6 +163,43 @@ def test_norm_check_rejects_non_unitary_network():
             DetectionSpec((1,)),
             3,
         )
+
+
+def test_norm_check_finds_a_violation_in_one_small_off_diagonal_block():
+    # a contraction on the sectors of two photons and more, and one 2 x 1
+    # block, from the vacuum into the two one-photon states, of norm 1.5
+    basis = FockBasis(2, TotalPhotonCutoff(15))
+    assert basis.dimension > 120  # above which the check factors block by block
+    m = 0.9 * np.eye(basis.dimension, dtype=complex)
+    m[:3, :3] = 0.0
+    ConditionalOperator(FockOperator(basis, m.copy()), 15)
+    m[1:3, 0] = [1.2, 0.9j]
+    with pytest.raises(ValueError, match="norm 1.5"):
+        ConditionalOperator(FockOperator(basis, m), 15)
+    # one-photon inputs sent into two sectors at once, as by a superposed
+    # ancilla: each block alone is a contraction, the two joined are not
+    m = np.zeros((basis.dimension,) * 2, dtype=complex)
+    m[3:6, 1:3] = m[6:10, 1:3] = 0.3
+    assert np.linalg.norm(m[3:6, 1:3], 2) < np.linalg.norm(m[6:10, 1:3], 2) < 1.0
+    with pytest.raises(ValueError, match=f"norm {np.linalg.norm(m, 2):.6f}"):
+        ConditionalOperator(FockOperator(basis, m), 15)
+
+
+def test_norm_check_factors_nothing_larger_than_a_coupled_block(monkeypatch):
+    # three signal modes at cutoff 15 beside two one-photon detectors: 816
+    # states, and the largest coupled block is the 15-photon sector's 136
+    ex = ConditionalExtractor(5, (0, 1, 2), AncillaSpec((1, 1)), DetectionSpec((1, 1)), 15)
+    basis = ex.signal_basis
+    m = ex.extract_matrix(random_unitary(5, 3).matrix)
+    assert basis.dimension == 816 and math.comb(17, 2) == 136
+    shapes = []
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, lambda a, *args, _fn=fn, **kw: shapes.append(np.shape(a)) or _fn(a, *args, **kw))
+    ConditionalOperator(FockOperator(basis, m), ex.faithful_input_levels)
+    factored = [shape for shape in shapes if len(shape) >= 2]
+    assert factored and max(max(shape[-2:]) for shape in factored) == 136
 
 
 def test_faithful_levels_track_photon_surplus():

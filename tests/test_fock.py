@@ -16,6 +16,7 @@ from fockforge.fock import (
     TotalPhotonCutoff,
     apply_annihilation,
     apply_creation,
+    block_spectrum,
     coherent_state,
     displacement_operator,
     displacement_operator_for,
@@ -217,6 +218,35 @@ def test_mixed_state_rejects_non_hermitian():
     basis = FockBasis(1, TotalPhotonCutoff(1))
     with pytest.raises(ValueError):
         MixedState(basis, np.array([[0.5, 0.4], [0.1, 0.5]], dtype=complex))
+
+
+def test_positivity_check_finds_a_negative_block_between_distant_sectors():
+    # a coherence between the vacuum (left empty) and one two-photon state
+    # joins sectors 0 and 2; the others stay blocks of their own
+    basis = FockBasis(2, TotalPhotonCutoff(15))
+    assert basis.dimension > 120  # above which the check factors block by block
+    rho = np.diag(np.r_[0.0, np.full(basis.dimension - 1, 0.005)]).astype(complex)
+    MixedState(basis, rho.copy())
+    rho[0, 4] = rho[4, 0] = 0.05
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        MixedState(basis, rho)
+
+
+def test_block_spectrum_matches_the_dense_factorizations():
+    rng = np.random.default_rng(2)
+    for basis, shifts in itertools.product(
+        [FockBasis(3, TotalPhotonCutoff(8)), FockBasis(5, PerModeCutoff(2)), FockBasis(3, TotalPhotonCutoff(4))],
+        [(0,), (1,), (-2,), (0, 2), (1, 3)],
+    ):
+        totals = np.array([sum(occ) for occ in basis.occupations])
+        m = rng.normal(size=(basis.dimension,) * 2) + 1j * rng.normal(size=(basis.dimension,) * 2)
+        m *= np.isin(totals[:, None] - totals[None, :], shifts)
+        h = m + m.conj().T
+        for a, hermitian, dense in [(m, False, np.linalg.svd(m, compute_uv=False)), (h, True, np.linalg.eigvalsh(h))]:
+            values = block_spectrum(basis, a, hermitian)
+            # the same nonzero values, and one 0 at least
+            assert np.allclose(np.sort(values[abs(values) > 1e-9]), np.sort(dense[abs(dense) > 1e-9]))
+            assert np.count_nonzero(abs(values) > 1e-9) < len(values)
 
 
 def test_operator_compose_associates_with_matrix_product():

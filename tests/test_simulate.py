@@ -122,7 +122,7 @@ def test_embedded_operators_match_the_dense_embedding(line):
     rng = np.random.default_rng(3)
     vec = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
     rho = np.outer(vec, vec.conj()) + rng.normal(size=(basis.dimension,) * 2)
-    embedded = cli._embed(ops, modes, basis)
+    embedded = cli._embed(ops, modes, basis, np.array(basis.occupations, dtype=np.uint8))
     assert len(embedded) == len(ops) > (1 if line.startswith("lossybs") else 0)
     for op, (rows, apply) in zip(ops, embedded):
         dense = dense_embedding(op, modes, basis)
@@ -135,6 +135,39 @@ def test_embedded_operators_match_the_dense_embedding(line):
         got = np.zeros_like(rho)
         got[np.ix_(rows, rows)] = apply(apply(rho).conj().T).conj().T
         assert np.max(np.abs(got - dense @ rho @ dense.conj().T)) < 1e-12
+
+
+def grouped_by_loop(modes, basis):
+    """The (local state, group) arrays of basis indices of each bucket, as
+    the per-state loop that _embed's array grouping replaced built them."""
+    local = FockBasis(len(modes), basis.policy)
+    others = [m for m in range(basis.mode_count) if m not in modes]
+    groups: dict = {}
+    for b, occ in enumerate(basis.occupations):
+        rest = tuple(occ[m] for m in others)
+        groups.setdefault(rest, []).append((local.index[tuple(occ[m] for m in modes)], b))
+    by_count: dict = {}
+    for rest, pairs in groups.items():
+        by_count.setdefault(sum(rest), []).append([b for _, b in sorted(pairs)])
+    return [np.array(states).T for states in by_count.values()]
+
+
+def test_embedding_groups_the_basis_as_the_loop_did():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        n, cutoff = int(rng.integers(1, 7)), int(rng.integers(0, 5))
+        modes = tuple(int(m) for m in rng.permutation(n)[: rng.integers(1, min(n, 3) + 1)])
+        basis = FockBasis(n, TotalPhotonCutoff(cutoff))
+        dim = FockBasis(len(modes), basis.policy).dimension
+        op = rng.normal(size=(dim, dim)) + 1.0  # every row and column nonzero: every bucket is a part
+        ((rows, apply),) = cli._embed((op,), modes, basis, np.array(basis.occupations, dtype=np.uint8))
+        buckets = grouped_by_loop(modes, basis)
+        parts = apply.args[0]
+        assert len(parts) == len(buckets)
+        for (block, part_rows, cols), idx in zip(parts, buckets):
+            assert cols.shape == idx.shape and (cols == idx).all() and (part_rows == idx.ravel()).all()
+            assert (block == op[: len(idx), : len(idx)]).all()
+        assert (rows == np.concatenate([idx.ravel() for idx in buckets])).all()
 
 
 LOSSY = {
