@@ -3,11 +3,12 @@
 target phase varies.
 
 Each row solves the two-constraint phase problem from scratch at the
-given restart budget: the 5-point example below takes about 3.4 s on
-two cores, some 0.5 s per point, a 25-point sweep about 13 s, and the
-time grows with --restarts.  The last
-column cross-checks the permanent route against the direct lift route;
-it should sit at rounding noise whenever the optimizer converged.
+given restart budget: the 5-point example below takes about 0.8 s on
+two cores, a 25-point sweep about 4 s, and the time grows with
+--restarts.  The last column compares two extractions of the two-mode
+operator: the whole 6-mode network's, against the two lifted splitters
+around the tensor product of the two extracted arm operators; it should
+sit at rounding noise whenever the optimizer converged.
 
 Example:
     python3 scripts/cphase_phi_sweep.py --points 5 --restarts 12

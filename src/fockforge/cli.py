@@ -820,6 +820,17 @@ def _pick_cutoff(args, cf: CircuitFile) -> int:
     return cutoff
 
 
+def _seed(text: str) -> int:
+    """--seed: a non-negative integer, refused at parse time otherwise."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 @functools.cache  # built on the first main() call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -833,7 +844,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--cutoff", type=int, default=None, help="total photon cutoff")
 
     def search(sp):
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=_seed, default=None)
         sp.add_argument("--restarts", type=int, default=None)
 
     def circuit(sp):
@@ -876,7 +887,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="proposition and permanent-bound suites")
     cutoff(sp)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=_seed, default=None)
     sp.add_argument("--tolerance", type=float, default=None)
     sp.add_argument("--prop", type=int, choices=[1, 2, 3], default=None)
     sp.add_argument("--aux", type=int, default=2)

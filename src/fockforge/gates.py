@@ -146,7 +146,7 @@ def nss_objective() -> Objective:
         ancilla=AncillaSpec((1, 0)),
         detection=DetectionSpec((1, 0)),
         signal_cutoff=2,
-        constraints=((e[0], e[0], False), (e[1], e[1], False), (e[2], -e[2], False)),
+        constraints=((e[0], e[0]), (e[1], e[1]), (e[2], -e[2])),
     )
 
 
@@ -160,22 +160,20 @@ def su3_objective(phi1: float, phi2: float) -> Objective:
         ancilla=AncillaSpec((1, 1)),
         detection=DetectionSpec((1, 1)),
         signal_cutoff=2,
-        constraints=(
-            (e[0], e[0], False),
-            (e[1], cmath.exp(1j * phi1) * e[1], False),
-            (e[2], cmath.exp(1j * phi2) * e[2], False),
-        ),
+        constraints=((e[0], e[0]), (e[1], cmath.exp(1j * phi1) * e[1]), (e[2], cmath.exp(1j * phi2) * e[2])),
     )
 
 
-def _solve(objective_of, args: tuple, seed: int, restarts: int):
-    """(OptimizationResult, composed mode matrix) of the 3-mode search for
-    objective_of(*args).  Recipes that impose one constraint family (the
-    sign shift and the controlled-z arm check, the SU(3) element and the
-    four-photon controlled phase) each run it, and reach the same network
-    from the same seed and restarts."""
-    result = optimize_gate(objective_of(*args), seed=seed, restarts=restarts)
-    return result, compose(result.network(3))
+def _solve(objective: Objective, seed: int, restarts: int):
+    """(OptimizationResult, composed mode matrix) of the search for
+    objective.  Recipes that impose one constraint family (the sign shift
+    and the controlled-z arm check, the SU(3) element and the four-photon
+    controlled phase) each run it, and reach the same network from the
+    same seed and restarts.  Each recipe takes its signal modes, ancilla
+    and detection from the objective it searched, so it cannot report
+    another gate's operator."""
+    result = optimize_gate(objective, seed=seed, restarts=restarts)
+    return result, compose(result.network(objective.mode_count))
 
 
 def phase_condition_residual(lam, phi1: float, phi2: float) -> float:
@@ -198,11 +196,9 @@ def su3_phase_gate(phi1: float = 0.0, phi2: float = math.pi, seed: int = 0, rest
     are constrained to a common magnitude, it is the success on any
     normalized input of the qutrit layer.
     """
-    result, lam = _solve(su3_objective, (phi1, phi2), seed, restarts)
-    aux = AncillaSpec((1, 1))
-    det = DetectionSpec((1, 1))
-    cond = extract_conditional_operator(lam, (0,), aux, det, 2)
-    mat = cond.operator.matrix
+    objective = su3_objective(phi1, phi2)
+    result, lam = _solve(objective, seed, restarts)
+    mat = objective.extractor().extract_matrix(lam)
     per11 = subpermanent(lam.matrix, [0], [0])
     success = abs(per11) ** 2
     target = np.diag([1.0, cmath.exp(1j * phi1), cmath.exp(1j * phi2)])
@@ -217,9 +213,9 @@ def su3_phase_gate(phi1: float = 0.0, phi2: float = math.pi, seed: int = 0, rest
     )
     recipe = GateRecipe(
         result.network(3),
-        (0,),
-        aux,
-        det,
+        objective.signal_modes,
+        objective.ancilla,
+        objective.detection,
         f"diag(1, exp(i*{phi1:g}), exp(i*{phi2:g})) on photon layers 0..2",
     )
     return recipe, report
@@ -233,11 +229,9 @@ def nss_gate_klm(seed: int = 7, restarts: int = 24):
     signal-signal matrix element comes out at 1 - sqrt(2) and the success
     probability at 1/4.
     """
-    result, lam = _solve(nss_objective, (), seed, restarts)
-    aux = AncillaSpec((1, 0))
-    det = DetectionSpec((1, 0))
-    cond = extract_conditional_operator(lam, (0,), aux, det, 2)
-    mat = cond.operator.matrix
+    objective = nss_objective()
+    result, lam = _solve(objective, seed, restarts)
+    mat = objective.extractor().extract_matrix(lam)
     success = result.probability
     target = np.diag([1.0, 1.0, -1.0])
     report = _make_report(
@@ -250,9 +244,9 @@ def nss_gate_klm(seed: int = 7, restarts: int = 24):
     )
     recipe = GateRecipe(
         result.network(3),
-        (0,),
-        aux,
-        det,
+        objective.signal_modes,
+        objective.ancilla,
+        objective.detection,
         "sign flip on the two-photon layer",
     )
     return recipe, report
@@ -281,7 +275,7 @@ def ralph_cz_check(seed: int = 7, restarts: int = 24) -> RalphCzReport:
     """
     roots = (1.0 + math.sqrt(2.0), 1.0 - math.sqrt(2.0))
     analytic = complex(roots[1])
-    result, lam = _solve(nss_objective, (), seed, restarts)
+    result, lam = _solve(nss_objective(), seed, restarts)
     m = lam.matrix
     # Y(n) coefficients of the aux |1,0>, detect |1,0> arm
     y0 = m[1, 1]
@@ -339,15 +333,17 @@ def cphase_gate(phi: float = math.pi, variant: str = FOUR_PHOTON, seed: int = 11
 
 
 def _cphase_four_photon(phi: float, seed: int, restarts: int):
-    result, lam3 = _solve(su3_objective, (0.0, phi), seed, restarts)
+    arm_objective = su3_objective(0.0, phi)
+    result, lam3 = _solve(arm_objective, seed, restarts)
     arm_net = result.network(3)
     elements = [BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, 0.0)]
     elements += _embed_network(arm_net, {0: 0, 1: 2, 2: 3})
     elements += _embed_network(arm_net, {0: 1, 1: 4, 2: 5})
     elements.append(BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, math.pi))
     network = NetworkDescription(6, tuple(elements))
-    aux = AncillaSpec((1, 1, 1, 1))
-    det = DetectionSpec((1, 1, 1, 1))
+    # each arm's auxiliary modes carry its objective's ancilla and detection
+    aux = AncillaSpec(arm_objective.ancilla.counts * 2)
+    det = DetectionSpec(arm_objective.detection.counts * 2)
     cond = extract_conditional_operator(compose(network), (0, 1), aux, det, 2)
     basis = cond.operator.basis
     cols, target = _qubit_slab_target(basis, phi)
@@ -355,9 +351,7 @@ def _cphase_four_photon(phi: float, seed: int, restarts: int):
 
     # second route: lift the splitter pair exactly and tensor the two
     # independently extracted arm operators between them
-    arm = extract_conditional_operator(
-        lam3, (0,), AncillaSpec((1, 1)), DetectionSpec((1, 1)), 2
-    ).operator.matrix
+    arm = arm_objective.extractor().extract_matrix(lam3)
     mid = np.zeros((basis.dimension, basis.dimension), dtype=complex)
     occs = basis.occupations
     for i, (m1, m2) in enumerate(occs):
@@ -840,9 +834,9 @@ def _pauli_objective(which: str, ladder: tuple) -> Objective:
     e = np.eye(5)
     mask = np.array([1.0, 1.0, 0.0, 1.0, 1.0])
     if which == "x":
-        cons = ((e[0], e[1], False), (e[1], e[0], False, mask))
+        cons = ((e[0], e[1]), (e[1], e[0], mask))
     else:
-        cons = ((e[0], 1j * e[1], False), (e[1], -1j * e[0], False, mask))
+        cons = ((e[0], 1j * e[1]), (e[1], -1j * e[0], mask))
     return Objective(
         mode_count=3,
         signal_modes=(0,),
@@ -875,14 +869,15 @@ def pauli_xy_gate(which: str, q: float = 0.01, seed: int = 3, restarts: int = 6)
     filt = procrustean_filter(tmsv_state(q, cutoff), 1.0, q)
 
     ladder = tuple(_crop_pair_state(filt.filtered, 2).amplitudes)
-    result, lam = _solve(_pauli_objective, (which, ladder), seed, restarts)
+    objective = _pauli_objective(which, ladder)
+    result, lam = _solve(objective, seed, restarts)
     if which == "x":
         target = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     else:
         target = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
     anc_full = _crop_pair_state(filt.filtered, min(3, cutoff))
-    cond = extract_with_ancilla_state(lam, (0,), anc_full, DetectionSpec((1, 0)), 6)
+    cond = extract_with_ancilla_state(lam, objective.signal_modes, anc_full, objective.detection, 6)
     kill = kill_operator(6)
     ky = kill.matrix @ cond.operator.matrix
     slab = ky[:, :2]
@@ -905,9 +900,9 @@ def pauli_xy_gate(which: str, q: float = 0.01, seed: int = 3, restarts: int = 6)
     )
     recipe = GateRecipe(
         result.network(3),
-        (0,),
+        objective.signal_modes,
         anc_full,
-        DetectionSpec((1, 0)),
+        objective.detection,
         f"sigma_{which} on the 0/1 photon-number qubit",
     )
     return recipe, report

@@ -55,6 +55,7 @@ TIED_PROBABILITY = 1e-9
 FEASIBILITY_DRAWS = 4
 FEASIBILITY_BUDGET = 400
 _STEP = np.sqrt(np.finfo(float).eps)  # of the forward differences, relative to max(1, |x|)
+_FORMS = "a constraint is (x, y) or (x, y, weights), the weights shaped as x"
 
 
 class InfeasibleAtBudgetError(RuntimeError):
@@ -141,21 +142,22 @@ def mesh_matrices(stack, mode_count: int) -> np.ndarray:
 class Objective:
     """Constraint pattern for a conditional gate.
 
-    Each constraint is (input amplitudes, target amplitudes, phase_free)
-    over the signal basis implied by signal_modes and signal_cutoff, with
-    an optional fourth element of non-negative row weights (zero marks a
-    row a later pipeline stage discards, so the search ignores it).  The
-    extracted operator Y must satisfy Y x_k = s y_k with one common
-    complex scale s across all constraints; a tuple with phase_free set
-    is additionally allowed its own phase on y_k.  |s|^2 is the gate's
-    success amplitude, maximized in the second phase; with weights it is
-    a search proxy, not the physical probability.
+    Each constraint is (input amplitudes, target amplitudes) or (input
+    amplitudes, target amplitudes, row weights) over the signal basis
+    implied by signal_modes and signal_cutoff; the weights are
+    non-negative, and zero marks a row a later pipeline stage discards,
+    so the search ignores it.  The extracted operator Y must satisfy
+    Y x_k = s y_k with one common complex scale s across all constraints,
+    so every target's phase is fixed relative to the others.  |s|^2 is
+    the gate's success amplitude, maximized in the second phase; with
+    weights it is a search proxy, not the physical probability.
 
     The ancilla may be an AncillaSpec (Fock occupation) or a PureState on
     the auxiliary modes; conditioning.ConditionalExtractor takes either.
     The extractor is built once, at construction, so a pattern that does
     not fit the modes or the cutoff, or an ancilla of another type,
-    raises there.
+    raises there; a constraint of another form or with a non-finite
+    entry raises before it is built.
     """
 
     mode_count: int
@@ -170,74 +172,56 @@ class Objective:
         if len(self.constraints) == 0:
             raise ValueError("objective needs at least one constraint")
         for item in self.constraints:
-            x, y, free, w = item if len(item) == 4 else (*item, None)
+            if len(item) not in (2, 3):
+                raise ValueError(_FORMS)
+            x, y, w = (*item, None)[:3]
             x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex)
             if x.shape != y.shape or x.ndim != 1:
                 raise ValueError("constraint vectors must be 1-d and equal length")
-            if float(np.linalg.norm(x)) < 1e-12:
-                raise ValueError("constraint input is zero")
             w = np.ones(x.shape) if w is None else np.asarray(w, dtype=float)
             if w.shape != x.shape:
-                raise ValueError("weights must match the constraint vectors")
+                raise ValueError(_FORMS)
+            if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(w).all()):
+                raise ValueError("constraint entries must be finite")
+            if float(np.linalg.norm(x)) < 1e-12:
+                raise ValueError("constraint input is zero")
             if np.any(w < 0) or not np.any(w > 0):
                 raise ValueError("weights must be non-negative with at least one positive")
-            cons.append((x, y, bool(free), w))
+            cons.append((x, y, w))
         object.__setattr__(self, "constraints", tuple(cons))
-        # constant terms of _fit_scale and _score
-        norms = tuple(float(np.vdot(w * y, w * y).real) for _, y, _, w in cons)
+        # constant terms of _fit and _score
+        norms = tuple(float(np.vdot(w * y, w * y).real) for _, y, w in cons)
         if max(norms) <= 1e-24:
             raise ValueError("all constraint targets are zero")
         object.__setattr__(self, "_target_norms", norms)
         object.__setattr__(self, "_scale_denominator", sum(norms))
-        object.__setattr__(self, "_free", np.array([free for _, _, free, _ in cons]))
         extractor = ConditionalExtractor(self.mode_count, self.signal_modes, self.ancilla, self.detection, self.signal_cutoff)
         object.__setattr__(self, "_extractor", extractor)
         dim = extractor.signal_basis.dimension
-        if any(len(x) != dim for x, _, _, _ in cons):
+        if any(len(x) != dim for x, _, _ in cons):
             raise ValueError(f"constraint vectors must have the signal basis dimension {dim}")
         # the constraints as (K, d) arrays
-        object.__setattr__(self, "_inputs", np.array([x for x, _, _, _ in cons]))
-        object.__setattr__(self, "_weights", np.array([w for _, _, _, w in cons]))
-        object.__setattr__(self, "_weighted_targets", np.array([(1.0 + 0j) * w * y for _, y, _, w in cons]))
+        object.__setattr__(self, "_inputs", np.array([x for x, _, _ in cons]))
+        object.__setattr__(self, "_weights", np.array([w for _, _, w in cons]))
+        object.__setattr__(self, "_weighted_targets", np.array([(1.0 + 0j) * w * y for _, y, w in cons]))
 
     def extractor(self):
         return self._extractor
 
 
-def _fit_scale(weighted, objective):
-    """Common scale s (B,) and per-tuple phases e^{i chi_k} (B, K)
-    minimizing sum_k ||w_k o_k - s e^{i chi_k} w_k y_k||^2 for each row of
-    weighted outputs w_k o_k (B, K, d), by coordinate descent on the whole
-    stack.  Each dot product is an elementwise product summed in index
-    order, and a row that has settled is left as it is, so every row gets
-    the bits it would get alone.  Without phase_free tuples the first pass
-    is already exact."""
-    wy, denominator = objective._weighted_targets, objective._scale_denominator
-    phases = np.ones(weighted.shape[:2], dtype=complex)
-    if not objective._free.any():
-        return _ordered_sum(_ordered_sum(wy.conj() * weighted)) / denominator, phases
-    s, moving = np.zeros(len(weighted), dtype=complex), np.arange(len(weighted))
-    for _ in range(20):
-        out, turned = weighted[moving], phases[moving]
-        s_new = _ordered_sum(_ordered_sum((turned[:, :, None] * wy).conj() * out)) / denominator
-        ip = _ordered_sum((s_new[:, None, None] * wy).conj() * out)
-        np.divide(ip, np.abs(ip), out=turned, where=objective._free & (ip != 0))  # ip is 0 where s is
-        changed, s[moving], phases[moving] = np.abs(s_new - s[moving]), s_new, turned
-        moving = moving[changed >= 1e-15]
-        if not len(moving):
-            break
-    return s, phases
-
-
 def _fit(stack, objective):
     """For each row of a (B, N*N) parameter stack: the weighted output
-    norms ||w_k o_k||^2 (B, K), the fitted scale s (B,), and the weighted
-    deviation w_k (o_k - s e^{i chi_k} y_k) stacked over the constraints,
-    real parts then imaginary parts (B, 2 K d)."""
+    norms ||w_k o_k||^2 (B, K), the common scale s (B,) and the weighted
+    deviation w_k (o_k - s y_k) stacked over the constraints, real parts
+    then imaginary parts (B, 2 K d).  s minimizes the deviation in closed
+    form, sum_k <w_k y_k, w_k o_k> / sum_k ||w_k y_k||^2, each dot product
+    an elementwise product summed in index order, so a row gets the bits
+    it would get alone."""
     y_ops = objective.extractor().extract_stack(mesh_matrices(stack, objective.mode_count))
     weighted = objective._weights * _ordered_sum(y_ops[:, None] * objective._inputs[:, None, :])
-    s, phases = _fit_scale(weighted, objective)
-    deviation = (weighted - (s[:, None] * phases)[:, :, None] * objective._weighted_targets).reshape(len(weighted), -1)
+    wy = objective._weighted_targets
+    s = _ordered_sum(_ordered_sum(wy.conj() * weighted)) / objective._scale_denominator
+    deviation = (weighted - s[:, None, None] * wy).reshape(len(weighted), -1)
     norms = _ordered_sum(weighted.real**2 + weighted.imag**2)
     return norms, s, np.concatenate([deviation.real, deviation.imag], axis=1)
 
@@ -255,8 +239,8 @@ def _score(rows, objective):
 
 
 def constraint_residual(params, objective: Objective) -> float:
-    """Sum of squared scale- and phase-invariant deviations of the
-    extracted conditional operator from the target pattern."""
+    """Sum of squared deviations of the extracted conditional operator
+    from the target pattern, at the fitted common scale."""
     return _score(_fit(np.asarray(params, dtype=float)[None], objective), objective)[0]
 
 
@@ -408,13 +392,12 @@ def _restart(objective, seed, index):
     return x3, r_final, p_final, index, evals
 
 
-def _run_restarts(jobs):
+def _run_restarts(objective, seed, indices):
     """(x, residual, probability, index, evaluations) of each restart
-    (objective, seed, index), run in lockstep: each step is one _fit call
-    on every pending stack.  The jobs must share one objective."""
-    objective = jobs[0][0]
-    phases = [_restart(*job) for job in jobs]
-    results = [None] * len(jobs)
+    index of the search for objective from seed, run in lockstep: each
+    step is one _fit call on every pending stack."""
+    phases = [_restart(objective, seed, index) for index in indices]
+    results = [None] * len(phases)
     pending = {i: next(phase) for i, phase in enumerate(phases)}
     while pending:
         stacks = list(pending.items())
@@ -428,8 +411,9 @@ def _run_restarts(jobs):
     return results
 
 
-def _run_restart(args):
-    return _run_restarts([args])[0]
+def _run_restart(job):
+    objective, seed, index = job
+    return _run_restarts(objective, seed, [index])[0]
 
 
 def optimize_gate(objective: Objective, seed: int, restarts: int) -> OptimizationResult:
@@ -447,7 +431,7 @@ def optimize_gate(objective: Objective, seed: int, restarts: int) -> Optimizatio
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
-    raw = _run_restarts([(objective, seed, r) for r in range(restarts)])
+    raw = _run_restarts(objective, seed, range(restarts))
     feasible = [item for item in raw if item[1] < FEASIBLE_RESIDUAL and item[2] > TRIVIAL_PROBABILITY]
     if feasible:
         top = max(item[2] for item in feasible)

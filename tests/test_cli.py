@@ -609,6 +609,45 @@ def test_restarts_below_one_is_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["gate", "--name", "nss", "--seed", "-1"],
+        ["gate", "--name", "swap", "--seed", "-1"],
+        ["optimize", "--objective", "nss", "--seed", "-3"],
+        ["verify", "--prop", "1", "--aux", "1", "--seed", "-1"],
+        ["verify", "--appendix", "--seed", "-2"],
+    ],
+)
+def test_negative_seed_is_refused_at_parse_time(capsys, argv):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "argument --seed: expected a non-negative integer" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gate", "--name", "su3", "--phi1", "inf"],
+        ["gate", "--name", "cphase", "--phi", "nan"],
+        ["optimize", "--objective", "su3", "--phi1", "nan"],
+    ],
+)
+def test_non_finite_target_phase_is_exit_2_before_any_search(monkeypatch, capsys, argv):
+    def searched(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(gates, "optimize_gate", searched)
+    monkeypatch.setattr(cli, "optimize_gate", searched)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: constraint entries must be finite\n"
+
+
+@pytest.mark.parametrize(
     "flags, forwarded",
     [
         ([], {}),

@@ -24,7 +24,6 @@ from fockforge.optimizer import (
     Objective,
     OptimizationResult,
     _fit,
-    _fit_scale,
     _run_restart,
     _run_restarts,
     constraint_residual,
@@ -47,8 +46,8 @@ def _identity_objective():
         detection=DetectionSpec((1,)),
         signal_cutoff=2,
         constraints=(
-            (E2[0], E2[0], False),
-            (E2[1], E2[1], False),
+            (E2[0], E2[0]),
+            (E2[1], E2[1]),
         ),
     )
 
@@ -61,7 +60,7 @@ def _one_photon_as_two_objective():
         ancilla=AncillaSpec((0,)),
         detection=DetectionSpec((0,)),
         signal_cutoff=2,
-        constraints=((E2[1], E2[2], False),),
+        constraints=((E2[1], E2[2]),),
     )
 
 
@@ -84,7 +83,49 @@ def test_objective_rejects_an_ancilla_short_of_the_non_signal_modes():
             ancilla=AncillaSpec((1,)),
             detection=DetectionSpec((1,)),
             signal_cutoff=2,
-            constraints=((E2[0], E2[0], False),),
+            constraints=((E2[0], E2[0]),),
+        )
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [(E2[0], E2[0], False), (E2[0], E2[0], np.ones(3), np.ones(3)), (E2[0],), (E2[0], E2[0], np.ones(2))],
+    ids=["phase-flag", "four", "one", "short-weights"],
+)
+def test_objective_names_both_constraint_forms(constraint):
+    with pytest.raises(ValueError, match=r"\(x, y\) or \(x, y, weights\)"):
+        Objective(
+            mode_count=2,
+            signal_modes=(0,),
+            ancilla=AncillaSpec((1,)),
+            detection=DetectionSpec((1,)),
+            signal_cutoff=2,
+            constraints=((E2[1], E2[1]), constraint),
+        )
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [
+        (np.array([1.0, np.nan, 0.0]), E2[0]),
+        (E2[0], np.array([0.0, 0.0, np.inf])),
+        (E2[0], E2[0], np.array([1.0, np.inf, 1.0])),
+    ],
+    ids=["input", "target", "weights"],
+)
+def test_objective_refuses_non_finite_constraints_before_building(monkeypatch, constraint):
+    def built(*args):
+        raise AssertionError("the extractor was built")
+
+    monkeypatch.setattr(optimizer, "ConditionalExtractor", built)
+    with pytest.raises(ValueError, match="finite"):
+        Objective(
+            mode_count=2,
+            signal_modes=(0,),
+            ancilla=AncillaSpec((1,)),
+            detection=DetectionSpec((1,)),
+            signal_cutoff=2,
+            constraints=(constraint,),
         )
 
 
@@ -149,12 +190,12 @@ def test_benchmark_nss_search_step_count_is_pinned(monkeypatch):
 
 def test_unit_weight_matches_unweighted_bitwise():
     cons_plain = (
-        (E2[0], E2[0], False),
-        (E2[1], E2[1], False),
+        (E2[0], E2[0]),
+        (E2[1], E2[1]),
     )
     cons_weighted = (
-        (E2[0], E2[0], False, np.ones(3)),
-        (E2[1], E2[1], False, np.ones(3)),
+        (E2[0], E2[0], np.ones(3)),
+        (E2[1], E2[1], np.ones(3)),
     )
     base = dict(
         mode_count=2,
@@ -173,8 +214,8 @@ def test_zero_weight_rows_are_ignored():
     # masked problem reduces to the feasible pass-through
     mask = np.array([1.0, 1.0, 0.0])
     cons = (
-        (E2[0], E2[0], False),
-        (E2[1], E2[1] + 5.0 * E2[2], False, mask),
+        (E2[0], E2[0]),
+        (E2[1], E2[1] + 5.0 * E2[2], mask),
     )
     result = optimize_gate(
         Objective(
@@ -196,7 +237,7 @@ def test_trivial_zero_operator_is_not_a_winner():
     # photon maps to two is photon-non-conserving, so every candidate has
     # residual bounded away from zero; the search must raise rather than
     # return the zero operator as a fake win
-    cons = ((E2[1], E2[2], False),)
+    cons = ((E2[1], E2[2]),)
     with pytest.raises(InfeasibleAtBudgetError) as err:
         optimize_gate(
             Objective(
@@ -261,9 +302,8 @@ def test_lockstep_restarts_equal_restarts_run_alone(objective, seed, restarts):
     # nss restarts end after different numbers of steps, and the infeasible
     # ones exhaust their draw budgets; a restart's rows must not depend on
     # the restarts evaluated beside it
-    jobs = [(objective, seed, index) for index in range(restarts)]
-    together = _run_restarts(jobs)
-    alone = [_run_restart(job) for job in jobs]
+    together = _run_restarts(objective, seed, range(restarts))
+    alone = [_run_restart((objective, seed, index)) for index in range(restarts)]
 
     def key(result):
         x, residual, probability, index, evaluations = result
@@ -298,7 +338,7 @@ def test_objective_with_fewer_residuals_than_parameters():
             ancilla=AncillaSpec((1, 0)),
             detection=DetectionSpec((1, 0)),
             signal_cutoff=2,
-            constraints=((e[2], -e[2], False),),
+            constraints=((e[2], -e[2]),),
         ),
         seed=0,
         restarts=1,
@@ -316,7 +356,7 @@ def test_pure_state_ancilla_route():
             ancilla=anc,
             detection=DetectionSpec((0,)),
             signal_cutoff=2,
-            constraints=((E2[0], E2[0], False), (E2[1], E2[1], False)),
+            constraints=((E2[0], E2[0]), (E2[1], E2[1])),
         ),
         seed=4,
         restarts=3,
@@ -332,7 +372,7 @@ def _superposed_objective(ancilla, signal=0, cutoff=4):
         ancilla=ancilla,
         detection=DetectionSpec((1, 0)),
         signal_cutoff=cutoff,
-        constraints=((e[0], e[0], False),),
+        constraints=((e[0], e[0]),),
     )
 
 
@@ -483,67 +523,46 @@ def _dot(a, b):
     return np.cumsum(np.conj(a) * b)[-1]
 
 
-def _abs(z):
-    # |z| as numpy takes it on an array, which can round the last bit
-    # differently from the scalar abs(z)
-    return np.abs(np.array([z]))[0]
-
-
-def _fit_scale_reference(outputs, objective):
-    # reference: the plain coordinate-descent loop on one row, which
-    # recomputes the objective's constant terms on every pass; also returns
-    # the number of passes the row took
+def _fit_reference(params, objective):
+    # one parameter vector by plain loops: the weighted outputs w_k Y x_k,
+    # the closed-form scale s = sum_k <w_k y_k, w_k o_k> / sum_k ||w_k y_k||^2
+    # with the objective's constant terms recomputed, and the deviation
+    y_op = objective.extractor().extract_matrix(mesh_matrices(params[None], objective.mode_count)[0])
     cons = objective.constraints
-    phases = [1.0 + 0j] * len(cons)
-    denom = sum(float(np.vdot(w * y, w * y).real) for _, y, _, w in cons)
-    s = 0j
-    for passes in range(1, 21):
-        num = 0j
-        for (x, y, free, w), o, ph in zip(cons, outputs, phases):
-            num += _dot(ph * (w * y), w * o)
-        s_new = num / denom
-        changed = _abs(s_new - s)
-        s = s_new
-        if abs(s) > 0:
-            for i, (x, y, free, w) in enumerate(cons):
-                if free:
-                    ip = _dot(s * (w * y), w * outputs[i])
-                    if abs(ip) > 0:
-                        phases[i] = ip / _abs(ip)
-        if changed < 1e-15 or not any(objective._free):
-            break
-    return s, phases, passes
+    outputs = [w * np.array([_dot(row.conj(), x) for row in y_op]) for x, _, w in cons]
+    num = 0j
+    for (_, y, w), out in zip(cons, outputs):
+        num += _dot(w * y, out)
+    s = num / sum(float(np.vdot(w * y, w * y).real) for _, y, w in cons)
+    deviation = np.concatenate([out - s * (w * y) for (_, y, w), out in zip(cons, outputs)])
+    norms = [np.cumsum(out.real**2 + out.imag**2)[-1] for out in outputs]
+    return norms, s, np.concatenate([deviation.real, deviation.imag])
 
 
-@pytest.mark.parametrize("free", [(False, False, False), (False, True, False), (True, True, True)])
-def test_fit_scale_matches_coordinate_descent(free):
-    rng = np.random.default_rng(sum(free))
-    weights = np.array([1.0, 0.5, 2.0])
-    objective = Objective(
+def _weighted_objective():
+    return Objective(
         mode_count=2,
         signal_modes=(0,),
         ancilla=AncillaSpec((1,)),
         detection=DetectionSpec((1,)),
         signal_cutoff=2,
         constraints=(
-            (E2[0], E2[0], free[0]),
-            (E2[1], np.exp(0.3j) * E2[1], free[1], weights),
-            (E2[2], -E2[2] + 0.2 * E2[1], free[2]),
+            (E2[0], E2[0]),
+            (E2[1], np.exp(0.3j) * E2[1], np.array([1.0, 0.5, 2.0])),
+            (E2[2], -E2[2] + 0.2 * E2[1]),
         ),
     )
-    outputs = [[rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(3)] for _ in range(25)]
-    # the 25 draws as one stack: every row must equal the plain loop, and
-    # itself fitted alone, however many passes the rows beside it take
-    weighted = np.array(outputs) * objective._weights
-    s, phases = _fit_scale(weighted, objective)
-    passes = set()
-    for row, out in enumerate(outputs):
-        s_ref, phases_ref, taken = _fit_scale_reference(out, objective)
-        s_alone, phases_alone = _fit_scale(weighted[row : row + 1], objective)
-        assert s[row] == s_ref == s_alone[0]
-        assert list(phases[row]) == phases_ref == list(phases_alone[0])
-        passes.add(taken)
-    if free == (False, True, False):
-        # the rows settle on different passes (11 to 20), so rows that have
-        # settled sit in the stack beside rows still moving
-        assert len(passes) > 1
+
+
+@pytest.mark.parametrize("objective", [_weighted_objective(), su3_objective(0.7, 2.0)], ids=["weighted", "su3"])
+def test_fit_matches_closed_form_scale(objective):
+    # 25 random networks as one stack: every row must equal the plain
+    # closed form, and itself fitted alone, bit for bit
+    n = objective.mode_count
+    stack = np.random.default_rng(n).uniform(0.0, 2.0 * np.pi, (25, n * n))
+    together = _fit(stack, objective)
+    for row, params in enumerate(stack):
+        alone = _fit(stack[row : row + 1], objective)
+        for got, alone_part, want in zip(together, alone, _fit_reference(params, objective)):
+            assert np.array_equal(got[row], alone_part[0])
+            assert np.array_equal(got[row], want)

@@ -99,7 +99,7 @@ def test_run_restart_returns_what_the_restart_hook_reads():
         ancilla=AncillaSpec((1,)),
         detection=DetectionSpec((1,)),
         signal_cutoff=2,
-        constraints=((e[0], e[0], False), (e[1], e[1], False)),
+        constraints=((e[0], e[0]), (e[1], e[1])),
     )
     result = optimizer._run_restart((objective, 1, 2))
     assert isinstance(result, tuple) and len(result) == 5
