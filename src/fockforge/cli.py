@@ -56,28 +56,22 @@ from .fock import (
     coherent_state,
     tmsv_ladder,
 )
-from .interferometer import (
-    BeamSplitterParams,
-    NetworkDescription,
-    PhaseShifterParams,
-    bs_matrix,
-    compose,
-)
-from .lossy import LossyBSParams, lossy_bs_channel, noisy_sigma_z_experiment
+from .interferometer import BeamSplitterParams, NetworkDescription, PhaseShifterParams, compose
+from .lossy import noisy_sigma_z_experiment, pure_loss
 from .optimizer import InfeasibleAtBudgetError, optimize_gate
 from .permanent import check_appendix_bounds, permanent_naive, permanent_ryser
 from . import gates
 
 # unused here: imported only so that perfbench/tracing.py's WRAPPED names resolve
 from .fock import partial_trace  # noqa: F401
-from .interferometer import element_matrix  # noqa: F401
+from .interferometer import bs_matrix, element_matrix  # noqa: F401
 from .lossy import dilation_unitary  # noqa: F401
 
 # size limits of simulate and condition, checked before either builds
 # anything (README, "simulate"): on two cores the largest circuits
-# simulate allows ran in 0.3 to 1.6 s at each cutoff from 2 to 10 (2.6 s
-# for 999 modes at cutoff 1), and the largest condition runs below the
-# extractor's limit on its recurrence's multiply-adds
+# simulate allows, lossy or not, ran in 0.3 to 0.9 s at each cutoff from 2
+# to 10 (2.1 s for 999 modes at cutoff 1), and the largest condition runs
+# below the extractor's limit on its recurrence's multiply-adds
 # (conditioning.recurrence_work) in 0.5 to 1.0 s.
 MAX_SIMULATE_DIMENSION = 1000
 MAX_SIMULATE_CUTOFF = 10
@@ -383,12 +377,8 @@ def _joint_input_state(cf: CircuitFile, cutoff: int) -> PureState:
 
 
 def _element(e):
-    """Network element of a lossless element tuple."""
-    if e[0] == "bs":
-        return BeamSplitterParams(*e[1:])
-    if e[0] == "phase":
-        return PhaseShifterParams(*e[1:])
-    raise ValueError("lossy elements need the density-matrix path")
+    """Network element of a splitter or phase tuple."""
+    return (BeamSplitterParams if e[0] == "bs" else PhaseShifterParams)(*e[1:])
 
 
 def _renumbered(spec, position):
@@ -402,42 +392,41 @@ def _network_of(cf: CircuitFile) -> NetworkDescription:
 
 
 def _stages(cf: CircuitFile, cutoff: int):
-    """Each stage of the circuit as (modes, operators on a total-photon
-    basis of those modes): a maximal run of phases and splitters composed
-    on the sorted modes it touches, renumbered from 0 (it is the identity
-    on the others), and lifted once, or an absorbing splitter's Kraus
-    family on its two listed modes."""
-    for lossy, run in itertools.groupby(cf.elements, key=lambda e: e[0] == "lossybs"):
-        if lossy:
-            for e in run:
-                ab = e[6]
-                block = bs_matrix(BeamSplitterParams(0, 1, *e[3:6]), 2).matrix
-                params = LossyBSParams(math.sqrt(1.0 - ab * ab) * block, ab * np.eye(2))
-                yield e[1:3], lossy_bs_channel(params, cutoff).kraus
+    """Each stage of the circuit, in order: (modes, lift), a maximal run of
+    phases and splitters composed on the sorted modes it touches,
+    renumbered from 0 (it is the identity on the others), and lifted once
+    on a total-photon basis of those modes; or (mode, eta), pure loss of
+    transmissivity eta on one mode.  An absorber of absorption a is
+    T = sqrt(eta) B, eta = 1 - a^2, and its channel depends on T alone (the
+    device modes start in vacuum and are traced out): equal loss on its
+    two modes, then its splitter B, which joins the run that follows."""
+    elements = []
+    for e in cf.elements:
+        if e[0] == "lossybs":
+            eta = 1.0 - e[6] * e[6]
+            elements += [("loss", e[1], eta), ("loss", e[2], eta), ("bs", *e[1:6])]
+        else:
+            elements.append(e)
+    for loss, run in itertools.groupby(elements, key=lambda e: e[0] == "loss"):
+        if loss:
+            yield from (e[1:] for e in run)
             continue
         run = tuple(run)
         modes = sorted({m for e in run for m in e[1 : 3 if e[0] == "bs" else 2]})
         at = {m: i for i, m in enumerate(modes)}
         u = compose(NetworkDescription(len(modes), tuple(_element(_renumbered(e, at)) for e in run))).matrix
-        yield modes, (lift_unitary(u, FockBasis(len(modes), TotalPhotonCutoff(cutoff))).matrix,)
+        yield modes, lift_unitary(u, FockBasis(len(modes), TotalPhotonCutoff(cutoff))).matrix
 
 
-def _embed(ops, modes, basis: FockBasis, occ: np.ndarray) -> list:
-    """Operators on a total-photon basis of `modes` alone, lifted to
-    `basis`, whose occupations are the rows of `occ`, each as (rows, apply):
-    apply(x) is K x on the rows of a vector or matrix x, restricted to the
-    basis states `rows`, in that order, outside of which K x is zero.
-
-    The states whose other modes hold k photons pair with the local states
-    of at most cutoff - k photons, a prefix of the local basis, so all of
-    them see the same leading block of K: each such bucket is one gather,
-    one matrix product and one scatter, over just the local states where
-    K has nonzero rows and columns (an absorbing block lowers the photon
-    count, so most of them are zero).  K is never written out on `basis`.
-
-    Nothing is lost when an operator never raises the photon count on its
-    modes (a passive element keeps it, an absorber lowers it): every entry
-    it can reach then lies inside `basis`."""
+def _embed(op, modes, basis: FockBasis, occ: np.ndarray):
+    """x -> U x for a vector or matrix x on `basis`, whose occupations are
+    the rows of `occ`, where U is `op`, a lifted unitary on a total-photon
+    basis of `modes` alone.  The states whose other modes hold k photons
+    pair with the local states of at most cutoff - k photons, a prefix of
+    the local basis, so all of them see the same leading block of U: each
+    such bucket is one gather, one matrix product and one scatter, and U is
+    never written out on `basis`.  U keeps the photon count on its modes,
+    so every entry it reaches lies inside `basis`."""
     at = _lookup(np.array(FockBasis(len(modes), basis.policy).occupations, dtype=np.uint8), occ[:, modes])
     vacated = occ.copy()
     vacated[:, modes] = 0
@@ -449,42 +438,33 @@ def _embed(ops, modes, basis: FockBasis, occ: np.ndarray) -> list:
         states.reshape(-1, np.count_nonzero(group[states] == states[0])).T
         for states in np.split(order, np.flatnonzero(np.diff(count[order])) + 1)
     ]
-    out = []
-    for op in ops:
-        nz_rows, nz_cols = np.flatnonzero(op.any(axis=1)), np.flatnonzero(op.any(axis=0))
-        parts = []
-        for idx in buckets:
-            r, c = nz_rows[nz_rows < len(idx)], nz_cols[nz_cols < len(idx)]
-            if len(r) and len(c):
-                parts.append((op[np.ix_(r, c)], idx[r].ravel(), idx[c]))
-        rows = np.concatenate([p[1] for p in parts])
-        out.append((rows, functools.partial(_apply_embedded, parts)))
-    return out
+    parts = [(op[: len(idx), : len(idx)], idx) for idx in buckets]
+    return functools.partial(_apply_embedded, np.concatenate([idx.ravel() for idx in buckets]), parts)
 
 
-def _apply_embedded(parts, x):
-    return np.concatenate(
-        [np.dot(block, x[cols].reshape(len(cols), -1)).reshape((-1,) + x.shape[1:]) for block, _, cols in parts]
+def _apply_embedded(rows, parts, x):
+    out = np.empty_like(x)  # the buckets cover every basis state once
+    out[rows] = np.concatenate(
+        [np.dot(block, x[cols].reshape(len(cols), -1)).reshape((-1,) + x.shape[1:]) for block, cols in parts]
     )
+    return out
 
 
 def _simulate(cf: CircuitFile, cutoff: int):
     """The output state, one stage at a time: the state vector of a
-    lossless circuit, or the density matrix of a lossy one (rho -> sum_K K
-    rho K^dag).  Each Kraus map keeps rho positive, so only the final
-    state is validated."""
+    lossless circuit, or the density matrix of a lossy one, which a run
+    maps to U rho U^dag and a loss stage by lossy.pure_loss.  Both keep
+    rho positive, so only the final state is validated."""
     state = _joint_input_state(cf, cutoff)
     lossy = any(e[0] == "lossybs" for e in cf.elements)
     x = np.outer(state.amplitudes, state.amplitudes.conj()) if lossy else state.amplitudes
     occ = np.array(state.basis.occupations, dtype=np.uint8)
-    for modes, ops in _stages(cf, cutoff):
-        out = np.zeros_like(x)
-        for rows, k in _embed(ops, modes, state.basis, occ):
-            if lossy:
-                out[np.ix_(rows, rows)] += k(k(x).conj().T).conj().T
-            else:
-                out[rows] = k(x)
-        x = out
+    for modes, op in _stages(cf, cutoff):
+        if isinstance(op, float):
+            x = pure_loss(x, occ, modes, op)
+        else:
+            u = _embed(op, modes, state.basis, occ)
+            x = u(u(x).conj().T).conj().T if lossy else u(x)
     return MixedState(state.basis, x) if lossy else PureState(state.basis, x, unchecked=True)
 
 

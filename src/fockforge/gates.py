@@ -399,7 +399,7 @@ def vacuum_detector_transmissions() -> tuple:
 
 
 def _cphase_vacuum_detector(phi: float):
-    reduced = math.remainder(phi, 2.0 * math.pi)
+    reduced = math.remainder(phi, 2.0 * math.pi) if math.isfinite(phi) else math.nan
     if abs(reduced) < 1e-12:
         t1, t0 = 1.0, 1.0
         plates = False

@@ -11,6 +11,11 @@ is exact, so no Kraus-integral sampling is needed; the textbook
 M = S C^{-1} T coupling matrix is still derived and checked against the
 closure identity M M^dag = I - T T^dag.
 
+The circuit grammar's absorber has A = a I, so T = sqrt(1 - a^2) B with
+B unitary, and its channel is pure loss on each of its two modes, then
+the lift of B.  pure_loss applies that loss from its closed-form Kraus
+operators, with no dilation; simulate runs on it.
+
 Inefficient detectors are the binomial POVM
 Pi(n) = sum_k C(k, n) eta^n (1 - eta)^{k - n} |k><k|.
 
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec
+from .conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec, _lookup
 from .fock import FockBasis, FockOperator, MixedState, PureState, TotalPhotonCutoff
 from .interferometer import ModeUnitary
 
@@ -90,14 +95,6 @@ class LossyBSParams:
         return LossyBSParams(tm, a * np.eye(2))
 
 
-def apply_kraus(kraus, rho: np.ndarray) -> np.ndarray:
-    """rho -> sum_K K rho K^dag."""
-    out = np.zeros_like(rho)
-    for k in kraus:
-        out += k @ rho @ k.conj().T
-    return out
-
-
 @dataclass
 class ChannelOperator:
     """Completely positive trace-preserving map from the four-mode dilation.
@@ -125,7 +122,7 @@ class ChannelOperator:
         if isinstance(state, PureState):
             state = state.to_mixed()
         rho = state.matrix if isinstance(state, MixedState) else np.asarray(state, dtype=complex)
-        return MixedState(self.basis, apply_kraus(self.kraus, rho))
+        return MixedState(self.basis, sum(k @ rho @ k.conj().T for k in self.kraus))
 
 
 def _psd_sqrt(gram: np.ndarray) -> np.ndarray:
@@ -150,6 +147,26 @@ def dilation_unitary(params: LossyBSParams) -> ModeUnitary:
         raise ArithmeticError("unitary completion failed; closure is degenerate")
     u = np.hstack([left, vh[2:].conj().T])
     return ModeUnitary(4, u)
+
+
+def pure_loss(rho: np.ndarray, occ: np.ndarray, mode: int, eta: float) -> np.ndarray:
+    """rho -> sum_k K_k rho K_k^dag, pure loss of transmissivity eta on
+    `mode`, with K_k |n> = sqrt(C(n, k) eta^(n-k) (1-eta)^k) |n-k> (Chuang,
+    Leung & Yamamoto, PRA 56, 1114, 1997).  rho lives on a basis whose
+    occupations are the rows of `occ` (uint8) and which holds every state
+    with photons taken from `mode`; each k is one gather, scale and
+    scatter-add, from the states with at least k photons there."""
+    n = occ[:, mode]
+    top = int(n.max())
+    out = np.zeros_like(rho)
+    for k in range(top + 1):
+        src = np.flatnonzero(n >= k)
+        lowered = occ[src]
+        lowered[:, mode] -= k
+        dst = _lookup(occ, lowered)
+        weight = np.sqrt([math.comb(m, k) * eta ** (m - k) * (1.0 - eta) ** k for m in range(k, top + 1)])[n[src] - k]
+        out[np.ix_(dst, dst)] += weight[:, None] * rho[np.ix_(src, src)] * weight
+    return out
 
 
 def lossy_bs_channel(params: LossyBSParams, cutoff: int) -> ChannelOperator:

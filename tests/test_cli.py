@@ -564,6 +564,15 @@ def test_gate_cphase_unreachable_phase(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("phi", ["inf", "nan", "-inf"])
+def test_gate_cphase_non_finite_phase_names_the_reachable_phases(capsys, phi):
+    rc = main(["gate", "--name", "cphase", "--variant", "vacuum-detector", f"--phi={phi}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "reaches only phi = 0 and phi = pi" in captured.err
+
+
 def test_gate_unknown_name(capsys):
     assert main(["gate", "--name", "frobnicate"]) == 2
 

@@ -22,6 +22,7 @@ from fockforge.lossy import (
     lossy_bs_channel,
     noisy_sigma_z_experiment,
     povm_element,
+    pure_loss,
 )
 
 
@@ -163,6 +164,24 @@ def test_channel_lifts_only_the_vacuum_device_columns(cutoff):
     assert len(got) == len(want)
     for k, w in zip(got, want):
         assert np.max(np.abs(k - w)) <= 1e-15
+
+
+@pytest.mark.parametrize("cutoff", range(6))
+@pytest.mark.parametrize("absorption", [0.0, 0.3, 0.95])
+def test_loss_map_then_splitter_is_the_dilation_channel(cutoff, absorption):
+    # T = sqrt(eta) B: equal pure loss eta = 1 - a^2 on both modes, then
+    # the lift of B, is the Stinespring route's channel of (T, a I)
+    rng = np.random.default_rng([cutoff, int(100 * absorption)])
+    basis = FockBasis(2, TotalPhotonCutoff(cutoff))
+    occ = np.array(basis.occupations, dtype=np.uint8)
+    eta = 1.0 - absorption**2
+    for seed in range(3):
+        b = bs_matrix(BeamSplitterParams(0, 1, *rng.uniform(-math.pi, math.pi, 3)), 2).matrix
+        rho = random_density(basis, [cutoff, seed]).matrix
+        lift = lift_unitary(ModeUnitary(2, b), basis).matrix
+        got = lift @ pure_loss(pure_loss(rho, occ, 0, eta), occ, 1, eta) @ lift.conj().T
+        want = lossy_bs_channel(LossyBSParams(math.sqrt(eta) * b, absorption * np.eye(2)), cutoff).apply(rho)
+        assert np.max(np.abs(got - want.matrix)) < 1e-12
 
 
 def test_vacuum_sector_channel_is_trivial():

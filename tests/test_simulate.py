@@ -1,6 +1,8 @@
 """simulate evolves one stage at a time: each maximal run of phases and
-splitters lifted once on just the modes it touches, each absorbing
-splitter as its Kraus family.  These tests hold it to whole-basis routes.
+splitters lifted once on just the modes it touches, and pure loss on one
+mode.  An absorbing splitter is equal loss on its two modes followed by
+its lossless splitter, which joins the next run.  These tests hold it to
+whole-basis routes.
 
 Lossless circuits are checked against the lift of the composed network on
 the whole basis and against the polynomial oracle.  Lossy circuits are
@@ -12,10 +14,15 @@ afterwards.
 
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fockforge
 from fockforge import cli
 from fockforge.conditioning import ConditionalExtractor, lift_unitary
 from fockforge.fock import FockBasis, MixedState, TotalPhotonCutoff, partial_trace
@@ -116,25 +123,25 @@ def dense_embedding(op, modes, basis):
     "line", ["bs 3 1 0.7 0.4 -1.2", "bs 0 2 1.1 -0.3 2.0", "lossybs 2 0 0.6 1.0 0.1 0.7", "lossybs 1 3 0.9 -0.5 0.4 0.3"]
 )
 def test_embedded_operators_match_the_dense_embedding(line):
+    # an absorber's stages are equal loss on its two modes, then its splitter
     cutoff = 5
     basis = FockBasis(4, TotalPhotonCutoff(cutoff))
-    ((modes, ops),) = cli._stages(cli.parse_circuit(f"modes 4\n{line}\n"), cutoff)
+    *losses, (modes, op) = cli._stages(cli.parse_circuit(f"modes 4\n{line}\n"), cutoff)
+    word, i, j, *angles = line.split()
+    if word == "lossybs":
+        eta = 1.0 - float(angles[3]) ** 2
+        assert losses == [(int(i), eta), (int(j), eta)]
+    else:
+        assert losses == []
+    assert modes == sorted((int(i), int(j)))
     rng = np.random.default_rng(3)
     vec = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
     rho = np.outer(vec, vec.conj()) + rng.normal(size=(basis.dimension,) * 2)
-    embedded = cli._embed(ops, modes, basis, np.array(basis.occupations, dtype=np.uint8))
-    assert len(embedded) == len(ops) > (1 if line.startswith("lossybs") else 0)
-    for op, (rows, apply) in zip(ops, embedded):
-        dense = dense_embedding(op, modes, basis)
-        got = np.zeros(basis.dimension, dtype=complex)
-        got[rows] = apply(vec)
-        assert np.max(np.abs(got - dense @ vec)) < 1e-13
-        got = np.zeros_like(rho)
-        got[rows] = apply(rho)
-        assert np.max(np.abs(got - dense @ rho)) < 1e-13
-        got = np.zeros_like(rho)
-        got[np.ix_(rows, rows)] = apply(apply(rho).conj().T).conj().T
-        assert np.max(np.abs(got - dense @ rho @ dense.conj().T)) < 1e-12
+    apply = cli._embed(op, modes, basis, np.array(basis.occupations, dtype=np.uint8))
+    dense = dense_embedding(op, modes, basis)
+    assert np.max(np.abs(apply(vec) - dense @ vec)) < 1e-13
+    assert np.max(np.abs(apply(rho) - dense @ rho)) < 1e-13
+    assert np.max(np.abs(apply(apply(rho).conj().T).conj().T - dense @ rho @ dense.conj().T)) < 1e-12
 
 
 def grouped_by_loop(modes, basis):
@@ -159,13 +166,12 @@ def test_embedding_groups_the_basis_as_the_loop_did():
         modes = tuple(int(m) for m in rng.permutation(n)[: rng.integers(1, min(n, 3) + 1)])
         basis = FockBasis(n, TotalPhotonCutoff(cutoff))
         dim = FockBasis(len(modes), basis.policy).dimension
-        op = rng.normal(size=(dim, dim)) + 1.0  # every row and column nonzero: every bucket is a part
-        ((rows, apply),) = cli._embed((op,), modes, basis, np.array(basis.occupations, dtype=np.uint8))
+        op = rng.normal(size=(dim, dim))
+        rows, parts = cli._embed(op, modes, basis, np.array(basis.occupations, dtype=np.uint8)).args
         buckets = grouped_by_loop(modes, basis)
-        parts = apply.args[0]
         assert len(parts) == len(buckets)
-        for (block, part_rows, cols), idx in zip(parts, buckets):
-            assert cols.shape == idx.shape and (cols == idx).all() and (part_rows == idx.ravel()).all()
+        for (block, cols), idx in zip(parts, buckets):
+            assert cols.shape == idx.shape and (cols == idx).all()
             assert (block == op[: len(idx), : len(idx)]).all()
         assert (rows == np.concatenate([idx.ravel() for idx in buckets])).all()
 
@@ -197,6 +203,12 @@ LOSSY = {
         "lossybs 0 2 0.7 0.3 -0.2 0.6\nbs 3 1 0.9 0.4 -1.3\nphase 1 0.8\nlossybs 2 3 0.5 1.1 0.6 0.3\n",
         4,
     ),
+    # the absorber's splitter joins a run on the disjoint pair 2, 3
+    "absorber then a disjoint run": (
+        "modes 4\ninput fock 0 2\ninput fock 1 1\ninput coherent 3 -0.3 0.5\n"
+        "lossybs 1 0 0.8 -0.7 1.3 0.55\nbs 2 3 1.0 0.6 -0.4\nphase 3 1.9\n",
+        4,
+    ),
 }
 
 
@@ -217,16 +229,14 @@ def test_zero_absorption_gives_the_lossless_populations():
 
 
 def test_broken_kraus_family_fails_the_final_state_check(monkeypatch):
-    # the intermediate states are not validated, so a family that gains
-    # weight after its completeness check must still fail at the end
-    inner = cli.lossy_bs_channel
+    # the intermediate states are not validated, so a loss map that gains
+    # weight must still fail at the end
+    inner = cli.pure_loss
 
-    def inflated(params, cutoff):
-        channel = inner(params, cutoff)
-        channel.kraus = (1.01 * channel.kraus[0],) + channel.kraus[1:]
-        return channel
+    def inflated(rho, occ, mode, eta):
+        return 1.01 * inner(rho, occ, mode, eta)
 
-    monkeypatch.setattr(cli, "lossy_bs_channel", inflated)
+    monkeypatch.setattr(cli, "pure_loss", inflated)
     text, cutoff = LOSSY["strong absorption"]
     with pytest.raises(ValueError, match="exceeds one"):
         cli._simulate(cli.parse_circuit(text), cutoff)
@@ -234,10 +244,12 @@ def test_broken_kraus_family_fails_the_final_state_check(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # cost tripwires: extractor builds in one simulate call, and the amplitudes
-# their recurrences fill, independent of the machine.  Each stage is one
-# build on a total-photon basis of its modes (an absorber's basis is its
-# four-mode dilation), which fills sum_k (sector size)^2 amplitudes.  The
-# per-element route built one extractor per element (10 and 5 here).
+# their recurrences fill, independent of the machine.  Each lossless run is
+# one build on a total-photon basis of its modes, which fills
+# sum_k (sector size)^2 amplitudes; a loss stage builds nothing.  The
+# per-element route built one extractor per element (10 and 5 here), and
+# the Kraus route one more per absorber on its four-mode dilation (4,878
+# amplitudes each here).
 
 
 def count_extractions(monkeypatch, capsys, text, cutoff) -> tuple:
@@ -264,15 +276,19 @@ def lift_amplitudes(modes: int, cutoff: int) -> int:
     return sum(math.comb(k + modes - 1, k) ** 2 for k in range(cutoff + 1))
 
 
+LOSSY_TRIPWIRE = (
+    "modes 4\ninput fock 0 1\ninput fock 1 1\ninput fock 3 1\n"
+    "bs 1 2 0.8 1.0 2.0\nlossybs 0 1 0.5 0.3 4.0 0.4\nlossybs 2 3 1.1 5.0 0.2 0.4\n"
+    "bs 0 2 0.3 2.5 1.5\nphase 3 0.9\n"
+)
+
+
 def test_lossy_simulate_extraction_count(monkeypatch, capsys):
-    # stages: the run on modes 1, 2; two absorbers; the run on modes 0, 2, 3
-    text = (
-        "modes 4\ninput fock 0 1\ninput fock 1 1\ninput fock 3 1\n"
-        "bs 1 2 0.8 1.0 2.0\nlossybs 0 1 0.5 0.3 4.0 0.4\nlossybs 2 3 1.1 5.0 0.2 0.4\n"
-        "bs 0 2 0.3 2.5 1.5\nphase 3 0.9\n"
-    )
-    expected = lift_amplitudes(2, 5) + 2 * lift_amplitudes(4, 5) + lift_amplitudes(3, 5)
-    assert count_extractions(monkeypatch, capsys, text, 5) == (4, expected) == (4, 10659)
+    # stages: the run on modes 1, 2; loss on 0 and 1; the first absorber's
+    # splitter alone on 0, 1; loss on 2 and 3; the second absorber's
+    # splitter with the rest, on modes 0, 2, 3.  No build is on four modes.
+    expected = 2 * lift_amplitudes(2, 5) + lift_amplitudes(3, 5)
+    assert count_extractions(monkeypatch, capsys, LOSSY_TRIPWIRE, 5) == (3, expected) == (3, 994)
 
 
 def test_lossless_simulate_extraction_count(monkeypatch, capsys):
@@ -288,8 +304,9 @@ def test_lossless_simulate_extraction_count(monkeypatch, capsys):
 
 
 def test_each_run_is_composed_on_its_own_modes(monkeypatch, capsys):
-    # a run on modes 4, 1 of six, an absorber, then a run on modes 5, 0, 3:
-    # each run is composed on just the modes it touches, renumbered in order
+    # a run on modes 4, 1 of six, an absorber on 1, 2, then a run of its
+    # splitter with elements on modes 5, 0, 3: each run is composed on just
+    # the modes it touches, renumbered in order
     seen = []
 
     def recording(network):
@@ -305,7 +322,23 @@ def test_each_run_is_composed_on_its_own_modes(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert cli.main(["simulate", "--cutoff", "2", "-"]) == 0
     capsys.readouterr()
-    assert seen == [(2, [(1, 0), (0,)]), (3, [(2, 0), (1,)])]
+    assert seen == [(2, [(1, 0), (0,)]), (5, [(1, 2), (4, 0), (3,)])]
+
+
+def test_simulate_is_bytewise_identical_across_blas_thread_counts():
+    # the printed populations and amplitudes must not depend on the
+    # machine's core count, which sets the default BLAS thread count
+    lossless = LOSSY_TRIPWIRE.replace("lossybs 0 1 0.5 0.3 4.0 0.4", "bs 0 1 0.5 0.3 4.0").replace(
+        "lossybs 2 3 1.1 5.0 0.2 0.4", "bs 2 3 1.1 5.0 0.2"
+    )
+    for text in (LOSSY_TRIPWIRE, lossless):
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = str(Path(fockforge.__file__).parents[1])
+            argv = [sys.executable, "-m", "fockforge.cli", "simulate", "--cutoff", "5", "-"]
+            outputs.append(subprocess.run(argv, input=text, env=env, capture_output=True, text=True, check=True).stdout)
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 127
 
 
 def test_simulate_on_999_modes_at_cutoff_1(monkeypatch, capsys):
