@@ -40,9 +40,9 @@ from .conditioning import (
     AncillaSpec,
     DetectionSpec,
     _lookup,
+    check_size,
     extract_conditional_operator,
     lift_unitary,
-    recurrence_work,
     success_probability,
     verify_proposition,
 )
@@ -59,23 +59,13 @@ from .fock import (
 from .interferometer import BeamSplitterParams, NetworkDescription, PhaseShifterParams, compose
 from .lossy import noisy_sigma_z_experiment, pure_loss
 from .optimizer import InfeasibleAtBudgetError, optimize_gate
-from .permanent import check_appendix_bounds, permanent_naive, permanent_ryser
+from .permanent import PermanentSizeError, check_appendix_bounds, permanent_naive, permanent_ryser
 from . import gates
 
 # unused here: imported only so that perfbench/tracing.py's WRAPPED names resolve
 from .fock import partial_trace  # noqa: F401
 from .interferometer import bs_matrix, element_matrix  # noqa: F401
 from .lossy import dilation_unitary  # noqa: F401
-
-# size limits of simulate and condition, checked before either builds
-# anything (README, "simulate"): on two cores the largest circuits
-# simulate allows, lossy or not, ran in 0.3 to 0.9 s at each cutoff from 2
-# to 10 (2.1 s for 999 modes at cutoff 1), and the largest condition runs
-# below the extractor's limit on its recurrence's multiply-adds
-# (conditioning.recurrence_work) in 0.5 to 1.0 s.
-MAX_SIMULATE_DIMENSION = 1000
-MAX_SIMULATE_CUTOFF = 10
-MAX_CONDITION_CUTOFF = 20
 
 
 class CircuitError(ValueError):
@@ -468,25 +458,14 @@ def _simulate(cf: CircuitFile, cutoff: int):
     return MixedState(state.basis, x) if lossy else PureState(state.basis, x, unchecked=True)
 
 
-def _check_size(command: str, modes: int, cutoff: int, max_cutoff: int) -> None:
-    """Exit 4, before anything is built, for a cutoff or a total-photon
-    basis on `modes` modes above the command's limits."""
-    if cutoff > max_cutoff:
-        raise OverflowError(f"cutoff {cutoff} is above {command}'s limit of {max_cutoff}")
-    dim = math.comb(modes + cutoff, cutoff)
-    if dim > MAX_SIMULATE_DIMENSION:
-        raise OverflowError(
-            f"basis dimension {dim} ({modes} modes, cutoff {cutoff}) is above "
-            f"{command}'s limit of {MAX_SIMULATE_DIMENSION}"
-        )
-
-
 def _cmd_simulate(args) -> int:
     cf = parse_circuit(_read_text(args.circuit))
     if cf.detections:
         raise CircuitError(1, 1, "simulate takes no detect lines; use the condition subcommand")
     cutoff = _pick_cutoff(args, cf)
-    _check_size("simulate", cf.mode_count, cutoff, MAX_SIMULATE_CUTOFF)
+    # conditioning's size model (README, "Limits"), before the input state
+    # is built; condition's extractor checks its own shape
+    check_size(cf.mode_count, cutoff, cutoff)
     state = _simulate(cf, cutoff)
     if isinstance(state, MixedState):
         columns, values = ("population",), zip(_floats(np.diag(state.matrix).real))
@@ -514,7 +493,6 @@ def _cmd_condition(args) -> int:
     signal = tuple(m for m in range(cf.mode_count) if m not in detected)
     if not signal:
         raise CircuitError(1, 1, "every mode is detected; nothing remains as signal")
-    _check_size("condition", len(signal), cutoff, MAX_CONDITION_CUTOFF)
     by_mode = _inputs_by_mode(cf)
     aux_modes = sorted(detected)
     aux_counts = []
@@ -526,7 +504,6 @@ def _cmd_condition(args) -> int:
             aux_counts.append(spec[2])
         else:
             raise CircuitError(1, 1, f"detected mode {m} needs a Fock input, not {spec[0]}")
-    recurrence_work(len(signal), cutoff, [sum(aux_counts)], [detected[m] for m in aux_modes])
     cond = extract_conditional_operator(
         compose(_network_of(cf)),
         signal,
@@ -902,7 +879,8 @@ def main(argv=None) -> int:
     except (
         CutoffTooSmallError,
         CutoffOverflowError,
-        ArithmeticError,
+        ArithmeticError,  # OverflowError: every size refusal but a permanent's
+        PermanentSizeError,
         np.linalg.LinAlgError,
     ) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -40,15 +40,18 @@ from .fock import (
 from .interferometer import ModeUnitary, random_unitary
 from .permanent import MAX_DIMENSION, PermanentSizeError, _gather, _ordered_sum, _per_flat
 
-# Largest basis lift_unitary lifts: the dense lift holds dimension^2
-# amplitudes, 16 MB at 1,000 states.
-MAX_LIFT_DIMENSION = 1000
+# The size model (README, "Limits"), checked before anything is built.
+# Largest output basis: a dense square of 2^20 amplitudes, 16 MiB.
+MAX_DENSE_DIMENSION = 1024
+# Most photons in any entry: up to here the recurrence holds a lift's
+# top-sector unitarity within 1e-10.
+MAX_PHOTONS = 40
 # A recurrence level gathers (B, nodes, states, slots) terms for at most
 # this many at a time, 256 kB of complex values.
 _CHUNK = 1 << 14
 # Most multiply-adds an extractor's recurrence may do on one mode matrix
-# (recurrence_work); the largest lift within MAX_LIFT_DIMENSION does
-# 2.03e6 (16 modes, cutoff 3).
+# (recurrence_work); the largest lift within MAX_DENSE_DIMENSION does
+# 2.20e6 (10 modes, cutoff 4).
 MAX_RECURRENCE_WORK = 5 * 10**6
 
 
@@ -112,7 +115,9 @@ def fock_lift_amplitude(u, input_occ, output_occ) -> complex:
         raise ValueError("occupations must be non-negative")
     if sum(n_in) != sum(n_out):
         return 0j
-    size = _checked_size(sum(n_out))
+    size = sum(n_out)
+    if size > MAX_DIMENSION:
+        raise PermanentSizeError(f"{size} photons need a permanent of dimension {size}, above the supported maximum {MAX_DIMENSION}")
     norm = math.sqrt(math.prod(math.factorial(x) for x in n_in + n_out))
     flat = m.ravel().tolist()
     return complex(_per_flat([flat[g] for g in _gather(n_out, n_in, m.shape[0])], size)) / norm
@@ -156,10 +161,15 @@ def recurrence_work(signal_modes: int, cutoff: int, ancilla_photons, detection) 
     return work
 
 
-def _checked_size(size: int) -> int:
-    if size > MAX_DIMENSION:
-        raise PermanentSizeError(f"{size} photons need a permanent of dimension {size}, above the supported maximum {MAX_DIMENSION}")
-    return size
+def check_size(modes: int, cutoff: int, photons: int) -> None:
+    """OverflowError for entries of more than MAX_PHOTONS photons, or for a
+    total-photon basis of `modes` modes at `cutoff` of more than
+    MAX_DENSE_DIMENSION states."""
+    if photons > MAX_PHOTONS:
+        raise OverflowError(f"{photons} photons ({modes} modes, cutoff {cutoff}) are above the photon cap of {MAX_PHOTONS}")
+    dim = math.comb(modes + cutoff, cutoff)
+    if dim > MAX_DENSE_DIMENSION:
+        raise OverflowError(f"basis dimension {dim} ({modes} modes, cutoff {cutoff}) is above the dense limit of {MAX_DENSE_DIMENSION}")
 
 
 class ConditionalExtractor:
@@ -171,8 +181,7 @@ class ConditionalExtractor:
     together, weighted and summed).  Only exactly-zero components are
     left out; one whose photon surplus cannot fit under the cutoff is
     rejected rather than silently dropped, so crop the state first if its
-    tail may go.  So is any entry of more than permanent.MAX_DIMENSION
-    photons (PermanentSizeError), which the tests' permanent route checks.
+    tail may go.
 
     The entries come from the creation recurrence (Miatto & Quesada,
     Quantum 4, 366 (2020)): <t|U|n> = sum_m L_mj sqrt(t_m) <t - e_m|U|n -
@@ -180,8 +189,14 @@ class ConditionalExtractor:
     the ancilla photons one at a time, then the signal basis, which is
     closed under lowering, on the states an output row can pass through:
     each signal occupation within the cutoff beside each auxiliary one at
-    or below the detection pattern.  A shape above MAX_RECURRENCE_WORK is
-    refused (OverflowError, see recurrence_work) before anything is built.
+    or below the detection pattern.
+
+    Before anything is built, OverflowError refuses a signal basis of more
+    than MAX_DENSE_DIMENSION states, an entry of more than MAX_PHOTONS
+    photons (check_size) and a recurrence above MAX_RECURRENCE_WORK
+    (recurrence_work).  Within the photon cap the entries keep exact
+    identities, such as a lift's top-sector unitarity and the completeness
+    sum over detector outcomes, within 1e-10.
     """
 
     def __init__(self, mode_count: int, signal_modes, ancilla, det: DetectionSpec, signal_cutoff: int):
@@ -214,7 +229,12 @@ class ConditionalExtractor:
                 f"signal cutoff {signal_cutoff} cannot hold the {imbalance} photons "
                 "added by the ancilla/detection imbalance"
             )
-        recurrence_work(len(signal), signal_cutoff, [sum(counts) for _, counts in components], det.counts)
+        # the top entry holds cutoff + min(a, detected) photons, over the
+        # components of a photons with an output row
+        totals = [sum(counts) for _, counts in components]
+        surplus = max((min(a, det.total) for a in totals if signal_cutoff + a >= det.total), default=0)
+        check_size(len(signal), signal_cutoff, signal_cutoff + surplus)
+        recurrence_work(len(signal), signal_cutoff, totals, det.counts)
         self.mode_count = mode_count
         self.signal_modes = signal
         self.aux_modes = aux_modes
@@ -233,7 +253,6 @@ class ConditionalExtractor:
             top = min(signal_cutoff, signal_cutoff + det.total - sum(counts))
             if top < det.total - sum(counts):
                 continue  # no output row in any sector: the part stays zero
-            _checked_size(top + sum(counts))
             n = int(np.searchsorted(totals, top, side="right"))
             chain = np.zeros((sum(counts), mode_count), dtype=np.intp)
             chain[np.arange(1, sum(counts)), len(signal) + np.repeat(np.arange(len(aux_modes)), counts)[:-1]] = 1
@@ -343,8 +362,8 @@ def lift_unitary(u, basis: FockBasis) -> FockOperator:
     photon number and such a basis holds every state of each sector it
     admits.  A per-mode cutoff would chop sectors open (|2,1> evolves
     partly into |3,0>) and the result would not be unitary, so those
-    bases are rejected instead of silently truncated.  So is a basis of
-    more than MAX_LIFT_DIMENSION states, before anything is allocated.
+    bases are rejected instead of silently truncated.  The extractor
+    refuses a basis above its size limits before anything is allocated.
     """
     m = _as_matrix(u)
     n = m.shape[0]
@@ -355,8 +374,6 @@ def lift_unitary(u, basis: FockBasis) -> FockOperator:
             "unitary lift needs a total-photon basis; per-mode cutoffs "
             "truncate photon-number sectors"
         )
-    if basis.dimension > MAX_LIFT_DIMENSION:
-        raise ValueError(f"basis dimension {basis.dimension} is above the lift's limit of {MAX_LIFT_DIMENSION}")
     ex = ConditionalExtractor(n, range(n), AncillaSpec(()), DetectionSpec(()), basis.policy.max_total)
     return FockOperator(basis, ex.extract_matrix(m))
 
@@ -455,7 +472,6 @@ def verify_proposition(which: int, n_aux: int, seed: int, cutoff: int = 6) -> Pr
         reseeds += 1
         if reseeds > 100:
             raise RuntimeError("could not find a non-degenerate seed nearby")
-    n_levels = np.arange(cutoff + 1)
     l11 = lam[0, 0]
     if which == 1:
         aux = AncillaSpec((1,) * n_aux)
@@ -488,6 +504,7 @@ def verify_proposition(which: int, n_aux: int, seed: int, cutoff: int = 6) -> Pr
     mat = y.operator.matrix
     off = mat - np.diag(np.diag(mat))
     off_dev = float(np.max(np.abs(off)))
+    n_levels = np.arange(cutoff + 1)
     q = np.diag(mat) / l11**n_levels
     vander = np.vander(n_levels.astype(float), n_aux + 1, increasing=True)
     coef, *_ = np.linalg.lstsq(vander, q, rcond=None)

@@ -35,10 +35,6 @@ from .conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec, _loo
 from .fock import FockBasis, FockOperator, MixedState, PureState, TotalPhotonCutoff
 from .interferometer import ModeUnitary
 
-# Largest cutoff lossy_bs_channel takes: its dense lift of the four-mode
-# dilation has C(cutoff + 4, 4) states, 1,001 (16 MB) at this cutoff.
-MAX_CHANNEL_CUTOFF = 10
-
 
 @dataclass(frozen=True)
 class LossyBSParams:
@@ -154,18 +150,24 @@ def pure_loss(rho: np.ndarray, occ: np.ndarray, mode: int, eta: float) -> np.nda
     `mode`, with K_k |n> = sqrt(C(n, k) eta^(n-k) (1-eta)^k) |n-k> (Chuang,
     Leung & Yamamoto, PRA 56, 1114, 1997).  rho lives on a basis whose
     occupations are the rows of `occ` (uint8) and which holds every state
-    with photons taken from `mode`; each k is one gather, scale and
-    scatter-add, from the states with at least k photons there."""
+    with photons taken from `mode`.  k = 0 only scales rho; each
+    further k is one gather, scale and scatter-add, from the states with
+    at least k photons there."""
     n = occ[:, mode]
     top = int(n.max())
-    out = np.zeros_like(rho)
-    for k in range(top + 1):
+
+    def weight(k):  # the K_k weights of n = k, ..., top photons
+        return np.sqrt([math.comb(m, k) * eta ** (m - k) * (1.0 - eta) ** k for m in range(k, top + 1)])
+
+    w = weight(0)[n]
+    out = w[:, None] * rho * w  # k = 0 keeps every state where it is
+    for k in range(1, top + 1):
         src = np.flatnonzero(n >= k)
         lowered = occ[src]
         lowered[:, mode] -= k
         dst = _lookup(occ, lowered)
-        weight = np.sqrt([math.comb(m, k) * eta ** (m - k) * (1.0 - eta) ** k for m in range(k, top + 1)])[n[src] - k]
-        out[np.ix_(dst, dst)] += weight[:, None] * rho[np.ix_(src, src)] * weight
+        w = weight(k)[n[src] - k]
+        out[np.ix_(dst, dst)] += w[:, None] * rho[np.ix_(src, src)] * w
     return out
 
 
@@ -177,17 +179,15 @@ def lossy_bs_channel(params: LossyBSParams, cutoff: int) -> ChannelOperator:
     inputs and device outcome d, sliced from one lift of the dilation.
     The photon sector is closed under the dilation (the device modes soak
     up exactly what the field loses), so the family indexed by device
-    occupations is finite and complete.  A cutoff above
-    MAX_CHANNEL_CUTOFF is refused before anything is built.
+    occupations is finite and complete.  The extractor refuses a closed
+    sector of more than conditioning.MAX_DENSE_DIMENSION states
+    (OverflowError; C(cutoff + 4, 4) is 1,001 at cutoff 10 and 1,365 at
+    11) before anything is built.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
-    if cutoff > MAX_CHANNEL_CUTOFF:
-        raise ValueError(f"cutoff {cutoff} is above the channel's limit of {MAX_CHANNEL_CUTOFF}")
-    basis = FockBasis(2, TotalPhotonCutoff(cutoff))
     # the dilation's lift on its closed sector, and a zero row last for
     # the rows (out, d) above it; block d is rows (out, d) x columns (in, 0, 0)
     closed = ConditionalExtractor(4, range(4), AncillaSpec(()), DetectionSpec(()), cutoff)
+    basis = FockBasis(2, TotalPhotonCutoff(cutoff))
     lift = np.vstack([closed.extract_matrix(dilation_unitary(params)), np.zeros(closed.signal_basis.dimension)])
     index = closed.signal_basis.index
     cols = [index[occ + (0, 0)] for occ in basis.occupations]
@@ -297,7 +297,7 @@ def noisy_sigma_z_experiment(abs_a: float, eta: float, c0: complex, c1: complex)
         raise ValueError("eta must lie in (0, 1]")
     c0 = complex(c0)
     c1 = complex(c1)
-    if abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) > 1e-10:
+    if not abs(abs(c0) ** 2 + abs(c1) ** 2 - 1.0) <= 1e-10:  # NaN fails too
         raise ValueError("|c0|^2 + |c1|^2 must equal 1")
 
     t = choose_T_for_sigma_z(a)

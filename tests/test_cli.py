@@ -470,13 +470,10 @@ def test_condition_work_counts_the_extractor_entries(modes, signal, ancilla, det
 
 
 def test_condition_at_its_cutoff_limit_runs(capsys):
-    rc, out = run(capsys, ["condition", NSS_FIXTURE, "--cutoff", str(cli.MAX_CONDITION_CUTOFF)])
+    # one ancilla photon detected again: the top entry holds cutoff + 1
+    rc, out = run(capsys, ["condition", NSS_FIXTURE, "--cutoff", str(conditioning.MAX_PHOTONS - 1)])
     assert rc == 0
     assert abs(float(kv(out)["success_probability"]) - 0.25) < 1e-9
-
-
-def refuse_to_build(*args):
-    raise AssertionError("condition built an extractor past its size limit")
 
 
 # detector-heavy networks: one photon in, and three or two detected, on
@@ -509,23 +506,35 @@ def test_condition_inside_its_work_limit_runs(monkeypatch, capsys, text, cutoff)
 @pytest.mark.parametrize(
     "text, cutoff, named",
     [
-        # ten signal modes at cutoff 4: C(14, 4) = 1001 basis states
-        ("modes 11\ninput fock 10 1\nbs 0 10 0.3 0 0\ndetect fock 10 1\n", 4,
-         ("1001", str(cli.MAX_SIMULATE_DIMENSION))),
-        (Path(NSS_FIXTURE).read_text(), cli.MAX_CONDITION_CUTOFF + 1,
-         (str(cli.MAX_CONDITION_CUTOFF + 1), str(cli.MAX_CONDITION_CUTOFF))),
+        # 44 signal modes at cutoff 2: C(46, 2) = 1035 basis states
+        ("modes 45\ninput fock 44 1\nbs 0 44 0.3 0 0\ndetect fock 44 1\n", 2,
+         ("1035", str(conditioning.MAX_DENSE_DIMENSION))),
+        # one ancilla photon detected again: entries of cutoff + 1 photons
+        (Path(NSS_FIXTURE).read_text(), conditioning.MAX_PHOTONS,
+         (f"{conditioning.MAX_PHOTONS + 1} photons", str(conditioning.MAX_PHOTONS))),
+        # three ancilla photons, all detected, beside a cutoff below the cap
+        ("modes 2\ninput fock 1 3\nbs 0 1 0.3 0 0\ndetect fock 1 3\n", conditioning.MAX_PHOTONS - 2,
+         (f"{conditioning.MAX_PHOTONS + 1} photons", str(conditioning.MAX_PHOTONS))),
         # inside both limits, but the recurrence's nodes times states grow
         # with the detection patterns beside the signal basis: three signal
         # modes beside 4^3 patterns at cutoff 12, two beside 3^6 at cutoff 14
         (HEAVY_THREE, 12, ("7.15e+06", f"{conditioning.MAX_RECURRENCE_WORK:.3g}")),
         (HEAVY_TWO, 14, ("6.14e+06", f"{conditioning.MAX_RECURRENCE_WORK:.3g}")),
     ],
-    ids=["dimension", "cutoff", "work-three-signal-modes", "work-two-signal-modes"],
+    ids=["dimension", "cutoff", "photons-ancilla", "work-three-signal-modes", "work-two-signal-modes"],
 )
 def test_condition_above_its_size_limit_is_exit_4(monkeypatch, capsys, text, cutoff, named):
-    monkeypatch.setattr(cli, "extract_conditional_operator", refuse_to_build)
+    # the extractor refuses before it builds anything
+    import tracemalloc
+
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    rc = main(["condition", "--cutoff", str(cutoff), "-"])
+    tracemalloc.start()
+    try:
+        rc = main(["condition", "--cutoff", str(cutoff), "-"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
     captured = capsys.readouterr()
     assert rc == 4
     assert captured.out == ""
@@ -733,6 +742,15 @@ def test_loss_closed_forms(capsys):
     )) < 1e-12
 
 
+@pytest.mark.parametrize("c0", ["nan", "inf", "nan+0.6j"])
+def test_loss_non_finite_amplitude_is_exit_2(capsys, c0):
+    rc = main(["loss", "--absorption", "0.3", "--eta", "0.7", "--c0", c0, "--c1", "0.8"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: |c0|^2 + |c1|^2 must equal 1\n"
+
+
 def test_verify_proposition(capsys):
     rc, out = run(capsys, ["verify", "--prop", "1", "--aux", "1", "--seed", "5"])
     assert rc == 0
@@ -758,6 +776,19 @@ def test_verify_non_positive_tolerance_is_exit_2(capsys, tolerance):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "--tolerance" in captured.err
+
+
+def test_verify_prop_above_the_photon_cap_is_exit_4(capsys):
+    # proposition 1's top entry holds cutoff photons
+    cap = conditioning.MAX_PHOTONS
+    rc, out = run(capsys, ["verify", "--prop", "1", "--seed", "5", "--cutoff", str(cap)])
+    assert rc == 0 and kv(out)["pass"] == "true"
+    rc = main(["verify", "--prop", "1", "--seed", "5", "--cutoff", str(cap + 1)])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure:")
+    assert f"{cap + 1} photons" in captured.err and f"photon cap of {cap}" in captured.err
 
 
 def test_verify_cutoff_zero_is_not_replaced_by_default(capsys):
@@ -839,6 +870,18 @@ def test_perm_overflow_is_exit_4(tmp_path, capsys, text, method):
     assert rc == 4
     assert captured.out == ""
     assert captured.err.startswith("numeric failure:")
+
+
+@pytest.mark.parametrize("method, n, limit", [("naive", 10, 9), ("both", 10, 9), ("ryser", 31, 30)])
+def test_perm_above_its_dimension_limit_is_exit_4(tmp_path, capsys, method, n, limit):
+    path = tmp_path / "m.txt"
+    path.write_text("".join(" ".join("1" if i == j else "0" for j in range(n)) + "\n" for i in range(n)))
+    rc = main(["perm", str(path), "--method", method])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.out == ""
+    assert captured.err.startswith("numeric failure:")
+    assert str(n) in captured.err and str(limit) in captured.err
 
 
 def test_perm_near_the_double_range_is_printed(tmp_path, capsys):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from fockforge.conditioning import (
     _CHUNK,
-    MAX_LIFT_DIMENSION,
+    MAX_DENSE_DIMENSION,
+    MAX_PHOTONS,
     MAX_RECURRENCE_WORK,
     AncillaSpec,
     ConditionalExtractor,
@@ -37,7 +38,6 @@ from fockforge.interferometer import (
 )
 
 from fockforge.gates import _pauli_objective, nss_objective, su3_objective
-from fockforge.lossy import MAX_CHANNEL_CUTOFF
 from fockforge.optimizer import mesh_matrices
 
 from oracles import lift_oracle, per_entry_extraction
@@ -338,17 +338,88 @@ def test_extractor_tables_stay_small_on_924_states():
 def test_lift_above_its_dimension_limit_allocates_nothing():
     import tracemalloc
 
-    basis = FockBasis(10, TotalPhotonCutoff(4))
-    assert basis.dimension == MAX_LIFT_DIMENSION + 1
-    u = np.eye(10, dtype=complex)
+    basis = FockBasis(1024, TotalPhotonCutoff(1))
+    assert basis.dimension == MAX_DENSE_DIMENSION + 1
+    u = np.eye(1024, dtype=complex)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="limit of 1000"):
+        with pytest.raises(OverflowError, match="dimension 1025 .* dense limit of 1024"):
             lift_unitary(u, basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the dense lift alone would be dimension^2 complex amplitudes, 16 MB
+    assert peak < 1e6
+
+
+def test_extractor_refuses_an_entry_above_the_photon_cap():
+    # one signal mode at cutoff MAX_PHOTONS plus one ancilla photon,
+    # detected again: the top entry holds MAX_PHOTONS + 1 photons
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError, match=f"{MAX_PHOTONS + 1} photons .* photon cap of {MAX_PHOTONS}"):
+            ConditionalExtractor(2, (0,), AncillaSpec((1,)), DetectionSpec((1,)), MAX_PHOTONS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    ConditionalExtractor(2, (0,), AncillaSpec((1,)), DetectionSpec((1,)), MAX_PHOTONS - 1)
+    # the top entry holds cutoff + min(ancilla, detected) photons, and
+    # none past the cutoff when no input reaches the detection
+    with pytest.raises(OverflowError, match=f"{MAX_PHOTONS + 1} photons"):
+        ConditionalExtractor(2, (0,), AncillaSpec((3,)), DetectionSpec((3,)), MAX_PHOTONS - 2)
+    ConditionalExtractor(2, (0,), AncillaSpec((3,)), DetectionSpec((1,)), MAX_PHOTONS - 1)
+    ConditionalExtractor(2, (0,), AncillaSpec((1,)), DetectionSpec((MAX_PHOTONS + 2,)), MAX_PHOTONS)
+
+
+def test_recurrence_holds_exact_identities_at_the_photon_cap():
+    # the 1e-10 that ConditionalExtractor states for entries of up to
+    # MAX_PHOTONS photons; measured, the 2-mode top sector stays within
+    # 7.6e-12 at seeds 1 to 50 and reaches 1.3e-10 at 48 photons
+    tol = 1e-10
+    basis = FockBasis(2, TotalPhotonCutoff(MAX_PHOTONS))
+    top = [i for i, occ in enumerate(basis.occupations) if sum(occ) == MAX_PHOTONS]
+    for seed in range(1, 6):
+        block = lift_unitary(random_unitary(2, seed), basis).matrix[np.ix_(top, top)]
+        assert np.max(np.abs(block @ block.conj().T - np.eye(len(top)))) < tol
+    # completeness: sum_d Y_d^dag Y_d = I over the detector outcomes d of
+    # one ancilla mode, on the faithful columns.  The ancilla superposes
+    # 0, 1 and 2 photons, so columns of a sector mix; at signal cutoff
+    # MAX_PHOTONS - 2 the top entries hold exactly MAX_PHOTONS photons
+    cutoff = MAX_PHOTONS - 2
+    ancilla = PureState(FockBasis(1, TotalPhotonCutoff(2)), np.array([0.6, 0.48j, 0.64], dtype=complex))
+    u = random_unitary(2, 3)
+    total = sum(
+        y.conj().T @ y
+        for y in (extract_with_ancilla_state(u, (0,), ancilla, DetectionSpec((d,)), cutoff).operator.matrix
+                  for d in range(cutoff + 1))
+    )
+    faithful = slice(0, cutoff - 1)
+    assert np.max(np.abs(total[faithful, faithful] - np.eye(cutoff - 1))) < tol
+    # the closed forms of propositions 1 to 3 with two ancillas, each at
+    # the cutoff whose top entries hold MAX_PHOTONS photons
+    for which, cutoff in ((1, MAX_PHOTONS), (2, MAX_PHOTONS), (3, MAX_PHOTONS - 2)):
+        for seed in range(1, 6):
+            rep = verify_proposition(which, 2, seed, cutoff)
+            assert rep.deviation < tol and (rep.leading_coefficient_deviation or 0.0) < tol
+        with pytest.raises(OverflowError, match="photon cap"):
+            verify_proposition(which, 2, 1, cutoff + 1)
+
+
+@pytest.mark.parametrize("which", [1, 2, 3])
+def test_proposition_far_above_the_photon_cap_allocates_nothing(which):
+    # the refusal comes before any array sized by the cutoff
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError, match="photon cap"):
+            verify_proposition(which, 2, 1, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 1e6
 
 
@@ -368,13 +439,14 @@ def test_extractor_above_its_work_limit_allocates_nothing():
 
 
 def test_every_lift_within_its_dimension_limit_is_within_the_work_limit():
-    # the work limit must refuse no lift that MAX_LIFT_DIMENSION admits (a
-    # cutoff of 0 does no work), nor the absorbing splitter's channel
+    # the work limit must refuse no lift that the dense and photon limits
+    # admit (a cutoff of 0 does no work), nor the absorbing splitter's
+    # channel, whose closed sector on four modes admits cutoff 10
     lifts = []
-    for cutoff in range(1, MAX_LIFT_DIMENSION):
+    for cutoff in range(1, MAX_PHOTONS + 1):
         modes = 1
-        while math.comb(modes + cutoff, cutoff) <= MAX_LIFT_DIMENSION:
+        while math.comb(modes + cutoff, cutoff) <= MAX_DENSE_DIMENSION:
             lifts.append((recurrence_work(modes, cutoff, [0], ()), modes, cutoff))
             modes += 1
-    assert max(lifts) == (2034816, 16, 3)
-    assert recurrence_work(4, MAX_CHANNEL_CUTOFF, [0], ()) == 734368 < MAX_RECURRENCE_WORK
+    assert max(lifts) == (2196250, 10, 4) and 2196250 < MAX_RECURRENCE_WORK
+    assert (734368, 4, 10) in lifts and (4, 11) not in {lift[1:] for lift in lifts}

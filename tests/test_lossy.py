@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockforge.conditioning import (
+    MAX_DENSE_DIMENSION,
     AncillaSpec,
     DetectionSpec,
     extract_conditional_operator,
@@ -115,6 +116,22 @@ def test_channel_kraus_completeness():
     total = sum(k.conj().T @ k for k in ch.kraus)
     assert np.max(np.abs(total - np.eye(ch.basis.dimension))) < 1e-10
     assert len(ch.kraus) >= 3
+
+
+def test_channel_above_the_dense_limit_allocates_nothing():
+    # the dilation's closed sector at cutoff 11: C(15, 4) = 1365 states
+    import tracemalloc
+
+    params = LossyBSParams.symmetric_slab(0.5, 0.3)
+    lossy_bs_channel(params, 10)  # C(14, 4) = 1001
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowError, match=f"dimension 1365 .* dense limit of {MAX_DENSE_DIMENSION}"):
+            lossy_bs_channel(params, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_channel_rejects_broken_kraus_family():
@@ -305,6 +322,10 @@ def test_experiment_validation():
         noisy_sigma_z_experiment(0.2, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         noisy_sigma_z_experiment(0.2, 0.5, 1.0, 1.0)
+    # a non-finite amplitude fails the normalization check too
+    for c0 in (float("nan"), complex("nan+0.6j"), float("inf")):
+        with pytest.raises(ValueError, match="must equal 1"):
+            noisy_sigma_z_experiment(0.2, 0.5, c0, 0.8)
 
 
 def dense_dilation_experiment(abs_a, eta, c0, c1):

@@ -15,7 +15,7 @@ from fockforge.permanent import (
     repeated_index_permanent,
     subpermanent,
 )
-from fockforge.conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec
+from fockforge.conditioning import fock_lift_amplitude
 
 from oracles import permanent_expansion
 
@@ -107,12 +107,11 @@ def test_size_limits():
         permanent_ryser(np.eye(31, dtype=complex))
 
 
-def test_extractor_refuses_a_permanent_above_the_maximum():
-    # one signal mode at cutoff 30 plus one ancilla photon, detected again:
-    # the top entry is a permanent of dimension 31
+def test_lift_amplitude_refuses_a_permanent_above_the_maximum():
+    # the per-entry permanent route; the extractor's photon cap is its own
+    u = random_unitary(2, 1)
     with pytest.raises(PermanentSizeError, match=str(MAX_DIMENSION)):
-        ConditionalExtractor(2, (0,), AncillaSpec((1,)), DetectionSpec((1,)), MAX_DIMENSION)
-    ConditionalExtractor(2, (0,), AncillaSpec((1,)), DetectionSpec((1,)), MAX_DIMENSION - 1)
+        fock_lift_amplitude(u, (MAX_DIMENSION + 1, 0), (0, MAX_DIMENSION + 1))
 
 
 def test_subpermanent_expands_by_minors():

@@ -24,7 +24,7 @@ import pytest
 
 import fockforge
 from fockforge import cli
-from fockforge.conditioning import ConditionalExtractor, lift_unitary
+from fockforge.conditioning import MAX_DENSE_DIMENSION, MAX_PHOTONS, ConditionalExtractor, lift_unitary
 from fockforge.fock import FockBasis, MixedState, TotalPhotonCutoff, partial_trace
 from fockforge.interferometer import BeamSplitterParams, ModeUnitary, bs_matrix, compose, element_matrix
 from fockforge.lossy import LossyBSParams, dilation_unitary
@@ -364,18 +364,24 @@ def refuse_to_build(*args):
     raise AssertionError("simulate built a state past its size limit")
 
 
+# two modes at cutoff 43 (990 states, within the dense limit) and ten
+# absorbing splitters: past the photon cap, it must be refused before its
+# loss maps run
+TEN_ABSORBERS = "modes 2\ninput fock 0 1\n" + "lossybs 0 1 0.3 0 0 0.2\n" * 10
+
+
 @pytest.mark.parametrize(
     "text, cutoff, named",
     [
-        # 10 modes at cutoff 4: C(14, 4) = 1001 basis states, one above the limit
-        ("modes 10\ninput fock 0 1\nbs 0 9 0.3 0 0\n", 4, ("1001", str(cli.MAX_SIMULATE_DIMENSION))),
-        ("modes 1\ninput fock 0 1\nphase 0 0.3\n", cli.MAX_SIMULATE_CUTOFF + 1,
-         (str(cli.MAX_SIMULATE_CUTOFF + 1), str(cli.MAX_SIMULATE_CUTOFF))),
+        # 1024 modes at cutoff 1: 1025 basis states, one above the limit
+        ("modes 1024\ninput fock 0 1\nbs 0 1023 0.3 0 0\n", 1, ("1025", str(MAX_DENSE_DIMENSION))),
+        ("modes 1\ninput fock 0 1\nphase 0 0.3\n", MAX_PHOTONS + 1, (str(MAX_PHOTONS + 1), str(MAX_PHOTONS))),
+        (TEN_ABSORBERS, 43, ("43 photons", str(MAX_PHOTONS))),
     ],
-    ids=["dimension", "cutoff"],
+    ids=["dimension", "cutoff", "photons-lossy"],
 )
 def test_simulate_above_its_size_limit_is_exit_4(monkeypatch, capsys, text, cutoff, named):
-    assert math.comb(10 + 4, 4) == cli.MAX_SIMULATE_DIMENSION + 1
+    assert math.comb(1024 + 1, 1) == MAX_DENSE_DIMENSION + 1 and math.comb(2 + 43, 2) <= MAX_DENSE_DIMENSION
     monkeypatch.setattr(cli, "_joint_input_state", refuse_to_build)
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     rc = cli.main(["simulate", "--cutoff", str(cutoff), "-"])
@@ -385,3 +391,16 @@ def test_simulate_above_its_size_limit_is_exit_4(monkeypatch, capsys, text, cuto
     assert captured.err.startswith("numeric failure:")
     for word in named:
         assert word in captured.err
+
+
+def test_simulate_at_the_photon_cap_runs(monkeypatch, capsys):
+    # MAX_PHOTONS photons in two modes (861 states), split and phased: the
+    # output keeps the norm and the photon number
+    text = f"modes 2\ninput fock 0 {MAX_PHOTONS}\nbs 0 1 0.7 0.2 1.1\nphase 1 0.4\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.main(["simulate", "--cutoff", str(MAX_PHOTONS), "-"]) == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == math.comb(MAX_PHOTONS + 2, 2)
+    weights = {(int(r[0]), int(r[1])): float(r[2]) ** 2 + float(r[3]) ** 2 for r in rows}
+    assert abs(sum(weights.values()) - 1.0) < 1e-10
+    assert sum(w for (a, b), w in weights.items() if a + b != MAX_PHOTONS) < 1e-20

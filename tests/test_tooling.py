@@ -1,5 +1,6 @@
-"""Checks on the package from outside: its declared dependencies, and
-the names the benchmark's tracer wraps.
+"""Checks on the package from outside: its declared dependencies, its
+size constants against README's limits table, and the names the
+benchmark's tracer wraps.
 
 A wrapped name that disappears is skipped at run time, so renaming or
 deleting one silently drops the metrics it feeds.  Resolving every name
@@ -71,6 +72,22 @@ def test_cli_runs_load_no_numpy_ma(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_size_constants_are_the_readme_limits_table():
+    # every module-level MAX_* name under src/fockforge, and nothing else,
+    # heads a row of README's limits table
+    defined = set()
+    for path in (ROOT / "src" / "fockforge").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+            defined.update(f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n### Limits\n", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    tabled = {m.group(1) for row in rows for m in [re.fullmatch(r" `(\w+\.MAX_\w+)`.*", row)] if m}
+    assert len(tabled) == len(rows)
+    assert defined == tabled
 
 
 def _load_tracing():
