@@ -1,7 +1,7 @@
 """Command line front end.
 
 Circuit files are line oriented, one directive per line, `#` to end of
-line as comment, decimal numbers only:
+line as comment, decimal numbers only; the table GRAMMAR holds these lines:
 
     modes N
     input fock M K
@@ -120,6 +120,19 @@ def _amplitude_rows(out_labels, in_labels, matrix) -> str:
 # ---------------------------------------------------------------------------
 # circuit grammar
 
+# each directive and its arguments, as the module docstring writes them; an
+# input or element tuple is its kind followed by its arguments in this order
+GRAMMAR = {
+    "modes": "N",
+    "input fock": "M K",
+    "input coherent": "M RE IM",
+    "input tmsv": "M1 M2 Q",
+    "bs": "I J THETA PHASE_T PHASE_R",
+    "phase": "I ANGLE",
+    "lossybs": "I J THETA PHASE_T PHASE_R ABS",
+    "detect fock": "M K [ETA]",
+    "detect vacuum": "M [ETA]",
+}
 
 def _token_columns(raw: str):
     # \s matches exactly the characters for which str.isspace is true
@@ -146,126 +159,109 @@ def _parse_count(tok: str, line: int, col: int, kind: str) -> int:
     return int(tok)
 
 
+_MODE_INDEX = "mode index"
+
+# how each argument name is read, and what its faults call it
+_ARGUMENTS = {
+    "N": (_parse_count, "mode count"),
+    "K": (_parse_count, "photon count"),
+    **dict.fromkeys(["M", "M1", "M2", "I", "J"], (_parse_count, _MODE_INDEX)),
+    **dict.fromkeys(["RE", "IM"], (_parse_number, "number")),
+    "Q": (_parse_number, "squeezing q"),
+    **dict.fromkeys(["THETA", "PHASE_T", "PHASE_R", "ANGLE"], (_parse_number, "angle")),
+    "ABS": (_parse_number, "absorption"),
+    "ETA": (_parse_number, "efficiency"),
+}
+
+
+def _shape(directive: str, arguments: str) -> tuple:
+    """A GRAMMAR entry as (its first word, its word count, the tokens a
+    line of it needs, its argument readers).  An optional argument,
+    written [NAME], may only end the line."""
+    words, names = directive.split(), arguments.split()
+    needed = len(words) + sum(n[0] != "[" for n in names)
+    return words[0], len(words), needed, tuple(_ARGUMENTS[n.strip("[]")] for n in names)
+
+
+_SHAPES = {d: _shape(d, args) for d, args in GRAMMAR.items()}
+# input | detect: the kinds each takes
+_KINDS = {w: " | ".join(d.split()[1] for d in GRAMMAR if d.startswith(w + " ")) for w in ("input", "detect")}
+
+
 def parse_circuit(text: str) -> CircuitFile:
-    """Parse the line grammar documented at module top.
+    """Parse the line grammar GRAMMAR, documented at module top.
 
     Hard errors on unknown directives, undeclared modes, duplicate
-    input or detection claims; positions are 1-based.
+    input or detection claims; positions are 1-based.  A line's faults
+    are found in the order its arguments are read, except that a second
+    modes line is refused before its count is read.
     """
     mode_count = None
     inputs: list = []
     elements: list = []
     detections: list = []
-    claimed_inputs: dict = {}
-    claimed_detects: dict = {}
+    claimed_inputs: set = set()
+    claimed_detects: set = set()
 
     for ln, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0]
-        toks = _token_columns(stripped)
+        toks = _token_columns(raw.split("#", 1)[0])
         if not toks:
             continue
         (word, col0) = toks[0]
-        word = word.lower()
-
-        def need(n, usage):
-            if len(toks) != n:
-                raise CircuitError(ln, col0, f"usage: {usage}")
-
-        def mode_ref(pos):
-            tok, c = toks[pos]
-            m = _parse_count(tok, ln, c, "mode index")
-            if mode_count is None:
-                raise CircuitError(ln, c, "modes must be declared first")
-            if m >= mode_count:
-                raise CircuitError(ln, c, f"mode {m} undeclared (modes {mode_count})")
-            return m
-
-        if word == "modes":
-            need(2, "modes N")
-            if mode_count is not None:
-                raise CircuitError(ln, col0, "modes declared twice")
-            n = _parse_count(toks[1][0], ln, toks[1][1], "mode count")
-            if n < 1:
-                raise CircuitError(ln, toks[1][1], "need at least one mode")
-            mode_count = n
-        elif word == "input":
+        directive = word.lower()
+        if directive in _KINDS:
             if len(toks) < 2:
-                raise CircuitError(ln, col0, "input needs a kind: fock | coherent | tmsv")
+                raise CircuitError(ln, col0, f"{directive} needs a kind: {_KINDS[directive]}")
             kind = toks[1][0].lower()
-            if kind == "fock":
-                need(4, "input fock M K")
-                m = mode_ref(2)
-                k = _parse_count(toks[3][0], ln, toks[3][1], "photon count")
-                spec = ("fock", m, k)
-            elif kind == "coherent":
-                need(5, "input coherent M RE IM")
-                m = mode_ref(2)
-                re = _parse_number(toks[3][0], ln, toks[3][1])
-                im = _parse_number(toks[4][0], ln, toks[4][1])
-                spec = ("coherent", m, re, im)
-            elif kind == "tmsv":
-                need(5, "input tmsv M1 M2 Q")
-                m1 = mode_ref(2)
-                m2 = mode_ref(3)
-                if m1 == m2:
-                    raise CircuitError(ln, toks[3][1], "tmsv needs two distinct modes")
-                q = _parse_number(toks[4][0], ln, toks[4][1], "squeezing q")
-                if not 0.0 <= q < 1.0:
-                    raise CircuitError(ln, toks[4][1], "q must lie in [0, 1)")
-                spec = ("tmsv", m1, m2, q)
-            else:
-                raise CircuitError(ln, toks[1][1], f"unknown input kind {kind!r}")
-            for m in spec[1 : 3 if kind == "tmsv" else 2]:
+            if f"{directive} {kind}" not in GRAMMAR:
+                raise CircuitError(ln, toks[1][1], f"unknown {directive} kind {kind!r}")
+            directive = f"{directive} {kind}"
+        elif directive not in GRAMMAR:
+            raise CircuitError(ln, col0, f"unknown directive {directive!r}")
+        head, skip, needed, readers = _SHAPES[directive]
+        if not needed <= len(toks) <= skip + len(readers):
+            raise CircuitError(ln, col0, f"usage: {directive} {GRAMMAR[directive]}")
+        if directive == "modes" and mode_count is not None:
+            raise CircuitError(ln, col0, "modes declared twice")
+
+        args = []
+        for (read, label), (tok, col) in zip(readers, toks[skip:]):
+            v = read(tok, ln, col, label)
+            if label is _MODE_INDEX:
+                if mode_count is None:
+                    raise CircuitError(ln, col, "modes must be declared first")
+                if v >= mode_count:
+                    raise CircuitError(ln, col, f"mode {v} undeclared (modes {mode_count})")
+                if v in args:  # the modes lead their directive's arguments
+                    what = "tmsv" if head == "input" else "beam splitter"
+                    raise CircuitError(ln, col, f"{what} needs two distinct modes")
+            args.append(v)
+
+        if head == "modes":
+            if args[0] < 1:
+                raise CircuitError(ln, toks[1][1], "need at least one mode")
+            mode_count = args[0]
+        elif head == "input":
+            if directive == "input tmsv" and not 0.0 <= args[2] < 1.0:
+                raise CircuitError(ln, toks[4][1], "q must lie in [0, 1)")
+            for m in args[: 2 if directive == "input tmsv" else 1]:
                 if m in claimed_inputs:
                     raise CircuitError(ln, col0, f"mode {m} already has an input")
-                claimed_inputs[m] = spec
-            inputs.append(spec)
-        elif word == "bs" or word == "lossybs":
-            n_args = 6 if word == "bs" else 7
-            need(n_args, f"{word} I J THETA PHASE_T PHASE_R{' ABS' if word == 'lossybs' else ''}")
-            i = mode_ref(1)
-            j = mode_ref(2)
-            if i == j:
-                raise CircuitError(ln, toks[2][1], "beam splitter needs two distinct modes")
-            theta = _parse_number(toks[3][0], ln, toks[3][1], "angle")
-            pt = _parse_number(toks[4][0], ln, toks[4][1], "angle")
-            pr = _parse_number(toks[5][0], ln, toks[5][1], "angle")
-            if word == "bs":
-                elements.append(("bs", i, j, theta, pt, pr))
-            else:
-                ab = _parse_number(toks[6][0], ln, toks[6][1], "absorption")
-                if not 0.0 <= ab < 1.0:
-                    raise CircuitError(ln, toks[6][1], "absorption must lie in [0, 1)")
-                elements.append(("lossybs", i, j, theta, pt, pr, ab))
-        elif word == "phase":
-            need(3, "phase I ANGLE")
-            i = mode_ref(1)
-            angle = _parse_number(toks[2][0], ln, toks[2][1], "angle")
-            elements.append(("phase", i, angle))
-        elif word == "detect":
-            if len(toks) < 2:
-                raise CircuitError(ln, col0, "detect needs a kind: fock | vacuum")
-            kind = toks[1][0].lower()
-            if kind == "fock":
-                if len(toks) not in (4, 5):
-                    raise CircuitError(ln, col0, "usage: detect fock M K [ETA]")
-                m, k = mode_ref(2), _parse_count(toks[3][0], ln, toks[3][1], "photon count")
-            elif kind == "vacuum":
-                if len(toks) not in (3, 4):
-                    raise CircuitError(ln, col0, "usage: detect vacuum M [ETA]")
-                m, k = mode_ref(2), 0
-            else:
-                raise CircuitError(ln, toks[1][1], f"unknown detect kind {kind!r}")
-            last = 4 if kind == "fock" else 3  # the optional efficiency
-            eta = _parse_number(toks[last][0], ln, toks[last][1], "efficiency") if len(toks) > last else 1.0
+                claimed_inputs.add(m)
+            inputs.append((directive[6:], *args))
+        elif head == "detect":
+            m, k = args[0], args[1] if directive == "detect fock" else 0
+            eta = args[-1] if len(args) == len(readers) else 1.0
             if not 0.0 < eta <= 1.0:
                 raise CircuitError(ln, col0, "efficiency must lie in (0, 1]")
             if m in claimed_detects:
                 raise CircuitError(ln, col0, f"mode {m} already detected")
-            claimed_detects[m] = True
+            claimed_detects.add(m)
             detections.append((m, k, eta))
         else:
-            raise CircuitError(ln, col0, f"unknown directive {word!r}")
+            if directive == "lossybs" and not 0.0 <= args[5] < 1.0:
+                raise CircuitError(ln, toks[6][1], "absorption must lie in [0, 1)")
+            elements.append((directive, *args))
 
     if mode_count is None:
         raise CircuitError(1, 1, "missing modes declaration")
@@ -274,29 +270,15 @@ def parse_circuit(text: str) -> CircuitFile:
 
 def serialize_circuit(cf: CircuitFile) -> str:
     """Canonical text form; parse-serialize is idempotent from the first
-    normalization on (numbers re-rendered at 12 digits, one space)."""
+    normalization on (numbers re-rendered at 12 digits, one space).  Each
+    input and element tuple holds its directive's arguments in GRAMMAR's
+    order."""
     lines = [f"modes {cf.mode_count}"]
-    for spec in cf.inputs:
-        if spec[0] == "fock":
-            lines.append(f"input fock {spec[1]} {spec[2]}")
-        elif spec[0] == "coherent":
-            lines.append(f"input coherent {spec[1]} {_fmt(spec[2])} {_fmt(spec[3])}")
-        else:
-            lines.append(f"input tmsv {spec[1]} {spec[2]} {_fmt(spec[3])}")
-    for e in cf.elements:
-        if e[0] == "bs":
-            lines.append(f"bs {e[1]} {e[2]} {_fmt(e[3])} {_fmt(e[4])} {_fmt(e[5])}")
-        elif e[0] == "lossybs":
-            lines.append(
-                f"lossybs {e[1]} {e[2]} {_fmt(e[3])} {_fmt(e[4])} {_fmt(e[5])} {_fmt(e[6])}"
-            )
-        else:
-            lines.append(f"phase {e[1]} {_fmt(e[2])}")
+    lines += [" ".join(["input", spec[0], *map(_fmt, spec[1:])]) for spec in cf.inputs]
+    lines += [" ".join([e[0], *map(_fmt, e[1:])]) for e in cf.elements]
     for (m, k, eta) in cf.detections:
-        body = f"detect vacuum {m}" if k == 0 else f"detect fock {m} {k}"
-        if eta != 1.0:
-            body += f" {_fmt(eta)}"
-        lines.append(body)
+        args = ((m, k) if k else (m,)) + ((eta,) if eta != 1.0 else ())
+        lines.append(" ".join(["detect", "fock" if k else "vacuum", *map(_fmt, args)]))
     return "\n".join(lines) + "\n"
 
 
@@ -461,7 +443,7 @@ def _simulate(cf: CircuitFile, cutoff: int):
 def _cmd_simulate(args) -> int:
     cf = parse_circuit(_read_text(args.circuit))
     if cf.detections:
-        raise CircuitError(1, 1, "simulate takes no detect lines; use the condition subcommand")
+        raise ValueError("simulate takes no detect lines; use the condition subcommand")
     cutoff = _pick_cutoff(args, cf)
     # conditioning's size model (README, "Limits"), before the input state
     # is built; condition's extractor checks its own shape
@@ -480,19 +462,16 @@ def _cmd_simulate(args) -> int:
 def _cmd_condition(args) -> int:
     cf = parse_circuit(_read_text(args.circuit))
     if not cf.detections:
-        raise CircuitError(1, 1, "condition needs at least one detect line")
-    for (m, k, eta) in cf.detections:
-        if eta != 1.0:
-            raise CircuitError(
-                1, 1, "condition works with ideal detectors; model efficiency via loss"
-            )
+        raise ValueError("condition needs at least one detect line")
+    if any(eta != 1.0 for (_, _, eta) in cf.detections):
+        raise ValueError("condition works with ideal detectors; model efficiency via loss")
     if any(e[0] == "lossybs" for e in cf.elements):
-        raise CircuitError(1, 1, "condition needs a unitary network; use loss tooling")
+        raise ValueError("condition needs a unitary network; use loss tooling")
     cutoff = _pick_cutoff(args, cf)
     detected = {m: k for (m, k, _) in cf.detections}
     signal = tuple(m for m in range(cf.mode_count) if m not in detected)
     if not signal:
-        raise CircuitError(1, 1, "every mode is detected; nothing remains as signal")
+        raise ValueError("every mode is detected; nothing remains as signal")
     by_mode = _inputs_by_mode(cf)
     aux_modes = sorted(detected)
     aux_counts = []
@@ -503,7 +482,7 @@ def _cmd_condition(args) -> int:
         elif spec[0] == "fock":
             aux_counts.append(spec[2])
         else:
-            raise CircuitError(1, 1, f"detected mode {m} needs a Fock input, not {spec[0]}")
+            raise ValueError(f"detected mode {m} needs a Fock input, not {spec[0]}")
     cond = extract_conditional_operator(
         compose(_network_of(cf)),
         signal,
@@ -511,9 +490,10 @@ def _cmd_condition(args) -> int:
         DetectionSpec(tuple(detected[m] for m in aux_modes)),
         cutoff,
     )
-    # the reference input lives on the signal modes, renumbered from 0
+    # the reference input lives on the signal modes, renumbered from 0; a
+    # detected mode holds a Fock input or none, so a tmsv pair is all signal
     position = {m: i for i, m in enumerate(signal)}
-    inputs = tuple(_renumbered(spec, position) for spec in cf.inputs if _input_on_signal(spec, detected))
+    inputs = tuple(_renumbered(spec, position) for spec in cf.inputs if spec[1] not in detected)
     ref = _joint_input_state(CircuitFile(len(signal), inputs, (), ()), cutoff).normalized()
     prob = success_probability(cond, ref)
     rows = [
@@ -529,15 +509,6 @@ def _cmd_condition(args) -> int:
     for s in range(0, len(labels), step):
         sys.stdout.write(_amplitude_rows(labels[s : s + step], labels, cond.operator.matrix[s : s + step]))
     return 0
-
-
-def _input_on_signal(spec, detected) -> bool:
-    if spec[0] == "tmsv":
-        on = (spec[1] not in detected, spec[2] not in detected)
-        if on[0] != on[1]:
-            raise CircuitError(1, 1, "tmsv pair split across signal and detection")
-        return on[0]
-    return spec[1] not in detected
 
 
 # ---------------------------------------------------------------------------
@@ -560,14 +531,25 @@ def _report_rows(name: str, report) -> str:
     return _rows_to_tsv(rows) + _amplitude_rows(range(a.shape[0]), range(a.shape[1]), a)
 
 
-def _restarts(args, default: int) -> int:
-    if args.restarts is not None and args.restarts < 1:
-        raise ValueError(f"--restarts must be at least 1, got {args.restarts}")
-    return default if args.restarts is None else args.restarts
-
-
 SEARCH_FLAGS = ("seed", "restarts")
 GATE_FLAGS = ("phi", "phi1", "phi2", "q", "variant") + SEARCH_FLAGS
+VERIFY_FLAGS = ("aux", "dim", "samples", "cutoff", "seed", "tolerance")
+# verify flags that their function's signature names otherwise
+_PARAMETERS = {"aux": "n_aux", "dim": "dimension"}
+
+
+def _flags_read(args, label: str, flags, reads) -> dict:
+    """The flags among `flags` given on the command line, by name; one that
+    `reads` does not name is a usage error of the run `label` names.  A
+    flag not given is left out, so its default is the one in the signature
+    of the function that reads it."""
+    given = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    unread = [f"--{f}" for f in given if f not in reads]
+    if unread:
+        raise ValueError(f"unrecognized arguments for {label}: {' '.join(unread)}")
+    if given.get("restarts", 1) < 1:
+        raise ValueError(f"--restarts must be at least 1, got {given['restarts']}")
+    return given
 
 # gate --name: the flags each recipe reads, and the recipe.  A recipe gets
 # only the flags given, so its defaults are the ones in its gates
@@ -613,25 +595,21 @@ def _gate_rows(name: str, out) -> str:
 
 def _cmd_gate(args) -> int:
     reads, recipe = GATES[args.name]
-    label = f"--name {args.name}"
+    label = f"gate --name {args.name}"
     if args.name == "cphase" and args.variant == gates.VACUUM_DETECTOR:
         reads, label = ("phi", "variant"), f"{label} --variant {args.variant}"  # searches nothing
-    given = {f: getattr(args, f) for f in GATE_FLAGS if getattr(args, f) is not None}
-    unread = [f"--{f}" for f in given if f not in reads]
-    if unread:
-        raise ValueError(f"unrecognized arguments for gate {label}: {' '.join(unread)}")
-    _restarts(args, None)
-    out = recipe(**given)
+    out = recipe(**_flags_read(args, label, GATE_FLAGS, reads))
     sys.stdout.write(_gate_rows(args.name, out))
     return 0
 
 
 def _cmd_optimize(args) -> int:
-    if args.objective == "nss":
-        objective = gates.nss_objective()
-    else:
-        objective = gates.su3_objective(args.phi1, args.phi2)
-    result = optimize_gate(objective, seed=args.seed or 0, restarts=_restarts(args, 24))
+    phases = () if args.objective == "nss" else ("phi1", "phi2")
+    label = f"optimize --objective {args.objective}"
+    given = _flags_read(args, label, ("phi1", "phi2") + SEARCH_FLAGS, phases + SEARCH_FLAGS)
+    target = {f: given.pop(f) for f in phases if f in given}
+    objective = gates.su3_objective(**target) if phases else gates.nss_objective()
+    result = optimize_gate(objective, **given)
     rows = [
         ("objective", args.objective),
         ("residual", _fmt(result.residual)),
@@ -673,11 +651,16 @@ def _cmd_loss(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tol = 1e-9 if args.tolerance is None else args.tolerance
-    if not tol > 0:
-        raise ValueError(f"--tolerance must be positive, got {tol}")
     if args.prop is not None:
-        rep = verify_proposition(args.prop, args.aux, args.seed or 0, 6 if args.cutoff is None else args.cutoff)
+        label, reads = f"verify --prop {args.prop}", ("cutoff", "seed", "tolerance", "aux")
+    else:
+        label, reads = "verify --appendix", ("seed", "dim", "samples")
+    given = {_PARAMETERS.get(f, f): v for f, v in _flags_read(args, label, VERIFY_FLAGS, reads).items()}
+    if args.prop is not None:
+        tol = given.pop("tolerance", 1e-9)
+        if not tol > 0:
+            raise ValueError(f"--tolerance must be positive, got {tol}")
+        rep = verify_proposition(args.prop, **given)
         rows = [
             ("proposition", str(rep.proposition)),
             ("n_aux", str(rep.n_aux)),
@@ -695,48 +678,40 @@ def _cmd_verify(args) -> int:
         rows.append(("pass", _fmt(passed)))
         sys.stdout.write(_rows_to_tsv(rows))
         return 0 if passed else 4
-    if args.appendix:
-        rep = check_appendix_bounds(args.dim, args.samples, args.seed or 0)
-        rows = [
-            ("dimension", str(rep.dimension)),
-            ("samples", str(rep.samples)),
-            ("max_abs_permanent", _fmt(rep.max_abs_permanent)),
-            ("max_abs_subpermanent", _fmt(rep.max_abs_subpermanent)),
-            ("max_marcus_newman_ratio", _fmt(rep.max_marcus_newman_ratio)),
-            ("max_su3_phase_ratio", _fmt(rep.max_su3_phase_ratio)),
-            ("unitary_bound_violations", str(rep.unitary_bound_violations)),
-            ("marcus_newman_violations", str(rep.marcus_newman_violations)),
-            ("su3_bound_violations", str(rep.su3_bound_violations)),
-        ]
-        violations = (
-            rep.unitary_bound_violations
-            + rep.marcus_newman_violations
-            + rep.su3_bound_violations
-        )
-        rows.append(("pass", _fmt(violations == 0)))
-        sys.stdout.write(_rows_to_tsv(rows))
-        return 0 if violations == 0 else 4
-    raise ValueError("verify needs --prop or --appendix")
+    rep = check_appendix_bounds(**given)
+    rows = [
+        ("dimension", str(rep.dimension)),
+        ("samples", str(rep.samples)),
+        ("max_abs_permanent", _fmt(rep.max_abs_permanent)),
+        ("max_abs_subpermanent", _fmt(rep.max_abs_subpermanent)),
+        ("max_marcus_newman_ratio", _fmt(rep.max_marcus_newman_ratio)),
+        ("max_su3_phase_ratio", _fmt(rep.max_su3_phase_ratio)),
+        ("unitary_bound_violations", str(rep.unitary_bound_violations)),
+        ("marcus_newman_violations", str(rep.marcus_newman_violations)),
+        ("su3_bound_violations", str(rep.su3_bound_violations)),
+    ]
+    violations = rep.unitary_bound_violations + rep.marcus_newman_violations + rep.su3_bound_violations
+    rows.append(("pass", _fmt(violations == 0)))
+    sys.stdout.write(_rows_to_tsv(rows))
+    return 0 if violations == 0 else 4
 
 
 def _cmd_perm(args) -> int:
     text = _read_text(args.matrix)
-    rows = []
+    rows = []  # (file line, entries)
     for ln, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0]
-        toks = _token_columns(stripped)
-        if not toks:
-            continue
-        rows.append([_parse_number(t, ln, c, "complex number", complex) for (t, c) in toks])
+        toks = _token_columns(raw.split("#", 1)[0])
+        if toks:
+            rows.append((ln, [_parse_number(t, ln, c, "complex number", complex) for (t, c) in toks]))
     if not rows:
-        raise CircuitError(1, 1, "matrix file is empty")
-    width = len(rows[0])
-    for ln, r in enumerate(rows, start=1):
+        raise ValueError("matrix file is empty")
+    width = len(rows[0][1])
+    for ln, r in rows:
         if len(r) != width:
             raise CircuitError(ln, 1, f"ragged matrix row (expected {width} entries)")
     if len(rows) != width:
-        raise CircuitError(1, 1, f"matrix must be square, got {len(rows)}x{width}")
-    m = np.array(rows, dtype=complex)
+        raise ValueError(f"matrix must be square, got {len(rows)}x{width}")
+    m = np.array([r for _, r in rows], dtype=complex)
     out = []
     method = args.method
     # a permanent too large for a double is a numeric failure (exit 4)
@@ -771,9 +746,7 @@ def _pick_cutoff(args, cf: CircuitFile) -> int:
     declared = _declared_fock_total(cf)
     cutoff = args.cutoff if args.cutoff is not None else max(declared, 4)
     if cutoff < declared:
-        raise CircuitError(
-            1, 1, f"cutoff {cutoff} below declared input photon total {declared}"
-        )
+        raise ValueError(f"--cutoff {cutoff} below declared input photon total {declared}")
     return cutoff
 
 
@@ -831,8 +804,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("optimize", help="seeded multistart network search")
     search(sp)
     sp.add_argument("--objective", required=True, choices=["nss", "su3"])
-    sp.add_argument("--phi1", type=float, default=0.0)
-    sp.add_argument("--phi2", type=float, default=math.pi)
+    sp.add_argument("--phi1", type=float, default=None)
+    sp.add_argument("--phi2", type=float, default=None)
     sp.set_defaults(func=_cmd_optimize)
 
     sp = sub.add_parser("loss", help="noisy sign-flip experiment")
@@ -846,11 +819,12 @@ def _build_parser() -> argparse.ArgumentParser:
     cutoff(sp)
     sp.add_argument("--seed", type=_seed, default=None)
     sp.add_argument("--tolerance", type=float, default=None)
-    sp.add_argument("--prop", type=int, choices=[1, 2, 3], default=None)
-    sp.add_argument("--aux", type=int, default=2)
-    sp.add_argument("--appendix", action="store_true")
-    sp.add_argument("--dim", type=int, default=7)
-    sp.add_argument("--samples", type=int, default=200)
+    suite = sp.add_mutually_exclusive_group(required=True)
+    suite.add_argument("--prop", type=int, choices=[1, 2, 3], default=None)
+    suite.add_argument("--appendix", action="store_true")
+    sp.add_argument("--aux", type=int, default=None)
+    sp.add_argument("--dim", type=int, default=None)
+    sp.add_argument("--samples", type=int, default=None)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("perm", help="permanent of a matrix file")

@@ -443,7 +443,7 @@ class PropositionReport:
     leading_coefficient_deviation: float | None = None
 
 
-def verify_proposition(which: int, n_aux: int, seed: int, cutoff: int = 6) -> PropositionReport:
+def verify_proposition(which: int, n_aux: int = 2, seed: int = 0, cutoff: int = 6) -> PropositionReport:
     """Check one of the three closed forms on a seeded random network.
 
     1: ancilla all |1>, detect all |0>  ->  (prod_j L_1j) (a^dag)^N L_11^n

@@ -150,7 +150,7 @@ def nss_objective() -> Objective:
     )
 
 
-def su3_objective(phi1: float, phi2: float) -> Objective:
+def su3_objective(phi1: float = 0.0, phi2: float = math.pi) -> Objective:
     """Layer phases diag(1, e^{i phi1}, e^{i phi2}) on layers 0..2: single
     photons in both auxiliary modes, single-photon detection on both."""
     e = np.eye(3)

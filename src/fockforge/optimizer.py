@@ -416,7 +416,7 @@ def _run_restart(job):
     return _run_restarts(objective, seed, [index])[0]
 
 
-def optimize_gate(objective: Objective, seed: int, restarts: int) -> OptimizationResult:
+def optimize_gate(objective: Objective, seed: int = 0, restarts: int = 24) -> OptimizationResult:
     """Multistart search for network parameters realizing the objective.
 
     The restarts run in lockstep in this process.  Deterministic for

@@ -230,7 +230,7 @@ class PermanentBoundsReport:
     su3_bound_violations: int
 
 
-def check_appendix_bounds(dimension: int, samples: int, seed: int) -> PermanentBoundsReport:
+def check_appendix_bounds(dimension: int = 7, samples: int = 200, seed: int = 0) -> PermanentBoundsReport:
     """Sample Haar unitaries and random factor pairs against the known bounds.
 
     Checks, per sample:

@@ -186,6 +186,20 @@ def test_detect_eta_serialization():
         ("modes 2\n# ok\nwiggle 0\n", "unknown directive", 3),
         ("modes 2\ninput squeezed 0 1\n", "unknown input kind", 2),
         ("modes 2\nphase 0\n", "usage", 2),
+        ("modes 2 3\n", "usage: modes N", 1),
+        ("modes 2\ninput fock 0\n", "usage: input fock M K", 2),
+        ("modes 2\ninput coherent 0 1\n", "usage: input coherent M RE IM", 2),
+        ("modes 2\ninput tmsv 0 1\n", "usage: input tmsv M1 M2 Q", 2),
+        ("modes 2\nbs 0 1 0 0\n", "usage: bs I J THETA PHASE_T PHASE_R", 2),
+        ("modes 2\nlossybs 0 1 0 0 0\n", "usage: lossybs I J THETA PHASE_T PHASE_R ABS", 2),
+        ("modes 2\ndetect fock 0\n", "usage: detect fock M K [ETA]", 2),
+        ("modes 2\ndetect vacuum 0 1 1\n", "usage: detect vacuum M [ETA]", 2),
+        ("modes 2\ninput\n", "input needs a kind: fock | coherent | tmsv", 2),
+        ("modes 2\ndetect\n", "detect needs a kind: fock | vacuum", 2),
+        # two faults on one line: the one found first is reported
+        ("modes 2\nmodes x\n", "modes declared twice", 2),
+        ("modes 2\nbs 0 0 abc 0 0\n", "beam splitter needs two distinct modes", 2),
+        ("modes 2\ninput tmsv 0 0 abc\n", "tmsv needs two distinct modes", 2),
         ("modes 2\nbs 0 1 abc 0 0\n", "expected angle", 2),
         ("modes ²\n", "expected mode count", 1),
         ("modes 2\nbs 0 1 1_0 0 0\n", "expected angle", 2),
@@ -197,6 +211,16 @@ def test_parse_errors(text, fragment, line):
         parse_circuit(text)
     assert fragment in err.value.message
     assert err.value.line == line
+
+
+def test_readme_circuit_example_parses():
+    # the example under README's "Circuit files" uses every directive
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("\n### Circuit files\n", 1)[1].split("```\n", 2)[1]
+    cf = parse_circuit(example)
+    used = {"modes"} | {f"input {spec[0]}" for spec in cf.inputs} | {e[0] for e in cf.elements}
+    used |= {"detect fock" if k else "detect vacuum" for (_, k, _) in cf.detections}
+    assert used == set(cli.GRAMMAR)
 
 
 @st.composite
@@ -717,6 +741,12 @@ def test_gate_forwards_only_the_search_flags_given(monkeypatch, capsys, flags, f
         ["gate", "--name", "su3", "--phi", "1.0"],
         ["gate", "--name", "pauli-x", "--variant", "four-photon"],
         ["gate", "--name", "ralph-cz", "--phi2", "0.5"],
+        # verify runs one suite, and refuses the other suite's flags
+        ["verify", "--prop", "1", "--appendix"],
+        ["verify", "--appendix", "--aux", "3", "--cutoff", "9"],
+        ["verify", "--appendix", "--dim", "3", "--samples", "5", "--tolerance", "1e-30"],
+        ["verify", "--prop", "2", "--dim", "3", "--samples", "5"],
+        ["optimize", "--objective", "nss", "--phi1", "1"],
     ],
 )
 def test_flag_the_subcommand_does_not_read_is_exit_2(capsys, argv):
@@ -724,8 +754,11 @@ def test_flag_the_subcommand_does_not_read_is_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert "unrecognized arguments" in captured.err
-    assert argv[-2] in captured.err
+    flag = [a for a in argv if a.startswith("--")][-1]  # one the run does not read
+    if argv[:2] == ["verify", "--prop"] and flag == "--appendix":
+        assert "argument --appendix: not allowed with argument --prop" in captured.err
+    else:
+        assert "unrecognized arguments" in captured.err and flag in captured.err
 
 
 def test_loss_closed_forms(capsys):
@@ -826,6 +859,33 @@ def test_perm_complex_entries(tmp_path, capsys):
     rc, out = run(capsys, ["perm", str(path), "--method", "ryser"])
     assert rc == 0
     assert kv(out)["ryser_re"] == "-1"
+
+
+@pytest.mark.parametrize(
+    "argv, text, position",
+    [
+        (["perm"], "# header\n\n1 2\n3\n", "line 4 column 1"),
+        (["perm"], "# header only\n", None),
+        (["perm"], "1 2 3\n4 5 6\n", None),
+        (["simulate"], "modes 2\ninput fock 0 1\ndetect vacuum 1\n", None),
+        (["simulate", "--cutoff", "1"], "modes 2\ninput fock 0 1\ninput fock 1 1\n", None),
+        (["condition"], "modes 2\ninput fock 0 1\n", None),
+        (["condition"], "modes 2\ninput fock 0 1\ndetect vacuum 1 0.5\n", None),
+        (["condition"], "modes 2\nlossybs 0 1 0.5 0 0 0.1\ndetect vacuum 1\n", None),
+        (["condition"], "modes 1\ninput fock 0 1\ndetect fock 0 1\n", None),
+        (["condition"], "modes 3\ninput tmsv 1 2 0.1\ndetect vacuum 2\n", None),
+    ],
+)
+def test_faults_name_a_file_position_only_where_they_have_one(tmp_path, capsys, argv, text, position):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    rc = main(argv + [str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    if position:
+        assert err.startswith(f"parse error: {position}: ragged matrix row")
+    else:
+        assert err.startswith("error:") and "line 1 column 1" not in err
 
 
 def test_perm_rejects_ragged_matrix(tmp_path, capsys):

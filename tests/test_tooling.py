@@ -1,6 +1,7 @@
 """Checks on the package from outside: its declared dependencies, its
-size constants against README's limits table, and the names the
-benchmark's tracer wraps.
+size constants against README's limits table, cli's documented circuit
+grammar against the table it parses by, and the names the benchmark's
+tracer wraps.
 
 A wrapped name that disappears is skipped at run time, so renaming or
 deleting one silently drops the metrics it feeds.  Resolving every name
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockforge import optimizer
+from fockforge import cli, optimizer
 from fockforge.conditioning import AncillaSpec, DetectionSpec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,6 +73,12 @@ def test_cli_runs_load_no_numpy_ma(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_docstring_lists_the_grammar():
+    # the directive lines at the top of cli are the table the parser reads
+    documented = [line[4:] for line in cli.__doc__.splitlines() if line.startswith("    ")]
+    assert documented == [f"{k} {v}" for k, v in cli.GRAMMAR.items()]
 
 
 def test_size_constants_are_the_readme_limits_table():
