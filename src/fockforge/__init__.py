@@ -2,7 +2,6 @@
 nonlinearities in passive linear optics."""
 
 from .fock import (
-    CutoffOverflowError,
     CutoffTooSmallError,
     FockBasis,
     FockOperator,
@@ -10,16 +9,11 @@ from .fock import (
     PerModeCutoff,
     PureState,
     TotalPhotonCutoff,
-    apply_annihilation,
-    apply_creation,
     coherent_state,
     displacement_operator,
     fock_state,
-    ladder_matrix,
     number_polynomial,
     partial_trace,
-    tensor_product,
-    vacuum_state,
 )
 from .interferometer import (
     BeamSplitterParams,
@@ -29,14 +23,12 @@ from .interferometer import (
     bs_matrix,
     compose,
     random_unitary,
-    reck_decompose,
 )
 from .permanent import (
     PermanentSizeError,
     check_appendix_bounds,
     permanent_naive,
     permanent_ryser,
-    repeated_index_permanent,
     subpermanent,
 )
 from .conditioning import (
@@ -46,7 +38,6 @@ from .conditioning import (
     DetectionSpec,
     extract_conditional_operator,
     extract_with_ancilla_state,
-    fock_lift_amplitude,
     lift_unitary,
     success_probability,
     verify_proposition,

@@ -38,7 +38,10 @@ from .fock import (
     block_spectrum,
 )
 from .interferometer import ModeUnitary, random_unitary
-from .permanent import MAX_DIMENSION, PermanentSizeError, _gather, _ordered_sum, _per_flat
+from .permanent import _ordered_sum
+
+# unused here: imported only so that perfbench/tracing.py's WRAPPED names resolve
+from .permanent import _per_flat  # noqa: F401
 
 # The size model (README, "Limits"), checked before anything is built.
 # Largest output basis: a dense square of 2^20 amplitudes, 16 MiB.
@@ -67,10 +70,6 @@ class AncillaSpec:
             raise ValueError("ancilla counts must be non-negative")
         object.__setattr__(self, "counts", c)
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
 
 @dataclass(frozen=True)
 class DetectionSpec:
@@ -96,31 +95,6 @@ def _as_matrix(u) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need a square mode matrix")
     return m
-
-
-def fock_lift_amplitude(u, input_occ, output_occ) -> complex:
-    """<output| U |input> for the Fock lift of a mode matrix.
-
-    Equals per(L with row i repeated output[i] times and column j repeated
-    input[j] times) / sqrt(prod(input!) prod(output!)).  Exactly zero when
-    the photon totals differ: the lift is block diagonal in total photon
-    number.
-    """
-    m = _as_matrix(u)
-    n_in = tuple(int(x) for x in input_occ)
-    n_out = tuple(int(x) for x in output_occ)
-    if len(n_in) != m.shape[0] or len(n_out) != m.shape[0]:
-        raise ValueError("occupation length does not match matrix dimension")
-    if any(x < 0 for x in n_in + n_out):
-        raise ValueError("occupations must be non-negative")
-    if sum(n_in) != sum(n_out):
-        return 0j
-    size = sum(n_out)
-    if size > MAX_DIMENSION:
-        raise PermanentSizeError(f"{size} photons need a permanent of dimension {size}, above the supported maximum {MAX_DIMENSION}")
-    norm = math.sqrt(math.prod(math.factorial(x) for x in n_in + n_out))
-    flat = m.ravel().tolist()
-    return complex(_per_flat([flat[g] for g in _gather(n_out, n_in, m.shape[0])], size)) / norm
 
 
 def _lookup(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:

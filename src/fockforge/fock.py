@@ -21,10 +21,6 @@ import numpy as np
 DEFAULT_GUARD_BAND = 4
 
 
-class CutoffOverflowError(ValueError):
-    """A ladder operation tried to move amplitude outside the basis."""
-
-
 class CutoffTooSmallError(ValueError):
     """The requested truncation cannot deliver the accuracy contract."""
 
@@ -43,9 +39,6 @@ class TotalPhotonCutoff:
         if self.max_total < 0:
             raise ValueError("max_total must be non-negative")
 
-    def admits(self, occ) -> bool:
-        return sum(occ) <= self.max_total
-
 
 @dataclass(frozen=True)
 class PerModeCutoff:
@@ -56,9 +49,6 @@ class PerModeCutoff:
     def __post_init__(self):
         if self.max_per_mode < 0:
             raise ValueError("max_per_mode must be non-negative")
-
-    def admits(self, occ) -> bool:
-        return all(n <= self.max_per_mode for n in occ)
 
 
 def _compositions(total, parts, bound):
@@ -195,9 +185,6 @@ class PureState:
         _check_same_basis(self, other)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def to_mixed(self) -> "MixedState":
-        return MixedState(self.basis, np.outer(self.amplitudes, self.amplitudes.conj()))
-
 
 @dataclass
 class MixedState:
@@ -231,8 +218,7 @@ class MixedState:
 @dataclass
 class FockOperator:
     """Matrix over a FockBasis.  Entries outside the basis are dropped by
-    construction; anything that must not drop amplitude should go through
-    the ladder application functions, which raise instead."""
+    construction."""
 
     basis: FockBasis
     matrix: np.ndarray
@@ -246,20 +232,10 @@ class FockOperator:
             raise ValueError("non-finite entry")
         self.matrix = m
 
-    def apply(self, state: PureState) -> PureState:
-        _check_same_basis(self, state)
-        return PureState(self.basis, self.matrix @ state.amplitudes, unchecked=True)
-
     def compose(self, other: "FockOperator") -> "FockOperator":
         """self after other: (self.compose(other)).apply(s) = self(other(s))."""
         _check_same_basis(self, other)
         return FockOperator(self.basis, self.matrix @ other.matrix)
-
-
-def vacuum_state(basis: FockBasis) -> PureState:
-    amps = np.zeros(basis.dimension, dtype=complex)
-    amps[basis.index_of((0,) * basis.mode_count)] = 1.0
-    return PureState(basis, amps)
 
 
 def fock_state(basis: FockBasis, occupation) -> PureState:
@@ -273,12 +249,17 @@ def coherent_state(alpha: complex, cutoff: int) -> PureState:
 
     Amplitudes are the exact closed-form entries; the truncated tail mass
     is simply missing, so the norm is below one.  Choose the cutoff with
-    a guard band above the photon numbers you care about.
+    a guard band above the photon numbers you care about.  An amplitude
+    whose ladder leaves the double range raises OverflowError.
     """
     basis = FockBasis(1, PerModeCutoff(cutoff))
     n = np.arange(cutoff + 1)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff + 1))))) if cutoff else np.zeros(1)
-    amps = np.exp(-abs(alpha) ** 2 / 2.0) * np.power(complex(alpha), n) / np.exp(log_fact / 2.0)
+    try:  # |alpha|^2 overflows a Python float, alpha^n numpy's
+        with np.errstate(over="raise", invalid="raise"):
+            amps = np.exp(-abs(alpha) ** 2 / 2.0) * np.power(complex(alpha), n) / np.exp(log_fact / 2.0)
+    except (OverflowError, FloatingPointError):
+        raise OverflowError(f"coherent amplitude {complex(alpha)} at cutoff {cutoff} is beyond the double range") from None
     return PureState(basis, amps)
 
 
@@ -287,78 +268,6 @@ def tmsv_ladder(q: float, cutoff: int) -> list:
     vacuum on |n, n>; the truncated tail is simply missing."""
     scale = math.sqrt(1.0 - q * q)
     return [scale * q**n for n in range(cutoff + 1)]
-
-
-def _occ_step(occ, mode, delta):
-    lst = list(occ)
-    lst[mode] += delta
-    return tuple(lst)
-
-
-def apply_ladder(kind: str, mode: int, state: PureState) -> PureState:
-    """Apply a single ladder operator to a state.
-
-    kind is 'create' or 'annihilate'.  Creation raises
-    CutoffOverflowError if any nonzero amplitude would leave the basis;
-    truncation never silently eats photons.  Results are returned as
-    unchecked vectors since ladder action rescales norms.
-    """
-    basis = state.basis
-    if not 0 <= mode < basis.mode_count:
-        raise IndexError(f"mode {mode} out of range for {basis.mode_count} modes")
-    out = np.zeros(basis.dimension, dtype=complex)
-    if kind == "create":
-        for i, occ in enumerate(basis.occupations):
-            amp = state.amplitudes[i]
-            if amp == 0:
-                continue
-            target = _occ_step(occ, mode, +1)
-            j = basis.index.get(target)
-            if j is None:
-                raise CutoffOverflowError(
-                    f"creation on mode {mode} pushes occupation {occ} outside the basis"
-                )
-            out[j] += amp * math.sqrt(occ[mode] + 1)
-    elif kind == "annihilate":
-        for i, occ in enumerate(basis.occupations):
-            amp = state.amplitudes[i]
-            if amp == 0 or occ[mode] == 0:
-                continue
-            out[basis.index_of(_occ_step(occ, mode, -1))] += amp * math.sqrt(occ[mode])
-    else:
-        raise ValueError("kind must be 'create' or 'annihilate'")
-    return PureState(basis, out, unchecked=True)
-
-
-def apply_creation(state: PureState, mode: int) -> PureState:
-    return apply_ladder("create", mode, state)
-
-
-def apply_annihilation(state: PureState, mode: int) -> PureState:
-    return apply_ladder("annihilate", mode, state)
-
-
-def ladder_matrix(basis: FockBasis, mode: int, kind: str) -> FockOperator:
-    """Matrix of a_mode (kind='annihilate') or a_mode^dagger ('create')
-    restricted to the basis.  Rows that would leave the basis are dropped,
-    matching the usual truncated-operator convention; use apply_creation
-    when dropped amplitude must be an error instead."""
-    if not 0 <= mode < basis.mode_count:
-        raise IndexError(f"mode {mode} out of range for {basis.mode_count} modes")
-    if kind not in ("create", "annihilate"):
-        raise ValueError("kind must be 'create' or 'annihilate'")
-    m = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for i, occ in enumerate(basis.occupations):
-        if kind == "create":
-            target = _occ_step(occ, mode, +1)
-            j = basis.index.get(target)
-            if j is not None:
-                m[j, i] = math.sqrt(occ[mode] + 1)
-        else:
-            if occ[mode] > 0:
-                j = basis.index_of(_occ_step(occ, mode, -1))
-                m[j, i] = math.sqrt(occ[mode])
-    return FockOperator(basis, m)
 
 
 def number_polynomial(coeffs, mode: int, basis: FockBasis) -> FockOperator:
@@ -444,60 +353,6 @@ def displacement_operator_for(alpha: complex, top_level: int, guard: int = DEFAU
     )
 
 
-def _tensor_basis(a: FockBasis, b: FockBasis) -> FockBasis:
-    if not (isinstance(a.policy, PerModeCutoff) and isinstance(b.policy, PerModeCutoff)):
-        raise PolicyMismatchError(
-            "tensor products are defined for per-mode cutoffs; total-photon "
-            "sectors are not closed under redistribution across the factors"
-        )
-    if a.policy.max_per_mode != b.policy.max_per_mode:
-        raise PolicyMismatchError("per-mode cutoffs differ between the factors")
-    return FockBasis(a.mode_count + b.mode_count, a.policy)
-
-
-def tensor_product(a, b):
-    """Tensor product of two states or two operators on per-mode bases.
-
-    The result lives on the canonical combined FockBasis, so amplitudes
-    are scattered to the (total, lex) order rather than Kronecker order.
-    """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        basis = _tensor_basis(a.basis, b.basis)
-        out = np.zeros(basis.dimension, dtype=complex)
-        for i, occ_a in enumerate(a.basis.occupations):
-            amp_a = a.amplitudes[i]
-            if amp_a == 0:
-                continue
-            for j, occ_b in enumerate(b.basis.occupations):
-                amp_b = b.amplitudes[j]
-                if amp_b == 0:
-                    continue
-                out[basis.index_of(occ_a + occ_b)] = amp_a * amp_b
-        return PureState(basis, out)
-    if isinstance(a, FockOperator) and isinstance(b, FockOperator):
-        basis = _tensor_basis(a.basis, b.basis)
-        out = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-        occs_a = a.basis.occupations
-        occs_b = b.basis.occupations
-        idx = basis.index_of
-        for ra, occ_ra in enumerate(occs_a):
-            for ca, occ_ca in enumerate(occs_a):
-                va = a.matrix[ra, ca]
-                if va == 0:
-                    continue
-                for rb, occ_rb in enumerate(occs_b):
-                    for cb, occ_cb in enumerate(occs_b):
-                        vb = b.matrix[rb, cb]
-                        if vb == 0:
-                            continue
-                        out[idx(occ_ra + occ_rb), idx(occ_ca + occ_cb)] = va * vb
-        return FockOperator(basis, out)
-    if isinstance(a, MixedState) and isinstance(b, MixedState):
-        op = tensor_product(FockOperator(a.basis, a.matrix), FockOperator(b.basis, b.matrix))
-        return MixedState(op.basis, op.matrix)
-    raise PolicyMismatchError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-
-
 def partial_trace(state, keep_modes) -> MixedState:
     """Trace out every mode not listed in keep_modes.
 
@@ -506,7 +361,7 @@ def partial_trace(state, keep_modes) -> MixedState:
     dropping modes.
     """
     if isinstance(state, PureState):
-        state = state.to_mixed()
+        state = MixedState(state.basis, np.outer(state.amplitudes, state.amplitudes.conj()))
     if not isinstance(state, MixedState):
         raise TypeError("partial_trace expects a MixedState or PureState")
     basis = state.basis

@@ -24,7 +24,6 @@ import numpy as np
 
 from .conditioning import (
     AncillaSpec,
-    ConditionalOperator,
     DetectionSpec,
     extract_conditional_operator,
     extract_with_ancilla_state,
@@ -675,36 +674,6 @@ def creation_polynomial_operator(
         "engineering": eng,
     }
     return cond, rescale
-
-
-def apply_creation_polynomial(coeffs, signal: PureState, theta: float = math.pi / 4.0):
-    """Act with the rescaled creation polynomial on a one-mode state.
-
-    The output lives on a basis widened by the polynomial degree and is
-    sub-normalized by the heralding amplitude; the rescale dict in the
-    returned pair records the order-by-order factors.
-    """
-    if signal.basis.mode_count != 1:
-        raise ValueError("signal must be a one-mode state")
-    d = np.asarray(coeffs, dtype=complex).ravel()
-    degree = d.size - 1
-    if isinstance(signal.basis.policy, TotalPhotonCutoff):
-        top_in = signal.basis.policy.max_total
-    else:
-        top_in = signal.basis.policy.max_per_mode
-    cutoff = top_in + degree
-    cond, rescale = creation_polynomial_operator(d, cutoff, theta)
-    basis = cond.operator.basis
-    padded = np.zeros(basis.dimension, dtype=complex)
-    padded[: signal.amplitudes.size] = signal.amplitudes
-    out = cond.operator.matrix @ padded
-    p = float(np.vdot(out, out).real)
-    if p < 1e-12:
-        raise ArithmeticError(
-            f"vacuum-heralding probability {p:.3e} is below 1e-12; "
-            "rescale the coefficients or open the beam splitter"
-        )
-    return PureState(basis, out, unchecked=True), rescale
 
 
 # ---------------------------------------------------------------------------

@@ -200,49 +200,3 @@ def random_unitary(dimension: int, seed: int) -> ModeUnitary:
     rng = np.random.default_rng(seed)
     return ModeUnitary(dimension, _haar_unitary(dimension, rng))
 
-
-def reck_decompose(u) -> NetworkDescription:
-    """Triangular-mesh factorization of a mode unitary.
-
-    Sub-diagonal entries are eliminated column by column (left to right),
-    within a column bottom to top, each by a two-mode rotation on adjacent
-    modes applied from the left.  What remains is a diagonal of pure
-    phases.  The returned network lists that phase layer first and then
-    the inverted rotations in reverse elimination order, so compose()
-    reproduces the input within 1e-9.
-
-    Near-zero pivots (|entry| < 1e-14) become zero-angle elements so the
-    element count is the same for every input of a given size.
-    """
-    if isinstance(u, ModeUnitary):
-        w = u.matrix.copy()
-    else:
-        w = np.asarray(u, dtype=complex).copy()
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("need a square matrix")
-    n = w.shape[0]
-    if float(np.max(np.abs(w @ w.conj().T - np.eye(n)))) > 1e-10:
-        raise ValueError("input is not unitary to 1e-10")
-    rotations = []
-    for col in range(n - 1):
-        for row in range(n - 1, col, -1):
-            a = w[row - 1, col]
-            b = w[row, col]
-            if abs(b) < 1e-14:
-                rotations.append(BeamSplitterParams(row - 1, row, 0.0))
-                continue
-            theta = math.atan2(abs(b), abs(a))
-            phase_t = math.atan2(b.imag, b.real)
-            phase_r = math.atan2(a.imag, a.real) if abs(a) > 0 else 0.0
-            params = BeamSplitterParams(row - 1, row, theta, phase_t, phase_r)
-            rotations.append(params)
-            blk = bs_matrix(params, n).matrix
-            w = blk @ w
-    elements: list = []
-    for mode in range(n):
-        delta = math.atan2(w[mode, mode].imag, w[mode, mode].real)
-        if abs(delta) > 1e-14:
-            elements.append(PhaseShifterParams(mode, delta))
-    for params in reversed(rotations):
-        elements.append(params.inverse())
-    return NetworkDescription(n, tuple(elements))

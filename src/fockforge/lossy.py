@@ -7,9 +7,7 @@ generates is computed exactly in Stinespring form: a four-mode unitary
 whose field-field block is T acts on the physical pair plus two device
 modes, and Kraus block d is the dilation conditioned on vacuum device
 inputs and device outcome d.  On a finite photon sector this dilation
-is exact, so no Kraus-integral sampling is needed; the textbook
-M = S C^{-1} T coupling matrix is still derived and checked against the
-closure identity M M^dag = I - T T^dag.
+is exact, so no Kraus-integral sampling is needed.
 
 The circuit grammar's absorber has A = a I, so T = sqrt(1 - a^2) B with
 B unitary, and its channel is pure loss on each of its two modes, then
@@ -32,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec, _lookup
-from .fock import FockBasis, FockOperator, MixedState, PureState, TotalPhotonCutoff
+from .fock import FockBasis, FockOperator, MixedState, TotalPhotonCutoff
 from .interferometer import ModeUnitary
 
 
@@ -58,24 +56,6 @@ class LossyBSParams:
             raise ValueError(f"closure T T^dag + A A^dag = I violated by {dev:.3e}")
         object.__setattr__(self, "t_matrix", t)
         object.__setattr__(self, "a_matrix", a)
-
-    def c_matrix(self) -> np.ndarray:
-        return _psd_sqrt(self.t_matrix @ self.t_matrix.conj().T)
-
-    def s_matrix(self) -> np.ndarray:
-        return _psd_sqrt(self.a_matrix @ self.a_matrix.conj().T)
-
-    def m_matrix(self) -> np.ndarray:
-        """Device coupling M = S C^{-1} T; raises when T is too close to
-        singular for the inverse (total absorption)."""
-        c = self.c_matrix()
-        sv = np.linalg.svd(c, compute_uv=False)
-        if sv[-1] < 1e-10 * max(1.0, sv[0]):
-            raise ArithmeticError(
-                "transmission block is numerically singular; the M-matrix "
-                "form breaks down near total absorption"
-            )
-        return self.s_matrix() @ np.linalg.inv(c) @ self.t_matrix
 
     @staticmethod
     def symmetric_slab(transmission: float, abs_a: float) -> "LossyBSParams":
@@ -115,8 +95,6 @@ class ChannelOperator:
             raise ValueError(f"channel is not trace preserving: sum K^dag K off by {dev:.3e}")
 
     def apply(self, state) -> MixedState:
-        if isinstance(state, PureState):
-            state = state.to_mixed()
         rho = state.matrix if isinstance(state, MixedState) else np.asarray(state, dtype=complex)
         return MixedState(self.basis, sum(k @ rho @ k.conj().T for k in self.kraus))
 

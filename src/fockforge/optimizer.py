@@ -3,8 +3,8 @@
 A template for N modes is a diagonal phase layer followed by N(N-1)/2
 adjacent-pair beam splitters, each carrying one angle and one internal
 phase: N*N real parameters in all, enough to reach every U(N) exactly
-(the elimination construction in the interferometer module produces
-networks of exactly this shape).
+(Reck, Zeilinger, Bernstein & Bertani, PRL 73, 58 (1994) factor any
+U(N) into a mesh of exactly this shape).
 
 Each restart runs three bounded phases: Levenberg-Marquardt drives the
 deviation from the constraint pattern to zero, sequential quadratic
@@ -236,12 +236,6 @@ def _score(rows, objective):
     targets = np.array(objective._target_norms)
     live = targets > 1e-24  # Objective holds at least one such target
     return float(deviation @ deviation), float(np.min(norms[live] / targets[live]))
-
-
-def constraint_residual(params, objective: Objective) -> float:
-    """Sum of squared deviations of the extracted conditional operator
-    from the target pattern, at the fitted common scale."""
-    return _score(_fit(np.asarray(params, dtype=float)[None], objective), objective)[0]
 
 
 @dataclass(frozen=True)

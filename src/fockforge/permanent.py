@@ -2,12 +2,12 @@
 
 Every conditional amplitude in this package equals a permanent of a
 submatrix of the mode transformation, with rows and columns repeated
-according to the output and input occupations (``_gather``); the tests
-hold conditioning.ConditionalExtractor's recurrence to them.  Two
-independent code paths are kept on purpose: a kernel on Glynn's formula
-(Glynn, Eur. J. Combin. 31, 1887 (2010)) used everywhere, and a
-brute-force expansion over permutations that serves as the oracle in the
-test suite.  Do not merge them.
+according to the output and input occupations; tests/oracles.py holds
+conditioning.ConditionalExtractor's recurrence to them.  Two independent
+code paths are kept on purpose: a kernel on Glynn's formula (Glynn, Eur.
+J. Combin. 31, 1887 (2010)) used everywhere, and a brute-force expansion
+over permutations that serves as the oracle in the test suite.  Do not
+merge them.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ def permanent_ryser(m) -> complex:
     2^10 at a time, with compensated (Neumaier) accumulation of the
     blocks' sums.  On a 2-core x86 machine with one BLAS thread a complex
     Gaussian matrix took 0.03 s at n = 20, 2.5 s at n = 26, 11 s at
-    n = 28 and 45 s at n = 30, with peak memory flat across those sizes.
+    n = 28 and 49 s at n = 30, with peak memory flat across those sizes.
     Dimensions above 30 are rejected.
 
     The kernel's sums hold per(A) 2^(n-1).  When they overflow, the
@@ -167,43 +167,6 @@ def subpermanent(m, drop_rows, drop_cols) -> complex:
     keep_c = [j for j in range(n) if j not in drop_cols]
     sub = a[np.ix_(keep_r, keep_c)]
     return permanent_ryser(sub)
-
-
-def _gather(row_mult, col_mult, n: int) -> list[int]:
-    """Row-major indices into an n x n matrix of the matrix with row i
-    repeated row_mult[i] times and column j repeated col_mult[j] times."""
-    rows = [i for i, c in enumerate(row_mult) for _ in range(c)]
-    cols = [j for j, c in enumerate(col_mult) for _ in range(c)]
-    return [i * n + j for i in rows for j in cols]
-
-
-def repeated_index_permanent(m, row_mult, col_mult) -> complex:
-    """Permanent of the matrix with row i repeated row_mult[i] times and
-    column j repeated col_mult[j] times.
-
-    This is the combinatorial core of the Fock lift: row multiplicities
-    are output occupations, column multiplicities input occupations.
-    Raises if the multiplicity totals disagree (photon-number mismatch)
-    or the expanded matrix would exceed dimension 30.
-    """
-    a = _as_square(m)
-    n = a.shape[0]
-    row_mult = [int(x) for x in row_mult]
-    col_mult = [int(x) for x in col_mult]
-    if len(row_mult) != n or len(col_mult) != n:
-        raise ValueError("multiplicity vectors must match the matrix dimension")
-    if any(x < 0 for x in row_mult) or any(x < 0 for x in col_mult):
-        raise ValueError("multiplicities must be non-negative")
-    total = sum(row_mult)
-    if total != sum(col_mult):
-        raise ValueError(
-            f"photon-number mismatch: row multiplicities sum to {total}, "
-            f"column multiplicities to {sum(col_mult)}"
-        )
-    if total > MAX_DIMENSION:
-        raise PermanentSizeError(f"expanded dimension {total} exceeds the supported maximum {MAX_DIMENSION}")
-    flat = a.ravel().tolist()
-    return _per_flat([flat[g] for g in _gather(row_mult, col_mult, n)], total)
 
 
 def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

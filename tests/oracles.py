@@ -2,22 +2,25 @@
 
 The lift oracle never touches the permanent code: it expands
 creation-operator polynomials monomial by monomial, which is slow but
-follows the definition directly.  The per-entry extraction is the
-definition the recurrence of ConditionalExtractor replaced: one gather
-list and one flat-kernel (compensated Glynn) permanent per operator
-entry, with rows and columns repeated by the occupations.  The CNOT slab residual is alternating least squares
-over dense 6x4 slabs with pseudo-inverted Gram matrices, one angle pair
-at a time, the route the batched closed-form scan replaced.
+follows the definition directly.  The ladder matrices are the truncated
+a and a^dagger written out entry by entry.  The per-entry extraction is
+the definition the recurrence of ConditionalExtractor replaced: one
+gather list and one flat-kernel (compensated Glynn) permanent per
+operator entry, with rows and columns repeated by the occupations; a
+single lift amplitude and a single repeated-index permanent go the same
+way.  The CNOT slab residual is alternating least squares over dense 6x4
+slabs with pseudo-inverted Gram matrices, one angle pair at a time, the
+route the batched closed-form scan replaced.
 """
 
 import math
 
 import numpy as np
 
-from fockforge.conditioning import AncillaSpec
-from fockforge.fock import FockBasis, TotalPhotonCutoff
+from fockforge.conditioning import AncillaSpec, _as_matrix
+from fockforge.fock import FockBasis, FockOperator, TotalPhotonCutoff
 from fockforge.gates import _CNOT_BASIS, cnot_basis_matrix
-from fockforge.permanent import _gather, _per_flat
+from fockforge.permanent import MAX_DIMENSION, PermanentSizeError, _as_square, _per_flat
 
 
 def lift_oracle(mode_matrix, basis: FockBasis) -> np.ndarray:
@@ -56,6 +59,96 @@ def lift_oracle(mode_matrix, basis: FockBasis) -> np.ndarray:
             if occ in basis:
                 out[basis.index_of(occ), col] = coef / norm
     return out
+
+
+def _occ_step(occ, mode, delta):
+    lst = list(occ)
+    lst[mode] += delta
+    return tuple(lst)
+
+
+def ladder_matrix(basis: FockBasis, mode: int, kind: str) -> FockOperator:
+    """Matrix of a_mode (kind='annihilate') or a_mode^dagger ('create')
+    restricted to the basis.  Rows that would leave the basis are dropped,
+    the usual truncated-operator convention."""
+    if not 0 <= mode < basis.mode_count:
+        raise IndexError(f"mode {mode} out of range for {basis.mode_count} modes")
+    if kind not in ("create", "annihilate"):
+        raise ValueError("kind must be 'create' or 'annihilate'")
+    m = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    for i, occ in enumerate(basis.occupations):
+        if kind == "create":
+            target = _occ_step(occ, mode, +1)
+            j = basis.index.get(target)
+            if j is not None:
+                m[j, i] = math.sqrt(occ[mode] + 1)
+        else:
+            if occ[mode] > 0:
+                j = basis.index_of(_occ_step(occ, mode, -1))
+                m[j, i] = math.sqrt(occ[mode])
+    return FockOperator(basis, m)
+
+
+def _gather(row_mult, col_mult, n: int) -> list[int]:
+    """Row-major indices into an n x n matrix of the matrix with row i
+    repeated row_mult[i] times and column j repeated col_mult[j] times."""
+    rows = [i for i, c in enumerate(row_mult) for _ in range(c)]
+    cols = [j for j, c in enumerate(col_mult) for _ in range(c)]
+    return [i * n + j for i in rows for j in cols]
+
+
+def repeated_index_permanent(m, row_mult, col_mult) -> complex:
+    """Permanent of the matrix with row i repeated row_mult[i] times and
+    column j repeated col_mult[j] times.
+
+    This is the combinatorial core of the Fock lift: row multiplicities
+    are output occupations, column multiplicities input occupations.
+    Raises if the multiplicity totals disagree (photon-number mismatch)
+    or the expanded matrix would exceed dimension 30.
+    """
+    a = _as_square(m)
+    n = a.shape[0]
+    row_mult = [int(x) for x in row_mult]
+    col_mult = [int(x) for x in col_mult]
+    if len(row_mult) != n or len(col_mult) != n:
+        raise ValueError("multiplicity vectors must match the matrix dimension")
+    if any(x < 0 for x in row_mult) or any(x < 0 for x in col_mult):
+        raise ValueError("multiplicities must be non-negative")
+    total = sum(row_mult)
+    if total != sum(col_mult):
+        raise ValueError(
+            f"photon-number mismatch: row multiplicities sum to {total}, "
+            f"column multiplicities to {sum(col_mult)}"
+        )
+    if total > MAX_DIMENSION:
+        raise PermanentSizeError(f"expanded dimension {total} exceeds the supported maximum {MAX_DIMENSION}")
+    flat = a.ravel().tolist()
+    return _per_flat([flat[g] for g in _gather(row_mult, col_mult, n)], total)
+
+
+def fock_lift_amplitude(u, input_occ, output_occ) -> complex:
+    """<output| U |input> for the Fock lift of a mode matrix.
+
+    Equals per(L with row i repeated output[i] times and column j repeated
+    input[j] times) / sqrt(prod(input!) prod(output!)).  Exactly zero when
+    the photon totals differ: the lift is block diagonal in total photon
+    number.
+    """
+    m = _as_matrix(u)
+    n_in = tuple(int(x) for x in input_occ)
+    n_out = tuple(int(x) for x in output_occ)
+    if len(n_in) != m.shape[0] or len(n_out) != m.shape[0]:
+        raise ValueError("occupation length does not match matrix dimension")
+    if any(x < 0 for x in n_in + n_out):
+        raise ValueError("occupations must be non-negative")
+    if sum(n_in) != sum(n_out):
+        return 0j
+    size = sum(n_out)
+    if size > MAX_DIMENSION:
+        raise PermanentSizeError(f"{size} photons need a permanent of dimension {size}, above the supported maximum {MAX_DIMENSION}")
+    norm = math.sqrt(math.prod(math.factorial(x) for x in n_in + n_out))
+    flat = m.ravel().tolist()
+    return complex(_per_flat([flat[g] for g in _gather(n_out, n_in, m.shape[0])], size)) / norm
 
 
 def per_entry_extraction(mode_count, signal_modes, ancilla, det, signal_cutoff, mode_matrix) -> np.ndarray:
@@ -114,8 +207,6 @@ def permanent_expansion(m) -> complex:
     all-ones-to-all-ones transition amplitude of the n-mode lift."""
     a = np.asarray(m, dtype=complex)
     n = a.shape[0]
-    from fockforge.fock import TotalPhotonCutoff
-
     basis = FockBasis(n, TotalPhotonCutoff(n))
     ones = tuple([1] * n)
     col = lift_oracle(a, basis)

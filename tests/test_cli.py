@@ -324,12 +324,16 @@ def test_cutoff_below_declared_input(tmp_path, capsys):
 
 
 def test_coherent_amplitude_past_float_range_is_exit_4(tmp_path, capsys):
-    # alpha^8 overflows; the ladder must report that, not print NaNs
+    # alpha^8 overflows numpy at 1e40, |alpha|^2 a Python float at 1e200;
+    # both must be reported as the amplitude and cutoff, not print NaNs
     path = tmp_path / "bright.circuit"
-    path.write_text("modes 1\ninput coherent 0 1e40 0\nphase 0 0.3\n")
-    rc, out = run(capsys, ["simulate", str(path), "--cutoff", "8"])
-    assert rc == 4
-    assert out == ""
+    for amplitude in ("1e40", "1e200"):
+        path.write_text(f"modes 1\ninput coherent 0 {amplitude} 0\nphase 0 0.3\n")
+        rc = main(["simulate", str(path), "--cutoff", "8"])
+        out, err = capsys.readouterr()
+        assert rc == 4
+        assert out == ""
+        assert err == f"numeric failure: coherent amplitude ({float(amplitude)}+0j) at cutoff 8 is beyond the double range\n"
 
 
 def test_missing_file(capsys):

@@ -16,7 +16,6 @@ from fockforge.conditioning import (
     DetectionSpec,
     extract_conditional_operator,
     extract_with_ancilla_state,
-    fock_lift_amplitude,
     lift_unitary,
     recurrence_work,
     success_probability,
@@ -40,7 +39,7 @@ from fockforge.interferometer import (
 from fockforge.gates import _pauli_objective, nss_objective, su3_objective
 from fockforge.optimizer import mesh_matrices
 
-from oracles import lift_oracle, per_entry_extraction
+from oracles import fock_lift_amplitude, lift_oracle, per_entry_extraction
 
 
 def test_lift_of_identity_is_identity():

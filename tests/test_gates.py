@@ -6,12 +6,11 @@ import pytest
 
 from fockforge import gates
 from fockforge.conditioning import lift_unitary
-from fockforge.fock import FockBasis, TotalPhotonCutoff, fock_state, ladder_matrix
+from fockforge.fock import FockBasis, TotalPhotonCutoff
 from fockforge.gates import (
     FOUR_PHOTON,
     VACUUM_DETECTOR,
     BellLadderState,
-    apply_creation_polynomial,
     cnot_basis_lift,
     cnot_basis_matrix,
     cnot_obstruction_search,
@@ -33,7 +32,7 @@ from fockforge.gates import (
 )
 from fockforge.interferometer import BeamSplitterParams, compose
 from fockforge.optimizer import optimize_gate
-from oracles import _product_slab_residual
+from oracles import _product_slab_residual, ladder_matrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -131,21 +130,6 @@ def test_creation_polynomial_operator_matches_ladder_oracle():
     faithful = cond.faithful_input_levels
     got = cond.operator.matrix[:, : faithful + 1]
     assert np.max(np.abs(got - expect[:, : faithful + 1])) < 1e-9
-
-
-def test_apply_creation_polynomial_on_single_photon():
-    basis = FockBasis(1, TotalPhotonCutoff(1))
-    out, rescale = apply_creation_polynomial((1.0, 1.0), fock_state(basis, (1,)))
-    assert np.max(np.abs(out.amplitudes - np.array([0.0, 0.5, 0.5]))) < 1e-10
-    assert abs(rescale["normalization"] - SQRT2) < 1e-12
-
-
-def test_apply_creation_polynomial_rejects_dead_heralds():
-    # a pure a^dag polynomial at a nearly closed splitter heralds with
-    # probability R^2 ~ 1e-18, far under the guard
-    basis = FockBasis(1, TotalPhotonCutoff(1))
-    with pytest.raises(ArithmeticError):
-        apply_creation_polynomial((0.0, 1.0), fock_state(basis, (0,)), theta=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from fockforge.interferometer import (
     element_matrix,
     phase_matrix,
     random_unitary,
-    reck_decompose,
 )
 
 angle = st.floats(min_value=-6.0, max_value=6.0, allow_nan=False)
@@ -78,23 +77,6 @@ def test_random_unitary_is_unitary_and_seeded():
     u2 = random_unitary(5, 9).matrix
     assert np.array_equal(u1, u2)
     assert np.max(np.abs(u1.conj().T @ u1 - np.eye(5))) < 1e-10
-
-
-@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=40))
-@settings(max_examples=25, deadline=None)
-def test_reck_decomposition_reconstructs(dim, seed):
-    u = random_unitary(dim, seed)
-    net = reck_decompose(u)
-    assert net.mode_count == dim
-    rebuilt = compose(net).matrix
-    assert np.max(np.abs(rebuilt - u.matrix)) < 1e-9
-
-
-def test_reck_element_count_bound():
-    u = random_unitary(5, 13)
-    net = reck_decompose(u)
-    n_bs = sum(1 for e in net.elements if isinstance(e, BeamSplitterParams))
-    assert n_bs <= 5 * 4 // 2
 
 
 def _dense_product(network):

@@ -57,21 +57,6 @@ def test_slab_closure_rejection():
         LossyBSParams(np.eye(3), np.zeros((3, 3)))
 
 
-def test_m_matrix_closure_identity():
-    for t, a in ((0.5, 0.3), (0.366, 0.2), (0.1, 0.6)):
-        p = LossyBSParams.symmetric_slab(t, a)
-        m = p.m_matrix()
-        lhs = m @ m.conj().T
-        rhs = np.eye(2) - p.t_matrix @ p.t_matrix.conj().T
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
-def test_m_matrix_breaks_down_at_total_absorption():
-    p = LossyBSParams(np.zeros((2, 2)), np.eye(2))
-    with pytest.raises(ArithmeticError):
-        p.m_matrix()
-
-
 def test_dilation_unitary():
     p = LossyBSParams.symmetric_slab(0.45, 0.25)
     u = dilation_unitary(p).matrix

@@ -26,7 +26,7 @@ from fockforge.optimizer import (
     _fit,
     _run_restart,
     _run_restarts,
-    constraint_residual,
+    _score,
     mesh_matrices,
     network_from_params,
     optimize_gate,
@@ -464,7 +464,8 @@ def test_network_from_params_round_trip():
     result = optimize_gate(_identity_objective(), seed=1, restarts=2)
     net = result.network(2)
     assert net.mode_count == 2
-    res = constraint_residual(result.params, _identity_objective())
+    objective = _identity_objective()
+    res = _score(_fit(result.params[None], objective), objective)[0]
     assert abs(res - result.residual) < 1e-12
     compose(network_from_params(result.params, 2))  # parseable and unitary
 

@@ -12,12 +12,10 @@ from fockforge.permanent import (
     check_appendix_bounds,
     permanent_naive,
     permanent_ryser,
-    repeated_index_permanent,
     subpermanent,
 )
-from fockforge.conditioning import fock_lift_amplitude
 
-from oracles import permanent_expansion
+from oracles import fock_lift_amplitude, permanent_expansion, repeated_index_permanent
 
 
 def _random_complex(n, seed):

@@ -34,7 +34,7 @@ from oracles import lift_oracle
 
 def dilation_reference(cf, cutoff: int) -> MixedState:
     state = cli._joint_input_state(cf, cutoff)
-    rho = state.to_mixed()
+    rho = MixedState(state.basis, np.outer(state.amplitudes, state.amplitudes.conj()))
     n = cf.mode_count
     for e in cf.elements:
         if e[0] != "lossybs":
@@ -325,20 +325,45 @@ def test_each_run_is_composed_on_its_own_modes(monkeypatch, capsys):
     assert seen == [(2, [(1, 0), (0,)]), (5, [(1, 2), (4, 0), (3,)])]
 
 
+# five modes at cutoff 6 (462 states): a lossless run spans all of them,
+# a product long enough for BLAS to sum differently on two threads
+WIDE_LOSSY = """modes 5
+input fock 0 3
+input fock 1 3
+bs 0 1 0.154 0.901 -0.712
+bs 1 2 0.285 -0.376 -0.153
+bs 2 3 0.248 -0.182 0.099
+bs 3 4 0.008 0.507 0.076
+bs 0 1 0.099 0.577 -0.394
+bs 1 2 0.136 -0.732 -0.194
+bs 2 3 0.061 -0.475 0.501
+bs 3 4 0.084 -0.030 0.961
+lossybs 0 1 0.7 0.1 0.2 0.5
+bs 0 1 0.288 0.450 0.082
+bs 1 2 0.083 -0.679 0.940
+bs 2 3 0.155 -0.768 0.247
+bs 3 4 0.233 0.226 0.835
+bs 0 1 0.012 0.057 -0.081
+bs 1 2 0.019 0.283 0.705
+bs 2 3 0.178 -0.480 0.680
+bs 3 4 0.153 0.022 0.506
+"""
+
+
 def test_simulate_is_bytewise_identical_across_blas_thread_counts():
     # the printed populations and amplitudes must not depend on the
     # machine's core count, which sets the default BLAS thread count
     lossless = LOSSY_TRIPWIRE.replace("lossybs 0 1 0.5 0.3 4.0 0.4", "bs 0 1 0.5 0.3 4.0").replace(
         "lossybs 2 3 1.1 5.0 0.2 0.4", "bs 2 3 1.1 5.0 0.2"
     )
-    for text in (LOSSY_TRIPWIRE, lossless):
+    for text, cutoff, lines in ((LOSSY_TRIPWIRE, 5, 127), (lossless, 5, 127), (WIDE_LOSSY, 6, 463)):
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
             env["PYTHONPATH"] = str(Path(fockforge.__file__).parents[1])
-            argv = [sys.executable, "-m", "fockforge.cli", "simulate", "--cutoff", "5", "-"]
+            argv = [sys.executable, "-m", "fockforge.cli", "simulate", "--cutoff", str(cutoff), "-"]
             outputs.append(subprocess.run(argv, input=text, env=env, capture_output=True, text=True, check=True).stdout)
-        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 127
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == lines
 
 
 def test_simulate_on_999_modes_at_cutoff_1(monkeypatch, capsys):

@@ -1,7 +1,7 @@
 """Checks on the package from outside: its declared dependencies, its
-size constants against README's limits table, cli's documented circuit
-grammar against the table it parses by, and the names the benchmark's
-tracer wraps.
+size constants and the names that README's limits table cites, cli's
+documented circuit grammar against the table it parses by, and the
+names the benchmark's tracer wraps.
 
 A wrapped name that disappears is skipped at run time, so renaming or
 deleting one silently drops the metrics it feeds.  Resolving every name
@@ -81,6 +81,12 @@ def test_cli_docstring_lists_the_grammar():
     assert documented == [f"{k} {v}" for k, v in cli.GRAMMAR.items()]
 
 
+def _limits_table_rows():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n### Limits\n", 1)[1].split("\n#", 1)[0]
+    return [line for line in section.splitlines() if line.startswith("| `")]
+
+
 def test_size_constants_are_the_readme_limits_table():
     # every module-level MAX_* name under src/fockforge, and nothing else,
     # heads a row of README's limits table
@@ -89,12 +95,25 @@ def test_size_constants_are_the_readme_limits_table():
         for node in ast.parse(path.read_text()).body:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
             defined.update(f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name) and t.id.startswith("MAX_"))
-    readme = (ROOT / "README.md").read_text()
-    section = readme.split("\n### Limits\n", 1)[1].split("\n#", 1)[0]
-    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    rows = [line.split("|")[1] for line in _limits_table_rows()]
     tabled = {m.group(1) for row in rows for m in [re.fullmatch(r" `(\w+\.MAX_\w+)`.*", row)] if m}
     assert len(tabled) == len(rows)
     assert defined == tabled
+
+
+def test_readme_limits_table_names_only_code_that_exists():
+    # every backticked span of the table that is not a command line is a
+    # Python name: module.name under fockforge, or a name some module defines
+    table = "\n".join(_limits_table_rows())
+    commands = {name[len("_cmd_") :] for name in dir(cli) if name.startswith("_cmd_")}
+    modules = [importlib.import_module(f"fockforge.{path.stem}") for path in (ROOT / "src" / "fockforge").glob("*.py")]
+    names = [span.split(" = ")[0] for span in re.findall(r"`([^`]+)`", table) if span.split()[0] not in commands]
+    assert names
+    for name in names:
+        assert re.fullmatch(r"\w+(\.\w+)?", name), name
+        owner, _, attr = name.rpartition(".")
+        found = [hasattr(importlib.import_module(f"fockforge.{owner}"), attr)] if owner else [hasattr(m, attr) for m in modules]
+        assert any(found), f"README's limits table names {name}, which fockforge does not define"
 
 
 def _load_tracing():
