@@ -11,7 +11,6 @@ from .fock import (
     TotalPhotonCutoff,
     coherent_state,
     displacement_operator,
-    fock_state,
     number_polynomial,
     partial_trace,
 )

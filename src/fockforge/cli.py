@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import itertools
 import math
 import re
 import sys
@@ -55,7 +54,7 @@ from .fock import (
     coherent_state,
     tmsv_ladder,
 )
-from .interferometer import BeamSplitterParams, NetworkDescription, PhaseShifterParams, compose
+from .interferometer import BeamSplitterParams, NetworkDescription, PhaseShifterParams, _apply_blocks, _element_block, compose
 from .lossy import noisy_sigma_z_experiment, pure_loss
 from .optimizer import InfeasibleAtBudgetError, optimize_gate
 from .permanent import PermanentSizeError, check_appendix_bounds, permanent_naive, permanent_ryser
@@ -309,7 +308,7 @@ def _mode_amplitudes(spec, cutoff: int) -> np.ndarray:
 def _inputs_by_mode(cf: CircuitFile) -> dict:
     """The input directive of each mode that has one; a tmsv pair sits
     under both of its modes."""
-    return {m: spec for spec in cf.inputs for m in spec[1 : 3 if spec[0] == "tmsv" else 2]}
+    return {m: spec for spec in cf.inputs for m in _modes_of(spec)}
 
 
 def _joint_input_state(cf: CircuitFile, cutoff: int) -> PureState:
@@ -346,106 +345,127 @@ def _joint_input_state(cf: CircuitFile, cutoff: int) -> PureState:
 
 
 def _element(e):
-    """Network element of a splitter or phase tuple."""
-    return (BeamSplitterParams if e[0] == "bs" else PhaseShifterParams)(*e[1:])
+    """Network element of a splitter or phase tuple, or of an absorber's splitter."""
+    return PhaseShifterParams(*e[1:]) if e[0] == "phase" else BeamSplitterParams(*e[1:6])
+
+
+def _modes_of(spec) -> tuple:
+    """The modes an input or element tuple names."""
+    return spec[1 : 2 if spec[0] in ("fock", "coherent", "phase") else 3]
 
 
 def _renumbered(spec, position):
-    """An input, splitter or phase tuple with the modes it names renumbered."""
-    end = 3 if spec[0] in ("tmsv", "bs") else 2
-    return (spec[0], *(position[m] for m in spec[1:end]), *spec[end:])
+    """An input or element tuple with the modes it names renumbered."""
+    modes = _modes_of(spec)
+    return (spec[0], *(position[m] for m in modes), *spec[1 + len(modes) :])
 
 
 def _network_of(cf: CircuitFile) -> NetworkDescription:
     return NetworkDescription(cf.mode_count, tuple(_element(e) for e in cf.elements))
 
 
-def _stages(cf: CircuitFile, cutoff: int):
-    """Each stage of the circuit, in order: (modes, lift), a maximal run of
-    phases and splitters composed on the sorted modes it touches,
-    renumbered from 0 (it is the identity on the others), and lifted once
-    on a total-photon basis of those modes; or (mode, eta), pure loss of
-    transmissivity eta on one mode.  An absorber of absorption a is
-    T = sqrt(eta) B, eta = 1 - a^2, and its channel depends on T alone (the
-    device modes start in vacuum and are traced out): equal loss on its
-    two modes, then its splitter B, which joins the run that follows."""
-    elements = []
-    for e in cf.elements:
-        if e[0] == "lossybs":
-            eta = 1.0 - e[6] * e[6]
-            elements += [("loss", e[1], eta), ("loss", e[2], eta), ("bs", *e[1:6])]
-        else:
-            elements.append(e)
-    for loss, run in itertools.groupby(elements, key=lambda e: e[0] == "loss"):
-        if loss:
-            yield from (e[1:] for e in run)
-            continue
-        run = tuple(run)
-        modes = sorted({m for e in run for m in e[1 : 3 if e[0] == "bs" else 2]})
-        at = {m: i for i, m in enumerate(modes)}
-        u = compose(NetworkDescription(len(modes), tuple(_element(_renumbered(e, at)) for e in run))).matrix
-        yield modes, lift_unitary(u, FockBasis(len(modes), TotalPhotonCutoff(cutoff))).matrix
+# the most terms _ordered_dot sums at once, and the most modes a stretch's
+# decomposition spans: OpenBLAS 0.3.31 gave the same bits on 1 and 2 threads
+_REPRODUCIBLE_SIZE = 48
+
+
+def _transfer(elements, before=(), after=()) -> tuple:
+    """(modes, T): the sorted modes touched, and the mode matrix on them of
+    the (modes, matrix) pairs `before`, each element, then `after`, by
+    compose's row updates.  An absorber of absorption a acts through its
+    splitter's block times sqrt(1 - a^2), its transmission block."""
+    modes = sorted(set().union(*(m for m, _ in (*before, *after)), *map(_modes_of, elements)))
+    at = {m: i for i, m in enumerate(modes)}
+    blocks = [([at[m] for m in pair], matrix) for pair, matrix in before]
+    for e in elements:
+        rows, blk = _element_block(_element(_renumbered(e, at)), len(modes))
+        blocks.append((rows, blk * math.sqrt(1.0 - e[6] * e[6]) if e[0] == "lossybs" else blk))
+    blocks += [([at[m] for m in pair], matrix) for pair, matrix in after]
+    return modes, _apply_blocks(np.eye(len(modes), dtype=complex), blocks)
+
+
+def _lifts(elements):
+    """The circuit as (modes, matrix, losses): a mode matrix on the sorted
+    `modes` to lift, then pure loss on each (mode, eta) of `losses`.  A
+    stretch runs from an absorber through the next ones while it touches at
+    most _REPRODUCIBLE_SIZE modes.  Its device modes start in vacuum and are
+    traced out, so it acts through its transfer matrix T = U diag(s) V^dag
+    alone: V^dag, loss s_i^2 on mode i, then U (Garcia-Patron et al.,
+    Quantum 3, 169, 2019).  Its A absorbers lower the rank of 1 - T^dag T
+    by at most 2A, so only its 2A smallest s_i can lie below one.  Each
+    lossless run is lifted once, with the U before it and the V^dag after."""
+    absorbers = [k for k, e in enumerate(elements) if e[0] == "lossybs"]
+    before, start, i = [], 0, 0
+    while i < len(absorbers):
+        touched, j = set(_modes_of(elements[absorbers[i]])), i
+        while j + 1 < len(absorbers):
+            grown = touched.union(*map(_modes_of, elements[absorbers[j] + 1 : absorbers[j + 1] + 1]))
+            if len(grown) > _REPRODUCIBLE_SIZE:
+                break
+            touched, j = grown, j + 1
+        stretch, t = _transfer(elements[absorbers[i] : absorbers[j] + 1])
+        u, s, vh = np.linalg.svd(t)
+        lossy = 2 * (j - i + 1)
+        losses = list(zip(stretch[-lossy:], np.minimum(s[-lossy:] ** 2, 1.0).tolist()))
+        yield *_transfer(elements[start : absorbers[i]], before, [(stretch, vh)]), losses
+        before, start, i = [(stretch, u)], absorbers[j] + 1, j + 1
+    modes, t = _transfer(elements[start:], before)
+    if modes:
+        yield modes, t, []
 
 
 def _embed(op, modes, basis: FockBasis, occ: np.ndarray):
     """x -> U x for a vector or matrix x on `basis`, whose occupations are
     the rows of `occ`, where U is `op`, a lifted unitary on a total-photon
-    basis of `modes` alone.  The states whose other modes hold k photons
-    pair with the local states of at most cutoff - k photons, a prefix of
-    the local basis, so all of them see the same leading block of U: each
-    such bucket is one gather, one matrix product and one scatter, and U is
-    never written out on `basis`.  U keeps the photon count on its modes,
-    so every entry it reaches lies inside `basis`."""
+    basis of `modes` alone.  U keeps the photon count j on its modes, so
+    each local j-photon state beside every configuration of the other modes
+    with room for it sees U's j-block alone: one gather, product and
+    scatter per j, and U is never written out on `basis`."""
     at = _lookup(np.array(FockBasis(len(modes), basis.policy).occupations, dtype=np.uint8), occ[:, modes])
     vacated = occ.copy()
     vacated[:, modes] = 0
-    group, count = _lookup(occ, vacated), vacated.sum(axis=1, dtype=np.intp)
-    # one (local state, group) array of basis indices per bucket, by count;
-    # a group is named by its first state, the one with `modes` empty
-    order = np.lexsort((at, group, count))
-    buckets = [
-        states.reshape(-1, np.count_nonzero(group[states] == states[0])).T
-        for states in np.split(order, np.flatnonzero(np.diff(count[order])) + 1)
+    group, photons = _lookup(occ, vacated), occ[:, modes].sum(axis=1, dtype=np.intp)
+    # one (local state, group) array of basis indices per sector; a group
+    # is named by its state with `modes` empty
+    order = np.lexsort((group, at, photons))
+    sectors = [
+        states.reshape(-1, np.count_nonzero(at[states] == at[states[0]]))
+        for states in np.split(order, np.flatnonzero(np.diff(photons[order])) + 1)
     ]
-    parts = [(op[: len(idx), : len(idx)], idx) for idx in buckets]
-    return functools.partial(_apply_embedded, np.concatenate([idx.ravel() for idx in buckets]), parts)
+    return functools.partial(_apply_embedded, [(op[np.ix_(at[idx[:, 0]], at[idx[:, 0]])], idx) for idx in sectors])
 
 
-def _apply_embedded(rows, parts, x):
-    out = np.empty_like(x)  # the buckets cover every basis state once
-    out[rows] = np.concatenate(
-        [_ordered_dot(block, x[cols].reshape(len(cols), -1)).reshape((-1,) + x.shape[1:]) for block, cols in parts]
-    )
+def _apply_embedded(parts, x):
+    out = np.empty_like(x)  # the sectors cover every basis state once
+    for block, idx in parts:
+        out[idx] = _ordered_dot(block, x[idx].reshape(len(idx), -1)).reshape(idx.shape + x.shape[1:])
     return out
 
 
-def _ordered_dot(a, b):
-    """a @ b summed over the inner dimension 48 terms at a time, slice after
+def _ordered_dot(a, b, n=_REPRODUCIBLE_SIZE):
+    """a @ b summed over the inner dimension n terms at a time, slice after
     slice, so its bits do not depend on the BLAS thread count.  OpenBLAS
     0.3.31 rounds a sum of 462 terms differently on one and two threads;
     sums of 48 terms came out the same on one to four."""
-    out = a[:, :48] @ b[:48]
-    for s in range(48, a.shape[1], 48):
-        out += a[:, s : s + 48] @ b[s : s + 48]
+    out = a[:, :n] @ b[:n]
+    for s in range(n, a.shape[1], n):
+        out += a[:, s : s + n] @ b[s : s + n]
     return out
 
 
 def _simulate(cf: CircuitFile, cutoff: int):
-    """The output state, one stage at a time: the state vector of a
-    lossless circuit, or the density matrix of a lossy one, which a run
-    maps to U rho U^dag and a loss stage by lossy.pure_loss.  Both keep
-    rho positive, so only the final state is validated."""
+    """The output state: the state vector until the first loss, then the
+    density matrix, which a lift maps to U rho U^dag and a loss by
+    lossy.pure_loss.  Both keep rho positive, so only the final state is
+    validated."""
     state = _joint_input_state(cf, cutoff)
-    lossy = any(e[0] == "lossybs" for e in cf.elements)
-    x = np.outer(state.amplitudes, state.amplitudes.conj()) if lossy else state.amplitudes
-    occ = np.array(state.basis.occupations, dtype=np.uint8)
-    for modes, op in _stages(cf, cutoff):
-        if isinstance(op, float):
-            x = pure_loss(x, occ, modes, op)
-        else:
-            u = _embed(op, modes, state.basis, occ)
-            x = u(u(x).conj().T).conj().T if lossy else u(x)
-    return MixedState(state.basis, x) if lossy else PureState(state.basis, x, unchecked=True)
+    x, occ = state.amplitudes, np.array(state.basis.occupations, dtype=np.uint8)
+    for modes, matrix, losses in _lifts(cf.elements):
+        u = _embed(lift_unitary(matrix, FockBasis(len(modes), TotalPhotonCutoff(cutoff))).matrix, modes, state.basis, occ)
+        x = u(x) if x.ndim == 1 else u(u(x).conj().T).conj().T
+        for mode, eta in losses:
+            x = pure_loss(np.outer(x, x.conj()) if x.ndim == 1 else x, occ, mode, eta)
+    return PureState(state.basis, x, unchecked=True) if x.ndim == 1 else MixedState(state.basis, x)
 
 
 def _cmd_simulate(args) -> int:

@@ -141,11 +141,6 @@ def block_spectrum(basis: FockBasis, matrix: np.ndarray, hermitian: bool) -> np.
     return np.concatenate([np.zeros(1), *(v.ravel() for v in values)])
 
 
-def _check_same_basis(a, b):
-    if a.basis != b.basis:
-        raise PolicyMismatchError(f"bases differ: {a.basis} vs {b.basis}")
-
-
 @dataclass
 class PureState:
     """State vector over a FockBasis.
@@ -180,10 +175,6 @@ class PureState:
         if nrm < 1e-300:
             raise ValueError("cannot normalize a null state")
         return PureState(self.basis, self.amplitudes / nrm)
-
-    def overlap(self, other: "PureState") -> complex:
-        _check_same_basis(self, other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass
@@ -231,17 +222,6 @@ class FockOperator:
         if not np.all(np.isfinite(m.view(float))):
             raise ValueError("non-finite entry")
         self.matrix = m
-
-    def compose(self, other: "FockOperator") -> "FockOperator":
-        """self after other: (self.compose(other)).apply(s) = self(other(s))."""
-        _check_same_basis(self, other)
-        return FockOperator(self.basis, self.matrix @ other.matrix)
-
-
-def fock_state(basis: FockBasis, occupation) -> PureState:
-    amps = np.zeros(basis.dimension, dtype=complex)
-    amps[basis.index_of(occupation)] = 1.0
-    return PureState(basis, amps)
 
 
 def coherent_state(alpha: complex, cutoff: int) -> PureState:

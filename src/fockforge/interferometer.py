@@ -68,12 +68,6 @@ class BeamSplitterParams:
     def reflection(self) -> complex:
         return math.sin(self.theta) * complex(math.cos(self.phase_r), math.sin(self.phase_r))
 
-    def inverse(self) -> "BeamSplitterParams":
-        """Element whose matrix is the conjugate transpose of this one."""
-        return BeamSplitterParams(
-            self.mode_a, self.mode_b, self.theta, -self.phase_t, self.phase_r + math.pi
-        )
-
 
 @dataclass(frozen=True)
 class PhaseShifterParams:
@@ -186,11 +180,15 @@ def compose(network: NetworkDescription) -> ModeUnitary:
     would add exact zeros to those rows and leave the others as they are,
     so the result is the same bit for bit; only the total is validated."""
     n = network.mode_count
-    total = np.eye(n, dtype=complex)
-    for e in network.elements:
-        rows, blk = _element_block(e, n)
+    return ModeUnitary(n, _apply_blocks(np.eye(n, dtype=complex), (_element_block(e, n) for e in network.elements)))
+
+
+def _apply_blocks(total: np.ndarray, blocks) -> np.ndarray:
+    """total after each (rows, block) of `blocks` in turn, rows an index of
+    the rows the block touches: total[rows] = block @ total[rows]."""
+    for rows, blk in blocks:
         total[rows] = blk @ total[rows]
-    return ModeUnitary(n, total)
+    return total
 
 
 def random_unitary(dimension: int, seed: int) -> ModeUnitary:

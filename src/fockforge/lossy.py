@@ -10,9 +10,9 @@ inputs and device outcome d.  On a finite photon sector this dilation
 is exact, so no Kraus-integral sampling is needed.
 
 The circuit grammar's absorber has A = a I, so T = sqrt(1 - a^2) B with
-B unitary, and its channel is pure loss on each of its two modes, then
-the lift of B.  pure_loss applies that loss from its closed-form Kraus
-operators, with no dilation; simulate runs on it.
+B unitary.  simulate runs absorbers through the transfer matrix alone,
+T = U diag(s) V^dag: the lift of V^dag, pure loss s_i^2 on each mode,
+then the lift of U.  pure_loss applies that loss with no dilation.
 
 Inefficient detectors are the binomial POVM
 Pi(n) = sum_k C(k, n) eta^n (1 - eta)^{k - n} |k><k|.

@@ -28,7 +28,6 @@ from fockforge.fock import (
     PolicyMismatchError,
     PureState,
     TotalPhotonCutoff,
-    fock_state,
 )
 from fockforge.interferometer import (
     BeamSplitterParams,
@@ -225,7 +224,7 @@ def test_success_probability_requires_normalized_input():
     u = random_unitary(2, 6)
     y = extract_conditional_operator(u, (0,), AncillaSpec((1,)), DetectionSpec((1,)), 3)
     basis = y.operator.basis
-    good = fock_state(basis, (1,))
+    good = PureState(basis, np.eye(basis.dimension)[basis.index_of((1,))])
     p = success_probability(y, good)
     assert 0.0 <= p <= 1.0
     bad = PureState(basis, 0.5 * good.amplitudes)

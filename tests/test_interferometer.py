@@ -46,13 +46,6 @@ def test_bs_embedding_leaves_other_modes_alone():
         assert np.max(np.abs(np.delete(u[m], m))) < 1e-12
 
 
-def test_inverse_element_cancels():
-    p = BeamSplitterParams(0, 1, 0.4, 1.1, 0.3)
-    u = bs_matrix(p, 2).matrix
-    v = bs_matrix(p.inverse(), 2).matrix
-    assert np.max(np.abs(v @ u - np.eye(2))) < 1e-12
-
-
 def test_compose_applies_left_to_right():
     a = BeamSplitterParams(0, 1, 0.3, 0.0, 0.0)
     b = PhaseShifterParams(0, 1.2)

@@ -1,8 +1,10 @@
-"""simulate evolves one stage at a time: each maximal run of phases and
-splitters lifted once on just the modes it touches, and pure loss on one
-mode.  An absorbing splitter is equal loss on its two modes followed by
-its lossless splitter, which joins the next run.  These tests hold it to
-whole-basis routes.
+"""simulate evolves every circuit by a few lifts and pure loss.  A
+stretch of absorbers, with the lossless elements between them, acts
+through its transfer matrix T = U diag(s) V^dag alone: V^dag, pure loss
+s_i^2 on mode i, then U.  Each lossless run is lifted once, on just the
+modes it touches, together with the U of the stretch before it and the
+V^dag of the stretch after it.  These tests hold it to whole-basis
+routes.
 
 Lossless circuits are checked against the lift of the composed network on
 the whole basis and against the polynomial oracle.  Lossy circuits are
@@ -123,57 +125,63 @@ def dense_embedding(op, modes, basis):
     "line", ["bs 3 1 0.7 0.4 -1.2", "bs 0 2 1.1 -0.3 2.0", "lossybs 2 0 0.6 1.0 0.1 0.7", "lossybs 1 3 0.9 -0.5 0.4 0.3"]
 )
 def test_embedded_operators_match_the_dense_embedding(line):
-    # an absorber's stages are equal loss on its two modes, then its splitter
+    # every lift simulate makes of one element: a splitter's, or an
+    # absorber's V^dag and U around equal loss on its two modes
     cutoff = 5
     basis = FockBasis(4, TotalPhotonCutoff(cutoff))
-    *losses, (modes, op) = cli._stages(cli.parse_circuit(f"modes 4\n{line}\n"), cutoff)
     word, i, j, *angles = line.split()
+    lifts = list(cli._lifts(cli.parse_circuit(f"modes 4\n{line}\n").elements))
+    assert len(lifts) == (2 if word == "lossybs" else 1)
     if word == "lossybs":
         eta = 1.0 - float(angles[3]) ** 2
-        assert losses == [(int(i), eta), (int(j), eta)]
-    else:
-        assert losses == []
-    assert modes == sorted((int(i), int(j)))
+        assert [m for m, _ in lifts[0][2]] == sorted((int(i), int(j)))
+        assert all(abs(e - eta) < 1e-15 for _, e in lifts[0][2])
     rng = np.random.default_rng(3)
     vec = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
     rho = np.outer(vec, vec.conj()) + rng.normal(size=(basis.dimension,) * 2)
-    apply = cli._embed(op, modes, basis, np.array(basis.occupations, dtype=np.uint8))
-    dense = dense_embedding(op, modes, basis)
-    assert np.max(np.abs(apply(vec) - dense @ vec)) < 1e-13
-    assert np.max(np.abs(apply(rho) - dense @ rho)) < 1e-13
-    assert np.max(np.abs(apply(apply(rho).conj().T).conj().T - dense @ rho @ dense.conj().T)) < 1e-12
+    for modes, matrix, _ in lifts:
+        assert modes == sorted((int(i), int(j)))
+        op = lift_unitary(matrix, FockBasis(2, TotalPhotonCutoff(cutoff))).matrix
+        apply = cli._embed(op, modes, basis, np.array(basis.occupations, dtype=np.uint8))
+        dense = dense_embedding(op, modes, basis)
+        assert np.max(np.abs(apply(vec) - dense @ vec)) < 1e-13
+        assert np.max(np.abs(apply(rho) - dense @ rho)) < 1e-13
+        assert np.max(np.abs(apply(apply(rho).conj().T).conj().T - dense @ rho @ dense.conj().T)) < 1e-12
 
 
 def grouped_by_loop(modes, basis):
-    """The (local state, group) arrays of basis indices of each bucket, as
-    the per-state loop that _embed's array grouping replaced built them."""
+    """(local states, basis indices) of each photon-number sector on
+    `modes`, by a loop over the basis: the sector's local states in order,
+    and an array with a row per local state and a column per configuration
+    of the other modes, ordered by the index of that configuration's state
+    with `modes` empty."""
     local = FockBasis(len(modes), basis.policy)
-    others = [m for m in range(basis.mode_count) if m not in modes]
-    groups: dict = {}
+    sectors: dict = {}
     for b, occ in enumerate(basis.occupations):
-        rest = tuple(occ[m] for m in others)
-        groups.setdefault(rest, []).append((local.index[tuple(occ[m] for m in modes)], b))
-    by_count: dict = {}
-    for rest, pairs in groups.items():
-        by_count.setdefault(sum(rest), []).append([b for _, b in sorted(pairs)])
-    return [np.array(states).T for states in by_count.values()]
+        here = tuple(occ[m] for m in modes)
+        vacated = basis.index[tuple(0 if m in modes else n for m, n in enumerate(occ))]
+        sectors.setdefault(sum(here), {}).setdefault(local.index[here], {})[vacated] = b
+    return [
+        (sorted(rows), np.array([[row[g] for g in sorted(row)] for _, row in sorted(rows.items())]))
+        for _, rows in sorted(sectors.items())
+    ]
 
 
 def test_embedding_groups_the_basis_as_the_loop_did():
     rng = np.random.default_rng(12)
     for _ in range(40):
         n, cutoff = int(rng.integers(1, 7)), int(rng.integers(0, 5))
-        modes = tuple(int(m) for m in rng.permutation(n)[: rng.integers(1, min(n, 3) + 1)])
+        modes = [int(m) for m in rng.permutation(n)[: rng.integers(1, min(n, 3) + 1)]]
         basis = FockBasis(n, TotalPhotonCutoff(cutoff))
         dim = FockBasis(len(modes), basis.policy).dimension
         op = rng.normal(size=(dim, dim))
-        rows, parts = cli._embed(op, modes, basis, np.array(basis.occupations, dtype=np.uint8)).args
-        buckets = grouped_by_loop(modes, basis)
-        assert len(parts) == len(buckets)
-        for (block, cols), idx in zip(parts, buckets):
-            assert cols.shape == idx.shape and (cols == idx).all()
-            assert (block == op[: len(idx), : len(idx)]).all()
-        assert (rows == np.concatenate([idx.ravel() for idx in buckets])).all()
+        (parts,) = cli._embed(op, modes, basis, np.array(basis.occupations, dtype=np.uint8)).args
+        sectors = grouped_by_loop(modes, basis)
+        assert len(parts) == len(sectors)
+        for (block, idx), (local, expected) in zip(parts, sectors):
+            assert idx.shape == expected.shape and (idx == expected).all()
+            assert (block == op[np.ix_(local, local)]).all()
+        assert (np.sort(np.concatenate([idx.ravel() for _, idx in parts])) == np.arange(basis.dimension)).all()
 
 
 LOSSY = {
@@ -243,13 +251,13 @@ def test_broken_kraus_family_fails_the_final_state_check(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# cost tripwires: extractor builds in one simulate call, and the amplitudes
-# their recurrences fill, independent of the machine.  Each lossless run is
-# one build on a total-photon basis of its modes, which fills
-# sum_k (sector size)^2 amplitudes; a loss stage builds nothing.  The
-# per-element route built one extractor per element (10 and 5 here), and
-# the Kraus route one more per absorber on its four-mode dilation (4,878
-# amplitudes each here).
+# cost tripwires, independent of the machine: extractor builds in one
+# simulate call and the amplitudes their recurrences fill, and loss maps.
+# Each lift is one build on a total-photon basis of its modes, which fills
+# sum_k (sector size)^2 amplitudes; a loss map builds nothing.  One stage
+# per absorber built 3 extractors here (994 amplitudes) and ran two loss
+# maps per absorber; the Kraus route built one more extractor per absorber
+# on its four-mode dilation (4,878 amplitudes each here).
 
 
 def count_extractions(monkeypatch, capsys, text, cutoff) -> tuple:
@@ -284,11 +292,11 @@ LOSSY_TRIPWIRE = (
 
 
 def test_lossy_simulate_extraction_count(monkeypatch, capsys):
-    # stages: the run on modes 1, 2; loss on 0 and 1; the first absorber's
-    # splitter alone on 0, 1; loss on 2 and 3; the second absorber's
-    # splitter with the rest, on modes 0, 2, 3.  No build is on four modes.
-    expected = 2 * lift_amplitudes(2, 5) + lift_amplitudes(3, 5)
-    assert count_extractions(monkeypatch, capsys, LOSSY_TRIPWIRE, 5) == (3, expected) == (3, 994)
+    # lifts: the run on modes 1, 2 with the V^dag of the stretch of both
+    # absorbers, on modes 0 to 3; then its U with the run after it, on the
+    # same four modes
+    expected = 2 * lift_amplitudes(4, 5)
+    assert count_extractions(monkeypatch, capsys, LOSSY_TRIPWIRE, 5) == (2, expected) == (2, 9756)
 
 
 def test_lossless_simulate_extraction_count(monkeypatch, capsys):
@@ -304,17 +312,17 @@ def test_lossless_simulate_extraction_count(monkeypatch, capsys):
 
 
 def test_each_run_is_composed_on_its_own_modes(monkeypatch, capsys):
-    # a run on modes 4, 1 of six, an absorber on 1, 2, then a run of its
-    # splitter with elements on modes 5, 0, 3: each run is composed on just
-    # the modes it touches, renumbered in order
+    # a run on modes 4, 1 of six, an absorber on 1, 2, then a run on modes
+    # 5, 0, 3: each lift covers just the modes its matrix touches, the
+    # first run with the absorber's V^dag, its U with the last run
     seen = []
+    embed = cli._embed
 
-    def recording(network):
-        modes = [(e.mode_a, e.mode_b) if hasattr(e, "mode_a") else (e.mode,) for e in network.elements]
-        seen.append((network.mode_count, modes))
-        return compose(network)
+    def recording(op, modes, basis, occ):
+        seen.append((modes, len(op)))
+        return embed(op, modes, basis, occ)
 
-    monkeypatch.setattr(cli, "compose", recording)
+    monkeypatch.setattr(cli, "_embed", recording)
     text = (
         "modes 6\ninput fock 4 1\ninput fock 5 1\nbs 4 1 0.8 1.0 2.0\nphase 1 0.3\n"
         "lossybs 1 2 0.5 0.3 4.0 0.4\nbs 5 0 0.3 2.5 1.5\nphase 3 0.9\n"
@@ -322,7 +330,50 @@ def test_each_run_is_composed_on_its_own_modes(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert cli.main(["simulate", "--cutoff", "2", "-"]) == 0
     capsys.readouterr()
-    assert seen == [(2, [(1, 0), (0,)]), (5, [(1, 2), (4, 0), (3,)])]
+    assert seen == [([1, 2, 4], math.comb(5, 3)), ([0, 1, 2, 3, 5], math.comb(7, 5))]
+
+
+def count_loss_maps(monkeypatch, capsys, text, cutoff) -> int:
+    calls = []
+    inner = cli.pure_loss
+
+    def counting(rho, occ, mode, eta):
+        calls.append(mode)
+        return inner(rho, occ, mode, eta)
+
+    monkeypatch.setattr(cli, "pure_loss", counting)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.main(["simulate", "--cutoff", str(cutoff), "-"]) == 0
+    capsys.readouterr()
+    return len(calls)
+
+
+def test_ten_absorbers_on_two_modes_run_two_loss_maps(monkeypatch, capsys):
+    # one stretch on both modes, one loss map per mode (two per absorber
+    # before)
+    text = "modes 2\ninput fock 0 3\n" + "".join(f"lossybs 0 1 0.3 {k} 0 0.2\nphase 1 {0.1 * k}\n" for k in range(10))
+    assert count_loss_maps(monkeypatch, capsys, text, 3) == 2
+
+
+# two absorbers 13 splitters apart on 16 modes: 11 of the stretch's
+# singular values round below one, where only 4 can lie below it
+ROUNDED_STRETCH = (
+    "modes 16\ninput fock 0 1\nlossybs 0 1 0.7 0.2 -0.4 0.3\n"
+    + "".join(
+        f"bs {i} {i + 1} {th!r} {pt!r} {pr!r}\n"
+        for i, (th, pt, pr) in enumerate(np.random.default_rng(0).uniform((0.1, -3, -3), (1.4, 3, 3), (13, 3)).tolist(), 1)
+    )
+    + "lossybs 14 15 0.5 1.1 0.6 0.4\n"
+)
+
+
+def test_only_the_smallest_singular_values_get_loss(monkeypatch, capsys):
+    cf = cli.parse_circuit(ROUNDED_STRETCH)
+    s = np.linalg.svd(cli._transfer(cf.elements)[1], compute_uv=False)
+    assert np.count_nonzero(s < 1.0) > 4
+    assert count_loss_maps(monkeypatch, capsys, ROUNDED_STRETCH, 1) == 4
+    rho = cli._simulate(cf, 1).matrix
+    assert np.max(np.abs(rho - dilation_reference(cf, 1).matrix)) < 1e-12
 
 
 # five modes at cutoff 6 (462 states): a lossless run spans all of them,
@@ -350,20 +401,53 @@ bs 3 4 0.153 0.022 0.506
 """
 
 
+# 90 modes at cutoff 1 (91 states), an absorber on every tenth splitter
+# of a chain: its absorbers span all 90 modes, so it splits into stretches
+# of at most 48 modes, whose decompositions keep their bits on two threads
+WIDE_CHAIN = "modes 90\ninput fock 0 1\n" + "".join(
+    f"bs {i} {i + 1} {0.3 + 0.01 * i!r} {0.02 * i!r} {-0.03 * i!r}\n"
+    if i % 10
+    else f"lossybs {i} {i + 1} {0.3 + 0.01 * i!r} {0.02 * i!r} {-0.03 * i!r} 0.3\n"
+    for i in range(89)
+)
+
+
+def test_wide_lossy_circuit_splits_into_stretches(monkeypatch):
+    sizes = []
+    svd = np.linalg.svd
+
+    def recording(t, *args, **kwargs):
+        sizes.append(len(t))
+        return svd(t, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    cf = cli.parse_circuit(WIDE_CHAIN)
+    lifts = list(cli._lifts(cf.elements))
+    # the stretches: absorbers on 0 to 40 (modes 0 to 41), on 50 to 80
+    # (modes 50 to 81) and the last lift, the second U with its run
+    assert sizes == [42, 32] and len(lifts) == 3
+    assert [len(losses) for _, _, losses in lifts] == [10, 8, 0]
+    rho = cli._simulate(cf, 1).matrix
+    assert np.max(np.abs(rho - dilation_reference(cf, 1).matrix)) < 1e-12
+
+
 def test_simulate_is_bytewise_identical_across_blas_thread_counts():
     # the printed populations and amplitudes must not depend on the
     # machine's core count, which sets the default BLAS thread count
     lossless = LOSSY_TRIPWIRE.replace("lossybs 0 1 0.5 0.3 4.0 0.4", "bs 0 1 0.5 0.3 4.0").replace(
         "lossybs 2 3 1.1 5.0 0.2 0.4", "bs 2 3 1.1 5.0 0.2"
     )
-    for text, cutoff, lines in ((LOSSY_TRIPWIRE, 5, 127), (lossless, 5, 127), (WIDE_LOSSY, 6, 463)):
+    cases = ((LOSSY_TRIPWIRE, 5, 127), (lossless, 5, 127), (WIDE_LOSSY, 6, 463), (WIDE_CHAIN, 1, 92))
+    for text, cutoff, lines in cases:
         outputs = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
             env["PYTHONPATH"] = str(Path(fockforge.__file__).parents[1])
             argv = [sys.executable, "-m", "fockforge.cli", "simulate", "--cutoff", str(cutoff), "-"]
             outputs.append(subprocess.run(argv, input=text, env=env, capture_output=True, text=True, check=True).stdout)
-        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == lines
+        # compared as one flag: pytest's diff of two long outputs can run for minutes
+        same = outputs[0] == outputs[1]
+        assert same and len(outputs[0].splitlines()) == lines
 
 
 def test_simulate_on_999_modes_at_cutoff_1(monkeypatch, capsys):
