@@ -442,14 +442,14 @@ def _apply_embedded(parts, x):
     return out
 
 
-def _ordered_dot(a, b, n=_REPRODUCIBLE_SIZE):
-    """a @ b summed over the inner dimension n terms at a time, slice after
-    slice, so its bits do not depend on the BLAS thread count.  OpenBLAS
-    0.3.31 rounds a sum of 462 terms differently on one and two threads;
-    sums of 48 terms came out the same on one to four."""
-    out = a[:, :n] @ b[:n]
-    for s in range(n, a.shape[1], n):
-        out += a[:, s : s + n] @ b[s : s + n]
+def _ordered_dot(a, b):
+    """a @ b summed over the inner dimension _REPRODUCIBLE_SIZE terms at a
+    time, slice after slice, so its bits do not depend on the BLAS thread
+    count.  OpenBLAS 0.3.31 rounds a sum of 462 terms differently on one
+    and two threads; sums of 48 terms came out the same on one to four."""
+    out = a[:, :_REPRODUCIBLE_SIZE] @ b[:_REPRODUCIBLE_SIZE]
+    for s in range(_REPRODUCIBLE_SIZE, a.shape[1], _REPRODUCIBLE_SIZE):
+        out += a[:, s : s + _REPRODUCIBLE_SIZE] @ b[s : s + _REPRODUCIBLE_SIZE]
     return out
 
 
