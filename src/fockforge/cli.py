@@ -38,7 +38,6 @@ import numpy as np
 from .conditioning import (
     AncillaSpec,
     DetectionSpec,
-    _lookup,
     check_size,
     extract_conditional_operator,
     lift_unitary,
@@ -51,6 +50,8 @@ from .fock import (
     MixedState,
     PureState,
     TotalPhotonCutoff,
+    _cmul,
+    _lookup,
     coherent_state,
     tmsv_ladder,
 )
@@ -312,32 +313,19 @@ def _inputs_by_mode(cf: CircuitFile) -> dict:
 
 
 def _joint_input_state(cf: CircuitFile, cutoff: int) -> PureState:
+    """Each amplitude is the product of its tmsv pairs' ladder amplitudes,
+    then of every other mode's, in mode order."""
     basis = FockBasis(cf.mode_count, TotalPhotonCutoff(cutoff))
+    occ, amps = basis.occupations, np.ones(basis.dimension, dtype=complex)
+    for spec in cf.inputs:
+        if spec[0] == "tmsv":
+            n = occ[:, spec[1]]
+            amps = _cmul(amps, np.where(n == occ[:, spec[2]], np.asarray(tmsv_ladder(spec[3], cutoff))[n], 0.0))
     by_mode = _inputs_by_mode(cf)
-    tmsv_pairs = [
-        (spec[1], spec[2], tmsv_ladder(spec[3], cutoff)) for spec in cf.inputs if spec[0] == "tmsv"
-    ]
-    ladders = {}
     for m in range(cf.mode_count):
         spec = by_mode.get(m)
-        if spec is not None and spec[0] == "tmsv":
-            continue
-        ladders[m] = _mode_amplitudes(spec, cutoff)
-    amps = np.zeros(basis.dimension, dtype=complex)
-    for i, occ in enumerate(basis.occupations):
-        a = 1.0 + 0j
-        for m1, m2, ladder in tmsv_pairs:
-            if occ[m1] != occ[m2]:
-                a = 0.0
-                break
-            a *= ladder[occ[m1]]
-        if a == 0.0:
-            continue
-        for m, lad in ladders.items():
-            a *= lad[occ[m]]
-            if a == 0.0:
-                break
-        amps[i] = a
+        if spec is None or spec[0] != "tmsv":
+            amps = _cmul(amps, _mode_amplitudes(spec, cutoff)[occ[:, m]])
     nrm = float(np.linalg.norm(amps))
     if nrm < 1e-12:
         raise CutoffTooSmallError("declared input state has no weight below the cutoff")
@@ -414,14 +402,15 @@ def _lifts(elements):
         yield modes, t, []
 
 
-def _embed(op, modes, basis: FockBasis, occ: np.ndarray):
-    """x -> U x for a vector or matrix x on `basis`, whose occupations are
-    the rows of `occ`, where U is `op`, a lifted unitary on a total-photon
-    basis of `modes` alone.  U keeps the photon count j on its modes, so
-    each local j-photon state beside every configuration of the other modes
-    with room for it sees U's j-block alone: one gather, product and
-    scatter per j, and U is never written out on `basis`."""
-    at = _lookup(np.array(FockBasis(len(modes), basis.policy).occupations, dtype=np.uint8), occ[:, modes])
+def _embed(op, modes, basis: FockBasis):
+    """x -> U x for a vector or matrix x on `basis`, where U is `op`, the
+    FockOperator of a lifted unitary on a total-photon basis of `modes`.
+    U keeps the photon count j on its modes, so each local j-photon state
+    beside every configuration of the other modes with room for it sees
+    U's j-block alone: one gather, product and scatter per j, and U is
+    never written out on `basis`."""
+    occ = basis.occupations
+    at = _lookup(op.basis.occupations, occ[:, modes])
     vacated = occ.copy()
     vacated[:, modes] = 0
     group, photons = _lookup(occ, vacated), occ[:, modes].sum(axis=1, dtype=np.intp)
@@ -432,7 +421,7 @@ def _embed(op, modes, basis: FockBasis, occ: np.ndarray):
         states.reshape(-1, np.count_nonzero(at[states] == at[states[0]]))
         for states in np.split(order, np.flatnonzero(np.diff(photons[order])) + 1)
     ]
-    return functools.partial(_apply_embedded, [(op[np.ix_(at[idx[:, 0]], at[idx[:, 0]])], idx) for idx in sectors])
+    return functools.partial(_apply_embedded, [(op.matrix[np.ix_(at[idx[:, 0]], at[idx[:, 0]])], idx) for idx in sectors])
 
 
 def _apply_embedded(parts, x):
@@ -459,12 +448,12 @@ def _simulate(cf: CircuitFile, cutoff: int):
     lossy.pure_loss.  Both keep rho positive, so only the final state is
     validated."""
     state = _joint_input_state(cf, cutoff)
-    x, occ = state.amplitudes, np.array(state.basis.occupations, dtype=np.uint8)
+    x = state.amplitudes
     for modes, matrix, losses in _lifts(cf.elements):
-        u = _embed(lift_unitary(matrix, FockBasis(len(modes), TotalPhotonCutoff(cutoff))).matrix, modes, state.basis, occ)
+        u = _embed(lift_unitary(matrix, FockBasis(len(modes), TotalPhotonCutoff(cutoff))), modes, state.basis)
         x = u(x) if x.ndim == 1 else u(u(x).conj().T).conj().T
         for mode, eta in losses:
-            x = pure_loss(np.outer(x, x.conj()) if x.ndim == 1 else x, occ, mode, eta)
+            x = pure_loss(np.outer(x, x.conj()) if x.ndim == 1 else x, state.basis, mode, eta)
     return PureState(state.basis, x, unchecked=True) if x.ndim == 1 else MixedState(state.basis, x)
 
 
@@ -482,7 +471,7 @@ def _cmd_simulate(args) -> int:
     else:
         columns, values = ("re", "im"), zip(_floats(state.amplitudes.real), _floats(state.amplitudes.imag))
     out = [tuple(f"n{m}" for m in range(cf.mode_count)) + columns]
-    out += [occ + v for occ, v in zip(state.basis.occupations, values)]
+    out += [[*occ, *v] for occ, v in zip(state.basis.occupations.tolist(), values)]
     sys.stdout.write(_rows_to_tsv(out))
     return 0
 
@@ -532,7 +521,7 @@ def _cmd_condition(args) -> int:
     ]
     sys.stdout.write(_rows_to_tsv(rows))
     # one write per block of output states, at most 2^14 entries formatted at once
-    labels = [",".join(map(str, occ)) for occ in cond.operator.basis.occupations]
+    labels = [",".join(map(str, occ)) for occ in cond.operator.basis.occupations.tolist()]
     step = max(1, (1 << 14) // len(labels))
     for s in range(0, len(labels), step):
         sys.stdout.write(_amplitude_rows(labels[s : s + step], labels, cond.operator.matrix[s : s + step]))

@@ -35,6 +35,7 @@ from .fock import (
     PolicyMismatchError,
     PureState,
     TotalPhotonCutoff,
+    _lookup,
     block_spectrum,
 )
 from .interferometer import ModeUnitary, random_unitary
@@ -95,18 +96,6 @@ def _as_matrix(u) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("need a square mode matrix")
     return m
-
-
-def _lookup(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Index in `rows` (occupations, the first of equal ones) of each
-    occupation in `queries` (..., modes), entries below 256; arbitrary
-    for one not there."""
-    def keys(a):
-        return np.ascontiguousarray(a, dtype=np.uint8).reshape(-1, rows.shape[1]).view(f"V{rows.shape[1]}").ravel()
-
-    order = np.argsort(keys(rows), kind="stable")
-    found = np.searchsorted(keys(rows)[order], keys(queries))
-    return order[np.minimum(found, len(order) - 1)].reshape(queries.shape[:-1])
 
 
 def recurrence_work(signal_modes: int, cutoff: int, ancilla_photons, detection) -> int:
@@ -185,7 +174,7 @@ class ConditionalExtractor:
         elif isinstance(ancilla, PureState):
             if ancilla.basis.mode_count != len(aux_modes):
                 raise ValueError(f"ancilla state has {ancilla.basis.mode_count} modes, need {len(aux_modes)}")
-            components = [(complex(a), occ) for occ, a in zip(ancilla.basis.occupations, ancilla.amplitudes) if a != 0]
+            components = [(complex(a), occ) for occ, a in zip(ancilla.basis.occupations.tolist(), ancilla.amplitudes) if a != 0]
             if not components:
                 raise ValueError("ancilla state is identically zero")
         else:
@@ -215,7 +204,7 @@ class ConditionalExtractor:
         self.signal_basis = FockBasis(len(signal), TotalPhotonCutoff(signal_cutoff))
         self._amplitudes = [amp for amp, _ in components]
         dim = self.signal_basis.dimension
-        occs = np.array(self.signal_basis.occupations, dtype=np.intp).reshape(dim, len(signal))
+        occs = self.signal_basis.occupations.astype(np.intp)
         totals = occs.sum(axis=1)
         # the tables number the modes signal first, then auxiliary
         self._local = np.array(signal + aux_modes, dtype=np.intp)

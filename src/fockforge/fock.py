@@ -13,6 +13,7 @@ total.  All index arithmetic in the package relies on this order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import InitVar, dataclass
 
@@ -51,30 +52,36 @@ class PerModeCutoff:
             raise ValueError("max_per_mode must be non-negative")
 
 
-def _compositions(total, parts, bound):
-    """Occupations of `parts` modes holding `total` (at most parts * bound)
-    photons, at most `bound` in each, in lexicographic order, each stepped
-    from the last in place: no frame or tuple is built per mode."""
-    occ, i, rest = [0] * parts, -1, total
-    while True:
-        # the modes after i take the rest, pushed right as far as they go
-        full, part = divmod(rest, bound or 1)
-        occ[i + 1 :] = ([0] * parts + [part] + [bound] * full)[i + 1 - parts :]
-        yield tuple(occ)
-        # the last mode i that can take one of the photons after it does
-        rest = occ[-1]
-        for i in range(parts - 2, -1, -1):
-            if occ[i] < bound and rest:
-                break
-            rest += occ[i]
-        else:
-            return
-        occ[i] += 1
-        rest -= 1
+def _lookup(rows: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index in `rows` (occupations, the first of equal ones) of each
+    occupation in `queries` (..., modes), entries below 256; arbitrary
+    for one not there."""
+    def keys(a):
+        return np.ascontiguousarray(a, dtype=np.uint8).reshape(-1, rows.shape[1]).view(f"V{rows.shape[1]}").ravel()
+
+    order = np.argsort(keys(rows), kind="stable")
+    found = np.searchsorted(keys(rows)[order], keys(queries))
+    return order[np.minimum(found, len(order) - 1)].reshape(queries.shape[:-1])
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise for complex (or real) arrays, each part rounded as
+    a scalar product rounds it.  numpy's vector loop for complex products
+    fuses their multiply-adds on FMA machines, which moves last bits."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 class FockBasis:
-    """Ordered occupation-vector basis for a truncated Fock space."""
+    """Ordered occupation-vector basis for a truncated Fock space.
+
+    `occupations` is one read-only, C-contiguous uint8 array of shape
+    (dimension, mode_count), a row per state in basis order; no mode holds
+    more than 255 photons.  uint8 arithmetic wraps, so widen it (or read
+    `.tolist()`) before computing with it.  `_lookup` finds rows in it;
+    index_of and `in` take a sequence of ints."""
 
     def __init__(self, mode_count: int, policy):
         if mode_count < 1:
@@ -83,26 +90,43 @@ class FockBasis:
             raise TypeError(f"unknown cutoff policy {policy!r}")
         self.mode_count = mode_count
         self.policy = policy
-        if isinstance(policy, TotalPhotonCutoff):
-            max_total = policy.max_total
-            bound = policy.max_total
+        total = isinstance(policy, TotalPhotonCutoff)
+        bound = policy.max_total if total else policy.max_per_mode
+        if bound > 255:
+            raise ValueError(f"a mode holding {bound} photons does not fit the uint8 occupations")
+        if total:
+            # each state as its photons' modes, sorted: reversed, each total's
+            # combinations come in lexicographic order of the counts per mode
+            picks = [
+                p for n in range(bound + 1)
+                for p in reversed(list(itertools.combinations_with_replacement(range(mode_count), n)))
+            ]
+            sizes = np.fromiter(map(len, picks), dtype=np.intp, count=len(picks))
+            cells = np.repeat(np.arange(len(picks)) * mode_count, sizes)
+            cells += np.fromiter(itertools.chain.from_iterable(picks), dtype=np.intp, count=len(cells))
+            occ = np.bincount(cells, minlength=len(picks) * mode_count).reshape(len(picks), mode_count)
         else:
-            max_total = policy.max_per_mode * mode_count
-            bound = policy.max_per_mode
-        occs = [occ for total in range(max_total + 1) for occ in _compositions(total, mode_count, bound)]
-        self.occupations: tuple[tuple[int, ...], ...] = tuple(occs)
-        self.index: dict[tuple[int, ...], int] = {o: i for i, o in enumerate(occs)}
-        self.dimension = len(occs)
+            # the grid's rows in lexicographic order, stably sorted by total
+            levels = bound + 1
+            occ = np.arange(levels**mode_count)[:, None] // levels ** np.arange(mode_count - 1, -1, -1) % levels
+            occ = occ[np.argsort(occ.sum(axis=1), kind="stable")]
+        self.occupations = occ.astype(np.uint8)
+        self.occupations.setflags(write=False)
+        self.dimension = len(self.occupations)
 
     def index_of(self, occ) -> int:
-        key = tuple(int(n) for n in occ)
-        try:
-            return self.index[key]
-        except KeyError:
-            raise KeyError(f"occupation {key} not in basis") from None
+        key = [int(n) for n in occ]
+        if len(key) == self.mode_count and all(0 <= n < 256 for n in key):
+            i = int(_lookup(self.occupations, np.array(key, dtype=np.uint8)))
+            if self.occupations[i].tolist() == key:
+                return i
+        raise KeyError(f"occupation {tuple(key)} not in basis")
 
     def __contains__(self, occ) -> bool:
-        return tuple(int(n) for n in occ) in self.index
+        try:
+            return self.index_of(occ) >= 0
+        except KeyError:
+            return False
 
     def __eq__(self, other):
         return (
@@ -127,7 +151,7 @@ def block_spectrum(basis: FockBasis, matrix: np.ndarray, hermitian: bool) -> np.
     Up to 120 states one factorization of the whole costs less."""
     stacks = {matrix.shape: [matrix]}
     if basis.dimension > 120:
-        totals = np.fromiter(map(sum, basis.occupations), dtype=np.intp, count=basis.dimension)
+        totals = basis.occupations.sum(axis=1, dtype=np.intp)
         starts = np.flatnonzero(np.diff(totals, prepend=-1))  # every photon number from 0 up, in order
         s, eye = len(starts), np.eye(len(starts), dtype=bool)
         nz = np.logical_or.reduceat(np.logical_or.reduceat(matrix != 0, starts, axis=0), starts, axis=1) | (eye & hermitian)
@@ -254,11 +278,8 @@ def number_polynomial(coeffs, mode: int, basis: FockBasis) -> FockOperator:
     """Diagonal operator sum_k coeffs[k] * n_mode^k."""
     if not 0 <= mode < basis.mode_count:
         raise IndexError(f"mode {mode} out of range for {basis.mode_count} modes")
-    diag = np.zeros(basis.dimension, dtype=complex)
-    for i, occ in enumerate(basis.occupations):
-        n = occ[mode]
-        diag[i] = sum(complex(c) * n**k for k, c in enumerate(coeffs))
-    return FockOperator(basis, np.diag(diag))
+    diag = [sum(complex(c) * n**k for k, c in enumerate(coeffs)) for n in basis.occupations[:, mode].tolist()]
+    return FockOperator(basis, np.diag(np.array(diag, dtype=complex)))
 
 
 def _displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
@@ -323,13 +344,13 @@ def displacement_operator_for(alpha: complex, top_level: int, guard: int = DEFAU
     for the guard that was finally accepted.
     """
     g = max(1, guard)
-    while g <= 256:
+    while top_level + g <= 255:  # the most photons a basis holds in a mode
         try:
             return displacement_operator(alpha, top_level + g, guard=g)
         except CutoffTooSmallError:
             g += 2
     raise CutoffTooSmallError(
-        f"no guard band up to 256 certifies D({alpha}) through level {top_level}"
+        f"no guard band up to {255 - top_level} certifies D({alpha}) through level {top_level}"
     )
 
 
@@ -355,12 +376,11 @@ def partial_trace(state, keep_modes) -> MixedState:
         return state
     reduced = FockBasis(len(keep), basis.policy)
     traced = [m for m in range(basis.mode_count) if m not in keep]
+    subs = _lookup(reduced.occupations, basis.occupations[:, keep]).tolist()
     # group full-basis indices by the occupation pattern on the traced modes
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for i, occ in enumerate(basis.occupations):
-        env = tuple(occ[m] for m in traced)
-        sub = tuple(occ[m] for m in keep)
-        groups.setdefault(env, []).append((reduced.index_of(sub), i))
+    for i, env in enumerate(basis.occupations[:, traced].tolist()):
+        groups.setdefault(tuple(env), []).append((subs[i], i))
     out = np.zeros((reduced.dimension, reduced.dimension), dtype=complex)
     for members in groups.values():
         for ra, ia in members:

@@ -36,6 +36,8 @@ from .fock import (
     PerModeCutoff,
     PureState,
     TotalPhotonCutoff,
+    _cmul,
+    _lookup,
     coherent_state,
     displacement_operator_for,
     number_polynomial,
@@ -300,9 +302,7 @@ def _qubit_slab_target(basis: FockBasis, phi: float) -> tuple:
     qubit = ((0, 0), (0, 1), (1, 0), (1, 1))
     cols = [basis.index_of(o) for o in qubit]
     target = np.zeros((basis.dimension, len(cols)), dtype=complex)
-    for j, occ in enumerate(qubit):
-        amp = cmath.exp(1j * phi) if occ == (1, 1) else 1.0
-        target[basis.index_of(occ), j] = amp
+    target[cols, range(len(cols))] = [1.0, 1.0, 1.0, cmath.exp(1j * phi)]
     return cols, target
 
 
@@ -351,11 +351,8 @@ def _cphase_four_photon(phi: float, seed: int, restarts: int):
     # second route: lift the splitter pair exactly and tensor the two
     # independently extracted arm operators between them
     arm = arm_objective.extractor().extract_matrix(lam3)
-    mid = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    occs = basis.occupations
-    for i, (m1, m2) in enumerate(occs):
-        for j, (n1, n2) in enumerate(occs):
-            mid[i, j] = arm[m1, n1] * arm[m2, n2]
+    n1, n2 = basis.occupations.T
+    mid = _cmul(arm[np.ix_(n1, n1)], arm[np.ix_(n2, n2)])
     two = FockBasis(2, TotalPhotonCutoff(2))
     split = lift_unitary(
         bs_matrix(BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, 0.0), 2), two
@@ -477,8 +474,7 @@ def swap_gate():
     basis = FockBasis(2, TotalPhotonCutoff(2))
     lift = lift_unitary(u, basis)
     target = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for j, (a, b) in enumerate(basis.occupations):
-        target[basis.index_of((b, a)), j] = 1.0
+    target[_lookup(basis.occupations, basis.occupations[:, ::-1]), np.arange(basis.dimension)] = 1.0
     mode_dev = float(np.max(np.abs(u.matrix - np.array([[0.0, 1.0], [1.0, 0.0]]))))
     report = _make_report(
         lift.matrix, target, 1.0, mode_matrix_deviation=mode_dev, basis=basis
@@ -713,8 +709,7 @@ def tmsv_state(q: float, cutoff: int) -> PureState:
         )
     basis = FockBasis(2, PerModeCutoff(cutoff))
     amps = np.zeros(basis.dimension, dtype=complex)
-    for n, amp in enumerate(tmsv_ladder(q, cutoff)):
-        amps[basis.index_of((n, n))] = amp
+    amps[[basis.index_of((n, n)) for n in range(cutoff + 1)]] = tmsv_ladder(q, cutoff)
     return PureState(basis, amps)
 
 
@@ -762,10 +757,8 @@ def procrustean_filter(tmsv: PureState, lambda_target: complex, q: float) -> Pro
     cond = extract_conditional_operator(
         bs_matrix(params, 2), (0,), AncillaSpec((1,)), DetectionSpec((1,)), cutoff
     )
-    y = np.diag(cond.operator.matrix).copy()
-    amps = tmsv.amplitudes.copy()
-    for i, (n, m) in enumerate(tmsv.basis.occupations):
-        amps[i] *= y[n]
+    y = np.diag(cond.operator.matrix)
+    amps = _cmul(tmsv.amplitudes, y[tmsv.basis.occupations[:, 0]])
     success = float(np.vdot(amps, amps).real)
     filtered = PureState(tmsv.basis, amps / math.sqrt(success))
 
@@ -789,9 +782,8 @@ def procrustean_filter(tmsv: PureState, lambda_target: complex, q: float) -> Pro
 def _crop_pair_state(state: PureState, top: int) -> PureState:
     basis = FockBasis(2, PerModeCutoff(top))
     amps = np.zeros(basis.dimension, dtype=complex)
-    for i, occ in enumerate(state.basis.occupations):
-        if occ in basis:
-            amps[basis.index_of(occ)] = state.amplitudes[i]
+    kept = (state.basis.occupations <= top).all(axis=1)
+    amps[_lookup(basis.occupations, state.basis.occupations[kept])] = state.amplitudes[kept]
     return PureState(basis, amps / np.linalg.norm(amps))
 
 
@@ -905,9 +897,7 @@ def hadamard_gate():
 
         stage = "controlled-z sandwich"
         joint = FockBasis(2, TotalPhotonCutoff(3))
-        cz_diag = np.array(
-            [1.0 - 2.0 * n1 * n2 for (n1, n2) in joint.occupations], dtype=complex
-        )
+        cz_diag = (1.0 - 2.0 * joint.occupations.prod(axis=1, dtype=float)).astype(complex)
         achieved = np.zeros((2, 2), dtype=complex)
         stage_norms = {}
         for col, qubit in enumerate((np.array([1.0, 0.0]), np.array([0.0, 1.0]))):
@@ -917,7 +907,7 @@ def hadamard_gate():
                     amps[joint.index_of((n1, n2))] = qubit[n1] * anc.amplitudes[n2]
             amps = cz_diag * amps
             out = np.zeros(joint.dimension, dtype=complex)
-            for j, (n1, n2) in enumerate(joint.occupations):
+            for j, (n1, n2) in enumerate(joint.occupations.tolist()):
                 if amps[j] == 0:
                     continue
                 for m1 in range(3):

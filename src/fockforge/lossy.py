@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec, _lookup
-from .fock import FockBasis, FockOperator, MixedState, TotalPhotonCutoff
+from .conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec
+from .fock import FockBasis, FockOperator, MixedState, TotalPhotonCutoff, _lookup
 from .interferometer import ModeUnitary
 
 
@@ -123,14 +123,15 @@ def dilation_unitary(params: LossyBSParams) -> ModeUnitary:
     return ModeUnitary(4, u)
 
 
-def pure_loss(rho: np.ndarray, occ: np.ndarray, mode: int, eta: float) -> np.ndarray:
+def pure_loss(rho: np.ndarray, basis: FockBasis, mode: int, eta: float) -> np.ndarray:
     """rho -> sum_k K_k rho K_k^dag, pure loss of transmissivity eta on
     `mode`, with K_k |n> = sqrt(C(n, k) eta^(n-k) (1-eta)^k) |n-k> (Chuang,
-    Leung & Yamamoto, PRA 56, 1114, 1997).  rho lives on a basis whose
-    occupations are the rows of `occ` (uint8) and which holds every state
-    with photons taken from `mode`.  k = 0 only scales rho; each
-    further k is one gather, scale and scatter-add, from the states with
-    at least k photons there."""
+    Leung & Yamamoto, PRA 56, 1114, 1997).  rho is a matrix on `basis`,
+    which holds every state with photons taken from `mode`, as both
+    cutoff policies do.  k = 0 only scales rho; each further k is one
+    gather, scale and scatter-add, from the states with at least k photons
+    there."""
+    occ = basis.occupations
     n = occ[:, mode]
     top = int(n.max())
 
@@ -167,13 +168,15 @@ def lossy_bs_channel(params: LossyBSParams, cutoff: int) -> ChannelOperator:
     closed = ConditionalExtractor(4, range(4), AncillaSpec(()), DetectionSpec(()), cutoff)
     basis = FockBasis(2, TotalPhotonCutoff(cutoff))
     lift = np.vstack([closed.extract_matrix(dilation_unitary(params)), np.zeros(closed.signal_basis.dimension)])
-    index = closed.signal_basis.index
-    cols = [index[occ + (0, 0)] for occ in basis.occupations]
+    closed_occ, occ = closed.signal_basis.occupations, basis.occupations
+    cols = _lookup(closed_occ, np.hstack([occ, np.zeros_like(occ)]))
     devices, kraus = [], []
-    for dev in sorted(basis.occupations):
-        block = lift[np.ix_([index.get(occ + dev, -1) for occ in basis.occupations], cols)]
+    for dev in sorted(occ.tolist()):
+        rows = _lookup(closed_occ, np.hstack([occ, np.tile(np.array(dev, dtype=np.uint8), (len(occ), 1))]))
+        rows[occ.sum(axis=1, dtype=np.intp) + sum(dev) > cutoff] = -1
+        block = lift[np.ix_(rows, cols)]
         if np.max(np.abs(block)) > 1e-14:
-            devices.append(dev)
+            devices.append(tuple(dev))
             kraus.append(block)
     return ChannelOperator(basis, tuple(devices), tuple(kraus))
 
@@ -203,10 +206,8 @@ def povm_element(n: int, detector: DetectorModel) -> FockOperator:
     eta = detector.eta
     basis = FockBasis(1, TotalPhotonCutoff(detector.cutoff))
     diag = np.zeros(basis.dimension)
-    for k in range(n, detector.cutoff + 1):
-        diag[basis.index_of((k,))] = (
-            math.comb(k, n) * eta**n * (1.0 - eta) ** (k - n)
-        )
+    # a one-mode basis holds k photons at index k
+    diag[n:] = [math.comb(k, n) * eta**n * (1.0 - eta) ** (k - n) for k in range(n, detector.cutoff + 1)]
     return FockOperator(basis, np.diag(diag).astype(complex))
 
 
@@ -297,7 +298,7 @@ def noisy_sigma_z_experiment(abs_a: float, eta: float, c0: complex, c1: complex)
     for dev, kraus in zip(channel.devices, channel.kraus):
         evolved = kraus @ psi
         for k in (1, 2):
-            v = np.array([evolved[pair.index[n, k]] if n + k <= 2 else 0j for n in range(3)])
+            v = np.array([evolved[pair.index_of((n, k))] if n + k <= 2 else 0j for n in range(3)])
             branches.setdefault((k, sum(dev)), []).append(np.outer(v, v.conj()))
     out = np.zeros((sig.dimension, sig.dimension), dtype=complex)
     wanted_matrix = np.zeros_like(out)

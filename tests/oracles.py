@@ -38,7 +38,7 @@ def lift_oracle(mode_matrix, basis: FockBasis) -> np.ndarray:
         raise ValueError("matrix dimension does not match the basis")
     dim = basis.dimension
     out = np.zeros((dim, dim), dtype=complex)
-    for col, occ_in in enumerate(basis.occupations):
+    for col, occ_in in enumerate(basis.occupations.tolist()):
         poly = {tuple([0] * modes): 1.0 + 0.0j}
         for j, nj in enumerate(occ_in):
             for _ in range(nj):
@@ -76,12 +76,11 @@ def ladder_matrix(basis: FockBasis, mode: int, kind: str) -> FockOperator:
     if kind not in ("create", "annihilate"):
         raise ValueError("kind must be 'create' or 'annihilate'")
     m = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for i, occ in enumerate(basis.occupations):
+    for i, occ in enumerate(basis.occupations.tolist()):
         if kind == "create":
             target = _occ_step(occ, mode, +1)
-            j = basis.index.get(target)
-            if j is not None:
-                m[j, i] = math.sqrt(occ[mode] + 1)
+            if target in basis:
+                m[basis.index_of(target), i] = math.sqrt(occ[mode] + 1)
         else:
             if occ[mode] > 0:
                 j = basis.index_of(_occ_step(occ, mode, -1))
@@ -159,8 +158,8 @@ def per_entry_extraction(mode_count, signal_modes, ancilla, det, signal_cutoff, 
     if isinstance(ancilla, AncillaSpec):
         components = [(1, ancilla.counts)]
     else:
-        components = [(complex(a), occ) for occ, a in zip(ancilla.basis.occupations, ancilla.amplitudes) if a != 0]
-    occs = FockBasis(len(signal), TotalPhotonCutoff(signal_cutoff)).occupations
+        components = [(complex(a), occ) for occ, a in zip(ancilla.basis.occupations.tolist(), ancilla.amplitudes) if a != 0]
+    occs = FockBasis(len(signal), TotalPhotonCutoff(signal_cutoff)).occupations.tolist()
 
     def scatter(signal_occ, aux_occ):
         full = [0] * mode_count

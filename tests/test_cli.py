@@ -107,7 +107,7 @@ def test_condition_blocks_print_the_operator_in_fmt_bytes(capsys, tmp_path, monk
     cond = conditioning.extract_conditional_operator(
         compose(cli._network_of(parse_circuit(text))), (0, 1), AncillaSpec((1,)), DetectionSpec((1,)), 15
     )
-    labels = [",".join(map(str, occ)) for occ in cond.operator.basis.occupations]
+    labels = [",".join(map(str, occ)) for occ in cond.operator.basis.occupations.tolist()]
     entries = [(o, i, _fmt(v.real), _fmt(v.imag)) for o, row in zip(labels, cond.operator.matrix) for i, v in zip(labels, row)]
     assert out.endswith("out\tin\tre\tim\n" + _rows_to_tsv(entries))
     assert sum(e[2:] == ("0", "0") for e in entries) > len(entries) // 2
@@ -411,14 +411,14 @@ def test_condition_detector_below_the_signal_modes(tmp_path, capsys):
     signal = FockBasis(2, TotalPhotonCutoff(cutoff))
 
     def entry(out_occ, in_occ):
-        return lift[full.index_of((1,) + out_occ), full.index_of((1,) + in_occ)]
+        return lift[full.index_of((1, *out_occ)), full.index_of((1, *in_occ))]
 
     rc, out = run(capsys, ["condition", str(path), "--cutoff", str(cutoff)])
     assert rc == 0
     head = kv(out)
     assert head["signal_modes"] == "1,2"
     # the reference input is the signal photon on mode 1, now position 0
-    column = [entry(occ, (1, 0)) for occ in signal.occupations]
+    column = [entry(occ, (1, 0)) for occ in signal.occupations.tolist()]
     expect_p = sum(abs(a) ** 2 for a in column)
     assert abs(float(head["success_probability"]) - expect_p) < 1e-10
     rows = tsv_rows(out)

@@ -58,8 +58,8 @@ def test_lift_conserves_photon_number():
     basis = FockBasis(2, TotalPhotonCutoff(4))
     u = random_unitary(2, 3)
     lift = lift_unitary(u, basis).matrix
-    for i, occ_out in enumerate(basis.occupations):
-        for j, occ_in in enumerate(basis.occupations):
+    for i, occ_out in enumerate(basis.occupations.tolist()):
+        for j, occ_in in enumerate(basis.occupations.tolist()):
             if sum(occ_out) != sum(occ_in):
                 assert lift[i, j] == 0
 
@@ -70,7 +70,7 @@ def test_lift_is_unitary_on_its_top_sector(modes, photons):
     # at twenty photons took that route 25 s); the recurrence's rounding
     # must not grow with them
     basis = FockBasis(modes, TotalPhotonCutoff(photons))
-    top = [i for i, occ in enumerate(basis.occupations) if sum(occ) == photons]
+    top = [i for i, occ in enumerate(basis.occupations.tolist()) if sum(occ) == photons]
     for seed in range(5):
         block = lift_unitary(random_unitary(modes, seed), basis).matrix[np.ix_(top, top)]
         assert np.linalg.norm(block @ block.conj().T - np.eye(len(top)), 2) <= 1e-11
@@ -378,7 +378,7 @@ def test_recurrence_holds_exact_identities_at_the_photon_cap():
     # 7.6e-12 at seeds 1 to 50 and reaches 1.3e-10 at 48 photons
     tol = 1e-10
     basis = FockBasis(2, TotalPhotonCutoff(MAX_PHOTONS))
-    top = [i for i, occ in enumerate(basis.occupations) if sum(occ) == MAX_PHOTONS]
+    top = [i for i, occ in enumerate(basis.occupations.tolist()) if sum(occ) == MAX_PHOTONS]
     for seed in range(1, 6):
         block = lift_unitary(random_unitary(2, seed), basis).matrix[np.ix_(top, top)]
         assert np.max(np.abs(block @ block.conj().T - np.eye(len(top)))) < tol

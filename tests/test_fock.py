@@ -46,8 +46,10 @@ def test_basis_orders_by_total_then_lexicographically(modes, policy):
     grid = (occ for occ in itertools.product(range(bound + 1), repeat=modes) if not total or sum(occ) <= bound)
     expected = tuple(sorted(grid, key=lambda occ: (sum(occ), occ)))
     basis = FockBasis(modes, policy)
-    assert basis.occupations == expected
-    assert basis.index == {occ: i for i, occ in enumerate(expected)}
+    occupations = basis.occupations
+    assert occupations.tolist() == [list(occ) for occ in expected]
+    assert occupations.dtype == np.uint8 and occupations.flags.c_contiguous and not occupations.flags.writeable
+    assert [basis.index_of(occ) for occ in expected] == list(range(len(expected)))
 
 
 def test_basis_of_999_modes_builds():
@@ -55,16 +57,28 @@ def test_basis_of_999_modes_builds():
     # would overflow the interpreter's stack here
     basis = FockBasis(999, TotalPhotonCutoff(1))
     assert basis.dimension == 1000
-    assert basis.occupations[:2] == ((0,) * 999, (0,) * 998 + (1,))
-    assert basis.occupations[-1] == (1,) + (0,) * 998
+    assert basis.occupations[:2].tolist() == [[0] * 999, [0] * 998 + [1]]
+    assert basis.occupations[-1].tolist() == [1] + [0] * 998
+
+
+def test_basis_holds_at_most_255_photons_in_a_mode():
+    # the occupations are uint8: a mode of 256 photons would wrap to 0
+    assert FockBasis(1, PerModeCutoff(255)).occupations[-1].tolist() == [255]
+    for policy in (PerModeCutoff(256), TotalPhotonCutoff(256)):
+        with pytest.raises(ValueError, match="uint8"):
+            FockBasis(2, policy)
 
 
 def test_index_of_round_trips():
     basis = FockBasis(3, TotalPhotonCutoff(4))
-    for i, occ in enumerate(basis.occupations):
-        assert basis.index_of(occ) == i
-    with pytest.raises(KeyError):
-        basis.index_of((5, 0, 0))
+    for i, occ in enumerate(basis.occupations.tolist()):
+        assert basis.index_of(occ) == i and occ in basis
+    # above the cutoff, past a uint8 (256 would wrap to 0), negative, and
+    # of the wrong length
+    for occ in [(5, 0, 0), (256, 0, 0), (-1, 1, 0), (1, 0), (0, 0, 0, 0)]:
+        with pytest.raises(KeyError):
+            basis.index_of(occ)
+        assert occ not in basis
 
 
 def test_pure_state_rejects_norm_above_one():
@@ -196,7 +210,7 @@ def test_block_spectrum_matches_the_dense_factorizations():
         [FockBasis(3, TotalPhotonCutoff(8)), FockBasis(5, PerModeCutoff(2)), FockBasis(3, TotalPhotonCutoff(4))],
         [(0,), (1,), (-2,), (0, 2), (1, 3)],
     ):
-        totals = np.array([sum(occ) for occ in basis.occupations])
+        totals = np.array([sum(occ) for occ in basis.occupations.tolist()])
         m = rng.normal(size=(basis.dimension,) * 2) + 1j * rng.normal(size=(basis.dimension,) * 2)
         m *= np.isin(totals[:, None] - totals[None, :], shifts)
         h = m + m.conj().T

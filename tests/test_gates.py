@@ -60,7 +60,7 @@ def test_swap_gate_swaps_occupations():
     amps /= np.linalg.norm(amps)
     out = lift @ amps
     swapped = np.zeros_like(amps)
-    for i, (n1, n2) in enumerate(basis.occupations):
+    for i, (n1, n2) in enumerate(basis.occupations.tolist()):
         swapped[basis.index_of((n2, n1))] = amps[i]
     dev, _ = phase_aligned_residual(
         out.reshape(-1, 1), swapped.reshape(-1, 1)
@@ -119,7 +119,7 @@ def test_creation_polynomial_operator_matches_ladder_oracle():
     n_norm = rescale["normalization"]
     basis = cond.operator.basis
     ad = ladder_matrix(basis, 0, "create").matrix
-    n_diag = np.diag([t ** sum(occ) for occ in basis.occupations])
+    n_diag = np.diag([t ** sum(occ) for occ in basis.occupations.tolist()])
     expect = np.zeros_like(cond.operator.matrix)
     power = np.eye(basis.dimension, dtype=complex)
     for k, d in enumerate(coeffs):

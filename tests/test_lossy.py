@@ -140,13 +140,13 @@ def full_lift_kraus(params, cutoff):
     basis = FockBasis(2, TotalPhotonCutoff(cutoff))
     big = FockBasis(4, TotalPhotonCutoff(cutoff))
     lift = lift_unitary(dilation_unitary(params), big).matrix
-    col = [big.index_of(occ + (0, 0)) for occ in basis.occupations]
+    col = [big.index_of((*occ, 0, 0)) for occ in basis.occupations.tolist()]
     blocks, devices = [], []
-    for dev in sorted({(occ[2], occ[3]) for occ in big.occupations}):
+    for dev in sorted({(occ[2], occ[3]) for occ in big.occupations.tolist()}):
         block = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-        for i, occ in enumerate(basis.occupations):
-            if occ + dev in big:
-                block[i, :] = lift[big.index_of(occ + dev), col]
+        for i, occ in enumerate(basis.occupations.tolist()):
+            if (*occ, *dev) in big:
+                block[i, :] = lift[big.index_of((*occ, *dev)), col]
         if np.max(np.abs(block)) > 1e-14:
             blocks.append(block)
             devices.append(dev)
@@ -175,13 +175,12 @@ def test_loss_map_then_splitter_is_the_dilation_channel(cutoff, absorption):
     # the lift of B, is the Stinespring route's channel of (T, a I)
     rng = np.random.default_rng([cutoff, int(100 * absorption)])
     basis = FockBasis(2, TotalPhotonCutoff(cutoff))
-    occ = np.array(basis.occupations, dtype=np.uint8)
     eta = 1.0 - absorption**2
     for seed in range(3):
         b = bs_matrix(BeamSplitterParams(0, 1, *rng.uniform(-math.pi, math.pi, 3)), 2).matrix
         rho = random_density(basis, [cutoff, seed]).matrix
         lift = lift_unitary(ModeUnitary(2, b), basis).matrix
-        got = lift @ pure_loss(pure_loss(rho, occ, 0, eta), occ, 1, eta) @ lift.conj().T
+        got = lift @ pure_loss(pure_loss(rho, basis, 0, eta), basis, 1, eta) @ lift.conj().T
         want = lossy_bs_channel(LossyBSParams(math.sqrt(eta) * b, absorption * np.eye(2)), cutoff).apply(rho)
         assert np.max(np.abs(got - want.matrix)) < 1e-12
 
@@ -328,7 +327,7 @@ def dense_dilation_experiment(abs_a, eta, c0, c1):
     wanted = np.zeros((3, 3), dtype=complex)
     weights = {"wanted": 0.0, "detector": 0.0, "absorption": 0.0}
     branches = {}
-    for amp, (n_sig, k, l3, l4) in zip(evolved, big.occupations):
+    for amp, (n_sig, k, l3, l4) in zip(evolved, big.occupations.tolist()):
         if k >= 1:
             by_dev = branches.setdefault((k, l3 + l4), {})
             by_dev.setdefault((l3, l4), np.zeros(3, dtype=complex))[n_sig] += amp

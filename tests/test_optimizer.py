@@ -393,7 +393,7 @@ def test_superposed_ancilla_search_and_direct_routes_agree(seed):
     via_search = _superposed_objective(anc, signal).extractor().extract_matrix(m)
     direct = extract_with_ancilla_state(m, (signal,), anc, DetectionSpec((1, 0)), 4)
     per_component = None
-    for occ, amp in zip(basis.occupations, anc.amplitudes):
+    for occ, amp in zip(basis.occupations.tolist(), anc.amplitudes):
         if amp == 0:
             continue
         part = complex(amp) * extract_conditional_operator(

@@ -1,7 +1,8 @@
 """Checks on the package from outside: its declared dependencies, its
 size constants and the names that README's limits table cites, cli's
-documented circuit grammar against the table it parses by, and the
-names the benchmark's tracer wraps.
+documented circuit grammar against the table it parses by, the modules
+that read a basis's occupation table, and the names the benchmark's
+tracer wraps and what its hooks read.
 
 A wrapped name that disappears is skipped at run time, so renaming or
 deleting one silently drops the metrics it feeds.  Resolving every name
@@ -20,7 +21,9 @@ import numpy as np
 import pytest
 
 from fockforge import cli, optimizer
-from fockforge.conditioning import AncillaSpec, DetectionSpec
+from fockforge.conditioning import AncillaSpec, DetectionSpec, lift_unitary
+from fockforge.fock import FockBasis, TotalPhotonCutoff
+from fockforge.interferometer import random_unitary
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -116,6 +119,25 @@ def test_readme_limits_table_names_only_code_that_exists():
         assert any(found), f"README's limits table names {name}, which fockforge does not define"
 
 
+def test_only_fock_reads_the_occupation_format():
+    # a basis's occupations are one uint8 table that only fock.py converts
+    # or looks states up in: no other module wraps it in np.array or
+    # np.asarray, or reads a basis's `index` (a list's index() is a call)
+    found = []
+    for path in sorted((ROOT / "src" / "fockforge").glob("*.py")):
+        if path.name == "fock.py":
+            continue
+        tree = ast.parse(path.read_text())
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.array", "np.asarray") and node.args:
+                if any(isinstance(n, ast.Attribute) and n.attr == "occupations" for n in ast.walk(node.args[0])):
+                    found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Attribute) and node.attr == "index" and id(node) not in called:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"the occupation format is read outside fock.py at {found}"
+
+
 def _load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
@@ -154,3 +176,15 @@ def test_run_restart_returns_what_the_restart_hook_reads():
     tracer._after_restart((objective, 1, 2), result, 0.0)
     assert tracer.counts["optimizer.restarts"] == 1
     assert tracer.counts["optimizer.evaluations"] == evaluations
+
+
+def test_lift_hook_reads_the_basis():
+    # Tracer._after_lift sums the squares of a lift's photon-number sectors
+    # from its basis's occupations: 3 modes at cutoff 4 have sectors of 1,
+    # 3, 6, 10 and 15 states
+    basis = FockBasis(3, TotalPhotonCutoff(4))
+    u = random_unitary(3, 1)
+    tracer = tracing.Tracer()
+    tracer._after_lift((u, basis), lift_unitary(u, basis), 0.0)
+    assert tracer.counts["conditioning.lift.amplitudes"] == 1 + 9 + 36 + 100 + 225
+    assert tracer.counts["conditioning.lift.max_dim"] == 35
