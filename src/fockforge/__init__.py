@@ -63,12 +63,9 @@ from .gates import (
     vacuum_detector_transmissions,
 )
 from .lossy import (
-    ChannelOperator,
     DetectorModel,
     LossyBSParams,
     choose_T_for_sigma_z,
-    dilation_unitary,
-    lossy_bs_channel,
     noisy_sigma_z_experiment,
     povm_element,
 )

@@ -11,8 +11,8 @@ computed exactly in each photon-number sector by a creation recurrence
 serves a Fock ancilla (AncillaSpec) and a superposed one (PureState),
 the amplitude-weighted sum of its Fock components.  Every Fock operator
 the package uses is such an extraction: the unitary lift is the
-extraction with no ancilla, and an absorbing splitter's Kraus blocks are
-slices of its dilation's lift (see lossy).  The tests cross-check them
+extraction with no ancilla, and an absorbing splitter is closed-form
+pure loss between lifts (see lossy).  The tests cross-check them
 against tests/oracles.py, which expands them as polynomials in creation
 operators, and which also keeps a per-entry loop of permanents with
 repeated indices, through the flat kernel, as a second route.

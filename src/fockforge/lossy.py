@@ -2,24 +2,24 @@
 sign-flip experiment.
 
 An absorbing element is described by a transmission block T and an
-absorption block A closing to T T^dag + A A^dag = I.  The channel it
-generates is computed exactly in Stinespring form: a four-mode unitary
-whose field-field block is T acts on the physical pair plus two device
-modes, and Kraus block d is the dilation conditioned on vacuum device
-inputs and device outcome d.  On a finite photon sector this dilation
-is exact, so no Kraus-integral sampling is needed.
-
-The circuit grammar's absorber has A = a I, so T = sqrt(1 - a^2) B with
-B unitary.  simulate runs absorbers through the transfer matrix alone,
-T = U diag(s) V^dag: the lift of V^dag, pure loss s_i^2 on each mode,
-then the lift of U.  pure_loss applies that loss with no dilation.
+absorption block A closing to T T^dag + A A^dag = I.  The circuit
+grammar's absorber and the sign-flip slab have A = a I, so
+T = sqrt(1 - a^2) B with B unitary.  Every lossy route runs through the
+transfer matrix alone: simulate splits it as T = U diag(s) V^dag and
+applies the lift of V^dag, pure loss s_i^2 on each mode, then the lift
+of U; the sign-flip experiment applies equal pure loss 1 - a^2 on both
+modes, then the lift of B.  Pure loss is closed form (Chuang, Leung &
+Yamamoto, PRA 56, 1114, 1997), and _loss_terms writes its Kraus
+operators once for both.  dilation_unitary, the element's four-mode
+Stinespring unitary, is kept for reference; the tests hold both routes
+to the channel it generates.
 
 Inefficient detectors are the binomial POVM
 Pi(n) = sum_k C(k, n) eta^n (1 - eta)^{k - n} |k><k|.
 
-The noisy sign-flip experiment is that channel on (signal, ancilla)
-followed by the detector POVM on the ancilla; the device label of each
-Kraus block tells the absorbed branches apart.
+The noisy sign-flip experiment is the slab on (signal, ancilla)
+followed by the detector POVM on the ancilla; the photons each product
+of loss terms takes tell the absorbed branches apart.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec
+from .conditioning import lift_unitary
 from .fock import FockBasis, FockOperator, MixedState, TotalPhotonCutoff, _lookup
 from .interferometer import ModeUnitary
 
@@ -71,34 +71,6 @@ class LossyBSParams:
         return LossyBSParams(tm, a * np.eye(2))
 
 
-@dataclass
-class ChannelOperator:
-    """Completely positive trace-preserving map from the four-mode dilation.
-
-    kraus holds the blocks <d|W|0,0> and devices the device occupation d
-    of each, in the same order; blocks that vanish on the sector are left
-    out.  The completeness sum is checked at construction, which on a
-    closed photon sector is exact rather than truncated.
-    """
-
-    basis: FockBasis
-    devices: tuple
-    kraus: tuple
-
-    def __post_init__(self):
-        dim = self.basis.dimension
-        total = np.zeros((dim, dim), dtype=complex)
-        for k in self.kraus:
-            total += k.conj().T @ k
-        dev = float(np.max(np.abs(total - np.eye(dim))))
-        if dev > 1e-10:
-            raise ValueError(f"channel is not trace preserving: sum K^dag K off by {dev:.3e}")
-
-    def apply(self, state) -> MixedState:
-        rho = state.matrix if isinstance(state, MixedState) else np.asarray(state, dtype=complex)
-        return MixedState(self.basis, sum(k @ rho @ k.conj().T for k in self.kraus))
-
-
 def _psd_sqrt(gram: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.  gram can
     dip epsilon-negative at the closure edge, and ULP-level residues would
@@ -123,62 +95,35 @@ def dilation_unitary(params: LossyBSParams) -> ModeUnitary:
     return ModeUnitary(4, u)
 
 
-def pure_loss(rho: np.ndarray, basis: FockBasis, mode: int, eta: float) -> np.ndarray:
-    """rho -> sum_k K_k rho K_k^dag, pure loss of transmissivity eta on
-    `mode`, with K_k |n> = sqrt(C(n, k) eta^(n-k) (1-eta)^k) |n-k> (Chuang,
-    Leung & Yamamoto, PRA 56, 1114, 1997).  rho is a matrix on `basis`,
-    which holds every state with photons taken from `mode`, as both
-    cutoff policies do.  k = 0 only scales rho; each further k is one
-    gather, scale and scatter-add, from the states with at least k photons
-    there."""
+def _loss_terms(basis: FockBasis, mode: int, eta: float):
+    """The Kraus operators K_k |n> = sqrt(C(n, k) eta^(n-k) (1-eta)^k) |n-k>
+    of pure loss of transmissivity eta on `mode`, for k = 0, 1, ..., as
+    (src, dst, w): K_k sends state src[i] to state dst[i] with weight w[i].
+    basis must hold every state with photons taken from `mode`, as both
+    cutoff policies do.  K_0 keeps every state where it is."""
     occ = basis.occupations
     n = occ[:, mode]
     top = int(n.max())
-
-    def weight(k):  # the K_k weights of n = k, ..., top photons
-        return np.sqrt([math.comb(m, k) * eta ** (m - k) * (1.0 - eta) ** k for m in range(k, top + 1)])
-
-    w = weight(0)[n]
-    out = w[:, None] * rho * w  # k = 0 keeps every state where it is
-    for k in range(1, top + 1):
+    for k in range(top + 1):
         src = np.flatnonzero(n >= k)
         lowered = occ[src]
         lowered[:, mode] -= k
-        dst = _lookup(occ, lowered)
-        w = weight(k)[n[src] - k]
+        dst = _lookup(occ, lowered) if k else src
+        w = np.sqrt([math.comb(m, k) * eta ** (m - k) * (1.0 - eta) ** k for m in range(k, top + 1)])
+        yield src, dst, w[n[src] - k]
+
+
+def pure_loss(rho: np.ndarray, basis: FockBasis, mode: int, eta: float) -> np.ndarray:
+    """rho -> sum_k K_k rho K_k^dag, pure loss of transmissivity eta on
+    `mode` (see _loss_terms); rho is a matrix on `basis`.  K_0 only scales
+    rho; each further K_k is one gather, scale and scatter-add, from the
+    states with at least k photons there."""
+    terms = _loss_terms(basis, mode, eta)
+    _, _, w = next(terms)
+    out = w[:, None] * rho * w
+    for src, dst, w in terms:
         out[np.ix_(dst, dst)] += w[:, None] * rho[np.ix_(src, src)] * w
     return out
-
-
-def lossy_bs_channel(params: LossyBSParams, cutoff: int) -> ChannelOperator:
-    """Quantum channel of the absorbing element on states of at most
-    cutoff photons.
-
-    Kraus block d is the four-mode dilation conditioned on vacuum device
-    inputs and device outcome d, sliced from one lift of the dilation.
-    The photon sector is closed under the dilation (the device modes soak
-    up exactly what the field loses), so the family indexed by device
-    occupations is finite and complete.  The extractor refuses a closed
-    sector of more than conditioning.MAX_DENSE_DIMENSION states
-    (OverflowError; C(cutoff + 4, 4) is 1,001 at cutoff 10 and 1,365 at
-    11) before anything is built.
-    """
-    # the dilation's lift on its closed sector, and a zero row last for
-    # the rows (out, d) above it; block d is rows (out, d) x columns (in, 0, 0)
-    closed = ConditionalExtractor(4, range(4), AncillaSpec(()), DetectionSpec(()), cutoff)
-    basis = FockBasis(2, TotalPhotonCutoff(cutoff))
-    lift = np.vstack([closed.extract_matrix(dilation_unitary(params)), np.zeros(closed.signal_basis.dimension)])
-    closed_occ, occ = closed.signal_basis.occupations, basis.occupations
-    cols = _lookup(closed_occ, np.hstack([occ, np.zeros_like(occ)]))
-    devices, kraus = [], []
-    for dev in sorted(occ.tolist()):
-        rows = _lookup(closed_occ, np.hstack([occ, np.tile(np.array(dev, dtype=np.uint8), (len(occ), 1))]))
-        rows[occ.sum(axis=1, dtype=np.intp) + sum(dev) > cutoff] = -1
-        block = lift[np.ix_(rows, cols)]
-        if np.max(np.abs(block)) > 1e-14:
-            devices.append(tuple(dev))
-            kraus.append(block)
-    return ChannelOperator(basis, tuple(devices), tuple(kraus))
 
 
 @dataclass(frozen=True)
@@ -260,12 +205,15 @@ def noisy_sigma_z_experiment(abs_a: float, eta: float, c0: complex, c1: complex)
     photon qubit, with a single-photon ancilla and an efficiency-eta
     one-photon detection.
 
-    The element's channel acts on (signal, ancilla) and the detector POVM
-    on the ancilla output; each Kraus block's device label sorts what it
-    carries into a branch.  The returned report splits the unnormalized
-    conditioned state into the transmitted branch, the detector-confusion
-    branch (two photons arrived, one was missed), and the absorption
-    branch, and compares the latter two against their closed forms
+    The slab T = sqrt(1 - a^2) B acts on the (signal, ancilla) vector as
+    equal pure loss 1 - a^2 on both modes, then the lift of B, and the
+    detector POVM acts on the ancilla output; each product Kraus term
+    K_k0 K_k1 is filed under the photons it takes, l = k0 + k1, and no
+    density matrix is built before the branches.  The returned report
+    splits the unnormalized conditioned state into the transmitted
+    branch, the detector-confusion branch (two photons arrived, one was
+    missed), and the absorption branch, and compares the latter two
+    against their closed forms
     |A|^4 - 3 + 2 sqrt(3 - 2|A|^2)   and   |A|^2 (1 - |A|^2).
     """
     a = float(abs_a)
@@ -282,24 +230,32 @@ def noisy_sigma_z_experiment(abs_a: float, eta: float, c0: complex, c1: complex)
     t = choose_T_for_sigma_z(a)
     params = LossyBSParams.symmetric_slab(t, a)
     r = float(params.t_matrix[0, 1].imag)
-    channel = lossy_bs_channel(params, 2)
-    pair = channel.basis  # (signal, ancilla), at most two photons
+    pair = FockBasis(2, TotalPhotonCutoff(2))  # (signal, ancilla), at most two photons
     psi = np.zeros(pair.dimension, dtype=complex)
     psi[pair.index_of((0, 1))] = c0
     psi[pair.index_of((1, 1))] = c1
+    lift = lift_unitary(ModeUnitary(2, params.t_matrix / math.sqrt(1.0 - a * a)), pair).matrix
+    terms = [list(_loss_terms(pair, mode, 1.0 - a * a)) for mode in (0, 1)]
     # POVM weight of registering one photon when k arrived
     seen_one = np.diag(povm_element(1, DetectorModel(eta, 2)).matrix).real
 
+    def lose(x, term):  # one loss term (src, dst, w) applied to the vector x
+        src, dst, w = term
+        y = np.zeros_like(x)
+        y[dst] = w * x[src]
+        return y
+
     sig = FockBasis(1, TotalPhotonCutoff(2))
-    # branch label: (detector count k, device total l); v holds the signal
-    # amplitudes beside k ancilla photons, and device occupations stay
-    # distinguishable, so each adds its own projector to the branch
+    # branch label: (detector count k, photons lost l = k0 + k1); v holds
+    # the signal amplitudes beside k ancilla photons, and the loss patterns
+    # stay distinguishable, so each adds its own projector to the branch
     branches: dict = {}
-    for dev, kraus in zip(channel.devices, channel.kraus):
-        evolved = kraus @ psi
-        for k in (1, 2):
-            v = np.array([evolved[pair.index_of((n, k))] if n + k <= 2 else 0j for n in range(3)])
-            branches.setdefault((k, sum(dev)), []).append(np.outer(v, v.conj()))
+    for k0, term0 in enumerate(terms[0]):
+        for k1, term1 in enumerate(terms[1][: 3 - k0]):  # at most two photons are lost
+            evolved = lift @ lose(lose(psi, term0), term1)
+            for k in (1, 2):
+                v = np.array([evolved[pair.index_of((n, k))] if n + k <= 2 else 0j for n in range(3)])
+                branches.setdefault((k, k0 + k1), []).append(np.outer(v, v.conj()))
     out = np.zeros((sig.dimension, sig.dimension), dtype=complex)
     wanted_matrix = np.zeros_like(out)
     weights = {"wanted": 0.0, "detector": 0.0, "absorption": 0.0}

@@ -65,7 +65,10 @@ def _glynn(a: list[complex], n: int) -> complex:
         if k:
             # step k flips row j; bit j of k's Gray code is set when d_j = -1
             j = (k & -k).bit_length() - 1
-            block += -flips[j] if (k ^ k >> 1) >> j & 1 else flips[j]
+            if (k ^ k >> 1) >> j & 1:
+                block -= flips[j]
+            else:
+                block += flips[j]
         term = complex(np.prod(block, axis=0) @ weights) * (-1.0 if k & 1 else 1.0)
         t = s_re + term.real
         c_re += (s_re - t) + term.real if abs(s_re) >= abs(term.real) else (term.real - t) + s_re

@@ -10,16 +10,22 @@ operator entry, with rows and columns repeated by the occupations; a
 single lift amplitude and a single repeated-index permanent go the same
 way.  The CNOT slab residual is alternating least squares over dense 6x4
 slabs with pseudo-inverted Gram matrices, one angle pair at a time, the
-route the batched closed-form scan replaced.
+route the batched closed-form scan replaced.  The absorbing element's
+channel is its four-mode Stinespring dilation, each Kraus block sliced
+from one lift of the closed sector and labelled by its device
+occupation.  Closed-form pure loss replaced it in simulate and in the
+noisy sign-flip experiment, and the tests hold both to it.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from fockforge.conditioning import AncillaSpec, _as_matrix
-from fockforge.fock import FockBasis, FockOperator, TotalPhotonCutoff
+from fockforge.conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec, _as_matrix
+from fockforge.fock import FockBasis, FockOperator, MixedState, TotalPhotonCutoff, _lookup
 from fockforge.gates import _CNOT_BASIS, cnot_basis_matrix
+from fockforge.lossy import DetectorModel, LossyBSParams, choose_T_for_sigma_z, dilation_unitary, povm_element
 from fockforge.permanent import MAX_DIMENSION, PermanentSizeError, _as_square, _per_flat
 
 
@@ -265,3 +271,91 @@ def _product_slab_residual(phi, phi_prime, target, rng):
             rho_prev = rho
         best = max(best, cosine(n1, n2))
     return math.sqrt(max(0.0, 1.0 - best / tnorm2))
+
+
+@dataclass
+class ChannelOperator:
+    """Completely positive trace-preserving map from the four-mode dilation.
+
+    kraus holds the blocks <d|W|0,0> and devices the device occupation d
+    of each, in the same order; blocks that vanish on the sector are left
+    out.  The completeness sum is checked at construction, which on a
+    closed photon sector is exact rather than truncated.
+    """
+
+    basis: FockBasis
+    devices: tuple
+    kraus: tuple
+
+    def __post_init__(self):
+        dim = self.basis.dimension
+        total = np.zeros((dim, dim), dtype=complex)
+        for k in self.kraus:
+            total += k.conj().T @ k
+        dev = float(np.max(np.abs(total - np.eye(dim))))
+        if dev > 1e-10:
+            raise ValueError(f"channel is not trace preserving: sum K^dag K off by {dev:.3e}")
+
+    def apply(self, state) -> MixedState:
+        rho = state.matrix if isinstance(state, MixedState) else np.asarray(state, dtype=complex)
+        return MixedState(self.basis, sum(k @ rho @ k.conj().T for k in self.kraus))
+
+
+def lossy_bs_channel(params: LossyBSParams, cutoff: int) -> ChannelOperator:
+    """Quantum channel of the absorbing element on states of at most
+    cutoff photons.
+
+    Kraus block d is the four-mode dilation conditioned on vacuum device
+    inputs and device outcome d, sliced from one lift of the dilation.
+    The photon sector is closed under the dilation (the device modes soak
+    up exactly what the field loses), so the family indexed by device
+    occupations is finite and complete.
+    """
+    # the dilation's lift on its closed sector, and a zero row last for
+    # the rows (out, d) above it; block d is rows (out, d) x columns (in, 0, 0)
+    closed = ConditionalExtractor(4, range(4), AncillaSpec(()), DetectionSpec(()), cutoff)
+    basis = FockBasis(2, TotalPhotonCutoff(cutoff))
+    lift = np.vstack([closed.extract_matrix(dilation_unitary(params)), np.zeros(closed.signal_basis.dimension)])
+    closed_occ, occ = closed.signal_basis.occupations, basis.occupations
+    cols = _lookup(closed_occ, np.hstack([occ, np.zeros_like(occ)]))
+    devices, kraus = [], []
+    for dev in sorted(occ.tolist()):
+        rows = _lookup(closed_occ, np.hstack([occ, np.tile(np.array(dev, dtype=np.uint8), (len(occ), 1))]))
+        rows[occ.sum(axis=1, dtype=np.intp) + sum(dev) > cutoff] = -1
+        block = lift[np.ix_(rows, cols)]
+        if np.max(np.abs(block)) > 1e-14:
+            devices.append(tuple(dev))
+            kraus.append(block)
+    return ChannelOperator(basis, tuple(devices), tuple(kraus))
+
+
+def channel_sigma_z_branches(abs_a, eta, c0, c1):
+    """noisy_sigma_z_experiment through the dilation channel: each Kraus
+    block applied to the (signal, ancilla) vector, the ancilla detected,
+    and the result filed under (detector count k, device total |d|).
+    Returns the conditioned state, its wanted branch and the three branch
+    weights."""
+    params = LossyBSParams.symmetric_slab(choose_T_for_sigma_z(abs_a), abs_a)
+    channel = lossy_bs_channel(params, 2)
+    pair = channel.basis
+    psi = np.zeros(pair.dimension, dtype=complex)
+    psi[pair.index_of((0, 1))] = c0
+    psi[pair.index_of((1, 1))] = c1
+    seen_one = np.diag(povm_element(1, DetectorModel(eta, 2)).matrix).real
+    branches: dict = {}
+    for dev, kraus in zip(channel.devices, channel.kraus):
+        evolved = kraus @ psi
+        for k in (1, 2):
+            v = np.array([evolved[pair.index_of((n, k))] if n + k <= 2 else 0j for n in range(3)])
+            branches.setdefault((k, sum(dev)), []).append(np.outer(v, v.conj()))
+    out = np.zeros((3, 3), dtype=complex)
+    wanted = np.zeros_like(out)
+    weights = {"wanted": 0.0, "detector": 0.0, "absorption": 0.0}
+    for (k, l), projectors in branches.items():
+        block = seen_one[k] * sum(projectors)
+        out += block
+        label = "absorption" if l >= 1 else ("wanted" if k == 1 else "detector")
+        weights[label] += float(np.trace(block).real)
+        if label == "wanted":
+            wanted += block
+    return out, wanted, weights

@@ -19,7 +19,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from oracles import lift_oracle
+from oracles import lift_oracle, lossy_bs_channel
 
 from fockforge.cli import main as cli_main
 from fockforge.conditioning import (
@@ -49,11 +49,7 @@ from fockforge.interferometer import (
     bs_matrix,
     random_unitary,
 )
-from fockforge.lossy import (
-    LossyBSParams,
-    lossy_bs_channel,
-    noisy_sigma_z_experiment,
-)
+from fockforge.lossy import LossyBSParams, noisy_sigma_z_experiment
 from fockforge.permanent import check_appendix_bounds, permanent_naive, permanent_ryser
 
 SQRT2 = math.sqrt(2.0)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockforge.conditioning import (
-    MAX_DENSE_DIMENSION,
     AncillaSpec,
     DetectionSpec,
     extract_conditional_operator,
@@ -15,16 +14,15 @@ from fockforge.conditioning import (
 from fockforge.fock import FockBasis, MixedState, TotalPhotonCutoff
 from fockforge.interferometer import BeamSplitterParams, ModeUnitary, bs_matrix
 from fockforge.lossy import (
-    ChannelOperator,
     DetectorModel,
     LossyBSParams,
     choose_T_for_sigma_z,
     dilation_unitary,
-    lossy_bs_channel,
     noisy_sigma_z_experiment,
     povm_element,
     pure_loss,
 )
+from oracles import ChannelOperator, channel_sigma_z_branches, lossy_bs_channel
 
 
 def random_density(basis, seed):
@@ -86,7 +84,7 @@ def test_dilation_unitary_completes_any_closed_pair(t, a):
 
 
 # ---------------------------------------------------------------------------
-# the generated channel
+# the dilation channel, the reference route in tests/oracles.py
 
 
 def test_channel_trace_preservation():
@@ -101,22 +99,6 @@ def test_channel_kraus_completeness():
     total = sum(k.conj().T @ k for k in ch.kraus)
     assert np.max(np.abs(total - np.eye(ch.basis.dimension))) < 1e-10
     assert len(ch.kraus) >= 3
-
-
-def test_channel_above_the_dense_limit_allocates_nothing():
-    # the dilation's closed sector at cutoff 11: C(15, 4) = 1365 states
-    import tracemalloc
-
-    params = LossyBSParams.symmetric_slab(0.5, 0.3)
-    lossy_bs_channel(params, 10)  # C(14, 4) = 1001
-    tracemalloc.start()
-    try:
-        with pytest.raises(OverflowError, match=f"dimension 1365 .* dense limit of {MAX_DENSE_DIMENSION}"):
-            lossy_bs_channel(params, 11)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
 
 
 def test_channel_rejects_broken_kraus_family():
@@ -356,6 +338,26 @@ def test_experiment_matches_the_dense_dilation_route():
         assert abs(rep.wanted_weight - weights["wanted"]) < 1e-14
         assert abs(rep.detector_weight - weights["detector"]) < 1e-14
         assert abs(rep.absorption_weight - weights["absorption"]) < 1e-14
+
+
+@pytest.mark.parametrize("c0, c1", [(0.6, 0.8), (1.0, 0.0), (0.28, 0.96j), (0.0, 1.0)])
+@pytest.mark.parametrize("eta", [0.3, 1.0])
+@pytest.mark.parametrize("a", [0.0, 0.25, 0.6, 0.9])
+def test_experiment_matches_the_dilation_channel_branches(a, eta, c0, c1):
+    # pure loss then the lift of B against the dilation's Kraus blocks,
+    # each filed under its device total
+    rep = noisy_sigma_z_experiment(a, eta, c0, c1)
+    out, wanted, weights = channel_sigma_z_branches(a, eta, c0, c1)
+    assert np.max(np.abs(rep.output.matrix - out)) <= 1e-15
+    assert np.max(np.abs(rep.wanted_matrix - wanted)) <= 1e-15
+    assert abs(rep.wanted_weight - weights["wanted"]) <= 1e-15
+    assert abs(rep.detector_weight - weights["detector"]) <= 1e-15
+    assert abs(rep.absorption_weight - weights["absorption"]) <= 1e-15
+    # with the signal empty only one photon enters, so no term both loses
+    # a photon and leaves one for the detector: the absorption branch is
+    # summed from its own terms, not as the total less the others, and
+    # reads exactly zero
+    assert (rep.absorption_weight == 0.0) == (c1 == 0 or a == 0.0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,8 +1,9 @@
 """Checks on the package from outside: its declared dependencies, its
 size constants and the names that README's limits table cites, cli's
 documented circuit grammar against the table it parses by, the modules
-that read a basis's occupation table, and the names the benchmark's
-tracer wraps and what its hooks read.
+that read a basis's occupation table, the one module that defines the
+lossy element's dilation, and the names the benchmark's tracer wraps and
+what its hooks read.
 
 A wrapped name that disappears is skipped at run time, so renaming or
 deleting one silently drops the metrics it feeds.  Resolving every name
@@ -136,6 +137,21 @@ def test_only_fock_reads_the_occupation_format():
             elif isinstance(node, ast.Attribute) and node.attr == "index" and id(node) not in called:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"the occupation format is read outside fock.py at {found}"
+
+
+def test_no_route_uses_the_dilation():
+    # the four-mode dilation is the tests' reference channel: the package
+    # only defines it, and cli imports it for the benchmark's tracer
+    found = []
+    for path in sorted((ROOT / "src" / "fockforge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "dilation_unitary":
+                found.append((path.name, "def"))
+            elif isinstance(node, ast.alias) and node.name == "dilation_unitary":
+                found.append((path.name, "import"))
+            elif "dilation_unitary" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                found.append((path.name, f"use at line {node.lineno}"))
+    assert found == [("cli.py", "import"), ("lossy.py", "def")]
 
 
 def _load_tracing():
