@@ -9,6 +9,12 @@ sign shift, SU(3) phase synthesis, Pauli X/Y), and the CNOT entry is a
 deliberate failure report - numerical evidence that no beam-splitter
 sandwich of product number operators reproduces it.
 
+Two builders assemble the recurring parts: `_sandwich` puts conditional
+arms between the balanced splitter pair SPLIT ... RECOMBINE on six modes
+and reports the two-qubit slab (both controlled-phase variants), and
+`_searched_recipe` turns a search result into the recipe and report
+(sign shift, SU(3) phase, Pauli X/Y).
+
 Success probabilities are amplitude-squared scales of the extracted
 operator and multiply across independent interferometer arms.
 """
@@ -55,6 +61,9 @@ from .permanent import subpermanent
 
 FOUR_PHOTON = "four-photon"
 VACUUM_DETECTOR = "vacuum-detector"
+# the balanced splitter and its inverse around every Mach-Zehnder sandwich
+SPLIT = BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, 0.0)
+RECOMBINE = BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +186,25 @@ def _solve(objective: Objective, seed: int, restarts: int):
     return result, compose(result.network(objective.mode_count))
 
 
+def _searched_recipe(objective: Objective, result, ancilla, text: str, achieved, target, success, **extras):
+    """(GateRecipe, GateReport) of the network a search for objective
+    found: the report carries the search's residual and restart index
+    after extras, and the recipe the objective's signal modes and
+    detection with the given ancilla."""
+    report = _make_report(
+        achieved,
+        target,
+        success,
+        **extras,
+        optimizer_residual=result.residual,
+        restart_index=result.restart_index,
+    )
+    recipe = GateRecipe(
+        result.network(objective.mode_count), objective.signal_modes, ancilla, objective.detection, text
+    )
+    return recipe, report
+
+
 def phase_condition_residual(lam, phi1: float, phi2: float) -> float:
     """Deviation from the SU(3) solvability condition
     per L(1|1) [e^{i phi2} + L11^2 - 2 L11 e^{i phi1}] = 2 L12 L21 L13 L31."""
@@ -199,27 +227,17 @@ def su3_phase_gate(phi1: float = 0.0, phi2: float = math.pi, seed: int = 0, rest
     """
     objective = su3_objective(phi1, phi2)
     result, lam = _solve(objective, seed, restarts)
-    mat = objective.extractor().extract_matrix(lam)
-    per11 = subpermanent(lam.matrix, [0], [0])
-    success = abs(per11) ** 2
-    target = np.diag([1.0, cmath.exp(1j * phi1), cmath.exp(1j * phi2)])
-    report = _make_report(
-        mat,
-        target,
-        success,
+    return _searched_recipe(
+        objective,
+        result,
+        objective.ancilla,
+        f"diag(1, exp(i*{phi1:g}), exp(i*{phi2:g})) on photon layers 0..2",
+        objective.extractor().extract_matrix(lam),
+        np.diag([1.0, cmath.exp(1j * phi1), cmath.exp(1j * phi2)]),
+        abs(subpermanent(lam.matrix, [0], [0])) ** 2,
         lambda11=complex(lam.matrix[0, 0]),
         phase_condition_residual=phase_condition_residual(lam, phi1, phi2),
-        optimizer_residual=result.residual,
-        restart_index=result.restart_index,
     )
-    recipe = GateRecipe(
-        result.network(3),
-        objective.signal_modes,
-        objective.ancilla,
-        objective.detection,
-        f"diag(1, exp(i*{phi1:g}), exp(i*{phi2:g})) on photon layers 0..2",
-    )
-    return recipe, report
 
 
 def nss_gate_klm(seed: int = 7, restarts: int = 24):
@@ -232,25 +250,16 @@ def nss_gate_klm(seed: int = 7, restarts: int = 24):
     """
     objective = nss_objective()
     result, lam = _solve(objective, seed, restarts)
-    mat = objective.extractor().extract_matrix(lam)
-    success = result.probability
-    target = np.diag([1.0, 1.0, -1.0])
-    report = _make_report(
-        mat,
-        target,
-        success,
-        lambda11=complex(lam.matrix[0, 0]),
-        optimizer_residual=result.residual,
-        restart_index=result.restart_index,
-    )
-    recipe = GateRecipe(
-        result.network(3),
-        objective.signal_modes,
+    return _searched_recipe(
+        objective,
+        result,
         objective.ancilla,
-        objective.detection,
         "sign flip on the two-photon layer",
+        objective.extractor().extract_matrix(lam),
+        np.diag([1.0, 1.0, -1.0]),
+        result.probability,
+        lambda11=complex(lam.matrix[0, 0]),
     )
-    return recipe, report
 
 
 @dataclass(frozen=True)
@@ -296,14 +305,19 @@ def ralph_cz_check(seed: int = 7, restarts: int = 24) -> RalphCzReport:
 # controlled-phase networks
 
 
-def _qubit_slab_target(basis: FockBasis, phi: float) -> tuple:
-    """(column indices, 6x4 target slab) for the two-rail phase gate on a
-    2-mode total-photon-2 basis."""
-    qubit = ((0, 0), (0, 1), (1, 0), (1, 1))
-    cols = [basis.index_of(o) for o in qubit]
+def _sandwich(arms, aux, det, phi: float, text: str, success, **extras):
+    """(GateRecipe, GateReport, extracted FockOperator) of the six-mode
+    network SPLIT, arms, RECOMBINE with signal modes (0, 1): the report's
+    achieved block is the operator's slab over the qubit columns, held to
+    the two-rail phase gate exp(i phi) on |1,1>."""
+    network = NetworkDescription(6, (SPLIT, *arms, RECOMBINE))
+    cond = extract_conditional_operator(compose(network), (0, 1), aux, det, 2)
+    basis = cond.operator.basis
+    cols = [basis.index_of(o) for o in ((0, 0), (0, 1), (1, 0), (1, 1))]
     target = np.zeros((basis.dimension, len(cols)), dtype=complex)
     target[cols, range(len(cols))] = [1.0, 1.0, 1.0, cmath.exp(1j * phi)]
-    return cols, target
+    report = _make_report(cond.operator.matrix[:, cols], target, success, **extras, basis=basis)
+    return GateRecipe(network, (0, 1), aux, det, text), report, cond.operator
 
 
 def cphase_gate(phi: float = math.pi, variant: str = FOUR_PHOTON, seed: int = 11, restarts: int = 24):
@@ -335,52 +349,25 @@ def _cphase_four_photon(phi: float, seed: int, restarts: int):
     arm_objective = su3_objective(0.0, phi)
     result, lam3 = _solve(arm_objective, seed, restarts)
     arm_net = result.network(3)
-    elements = [BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, 0.0)]
-    elements += _embed_network(arm_net, {0: 0, 1: 2, 2: 3})
-    elements += _embed_network(arm_net, {0: 1, 1: 4, 2: 5})
-    elements.append(BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, math.pi))
-    network = NetworkDescription(6, tuple(elements))
-    # each arm's auxiliary modes carry its objective's ancilla and detection
-    aux = AncillaSpec(arm_objective.ancilla.counts * 2)
-    det = DetectionSpec(arm_objective.detection.counts * 2)
-    cond = extract_conditional_operator(compose(network), (0, 1), aux, det, 2)
-    basis = cond.operator.basis
-    cols, target = _qubit_slab_target(basis, phi)
-    slab = cond.operator.matrix[:, cols]
+    recipe, report, operator = _sandwich(
+        _embed_network(arm_net, {0: 0, 1: 2, 2: 3}) + _embed_network(arm_net, {0: 1, 1: 4, 2: 5}),
+        # each arm's auxiliary modes carry its objective's ancilla and detection
+        AncillaSpec(arm_objective.ancilla.counts * 2),
+        DetectionSpec(arm_objective.detection.counts * 2),
+        phi,
+        f"two-qubit phase exp(i*{phi:g}) on the |1,1> component",
+        result.probability**2,
+        arm_probability=result.probability,
+        optimizer_residual=result.residual,
+    )
 
     # second route: lift the splitter pair exactly and tensor the two
     # independently extracted arm operators between them
     arm = arm_objective.extractor().extract_matrix(lam3)
-    n1, n2 = basis.occupations.T
+    n1, n2 = operator.basis.occupations.T
     mid = _cmul(arm[np.ix_(n1, n1)], arm[np.ix_(n2, n2)])
-    two = FockBasis(2, TotalPhotonCutoff(2))
-    split = lift_unitary(
-        bs_matrix(BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, 0.0), 2), two
-    ).matrix
-    recomb = lift_unitary(
-        bs_matrix(BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, math.pi), 2), two
-    ).matrix
-    route2 = recomb @ mid @ split
-    route_deviation = float(np.max(np.abs(cond.operator.matrix - route2)))
-
-    arm_probability = result.probability
-    success = arm_probability**2
-    report = _make_report(
-        slab,
-        target,
-        success,
-        arm_probability=arm_probability,
-        route_deviation=route_deviation,
-        optimizer_residual=result.residual,
-        basis=basis,
-    )
-    recipe = GateRecipe(
-        network,
-        (0, 1),
-        aux,
-        det,
-        f"two-qubit phase exp(i*{phi:g}) on the |1,1> component",
-    )
+    split, recomb = (lift_unitary(bs_matrix(p, 2), operator.basis).matrix for p in (SPLIT, RECOMBINE))
+    report.extras["route_deviation"] = float(np.max(np.abs(operator.matrix - recomb @ mid @ split)))
     return recipe, report
 
 
@@ -411,42 +398,26 @@ def _cphase_vacuum_detector(phi: float):
         )
     th1 = math.acos(min(1.0, t1))
     th0 = math.acos(min(1.0, t0))
-    elements = [
-        BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, 0.0),
+    arms = [
         BeamSplitterParams(0, 2, th1, 0.0, 0.0),
         BeamSplitterParams(0, 3, th0, 0.0, 0.0),
         BeamSplitterParams(1, 4, th1, 0.0, 0.0),
         BeamSplitterParams(1, 5, th0, 0.0, 0.0),
     ]
     if plates:
-        elements.append(PhaseShifterParams(0, math.pi))
-        elements.append(PhaseShifterParams(1, math.pi))
-    elements.append(BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, math.pi))
-    network = NetworkDescription(6, tuple(elements))
-    aux = AncillaSpec((1, 0, 1, 0))
-    det = DetectionSpec((1, 0, 1, 0))
-    cond = extract_conditional_operator(compose(network), (0, 1), aux, det, 2)
-    basis = cond.operator.basis
-    cols, target = _qubit_slab_target(basis, math.pi if plates else 0.0)
-    slab = cond.operator.matrix[:, cols]
+        arms += [PhaseShifterParams(0, math.pi), PhaseShifterParams(1, math.pi)]
     per_arm = t1 * t1
-    success = per_arm**2
-    report = _make_report(
-        slab,
-        target,
-        success,
+    recipe, report, _ = _sandwich(
+        arms,
+        AncillaSpec((1, 0, 1, 0)),
+        DetectionSpec((1, 0, 1, 0)),
+        math.pi if plates else 0.0,
+        "two-qubit sign flip with one photon and one vacuum detector per arm",
+        per_arm**2,
         t1=t1,
         t0=t0,
         per_arm_success=per_arm,
         quartic_residual=abs(7.0 * t1**4 - 6.0 * t1**2 + 1.0) if plates else 0.0,
-        basis=basis,
-    )
-    recipe = GateRecipe(
-        network,
-        (0, 1),
-        aux,
-        det,
-        "two-qubit sign flip with one photon and one vacuum detector per arm",
     )
     return recipe, report
 
@@ -462,14 +433,7 @@ def swap_gate():
     the lift is a permutation of occupation vectors on the whole
     two-mode space and the gate needs no ancillas: success is 1.
     """
-    network = NetworkDescription(
-        2,
-        (
-            BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, 0.0),
-            PhaseShifterParams(1, math.pi),
-            BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, math.pi),
-        ),
-    )
+    network = NetworkDescription(2, (SPLIT, PhaseShifterParams(1, math.pi), RECOMBINE))
     u = compose(network)
     basis = FockBasis(2, TotalPhotonCutoff(2))
     lift = lift_unitary(u, basis)
@@ -512,7 +476,7 @@ class EngineeringReport:
     tail_mass: float
 
 
-def _addition_pipeline(alphas, top: int, work: int) -> np.ndarray:
+def _addition_pipeline(alphas, work: int) -> np.ndarray:
     """Amplitudes of D(a_N) prod_j [a^dag shifted by a_j] |0> simulated on
     levels <= work.  alphas are the conjugated polynomial roots; the
     telescoped displacement after factor j is D(a_j - a_{j+1}) with
@@ -527,7 +491,7 @@ def _addition_pipeline(alphas, top: int, work: int) -> np.ndarray:
         amps = shifted
         delta = alphas[j] - (alphas[j + 1] if j + 1 < n else 0.0)
         if abs(delta) > 1e-14:
-            d = displacement_operator_for(delta, work, 4).matrix
+            d = displacement_operator_for(delta, work).matrix
             amps = d[: work + 1, : work + 1] @ amps
     return amps
 
@@ -583,7 +547,7 @@ def engineer_state(coeffs):
     final = None
     for _ in range(5):
         try:
-            amps = _addition_pipeline(alphas, degree, work)
+            amps = _addition_pipeline(alphas, work)
         except CutoffTooSmallError:
             work += 8
             continue
@@ -633,22 +597,15 @@ def engineer_state(coeffs):
     return state, report
 
 
-def creation_polynomial_operator(
-    coeffs,
-    signal_cutoff: int,
-    theta: float = math.pi / 4.0,
-    phase_t: float = 0.0,
-    phase_r: float = 0.0,
-):
+def creation_polynomial_operator(coeffs, signal_cutoff: int):
     """Conditional operator sum_k (d_k/N) R^k (a^dag)^k T^{n}, N^2 = sum |d_k|^2 k!.
 
-    The engineered state for the coefficients enters one port of a beam
-    splitter with transmission T = cos(theta) e^{i phase_t} and
-    reflection R = sin(theta) e^{i phase_r}; heralding vacuum on that
-    port leaves the polynomial acting on the signal, rescaled order by
-    order.  Returns (ConditionalOperator, rescale dict); the caller
-    divides d_k by R^k and pre-compensates T^{n} to hit a bare target
-    polynomial.
+    The engineered state for the coefficients enters one port of the
+    balanced splitter SPLIT, with transmission T = reflection R =
+    1/sqrt(2); heralding vacuum on that port leaves the polynomial acting
+    on the signal, rescaled order by order.  Returns (ConditionalOperator,
+    rescale dict); the caller divides d_k by R^k and pre-compensates T^{n}
+    to hit a bare target polynomial.
     """
     d = np.asarray(coeffs, dtype=complex).ravel()
     state, eng = engineer_state(d)
@@ -656,16 +613,13 @@ def creation_polynomial_operator(
     # the phase the coefficient list implies for the leading term
     lead = d[-1] / abs(d[-1])
     anc = PureState(state.basis, state.amplitudes * lead)
-    params = BeamSplitterParams(0, 1, theta, phase_t, phase_r)
-    cond = extract_with_ancilla_state(
-        bs_matrix(params, 2), (0,), anc, DetectionSpec((0,)), signal_cutoff
-    )
+    cond = extract_with_ancilla_state(bs_matrix(SPLIT, 2), (0,), anc, DetectionSpec((0,)), signal_cutoff)
     norm = math.sqrt(
         sum(abs(d[k]) ** 2 * math.factorial(k) for k in range(d.size))
     )
     rescale = {
-        "transmission": params.transmission,
-        "reflection": params.reflection,
+        "transmission": SPLIT.transmission,
+        "reflection": SPLIT.reflection,
         "normalization": norm,
         "engineering": eng,
     }
@@ -848,7 +802,11 @@ def pauli_xy_gate(which: str, q: float = 0.01, seed: int = 3, restarts: int = 6)
 
     m = lam.matrix
     per31 = m[0, 1] * m[1, 2] + m[0, 2] * m[1, 1]
-    report = _make_report(
+    return _searched_recipe(
+        objective,
+        result,
+        anc_full,
+        f"sigma_{which} on the 0/1 photon-number qubit",
         slab,
         full_target,
         success,
@@ -856,17 +814,7 @@ def pauli_xy_gate(which: str, q: float = 0.01, seed: int = 3, restarts: int = 6)
         ladder_weighted_per31=complex(per31),
         magnitude_relation_residual=abs(abs(m[1, 0]) - abs(per31)),
         filter_distance=filt.trace_norm_distance,
-        optimizer_residual=result.residual,
-        restart_index=result.restart_index,
     )
-    recipe = GateRecipe(
-        result.network(3),
-        objective.signal_modes,
-        anc_full,
-        objective.detection,
-        f"sigma_{which} on the 0/1 photon-number qubit",
-    )
-    return recipe, report
 
 
 # ---------------------------------------------------------------------------
@@ -896,30 +844,14 @@ def hadamard_gate():
         e_mat = cond.operator.matrix
 
         stage = "controlled-z sandwich"
-        joint = FockBasis(2, TotalPhotonCutoff(3))
-        cz_diag = (1.0 - 2.0 * joint.occupations.prod(axis=1, dtype=float)).astype(complex)
-        achieved = np.zeros((2, 2), dtype=complex)
-        stage_norms = {}
-        for col, qubit in enumerate((np.array([1.0, 0.0]), np.array([0.0, 1.0]))):
-            amps = np.zeros(joint.dimension, dtype=complex)
-            for n1 in range(2):
-                for n2 in range(2):
-                    amps[joint.index_of((n1, n2))] = qubit[n1] * anc.amplitudes[n2]
-            amps = cz_diag * amps
-            out = np.zeros(joint.dimension, dtype=complex)
-            for j, (n1, n2) in enumerate(joint.occupations.tolist()):
-                if amps[j] == 0:
-                    continue
-                for m1 in range(3):
-                    if e_mat[m1, n1] != 0 and (m1, n2) in joint:
-                        out[joint.index_of((m1, n2))] += e_mat[m1, n1] * amps[j]
-            projected = np.array(
-                [out[joint.index_of((1, 0))], out[joint.index_of((1, 1))]]
-            )
-            achieved[:, col] = projected
-            stage_norms[f"projection_probability_col{col}"] = float(
-                np.vdot(projected, projected).real
-            )
+        # qubit input |c> and ancilla |n> pick up the sign 1 - 2 c n; the
+        # signal's projection onto |1> leaves E[1, c] (1 - 2 c n) anc[n]
+        # on the ancilla, entry (n, c) of the achieved block
+        signs = np.array([[1.0, 1.0], [1.0, -1.0]])
+        achieved = _cmul(e_mat[1, :2], signs * anc.amplitudes[:, None])
+        stage_norms = {
+            f"projection_probability_col{c}": float(np.vdot(col, col).real) for c, col in enumerate(achieved.T)
+        }
     except Exception as exc:
         raise RuntimeError(f"hadamard {stage} stage failed: {exc}") from exc
 
@@ -934,9 +866,8 @@ def hadamard_gate():
         engineering=eng,
         **stage_norms,
     )
-    bs = BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, 0.0)
     recipe = GateRecipe(
-        NetworkDescription(2, (bs,)),
+        NetworkDescription(2, (SPLIT,)),
         (0,),
         anc,
         DetectionSpec((0,)),

@@ -298,7 +298,7 @@ def _feasibility(objective, x, budget, rows=None):
     return x, rows, count
 
 
-def _raise_probability(objective, x0, rows):
+def _raise_probability(x0, rows):
     """Sequential quadratic programming on -|s|^2 with the deviation held
     at zero, as in SLSQP: (x, the _fit rows of its look-ahead,
     evaluations), from x0 and those rows.  The deviation's equations are
@@ -375,7 +375,7 @@ def _restart(objective, seed, index):
         return (*(best or (x1, r1, p1))[:3], index, evals)
     x1, r1, p1, rows1 = best
 
-    x2, rows2, raised = yield from _raise_probability(objective, x1, rows1)
+    x2, rows2, raised = yield from _raise_probability(x1, rows1)
     # the last step meets the held deviation only to 1e-8; polish it back
     # without giving the probability up
     x3, rows3, polished = yield from _feasibility(objective, x2, 200, rows2)

@@ -14,7 +14,9 @@ route the batched closed-form scan replaced.  The absorbing element's
 channel is its four-mode Stinespring dilation, each Kraus block sliced
 from one lift of the closed sector and labelled by its device
 occupation.  Closed-form pure loss replaced it in simulate and in the
-noisy sign-flip experiment, and the tests hold both to it.
+noisy sign-flip experiment, and the tests hold both to it.  The
+Hadamard's controlled-z stage is a loop over the joint two-mode basis,
+one input state at a time, the route one product per entry replaced.
 """
 
 import math
@@ -359,3 +361,33 @@ def channel_sigma_z_branches(abs_a, eta, c0, c1):
         if label == "wanted":
             wanted += block
     return out, wanted, weights
+
+
+def hadamard_cz_projection(e_mat, anc_amplitudes):
+    """The Hadamard's controlled-z stage state by state: each qubit basis
+    input beside the ancilla anc_amplitudes on the joint total-photon-3
+    basis, the diagonal 1 - 2 n1 n2, the creation polynomial e_mat on the
+    signal entry by entry, and the signal's projection onto |1>.  Returns
+    the achieved 2 x 2 block (column c for input |c>) and each column's
+    projection probability, keyed as the gate's report keys them."""
+    joint = FockBasis(2, TotalPhotonCutoff(3))
+    cz_diag = (1.0 - 2.0 * joint.occupations.prod(axis=1, dtype=float)).astype(complex)
+    achieved = np.zeros((2, 2), dtype=complex)
+    stage_norms = {}
+    for col, qubit in enumerate((np.array([1.0, 0.0]), np.array([0.0, 1.0]))):
+        amps = np.zeros(joint.dimension, dtype=complex)
+        for n1 in range(2):
+            for n2 in range(2):
+                amps[joint.index_of((n1, n2))] = qubit[n1] * anc_amplitudes[n2]
+        amps = cz_diag * amps
+        out = np.zeros(joint.dimension, dtype=complex)
+        for j, (n1, n2) in enumerate(joint.occupations.tolist()):
+            if amps[j] == 0:
+                continue
+            for m1 in range(3):
+                if e_mat[m1, n1] != 0 and (m1, n2) in joint:
+                    out[joint.index_of((m1, n2))] += e_mat[m1, n1] * amps[j]
+        projected = np.array([out[joint.index_of((1, 0))], out[joint.index_of((1, 1))]])
+        achieved[:, col] = projected
+        stage_norms[f"projection_probability_col{col}"] = float(np.vdot(projected, projected).real)
+    return achieved, stage_norms

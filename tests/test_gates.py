@@ -30,9 +30,9 @@ from fockforge.gates import (
     tmsv_state,
     vacuum_detector_transmissions,
 )
-from fockforge.interferometer import BeamSplitterParams, compose
+from fockforge.interferometer import BeamSplitterParams, PhaseShifterParams, compose
 from fockforge.optimizer import optimize_gate
-from oracles import _product_slab_residual, ladder_matrix
+from oracles import _product_slab_residual, hadamard_cz_projection, ladder_matrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -235,6 +235,23 @@ def test_recipes_of_one_constraint_family_reach_one_network(monkeypatch):
     assert len(found) == 4 and found[2] == found[3]
     embedded = gates._embed_network(arm.network, {0: 0, 1: 2, 2: 3})
     assert list(sandwich.network.elements[1 : 1 + len(embedded)]) == embedded
+    # both controlled-phase variants sit between the one splitter pair
+    vacuum, _ = cphase_gate(math.pi, VACUUM_DETECTOR)
+    for recipe in (sandwich, vacuum):
+        assert recipe.network.mode_count == 6
+        assert recipe.network.elements[0] == gates.SPLIT
+        assert recipe.network.elements[-1] == gates.RECOMBINE
+    th1, th0 = (math.acos(t) for t in vacuum_detector_transmissions())
+    assert vacuum.network.elements == (
+        BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, 0.0),
+        BeamSplitterParams(0, 2, th1, 0.0, 0.0),
+        BeamSplitterParams(0, 3, th0, 0.0, 0.0),
+        BeamSplitterParams(1, 4, th1, 0.0, 0.0),
+        BeamSplitterParams(1, 5, th0, 0.0, 0.0),
+        PhaseShifterParams(0, math.pi),
+        PhaseShifterParams(1, math.pi),
+        BeamSplitterParams(0, 1, math.pi / 4.0, 0.0, math.pi),
+    )
 
 
 def test_nss_gate():
@@ -337,6 +354,18 @@ def test_hadamard_gate():
     dev, _ = phase_aligned_residual(report.achieved, h)
     assert dev < 1e-6
     assert abs(report.success_probability - 0.25) < 1e-12
+
+
+def test_hadamard_controlled_z_stage_is_the_per_state_loop():
+    # one product per entry gives the loop's block and column norms to the bit
+    recipe, report = hadamard_gate()
+    cond, _ = creation_polynomial_operator((1.0, 1.0), 2)
+    block, norms = hadamard_cz_projection(cond.operator.matrix, recipe.aux.amplitudes)
+    expect = gates._make_report(block, report.target, report.success_probability).achieved
+    assert np.array_equal(report.achieved, expect)
+    for key, value in norms.items():
+        assert report.extras[key] == value
+    assert sorted(norms) == sorted(k for k in report.extras if k.startswith("projection_probability_col"))
 
 
 # ---------------------------------------------------------------------------

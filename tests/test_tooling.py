@@ -2,8 +2,9 @@
 size constants and the names that README's limits table cites, cli's
 documented circuit grammar against the table it parses by, the modules
 that read a basis's occupation table, the one module that defines the
-lossy element's dilation, and the names the benchmark's tracer wraps and
-what its hooks read.
+lossy element's dilation, the package's functions against the parameters
+they read, and the names the benchmark's tracer wraps and what its hooks
+read.
 
 A wrapped name that disappears is skipped at run time, so renaming or
 deleting one silently drops the metrics it feeds.  Resolving every name
@@ -152,6 +153,22 @@ def test_no_route_uses_the_dilation():
             elif "dilation_unitary" in (getattr(node, "id", None), getattr(node, "attr", None)):
                 found.append((path.name, f"use at line {node.lineno}"))
     assert found == [("cli.py", "import"), ("lossy.py", "def")]
+
+
+def test_every_parameter_is_read():
+    # a parameter its body never reads changes nothing a caller can see: every
+    # function and lambda under src/fockforge reads each of its parameters
+    # (self included) somewhere in its body, nested functions counted
+    found = []
+    for path in sorted((ROOT / "src" / "fockforge").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+                body = node.body if isinstance(node.body, list) else [node.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found += [f"{path.name}:{getattr(node, 'name', 'lambda')}({p})" for p in params if p not in read]
+    assert not found, f"parameters no body reads: {found}"
 
 
 def _load_tracing():
