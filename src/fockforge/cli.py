@@ -31,7 +31,7 @@ import functools
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -78,6 +78,14 @@ class CircuitError(ValueError):
 
 
 @dataclass(frozen=True)
+class Absorber(BeamSplitterParams):
+    """An absorbing splitter: its transmission block is its lossless
+    splitter's times sqrt(1 - absorption^2), absorption in [0, 1)."""
+
+    absorption: float = 0.0
+
+
+@dataclass(frozen=True)
 class CircuitFile:
     mode_count: int
     inputs: tuple
@@ -120,7 +128,7 @@ def _amplitude_rows(out_labels, in_labels, matrix) -> str:
 # circuit grammar
 
 # each directive and its arguments, as the module docstring writes them; an
-# input or element tuple is its kind followed by its arguments in this order
+# input tuple is its kind followed by its arguments in this order
 GRAMMAR = {
     "modes": "N",
     "input fock": "M K",
@@ -132,6 +140,9 @@ GRAMMAR = {
     "detect fock": "M K [ETA]",
     "detect vacuum": "M [ETA]",
 }
+# the element type of each element directive: its fields are the
+# directive's arguments, in GRAMMAR's order
+ELEMENTS = {"bs": BeamSplitterParams, "phase": PhaseShifterParams, "lossybs": Absorber}
 
 def _token_columns(raw: str):
     # \s matches exactly the characters for which str.isspace is true
@@ -260,7 +271,7 @@ def parse_circuit(text: str) -> CircuitFile:
         else:
             if directive == "lossybs" and not 0.0 <= args[5] < 1.0:
                 raise CircuitError(ln, toks[6][1], "absorption must lie in [0, 1)")
-            elements.append((directive, *args))
+            elements.append(ELEMENTS[directive](*args))
 
     if mode_count is None:
         raise CircuitError(1, 1, "missing modes declaration")
@@ -268,13 +279,14 @@ def parse_circuit(text: str) -> CircuitFile:
 
 
 def serialize_circuit(cf: CircuitFile) -> str:
-    """Canonical text form; parse-serialize is idempotent from the first
-    normalization on (numbers re-rendered at 12 digits, one space).  Each
-    input and element tuple holds its directive's arguments in GRAMMAR's
-    order."""
+    """Canonical text form, one space between words.  Input and detection
+    numbers are re-rendered at 12 digits; each element's fields are written
+    in GRAMMAR's order exactly (repr), so an element parses back to itself.
+    Parse-serialize is idempotent from the first normalization on."""
+    directive = {kind: d for d, kind in ELEMENTS.items()}
     lines = [f"modes {cf.mode_count}"]
     lines += [" ".join(["input", spec[0], *map(_fmt, spec[1:])]) for spec in cf.inputs]
-    lines += [" ".join([e[0], *map(_fmt, e[1:])]) for e in cf.elements]
+    lines += [" ".join([directive[type(e)], *(repr(getattr(e, f.name)) for f in fields(e))]) for e in cf.elements]
     for (m, k, eta) in cf.detections:
         args = ((m, k) if k else (m,)) + ((eta,) if eta != 1.0 else ())
         lines.append(" ".join(["detect", "fock" if k else "vacuum", *map(_fmt, args)]))
@@ -332,24 +344,15 @@ def _joint_input_state(cf: CircuitFile, cutoff: int) -> PureState:
     return PureState(basis, amps, unchecked=True)
 
 
-def _element(e):
-    """Network element of a splitter or phase tuple, or of an absorber's splitter."""
-    return PhaseShifterParams(*e[1:]) if e[0] == "phase" else BeamSplitterParams(*e[1:6])
-
-
 def _modes_of(spec) -> tuple:
-    """The modes an input or element tuple names."""
-    return spec[1 : 2 if spec[0] in ("fock", "coherent", "phase") else 3]
+    """The modes an input tuple names."""
+    return spec[1 : 2 if spec[0] in ("fock", "coherent") else 3]
 
 
 def _renumbered(spec, position):
-    """An input or element tuple with the modes it names renumbered."""
+    """An input tuple with the modes it names renumbered."""
     modes = _modes_of(spec)
     return (spec[0], *(position[m] for m in modes), *spec[1 + len(modes) :])
-
-
-def _network_of(cf: CircuitFile) -> NetworkDescription:
-    return NetworkDescription(cf.mode_count, tuple(_element(e) for e in cf.elements))
 
 
 # the most terms _ordered_dot sums at once, and the most modes a stretch's
@@ -362,12 +365,12 @@ def _transfer(elements, before=(), after=()) -> tuple:
     the (modes, matrix) pairs `before`, each element, then `after`, by
     compose's row updates.  An absorber of absorption a acts through its
     splitter's block times sqrt(1 - a^2), its transmission block."""
-    modes = sorted(set().union(*(m for m, _ in (*before, *after)), *map(_modes_of, elements)))
+    modes = sorted(set().union(*(m for m, _ in (*before, *after)), *(e.modes for e in elements)))
     at = {m: i for i, m in enumerate(modes)}
     blocks = [([at[m] for m in pair], matrix) for pair, matrix in before]
     for e in elements:
-        rows, blk = _element_block(_element(_renumbered(e, at)), len(modes))
-        blocks.append((rows, blk * math.sqrt(1.0 - e[6] * e[6]) if e[0] == "lossybs" else blk))
+        rows, blk = _element_block(e.onto(at), len(modes))
+        blocks.append((rows, blk * math.sqrt(1.0 - e.absorption * e.absorption) if isinstance(e, Absorber) else blk))
     blocks += [([at[m] for m in pair], matrix) for pair, matrix in after]
     return modes, _apply_blocks(np.eye(len(modes), dtype=complex), blocks)
 
@@ -382,12 +385,12 @@ def _lifts(elements):
     Quantum 3, 169, 2019).  Its A absorbers lower the rank of 1 - T^dag T
     by at most 2A, so only its 2A smallest s_i can lie below one.  Each
     lossless run is lifted once, with the U before it and the V^dag after."""
-    absorbers = [k for k, e in enumerate(elements) if e[0] == "lossybs"]
+    absorbers = [k for k, e in enumerate(elements) if isinstance(e, Absorber)]
     before, start, i = [], 0, 0
     while i < len(absorbers):
-        touched, j = set(_modes_of(elements[absorbers[i]])), i
+        touched, j = set(elements[absorbers[i]].modes), i
         while j + 1 < len(absorbers):
-            grown = touched.union(*map(_modes_of, elements[absorbers[j] + 1 : absorbers[j + 1] + 1]))
+            grown = touched.union(*(e.modes for e in elements[absorbers[j] + 1 : absorbers[j + 1] + 1]))
             if len(grown) > _REPRODUCIBLE_SIZE:
                 break
             touched, j = grown, j + 1
@@ -482,7 +485,7 @@ def _cmd_condition(args) -> int:
         raise ValueError("condition needs at least one detect line")
     if any(eta != 1.0 for (_, _, eta) in cf.detections):
         raise ValueError("condition works with ideal detectors; model efficiency via loss")
-    if any(e[0] == "lossybs" for e in cf.elements):
+    if any(isinstance(e, Absorber) for e in cf.elements):
         raise ValueError("condition needs a unitary network; use loss tooling")
     cutoff = _pick_cutoff(args, cf)
     detected = {m: k for (m, k, _) in cf.detections}
@@ -501,7 +504,7 @@ def _cmd_condition(args) -> int:
         else:
             raise ValueError(f"detected mode {m} needs a Fock input, not {spec[0]}")
     cond = extract_conditional_operator(
-        compose(_network_of(cf)),
+        compose(NetworkDescription(cf.mode_count, cf.elements)),
         signal,
         AncillaSpec(tuple(aux_counts)),
         DetectionSpec(tuple(detected[m] for m in aux_modes)),
@@ -678,16 +681,8 @@ def _cmd_verify(args) -> int:
         if not tol > 0:
             raise ValueError(f"--tolerance must be positive, got {tol}")
         rep = verify_proposition(args.prop, **given)
-        rows = [
-            ("proposition", str(rep.proposition)),
-            ("n_aux", str(rep.n_aux)),
-            ("requested_seed", str(rep.requested_seed)),
-            ("used_seed", str(rep.used_seed)),
-            ("reseed_count", str(rep.reseed_count)),
-            ("deviation", _fmt(rep.deviation)),
-        ]
-        if rep.leading_coefficient_deviation is not None:
-            rows.append(("leading_coefficient_deviation", _fmt(rep.leading_coefficient_deviation)))
+        # the report's fields but the cutoff it was given, and a deviation only if measured
+        rows = [(f.name, _fmt(v)) for f in fields(rep) if f.name != "cutoff" and (v := getattr(rep, f.name)) is not None]
         passed = rep.deviation < tol and (
             rep.leading_coefficient_deviation is None
             or rep.leading_coefficient_deviation < tol
@@ -696,17 +691,7 @@ def _cmd_verify(args) -> int:
         sys.stdout.write(_rows_to_tsv(rows))
         return 0 if passed else 4
     rep = check_appendix_bounds(**given)
-    rows = [
-        ("dimension", str(rep.dimension)),
-        ("samples", str(rep.samples)),
-        ("max_abs_permanent", _fmt(rep.max_abs_permanent)),
-        ("max_abs_subpermanent", _fmt(rep.max_abs_subpermanent)),
-        ("max_marcus_newman_ratio", _fmt(rep.max_marcus_newman_ratio)),
-        ("max_su3_phase_ratio", _fmt(rep.max_su3_phase_ratio)),
-        ("unitary_bound_violations", str(rep.unitary_bound_violations)),
-        ("marcus_newman_violations", str(rep.marcus_newman_violations)),
-        ("su3_bound_violations", str(rep.su3_bound_violations)),
-    ]
+    rows = [(f.name, _fmt(getattr(rep, f.name))) for f in fields(rep)]
     violations = rep.unitary_bound_violations + rep.marcus_newman_violations + rep.su3_bound_violations
     rows.append(("pass", _fmt(violations == 0)))
     sys.stdout.write(_rows_to_tsv(rows))

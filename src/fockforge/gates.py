@@ -133,16 +133,6 @@ def _make_report(achieved, target, success, **extras) -> GateReport:
     return GateReport(a, t, residual, float(success), extras)
 
 
-def _embed_network(network: NetworkDescription, mapping: dict) -> list:
-    """Re-address a small network's elements inside a larger circuit."""
-    return [
-        BeamSplitterParams(mapping[e.mode_a], mapping[e.mode_b], e.theta, e.phase_t, e.phase_r)
-        if isinstance(e, BeamSplitterParams)
-        else PhaseShifterParams(mapping[e.mode], e.angle)
-        for e in network.elements
-    ]
-
-
 # ---------------------------------------------------------------------------
 # SU(3) phase synthesis and the nonlinear sign shift
 
@@ -350,7 +340,7 @@ def _cphase_four_photon(phi: float, seed: int, restarts: int):
     result, lam3 = _solve(arm_objective, seed, restarts)
     arm_net = result.network(3)
     recipe, report, operator = _sandwich(
-        _embed_network(arm_net, {0: 0, 1: 2, 2: 3}) + _embed_network(arm_net, {0: 1, 1: 4, 2: 5}),
+        [e.onto(at) for at in ({0: 0, 1: 2, 2: 3}, {0: 1, 1: 4, 2: 5}) for e in arm_net.elements],
         # each arm's auxiliary modes carry its objective's ancilla and detection
         AncillaSpec(arm_objective.ancilla.counts * 2),
         DetectionSpec(arm_objective.detection.counts * 2),

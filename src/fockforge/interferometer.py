@@ -12,7 +12,7 @@ the list is applied to the modes first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,8 +25,15 @@ def _wrap_phase(angle: float) -> float:
     return math.remainder(float(angle), TAU)
 
 
+# a network element's mode fields come first, in the order of its `modes`
+class _Element:
+    def onto(self, position):
+        """The same element on mode position[m] in place of each of its modes m."""
+        return replace(self, **{f.name: position[m] for f, m in zip(fields(self), self.modes)})
+
+
 @dataclass(frozen=True)
-class BeamSplitterParams:
+class BeamSplitterParams(_Element):
     """Two-mode element with T = cos(theta) e^{i phase_t} and
     R = sin(theta) e^{i phase_r}.
 
@@ -61,6 +68,10 @@ class BeamSplitterParams:
         object.__setattr__(self, "phase_r", _wrap_phase(pr))
 
     @property
+    def modes(self) -> tuple:
+        return (self.mode_a, self.mode_b)
+
+    @property
     def transmission(self) -> complex:
         return math.cos(self.theta) * complex(math.cos(self.phase_t), math.sin(self.phase_t))
 
@@ -70,13 +81,17 @@ class BeamSplitterParams:
 
 
 @dataclass(frozen=True)
-class PhaseShifterParams:
+class PhaseShifterParams(_Element):
     mode: int
     angle: float
 
     def __post_init__(self):
         if self.mode < 0:
             raise ValueError("mode index must be non-negative")
+
+    @property
+    def modes(self) -> tuple:
+        return (self.mode,)
 
 
 @dataclass(frozen=True)
@@ -89,14 +104,11 @@ class NetworkDescription:
             raise ValueError("need at least one mode")
         elems = tuple(self.elements)
         for e in elems:
-            if isinstance(e, BeamSplitterParams):
-                top = max(e.mode_a, e.mode_b)
-            elif isinstance(e, PhaseShifterParams):
-                top = e.mode
-            else:
+            # exact types: a lossy subclass of a splitter is no unitary element
+            if type(e) not in (BeamSplitterParams, PhaseShifterParams):
                 raise TypeError(f"unknown network element {e!r}")
-            if top >= self.mode_count:
-                raise IndexError(f"element {e} addresses mode {top} of {self.mode_count}")
+            if max(e.modes) >= self.mode_count:
+                raise IndexError(f"element {e} addresses mode {max(e.modes)} of {self.mode_count}")
         object.__setattr__(self, "elements", elems)
 
 

@@ -105,7 +105,7 @@ def test_condition_blocks_print_the_operator_in_fmt_bytes(capsys, tmp_path, monk
     rc, out = run(capsys, ["condition", "--cutoff", "15", str(path)])
     assert rc == 0 and blocks == [120 * 136, 16 * 136]
     cond = conditioning.extract_conditional_operator(
-        compose(cli._network_of(parse_circuit(text))), (0, 1), AncillaSpec((1,)), DetectionSpec((1,)), 15
+        compose(NetworkDescription(3, parse_circuit(text).elements)), (0, 1), AncillaSpec((1,)), DetectionSpec((1,)), 15
     )
     labels = [",".join(map(str, occ)) for occ in cond.operator.basis.occupations.tolist()]
     entries = [(o, i, _fmt(v.real), _fmt(v.imag)) for o, row in zip(labels, cond.operator.matrix) for i, v in zip(labels, row)]
@@ -145,7 +145,7 @@ def test_parse_canonical_circuit():
     cf = parse_circuit(HOM)
     assert cf.mode_count == 2
     assert cf.inputs == (("fock", 0, 1), ("fock", 1, 1))
-    assert cf.elements[0][0] == "bs"
+    assert cf.elements == (BeamSplitterParams(0, 1, 0.7853981633974483),)
     assert cf.detections == ()
 
 
@@ -160,8 +160,8 @@ def test_serialize_parse_fixed_point():
     text = serialize_circuit(parse_circuit(HOM))
     again = serialize_circuit(parse_circuit(text))
     assert text == again
-    # the angle is re-rendered at 12 significant digits
-    assert "0.785398163397" in text
+    # an element's angles are written exactly
+    assert "bs 0 1 0.7853981633974483 0.0 0.0\n" in text
 
 
 def test_detect_eta_serialization():
@@ -218,7 +218,8 @@ def test_readme_circuit_example_parses():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     example = readme.split("\n### Circuit files\n", 1)[1].split("```\n", 2)[1]
     cf = parse_circuit(example)
-    used = {"modes"} | {f"input {spec[0]}" for spec in cf.inputs} | {e[0] for e in cf.elements}
+    directive = {kind: d for d, kind in cli.ELEMENTS.items()}
+    used = {"modes"} | {f"input {spec[0]}" for spec in cf.inputs} | {directive[type(e)] for e in cf.elements}
     used |= {"detect fock" if k else "detect vacuum" for (_, k, _) in cf.detections}
     assert used == set(cli.GRAMMAR)
 
@@ -240,21 +241,22 @@ def circuit_files(draw):
             re = round(draw(st.floats(min_value=-1, max_value=1)), 6)
             im = round(draw(st.floats(min_value=-1, max_value=1)), 6)
             inputs.append(("coherent", m, re, im))
+    # raw angles, outside the canonical ranges: an element keeps its
+    # canonical form, which serialization writes exactly
     elements = []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         kind = draw(st.sampled_from(["bs", "phase", "lossybs"]))
         if kind == "phase":
             mode = draw(st.integers(min_value=0, max_value=n - 1))
-            elements.append(("phase", mode, round(draw(st.floats(-3, 3)), 6)))
+            elements.append(PhaseShifterParams(mode, draw(st.floats(-7, 7))))
         else:
             i = draw(st.integers(min_value=0, max_value=n - 1))
             j = draw(st.integers(min_value=0, max_value=n - 1).filter(lambda x, i=i: x != i))
-            angles = [round(draw(st.floats(-3, 3)), 6) for _ in range(3)]
+            angles = [draw(st.floats(-7, 7)) for _ in range(3)]
             if kind == "bs":
-                elements.append(("bs", i, j) + tuple(angles))
+                elements.append(BeamSplitterParams(i, j, *angles))
             else:
-                ab = round(draw(st.floats(min_value=0.0, max_value=0.9)), 6)
-                elements.append(("lossybs", i, j) + tuple(angles) + (ab,))
+                elements.append(cli.Absorber(i, j, *angles, draw(st.floats(min_value=0.0, max_value=0.9))))
     detections = []
     for m in sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n - 1))):
         k = draw(st.integers(min_value=0, max_value=2))

@@ -233,7 +233,7 @@ def test_recipes_of_one_constraint_family_reach_one_network(monkeypatch):
     arm, _ = su3_phase_gate(0.0, math.pi, 11, 2)
     sandwich, _ = cphase_gate(math.pi, FOUR_PHOTON, 11, 2)
     assert len(found) == 4 and found[2] == found[3]
-    embedded = gates._embed_network(arm.network, {0: 0, 1: 2, 2: 3})
+    embedded = [e.onto({0: 0, 1: 2, 2: 3}) for e in arm.network.elements]
     assert list(sandwich.network.elements[1 : 1 + len(embedded)]) == embedded
     # both controlled-phase variants sit between the one splitter pair
     vacuum, _ = cphase_gate(math.pi, VACUUM_DETECTOR)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fockforge import cli
 from fockforge.interferometer import (
     BeamSplitterParams,
     ModeUnitary,
@@ -53,6 +54,13 @@ def test_compose_applies_left_to_right():
     u = compose(net).matrix
     expect = phase_matrix(b, 2).matrix @ bs_matrix(a, 2).matrix
     assert np.max(np.abs(u - expect)) < 1e-12
+
+
+def test_network_refuses_an_absorber():
+    # an absorbing splitter is a splitter subclass but no unitary element,
+    # so compose can never drop its loss
+    with pytest.raises(TypeError):
+        NetworkDescription(2, (cli.Absorber(0, 1, 0.3, 0.0, 0.0, 0.2),))
 
 
 def test_element_matrix_dispatch():

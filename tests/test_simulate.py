@@ -28,7 +28,7 @@ import fockforge
 from fockforge import cli
 from fockforge.conditioning import MAX_DENSE_DIMENSION, MAX_PHOTONS, ConditionalExtractor, lift_unitary
 from fockforge.fock import FockBasis, FockOperator, MixedState, TotalPhotonCutoff, partial_trace, tmsv_ladder
-from fockforge.interferometer import BeamSplitterParams, ModeUnitary, bs_matrix, compose, element_matrix
+from fockforge.interferometer import BeamSplitterParams, ModeUnitary, NetworkDescription, bs_matrix, compose, element_matrix
 from fockforge.lossy import LossyBSParams, dilation_unitary
 
 from oracles import lift_oracle
@@ -39,15 +39,15 @@ def dilation_reference(cf, cutoff: int) -> MixedState:
     rho = MixedState(state.basis, np.outer(state.amplitudes, state.amplitudes.conj()))
     n = cf.mode_count
     for e in cf.elements:
-        if e[0] != "lossybs":
-            u = element_matrix(cli._element(e), n)
+        if not isinstance(e, cli.Absorber):
+            u = element_matrix(e, n)
             lift = lift_unitary(u, rho.basis).matrix
             rho = MixedState(rho.basis, lift @ rho.matrix @ lift.conj().T)
         else:
-            _, i, j, theta, pt, pr, ab = e
-            scale = math.sqrt(1.0 - ab * ab)
-            block = bs_matrix(BeamSplitterParams(0, 1, theta, pt, pr), 2).matrix
-            four = dilation_unitary(LossyBSParams(scale * block, ab * np.eye(2))).matrix
+            i, j = e.modes
+            scale = math.sqrt(1.0 - e.absorption * e.absorption)
+            block = bs_matrix(BeamSplitterParams(0, 1, e.theta, e.phase_t, e.phase_r), 2).matrix
+            four = dilation_unitary(LossyBSParams(scale * block, e.absorption * np.eye(2))).matrix
             big_mat = np.eye(n + 2, dtype=complex)
             order = [i, j, n, n + 1]
             big_mat[np.ix_(order, order)] = four
@@ -125,7 +125,7 @@ def test_pure_evolution_matches_the_whole_basis_lift(seed, modes):
     # moved there in the last bit)
     assert np.array_equal(psi.amplitudes, input_by_loop(cf, cutoff))
     got = cli._simulate(cf, cutoff).amplitudes
-    u = compose(cli._network_of(cf))
+    u = compose(NetworkDescription(cf.mode_count, cf.elements))
     assert np.max(np.abs(got - lift_unitary(u, psi.basis).matrix @ psi.amplitudes)) < 1e-12
     assert np.max(np.abs(got - lift_oracle(u.matrix, psi.basis) @ psi.amplitudes)) < 1e-12
 

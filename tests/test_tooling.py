@@ -12,6 +12,7 @@ here catches that without running the benchmark.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import os
 import re
@@ -84,6 +85,21 @@ def test_cli_docstring_lists_the_grammar():
     # the directive lines at the top of cli are the table the parser reads
     documented = [line[4:] for line in cli.__doc__.splitlines() if line.startswith("    ")]
     assert documented == [f"{k} {v}" for k, v in cli.GRAMMAR.items()]
+
+
+# the GRAMMAR argument each element field holds
+_FIELD_ARGUMENTS = {
+    "mode_a": "I", "mode_b": "J", "theta": "THETA", "phase_t": "PHASE_T", "phase_r": "PHASE_R",
+    "absorption": "ABS", "mode": "I", "angle": "ANGLE",
+}
+
+
+def test_element_types_hold_their_directive_arguments_in_order():
+    # serialize_circuit writes an element's fields in order as its
+    # directive's arguments, and parse_circuit passes them back in order
+    assert set(cli.ELEMENTS) == {d for d in cli.GRAMMAR if d.split()[0] not in ("modes", "input", "detect")}
+    for directive, kind in cli.ELEMENTS.items():
+        assert [_FIELD_ARGUMENTS[f.name] for f in dataclasses.fields(kind)] == cli.GRAMMAR[directive].split()
 
 
 def _limits_table_rows():
