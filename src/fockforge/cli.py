@@ -10,8 +10,8 @@ line as comment, decimal numbers only; the table GRAMMAR holds these lines:
     bs I J THETA PHASE_T PHASE_R
     phase I ANGLE
     lossybs I J THETA PHASE_T PHASE_R ABS
-    detect fock M K [ETA]
-    detect vacuum M [ETA]
+    detect fock M K
+    detect vacuum M
 
 Subcommands: simulate (amplitudes per occupation), condition (conditional
 operator + success probability), gate (named recipes), optimize (seeded
@@ -55,7 +55,7 @@ from .fock import (
     coherent_state,
     tmsv_ladder,
 )
-from .interferometer import BeamSplitterParams, NetworkDescription, PhaseShifterParams, _apply_blocks, _element_block, compose
+from .interferometer import BeamSplitterParams, NetworkDescription, PhaseShifterParams, _apply_blocks, _element_block, _OneMode, _TwoModes, compose
 from .lossy import noisy_sigma_z_experiment, pure_loss
 from .optimizer import InfeasibleAtBudgetError, optimize_gate
 from .permanent import PermanentSizeError, check_appendix_bounds, permanent_naive, permanent_ryser
@@ -86,7 +86,29 @@ class Absorber(BeamSplitterParams):
 
 
 @dataclass(frozen=True)
+class FockInput(_OneMode):
+    mode: int
+    photons: int
+
+
+@dataclass(frozen=True)
+class CoherentInput(_OneMode):
+    mode: int
+    re: float
+    im: float
+
+
+@dataclass(frozen=True)
+class TmsvInput(_TwoModes):
+    mode_a: int
+    mode_b: int
+    q: float
+
+
+@dataclass(frozen=True)
 class CircuitFile:
+    """Inputs and elements as TYPES objects, detections as (mode, photons)."""
+
     mode_count: int
     inputs: tuple
     elements: tuple
@@ -127,8 +149,7 @@ def _amplitude_rows(out_labels, in_labels, matrix) -> str:
 # ---------------------------------------------------------------------------
 # circuit grammar
 
-# each directive and its arguments, as the module docstring writes them; an
-# input tuple is its kind followed by its arguments in this order
+# each directive and its arguments, as the module docstring writes them
 GRAMMAR = {
     "modes": "N",
     "input fock": "M K",
@@ -137,12 +158,15 @@ GRAMMAR = {
     "bs": "I J THETA PHASE_T PHASE_R",
     "phase": "I ANGLE",
     "lossybs": "I J THETA PHASE_T PHASE_R ABS",
-    "detect fock": "M K [ETA]",
-    "detect vacuum": "M [ETA]",
+    "detect fock": "M K",
+    "detect vacuum": "M",
 }
-# the element type of each element directive: its fields are the
+# the type of each input and element directive: its fields are the
 # directive's arguments, in GRAMMAR's order
-ELEMENTS = {"bs": BeamSplitterParams, "phase": PhaseShifterParams, "lossybs": Absorber}
+TYPES = {
+    "input fock": FockInput, "input coherent": CoherentInput, "input tmsv": TmsvInput,
+    "bs": BeamSplitterParams, "phase": PhaseShifterParams, "lossybs": Absorber,
+}
 
 def _token_columns(raw: str):
     # \s matches exactly the characters for which str.isspace is true
@@ -169,6 +193,13 @@ def _parse_count(tok: str, line: int, col: int, kind: str) -> int:
     return int(tok)
 
 
+def _parse_fraction(tok: str, line: int, col: int, kind: str) -> float:
+    v = _parse_number(tok, line, col, kind)
+    if not 0.0 <= v < 1.0:
+        raise CircuitError(line, col, f"{kind} must lie in [0, 1)")
+    return v
+
+
 _MODE_INDEX = "mode index"
 
 # how each argument name is read, and what its faults call it
@@ -177,20 +208,16 @@ _ARGUMENTS = {
     "K": (_parse_count, "photon count"),
     **dict.fromkeys(["M", "M1", "M2", "I", "J"], (_parse_count, _MODE_INDEX)),
     **dict.fromkeys(["RE", "IM"], (_parse_number, "number")),
-    "Q": (_parse_number, "squeezing q"),
+    "Q": (_parse_fraction, "squeezing q"),
     **dict.fromkeys(["THETA", "PHASE_T", "PHASE_R", "ANGLE"], (_parse_number, "angle")),
-    "ABS": (_parse_number, "absorption"),
-    "ETA": (_parse_number, "efficiency"),
+    "ABS": (_parse_fraction, "absorption"),
 }
 
 
 def _shape(directive: str, arguments: str) -> tuple:
-    """A GRAMMAR entry as (its first word, its word count, the tokens a
-    line of it needs, its argument readers).  An optional argument,
-    written [NAME], may only end the line."""
-    words, names = directive.split(), arguments.split()
-    needed = len(words) + sum(n[0] != "[" for n in names)
-    return words[0], len(words), needed, tuple(_ARGUMENTS[n.strip("[]")] for n in names)
+    """A GRAMMAR entry as (its first word, its word count, its argument readers)."""
+    words = directive.split()
+    return words[0], len(words), tuple(_ARGUMENTS[n] for n in arguments.split())
 
 
 _SHAPES = {d: _shape(d, args) for d, args in GRAMMAR.items()}
@@ -228,8 +255,8 @@ def parse_circuit(text: str) -> CircuitFile:
             directive = f"{directive} {kind}"
         elif directive not in GRAMMAR:
             raise CircuitError(ln, col0, f"unknown directive {directive!r}")
-        head, skip, needed, readers = _SHAPES[directive]
-        if not needed <= len(toks) <= skip + len(readers):
+        head, skip, readers = _SHAPES[directive]
+        if len(toks) != skip + len(readers):
             raise CircuitError(ln, col0, f"usage: {directive} {GRAMMAR[directive]}")
         if directive == "modes" and mode_count is not None:
             raise CircuitError(ln, col0, "modes declared twice")
@@ -251,27 +278,20 @@ def parse_circuit(text: str) -> CircuitFile:
             if args[0] < 1:
                 raise CircuitError(ln, toks[1][1], "need at least one mode")
             mode_count = args[0]
+        elif head == "detect":
+            if args[0] in claimed_detects:
+                raise CircuitError(ln, col0, f"mode {args[0]} already detected")
+            claimed_detects.add(args[0])
+            detections.append((args[0], args[1] if directive == "detect fock" else 0))
         elif head == "input":
-            if directive == "input tmsv" and not 0.0 <= args[2] < 1.0:
-                raise CircuitError(ln, toks[4][1], "q must lie in [0, 1)")
-            for m in args[: 2 if directive == "input tmsv" else 1]:
+            spec = TYPES[directive](*args)
+            for m in spec.modes:
                 if m in claimed_inputs:
                     raise CircuitError(ln, col0, f"mode {m} already has an input")
                 claimed_inputs.add(m)
-            inputs.append((directive[6:], *args))
-        elif head == "detect":
-            m, k = args[0], args[1] if directive == "detect fock" else 0
-            eta = args[-1] if len(args) == len(readers) else 1.0
-            if not 0.0 < eta <= 1.0:
-                raise CircuitError(ln, col0, "efficiency must lie in (0, 1]")
-            if m in claimed_detects:
-                raise CircuitError(ln, col0, f"mode {m} already detected")
-            claimed_detects.add(m)
-            detections.append((m, k, eta))
+            inputs.append(spec)
         else:
-            if directive == "lossybs" and not 0.0 <= args[5] < 1.0:
-                raise CircuitError(ln, toks[6][1], "absorption must lie in [0, 1)")
-            elements.append(ELEMENTS[directive](*args))
+            elements.append(TYPES[directive](*args))
 
     if mode_count is None:
         raise CircuitError(1, 1, "missing modes declaration")
@@ -279,17 +299,15 @@ def parse_circuit(text: str) -> CircuitFile:
 
 
 def serialize_circuit(cf: CircuitFile) -> str:
-    """Canonical text form, one space between words.  Input and detection
-    numbers are re-rendered at 12 digits; each element's fields are written
-    in GRAMMAR's order exactly (repr), so an element parses back to itself.
-    Parse-serialize is idempotent from the first normalization on."""
-    directive = {kind: d for d, kind in ELEMENTS.items()}
+    """Canonical text form, one space between words.  Each input's and
+    element's fields are written in GRAMMAR's order exactly (repr), so the
+    circuit parses back to itself.  A splitter holds its angles canonical;
+    a phase keeps its angle as given, so `phase 0 7` is written back as
+    `phase 0 7.0`."""
+    directive = {kind: d for d, kind in TYPES.items()}
     lines = [f"modes {cf.mode_count}"]
-    lines += [" ".join(["input", spec[0], *map(_fmt, spec[1:])]) for spec in cf.inputs]
-    lines += [" ".join([directive[type(e)], *(repr(getattr(e, f.name)) for f in fields(e))]) for e in cf.elements]
-    for (m, k, eta) in cf.detections:
-        args = ((m, k) if k else (m,)) + ((eta,) if eta != 1.0 else ())
-        lines.append(" ".join(["detect", "fock" if k else "vacuum", *map(_fmt, args)]))
+    lines += [" ".join([directive[type(e)], *(repr(getattr(e, f.name)) for f in fields(e))]) for e in cf.inputs + cf.elements]
+    lines += [f"detect fock {m} {k}" if k else f"detect vacuum {m}" for m, k in cf.detections]
     return "\n".join(lines) + "\n"
 
 
@@ -297,31 +315,21 @@ def serialize_circuit(cf: CircuitFile) -> str:
 # circuit execution
 
 
-def _declared_fock_total(cf: CircuitFile) -> int:
-    return sum(spec[2] for spec in cf.inputs if spec[0] == "fock")
-
-
 def _mode_amplitudes(spec, cutoff: int) -> np.ndarray:
-    """Single-mode amplitude ladder for an input directive."""
+    """Single-mode amplitude ladder of a Fock or coherent input."""
+    if type(spec) is CoherentInput:
+        return coherent_state(complex(spec.re, spec.im), cutoff).amplitudes
+    if spec.photons > cutoff:
+        raise CutoffTooSmallError(f"input photon count {spec.photons} above cutoff {cutoff}")
     amps = np.zeros(cutoff + 1, dtype=complex)
-    if spec is None:
-        amps[0] = 1.0
-        return amps
-    if spec[0] == "fock":
-        k = spec[2]
-        if k > cutoff:
-            raise CutoffTooSmallError(f"input photon count {k} above cutoff {cutoff}")
-        amps[k] = 1.0
-        return amps
-    if spec[0] == "coherent":
-        return coherent_state(complex(spec[2], spec[3]), cutoff).amplitudes
-    raise ValueError(f"not a single-mode input: {spec[0]}")
+    amps[spec.photons] = 1.0
+    return amps
 
 
 def _inputs_by_mode(cf: CircuitFile) -> dict:
-    """The input directive of each mode that has one; a tmsv pair sits
-    under both of its modes."""
-    return {m: spec for spec in cf.inputs for m in _modes_of(spec)}
+    """The input of each mode, in mode order: a tmsv pair sits under both
+    of its modes, and a mode without an input holds FockInput(m, 0)."""
+    return {m: FockInput(m, 0) for m in range(cf.mode_count)} | {m: spec for spec in cf.inputs for m in spec.modes}
 
 
 def _joint_input_state(cf: CircuitFile, cutoff: int) -> PureState:
@@ -330,29 +338,16 @@ def _joint_input_state(cf: CircuitFile, cutoff: int) -> PureState:
     basis = FockBasis(cf.mode_count, TotalPhotonCutoff(cutoff))
     occ, amps = basis.occupations, np.ones(basis.dimension, dtype=complex)
     for spec in cf.inputs:
-        if spec[0] == "tmsv":
-            n = occ[:, spec[1]]
-            amps = _cmul(amps, np.where(n == occ[:, spec[2]], np.asarray(tmsv_ladder(spec[3], cutoff))[n], 0.0))
-    by_mode = _inputs_by_mode(cf)
-    for m in range(cf.mode_count):
-        spec = by_mode.get(m)
-        if spec is None or spec[0] != "tmsv":
+        if type(spec) is TmsvInput:
+            n = occ[:, spec.mode_a]
+            amps = _cmul(amps, np.where(n == occ[:, spec.mode_b], np.asarray(tmsv_ladder(spec.q, cutoff))[n], 0.0))
+    for m, spec in _inputs_by_mode(cf).items():
+        if type(spec) is not TmsvInput:
             amps = _cmul(amps, _mode_amplitudes(spec, cutoff)[occ[:, m]])
     nrm = float(np.linalg.norm(amps))
     if nrm < 1e-12:
         raise CutoffTooSmallError("declared input state has no weight below the cutoff")
     return PureState(basis, amps, unchecked=True)
-
-
-def _modes_of(spec) -> tuple:
-    """The modes an input tuple names."""
-    return spec[1 : 2 if spec[0] in ("fock", "coherent") else 3]
-
-
-def _renumbered(spec, position):
-    """An input tuple with the modes it names renumbered."""
-    modes = _modes_of(spec)
-    return (spec[0], *(position[m] for m in modes), *spec[1 + len(modes) :])
 
 
 # the most terms _ordered_dot sums at once, and the most modes a stretch's
@@ -483,37 +478,29 @@ def _cmd_condition(args) -> int:
     cf = parse_circuit(_read_text(args.circuit))
     if not cf.detections:
         raise ValueError("condition needs at least one detect line")
-    if any(eta != 1.0 for (_, _, eta) in cf.detections):
-        raise ValueError("condition works with ideal detectors; model efficiency via loss")
     if any(isinstance(e, Absorber) for e in cf.elements):
         raise ValueError("condition needs a unitary network; use loss tooling")
     cutoff = _pick_cutoff(args, cf)
-    detected = {m: k for (m, k, _) in cf.detections}
+    detected = dict(cf.detections)
     signal = tuple(m for m in range(cf.mode_count) if m not in detected)
     if not signal:
         raise ValueError("every mode is detected; nothing remains as signal")
     by_mode = _inputs_by_mode(cf)
     aux_modes = sorted(detected)
-    aux_counts = []
     for m in aux_modes:
-        spec = by_mode.get(m)
-        if spec is None:
-            aux_counts.append(0)
-        elif spec[0] == "fock":
-            aux_counts.append(spec[2])
-        else:
-            raise ValueError(f"detected mode {m} needs a Fock input, not {spec[0]}")
+        if type(by_mode[m]) is not FockInput:
+            raise ValueError(f"detected mode {m} needs a Fock input, not {by_mode[m]}")
     cond = extract_conditional_operator(
         compose(NetworkDescription(cf.mode_count, cf.elements)),
         signal,
-        AncillaSpec(tuple(aux_counts)),
+        AncillaSpec(tuple(by_mode[m].photons for m in aux_modes)),
         DetectionSpec(tuple(detected[m] for m in aux_modes)),
         cutoff,
     )
     # the reference input lives on the signal modes, renumbered from 0; a
-    # detected mode holds a Fock input or none, so a tmsv pair is all signal
+    # detected mode holds a Fock input, so a tmsv pair is all signal
     position = {m: i for i, m in enumerate(signal)}
-    inputs = tuple(_renumbered(spec, position) for spec in cf.inputs if spec[1] not in detected)
+    inputs = tuple(spec.onto(position) for spec in cf.inputs if spec.modes[0] in position)
     ref = _joint_input_state(CircuitFile(len(signal), inputs, (), ()), cutoff).normalized()
     prob = success_probability(cond, ref)
     rows = [
@@ -745,7 +732,7 @@ def _read_text(path) -> str:
 
 
 def _pick_cutoff(args, cf: CircuitFile) -> int:
-    declared = _declared_fock_total(cf)
+    declared = sum(spec.photons for spec in cf.inputs if type(spec) is FockInput)
     cutoff = args.cutoff if args.cutoff is not None else max(declared, 4)
     if cutoff < declared:
         raise ValueError(f"--cutoff {cutoff} below declared input photon total {declared}")

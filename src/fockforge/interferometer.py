@@ -25,15 +25,27 @@ def _wrap_phase(angle: float) -> float:
     return math.remainder(float(angle), TAU)
 
 
-# a network element's mode fields come first, in the order of its `modes`
+# a circuit element's or input's mode fields come first, in the order of its `modes`
 class _Element:
     def onto(self, position):
         """The same element on mode position[m] in place of each of its modes m."""
         return replace(self, **{f.name: position[m] for f, m in zip(fields(self), self.modes)})
 
 
+class _OneMode(_Element):
+    @property
+    def modes(self) -> tuple:
+        return (self.mode,)
+
+
+class _TwoModes(_Element):
+    @property
+    def modes(self) -> tuple:
+        return (self.mode_a, self.mode_b)
+
+
 @dataclass(frozen=True)
-class BeamSplitterParams(_Element):
+class BeamSplitterParams(_TwoModes):
     """Two-mode element with T = cos(theta) e^{i phase_t} and
     R = sin(theta) e^{i phase_r}.
 
@@ -68,10 +80,6 @@ class BeamSplitterParams(_Element):
         object.__setattr__(self, "phase_r", _wrap_phase(pr))
 
     @property
-    def modes(self) -> tuple:
-        return (self.mode_a, self.mode_b)
-
-    @property
     def transmission(self) -> complex:
         return math.cos(self.theta) * complex(math.cos(self.phase_t), math.sin(self.phase_t))
 
@@ -81,17 +89,13 @@ class BeamSplitterParams(_Element):
 
 
 @dataclass(frozen=True)
-class PhaseShifterParams(_Element):
+class PhaseShifterParams(_OneMode):
     mode: int
     angle: float
 
     def __post_init__(self):
         if self.mode < 0:
             raise ValueError("mode index must be non-negative")
-
-    @property
-    def modes(self) -> tuple:
-        return (self.mode,)
 
 
 @dataclass(frozen=True)
@@ -156,6 +160,8 @@ def _element_block(element, total_modes: int) -> tuple:
 
 def bs_matrix(params: BeamSplitterParams, total_modes: int) -> ModeUnitary:
     """Identity except the block [[T, R], [-R*, T*]] on (mode_a, mode_b)."""
+    if type(params) is not BeamSplitterParams:  # as NetworkDescription: an absorber is no unitary
+        raise TypeError(f"unknown network element {params!r}")
     if max(params.mode_a, params.mode_b) >= total_modes:
         raise IndexError("beam splitter modes exceed total_modes")
     t = params.transmission
@@ -178,11 +184,9 @@ def phase_matrix(params: PhaseShifterParams, total_modes: int) -> ModeUnitary:
 
 
 def element_matrix(element, total_modes: int) -> ModeUnitary:
-    if isinstance(element, BeamSplitterParams):
-        return bs_matrix(element, total_modes)
-    if isinstance(element, PhaseShifterParams):
+    if type(element) is PhaseShifterParams:
         return phase_matrix(element, total_modes)
-    raise TypeError(f"unknown network element {element!r}")
+    return bs_matrix(element, total_modes)  # which refuses any other type
 
 
 def compose(network: NetworkDescription) -> ModeUnitary:

@@ -31,13 +31,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RECORD = Path(__file__).with_name("golden.tsv")
-ENV = {
-    "OPENBLAS_NUM_THREADS": "1",
-    "OMP_NUM_THREADS": "1",
-    "MKL_NUM_THREADS": "1",
-    "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3",
-    "OPENBLAS_CORETYPE": "Haswell",
-}
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+X86_V2 = {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}
+ENV = {**ONE_THREAD, **X86_V2, "OPENBLAS_CORETYPE": "Haswell"}
 SCRIPTS = (
     ("scripts/cphase_phi_sweep.py", "--points", "5", "--restarts", "12"),
     ("scripts/engineer_catalogue.py",),
@@ -163,8 +159,11 @@ def _child() -> None:
     json.dump(results, sys.stdout)
 
 
-def _run_group(group: list) -> list:
-    env = dict(os.environ, **ENV, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+def _run_group(group: list, settings: dict = ENV) -> list:
+    """The results of one child that runs `group` under `settings`, which
+    replace any of ENV's variables this process has."""
+    env = {k: v for k, v in os.environ.items() if k not in ENV} | settings
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     run = subprocess.run(
         [sys.executable, __file__, "--child"],
         input=json.dumps(group), cwd=ROOT, env=env, capture_output=True, text=True, check=True, timeout=300,

@@ -13,6 +13,9 @@ from fockforge.cli import (
     GATES,
     CircuitError,
     CircuitFile,
+    CoherentInput,
+    FockInput,
+    TmsvInput,
     _fmt,
     _rows_to_tsv,
     main,
@@ -144,7 +147,7 @@ def test_token_columns_match_the_isspace_scan():
 def test_parse_canonical_circuit():
     cf = parse_circuit(HOM)
     assert cf.mode_count == 2
-    assert cf.inputs == (("fock", 0, 1), ("fock", 1, 1))
+    assert cf.inputs == (FockInput(0, 1), FockInput(1, 1))
     assert cf.elements == (BeamSplitterParams(0, 1, 0.7853981633974483),)
     assert cf.detections == ()
 
@@ -153,7 +156,7 @@ def test_comments_and_blank_lines_ignored():
     text = "# header\n\nmodes 1  # trailing\n\ninput fock 0 1\n"
     cf = parse_circuit(text)
     assert cf.mode_count == 1
-    assert cf.inputs == (("fock", 0, 1),)
+    assert cf.inputs == (FockInput(0, 1),)
 
 
 def test_serialize_parse_fixed_point():
@@ -162,12 +165,8 @@ def test_serialize_parse_fixed_point():
     assert text == again
     # an element's angles are written exactly
     assert "bs 0 1 0.7853981633974483 0.0 0.0\n" in text
-
-
-def test_detect_eta_serialization():
-    text = "modes 2\ndetect vacuum 0\ndetect fock 1 1 0.5\n"
-    cf = parse_circuit(text)
-    assert serialize_circuit(cf) == text
+    # a splitter's angles are canonical; a phase keeps its angle as written
+    assert serialize_circuit(parse_circuit("modes 1\nphase 0 7\n")) == "modes 1\nphase 0 7.0\n"
 
 
 @pytest.mark.parametrize(
@@ -182,7 +181,7 @@ def test_detect_eta_serialization():
         ("modes 2\nbs 0 0 1 0 0\n", "distinct modes", 2),
         ("modes 2\nbs 0 5 1 0 0\n", "undeclared", 2),
         ("modes 2\nlossybs 0 1 1 0 0 1.0\n", "absorption must lie", 2),
-        ("modes 2\ndetect vacuum 0 0\n", "efficiency must lie", 2),
+        ("modes 2\ndetect vacuum 0 0\n", "usage: detect vacuum M", 2),
         ("modes 2\n# ok\nwiggle 0\n", "unknown directive", 3),
         ("modes 2\ninput squeezed 0 1\n", "unknown input kind", 2),
         ("modes 2\nphase 0\n", "usage", 2),
@@ -192,8 +191,8 @@ def test_detect_eta_serialization():
         ("modes 2\ninput tmsv 0 1\n", "usage: input tmsv M1 M2 Q", 2),
         ("modes 2\nbs 0 1 0 0\n", "usage: bs I J THETA PHASE_T PHASE_R", 2),
         ("modes 2\nlossybs 0 1 0 0 0\n", "usage: lossybs I J THETA PHASE_T PHASE_R ABS", 2),
-        ("modes 2\ndetect fock 0\n", "usage: detect fock M K [ETA]", 2),
-        ("modes 2\ndetect vacuum 0 1 1\n", "usage: detect vacuum M [ETA]", 2),
+        ("modes 2\ndetect fock 0\n", "usage: detect fock M K", 2),
+        ("modes 2\ndetect vacuum 0 1 1\n", "usage: detect vacuum M", 2),
         ("modes 2\ninput\n", "input needs a kind: fock | coherent | tmsv", 2),
         ("modes 2\ndetect\n", "detect needs a kind: fock | vacuum", 2),
         # two faults on one line: the one found first is reported
@@ -218,9 +217,9 @@ def test_readme_circuit_example_parses():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     example = readme.split("\n### Circuit files\n", 1)[1].split("```\n", 2)[1]
     cf = parse_circuit(example)
-    directive = {kind: d for d, kind in cli.ELEMENTS.items()}
-    used = {"modes"} | {f"input {spec[0]}" for spec in cf.inputs} | {directive[type(e)] for e in cf.elements}
-    used |= {"detect fock" if k else "detect vacuum" for (_, k, _) in cf.detections}
+    directive = {kind: d for d, kind in cli.TYPES.items()}
+    used = {"modes"} | {directive[type(e)] for e in cf.inputs + cf.elements}
+    used |= {"detect fock" if k else "detect vacuum" for _, k in cf.detections}
     assert used == set(cli.GRAMMAR)
 
 
@@ -230,19 +229,16 @@ def circuit_files(draw):
     inputs = []
     free = list(range(n))
     if draw(st.booleans()):
-        q = round(draw(st.floats(min_value=0.0, max_value=0.8)), 6)
-        inputs.append(("tmsv", free[0], free[1], q))
+        inputs.append(TmsvInput(free[0], free[1], draw(st.floats(min_value=0.0, max_value=0.8))))
         free = free[2:]
     for m in free:
         kind = draw(st.sampled_from(["none", "fock", "coherent"]))
         if kind == "fock":
-            inputs.append(("fock", m, draw(st.integers(min_value=0, max_value=2))))
+            inputs.append(FockInput(m, draw(st.integers(min_value=0, max_value=2))))
         elif kind == "coherent":
-            re = round(draw(st.floats(min_value=-1, max_value=1)), 6)
-            im = round(draw(st.floats(min_value=-1, max_value=1)), 6)
-            inputs.append(("coherent", m, re, im))
+            inputs.append(CoherentInput(m, draw(st.floats(min_value=-1, max_value=1)), draw(st.floats(min_value=-1, max_value=1))))
     # raw angles, outside the canonical ranges: an element keeps its
-    # canonical form, which serialization writes exactly
+    # canonical form; serialization writes every field exactly
     elements = []
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         kind = draw(st.sampled_from(["bs", "phase", "lossybs"]))
@@ -259,9 +255,7 @@ def circuit_files(draw):
                 elements.append(cli.Absorber(i, j, *angles, draw(st.floats(min_value=0.0, max_value=0.9))))
     detections = []
     for m in sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n - 1))):
-        k = draw(st.integers(min_value=0, max_value=2))
-        eta = draw(st.sampled_from([1.0, 0.5, 0.25]))
-        detections.append((m, k, eta))
+        detections.append((m, draw(st.integers(min_value=0, max_value=2))))
     return CircuitFile(n, tuple(inputs), tuple(elements), tuple(detections))
 
 
@@ -442,6 +436,7 @@ def test_condition_requires_detection(tmp_path, capsys):
 
 
 def test_condition_rejects_inefficient_detectors(tmp_path, capsys):
+    # a detector has no efficiency argument: a trailing one is a usage error
     path = tmp_path / "eta.circuit"
     path.write_text(HOM + "detect vacuum 1 0.5\n")
     rc, _ = run(capsys, ["condition", str(path)])
@@ -870,13 +865,13 @@ def test_perm_complex_entries(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, text, position",
     [
-        (["perm"], "# header\n\n1 2\n3\n", "line 4 column 1"),
+        (["perm"], "# header\n\n1 2\n3\n", "line 4 column 1: ragged matrix row"),
         (["perm"], "# header only\n", None),
         (["perm"], "1 2 3\n4 5 6\n", None),
         (["simulate"], "modes 2\ninput fock 0 1\ndetect vacuum 1\n", None),
         (["simulate", "--cutoff", "1"], "modes 2\ninput fock 0 1\ninput fock 1 1\n", None),
         (["condition"], "modes 2\ninput fock 0 1\n", None),
-        (["condition"], "modes 2\ninput fock 0 1\ndetect vacuum 1 0.5\n", None),
+        (["condition"], "modes 2\ninput fock 0 1\ndetect vacuum 1 0.5\n", "line 3 column 1: usage: detect vacuum M"),
         (["condition"], "modes 2\nlossybs 0 1 0.5 0 0 0.1\ndetect vacuum 1\n", None),
         (["condition"], "modes 1\ninput fock 0 1\ndetect fock 0 1\n", None),
         (["condition"], "modes 3\ninput tmsv 1 2 0.1\ndetect vacuum 2\n", None),
@@ -889,7 +884,7 @@ def test_faults_name_a_file_position_only_where_they_have_one(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert rc == 2
     if position:
-        assert err.startswith(f"parse error: {position}: ragged matrix row")
+        assert err.startswith(f"parse error: {position}")
     else:
         assert err.startswith("error:") and "line 1 column 1" not in err
 

@@ -58,9 +58,14 @@ def test_compose_applies_left_to_right():
 
 def test_network_refuses_an_absorber():
     # an absorbing splitter is a splitter subclass but no unitary element,
-    # so compose can never drop its loss
+    # so neither compose nor the dense element matrices can drop its loss
+    absorber = cli.Absorber(0, 1, 0.3, 0.0, 0.0, 0.2)
     with pytest.raises(TypeError):
-        NetworkDescription(2, (cli.Absorber(0, 1, 0.3, 0.0, 0.0, 0.2),))
+        NetworkDescription(2, (absorber,))
+    with pytest.raises(TypeError):
+        element_matrix(absorber, 2)
+    with pytest.raises(TypeError):
+        bs_matrix(absorber, 2)
 
 
 def test_element_matrix_dispatch():

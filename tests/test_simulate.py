@@ -104,12 +104,11 @@ def input_by_loop(cf, cutoff: int) -> np.ndarray:
     for occ in FockBasis(cf.mode_count, TotalPhotonCutoff(cutoff)).occupations.tolist():
         a = 1 + 0j
         for spec in cf.inputs:
-            if spec[0] == "tmsv":
-                a *= tmsv_ladder(spec[3], cutoff)[occ[spec[1]]] if occ[spec[1]] == occ[spec[2]] else 0.0
+            if isinstance(spec, cli.TmsvInput):
+                a *= tmsv_ladder(spec.q, cutoff)[occ[spec.mode_a]] if occ[spec.mode_a] == occ[spec.mode_b] else 0.0
         for m in range(cf.mode_count):
-            spec = by_mode.get(m)
-            if spec is None or spec[0] != "tmsv":
-                a *= complex(cli._mode_amplitudes(spec, cutoff)[occ[m]])
+            if not isinstance(by_mode[m], cli.TmsvInput):
+                a *= complex(cli._mode_amplitudes(by_mode[m], cutoff)[occ[m]])
         amps.append(a)
     return np.array(amps)
 

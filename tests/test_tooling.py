@@ -87,19 +87,26 @@ def test_cli_docstring_lists_the_grammar():
     assert documented == [f"{k} {v}" for k, v in cli.GRAMMAR.items()]
 
 
-# the GRAMMAR argument each element field holds
+# the GRAMMAR argument each input and element field holds; a mode field
+# holds one of the mode-index arguments, whose names differ by directive
 _FIELD_ARGUMENTS = {
-    "mode_a": "I", "mode_b": "J", "theta": "THETA", "phase_t": "PHASE_T", "phase_r": "PHASE_R",
-    "absorption": "ABS", "mode": "I", "angle": "ANGLE",
+    **dict.fromkeys(["mode", "mode_a", "mode_b"], cli._MODE_INDEX),
+    "theta": "THETA", "phase_t": "PHASE_T", "phase_r": "PHASE_R", "absorption": "ABS", "angle": "ANGLE",
+    "photons": "K", "re": "RE", "im": "IM", "q": "Q",
 }
 
 
 def test_element_types_hold_their_directive_arguments_in_order():
-    # serialize_circuit writes an element's fields in order as its
-    # directive's arguments, and parse_circuit passes them back in order
-    assert set(cli.ELEMENTS) == {d for d in cli.GRAMMAR if d.split()[0] not in ("modes", "input", "detect")}
-    for directive, kind in cli.ELEMENTS.items():
-        assert [_FIELD_ARGUMENTS[f.name] for f in dataclasses.fields(kind)] == cli.GRAMMAR[directive].split()
+    # serialize_circuit writes an input's or element's fields in order as
+    # its directive's arguments, and parse_circuit passes them back in
+    # order; `onto` renumbers the leading fields, one per mode of `modes`
+    assert set(cli.TYPES) == {d for d in cli.GRAMMAR if d.split()[0] not in ("modes", "detect")}
+    for directive, kind in cli.TYPES.items():
+        names = cli.GRAMMAR[directive].split()
+        held = [_FIELD_ARGUMENTS[f.name] for f in dataclasses.fields(kind)]
+        assert held == [cli._ARGUMENTS[n][1] if cli._ARGUMENTS[n][1] is cli._MODE_INDEX else n for n in names]
+        modes = kind(*range(len(names))).modes
+        assert modes == tuple(range(held.count(cli._MODE_INDEX)))
 
 
 def _limits_table_rows():
