@@ -267,14 +267,16 @@ class ConditionalExtractor:
         # column's component and column, an output state's row
         cols = comps * dim * dim + cols
         rows *= dim
-        # per level: the parents, lowered modes and 1/sqrt(n_j) of its
-        # nodes, the gathers, slot modes and weights of its states, and the
-        # offsets of its output columns (c, 1) and rows (r,)
+        # per level: the parents as flat offsets into the level below's
+        # (nodes, states) values, the lowered modes and 1/sqrt(n_j) of its
+        # nodes (n, 1, 1), the gathers, slot modes as flat row offsets into
+        # a mode matrix and weights of its states, and the offsets of its
+        # output columns (c, 1) and rows (r,)
         for k in range(top + 1):
             (n0, n1), (t0, t1), w = node_starts[k : k + 2], state_starts[k : k + 2], min(mode_count, k)
             self._levels.append((
-                parents[n0:n1], lowered[n0:n1], inv[n0:n1],
-                below[t0:t1, :w], slots[t0:t1, :w], weights[t0:t1, :w],
+                parents[n0:n1] * (t0 - state_starts[max(k - 1, 0)]), lowered[n0:n1, None, None], inv[n0:n1, None, None],
+                below[t0:t1, :w], slots[t0:t1, :w] * mode_count, weights[t0:t1, :w],
                 cols[n0 : n0 + out_nodes[k + 1] - out_nodes[k], None], rows[t0 : t0 + out_states[k + 1] - out_states[k]],
             ))
 
@@ -293,6 +295,7 @@ class ConditionalExtractor:
         if m.ndim != 3 or m.shape[1:] != (self.mode_count, self.mode_count):
             raise ValueError("mode matrix dimension mismatch")
         m = m[:, self._local[:, None], self._local]
+        flat = m.reshape(len(m), -1)
         dim = self.signal_basis.dimension
         parts = np.zeros((len(m), len(self._amplitudes), dim, dim), dtype=complex)
         entries = parts.reshape(len(m), -1)
@@ -300,15 +303,15 @@ class ConditionalExtractor:
         values = np.ones((len(m), 1, 1), dtype=complex)
         for k, (parents, lowered, inv, gather, slots, weights, out_cols, out_rows) in enumerate(self._levels):
             if k:
-                coef = m[:, :, lowered] * inv  # L_mj / sqrt(n_j), (B, N, nodes)
-                nodes = np.arange(len(parents))[:, None, None]
+                below = values.reshape(len(m), -1)
                 step = max(1, _CHUNK // max(len(m) * gather.size, 1))
-                new = np.empty((len(m), len(parents), len(gather)), dtype=complex)
+                values = np.empty((len(m), len(parents), len(gather)), dtype=complex)
                 for lo in range(0, len(parents), step):
                     at = slice(lo, lo + step)
-                    terms = values[:, parents[at, None, None], gather] * coef[:, slots, nodes[at]] * weights
-                    new[:, at] = _ordered_sum(terms)
-                values = new
+                    # values[parent, gather] * L_mj / sqrt(n_j) * sqrt(t_m), the
+                    # first two factors each gathered from a flat array at once
+                    terms = below.take(parents[at, None, None] + gather, axis=1) * (flat.take(slots + lowered[at], axis=1) * inv[at]) * weights
+                    values[:, at] = _ordered_sum(terms)
             entries[:, out_cols + out_rows] = values[:, : len(out_cols), : len(out_rows)]
         # a unit amplitude leaves its part as filled
         out = parts[:, 0] if self._amplitudes[0] == 1 else self._amplitudes[0] * parts[:, 0]

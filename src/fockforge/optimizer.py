@@ -22,10 +22,13 @@ rows; the restarts run in lockstep, one _fit call per step on the stacks
 of every live restart.  A point evaluated alone (a start, a trial) rides
 with its Jacobian's forward-difference points, which a phase that moves
 there uses without another step, and each phase hands its final rows on.
-A point's row counts against its restart's budgets when read, its
-Jacobian rows when used, and every reduction runs in a fixed order, so a
-row has the same bits in any stack: the counts, the trajectory and the
-result are those of each restart run alone, one stack per point.
+Levenberg-Marquardt's damping oscillates, so after an iteration that
+needed more than one trial, the next sends its trials at d and 10 d in
+one step and reads them in order; a trial after the accepted one goes
+unread.  A point's row counts against its restart's budgets when read,
+its Jacobian rows when used, and every reduction runs in a fixed order,
+so a row has the same bits in any stack: the counts, the trajectory and
+the result are those of each restart run alone, one trial per step.
 """
 
 from __future__ import annotations
@@ -268,8 +271,10 @@ def _feasibility(objective, x, budget, rows=None):
     (x, the _fit rows of its look-ahead, evaluations), from x and, if
     known, those rows.  Blind to the overall scale, it is not drawn to the
     zero operator.  A draw ends when it collapses there anyway, stalls, or
-    would overrun its budget with the next Jacobian.  It is numpy, not
-    MINPACK, whose step rounds with the alignment of its work arrays."""
+    would overrun its budget with the next Jacobian.  After an iteration of
+    more than one damping trial, the next sends its trials two to a step.
+    It is numpy, not MINPACK, whose step rounds with the alignment of its
+    work arrays."""
     floor = TRIVIAL_PROBABILITY * objective._scale_denominator
 
     def relative(rows):
@@ -280,21 +285,35 @@ def _feasibility(objective, x, budget, rows=None):
     if rows is None:
         rows = yield _look_ahead(x)
     values, done = relative(rows)
-    r, count, damping = values[0], 1, 1e-3
+    r, count, damping, depth, size = values[0], 1, 1e-3, 1, len(x) + 1
     while not done and r @ r > 1e-28 and damping < 1e12 and count + len(x) < budget:
         jac, count = _jacobian(values, x), count + len(x)
         grad, normal = jac.T @ r, jac.T @ jac
-        while damping < 1e12 and count < budget:
-            trial = x - np.linalg.lstsq(normal + damping * np.eye(len(x)), grad)[0]
-            trial_rows = yield _look_ahead(trial)
-            trial_values, collapsed = relative(trial_rows)
-            r_trial, count = trial_values[0], count + 1
-            if r_trial @ r_trial < r @ r:
-                # a step that gains less than 0.1% marks a local minimum
-                done = collapsed or r @ r - r_trial @ r_trial <= 1e-3 * (r @ r)
-                x, rows, values, r, damping = trial, trial_rows, trial_values, r_trial, damping / 10.0
-                break
-            damping *= 10.0
+        charged, accepted = count, False
+        while not accepted and damping < 1e12 and count < budget:
+            # the trials the loop would make next, at damping, 10 damping, ...
+            trials, level = [], damping
+            while len(trials) < depth and level < 1e12 and count + len(trials) < budget:
+                trial = x - np.linalg.lstsq(normal + level * np.eye(len(x)), grad)[0]
+                if trials and not np.isfinite(trial).all():
+                    break  # a speculative trial must not make the step raise
+                trials.append(trial)
+                level *= 10.0
+            stack = yield np.vstack([_look_ahead(trial) for trial in trials])
+            for i, trial in enumerate(trials):
+                trial_rows = tuple(part[i * size : (i + 1) * size] for part in stack)
+                trial_values, collapsed = relative(trial_rows)
+                r_trial, count = trial_values[0], count + 1
+                if r_trial @ r_trial < r @ r:
+                    # a step that gains less than 0.1% marks a local minimum
+                    done = collapsed or r @ r - r_trial @ r_trial <= 1e-3 * (r @ r)
+                    x, rows, values, r, damping = trial, trial_rows, trial_values, r_trial, damping / 10.0
+                    accepted = True
+                    break
+                damping *= 10.0
+        # the damping oscillates: an iteration that took more than one trial
+        # predicts another, whose second trial then rides in the first's step
+        depth = 2 if count - charged > 1 else 1
     return x, rows, count
 
 

@@ -17,6 +17,9 @@ occupation.  Closed-form pure loss replaced it in simulate and in the
 noisy sign-flip experiment, and the tests hold both to it.  The
 Hadamard's controlled-z stage is a loop over the joint two-mode basis,
 one input state at a time, the route one product per entry replaced.
+The one-trial feasibility loop is Levenberg-Marquardt sending each
+damping trial in a step of its own, the route the speculative second
+trial replaced; a search must reach the same bits on either.
 """
 
 import math
@@ -28,7 +31,8 @@ from fockforge.conditioning import AncillaSpec, ConditionalExtractor, DetectionS
 from fockforge.fock import FockBasis, FockOperator, MixedState, TotalPhotonCutoff, _lookup
 from fockforge.gates import _CNOT_BASIS, cnot_basis_matrix
 from fockforge.lossy import DetectorModel, LossyBSParams, choose_T_for_sigma_z, dilation_unitary, povm_element
-from fockforge.permanent import MAX_DIMENSION, PermanentSizeError, _as_square, _per_flat
+from fockforge.optimizer import TRIVIAL_PROBABILITY, _jacobian, _look_ahead
+from fockforge.permanent import MAX_DIMENSION, PermanentSizeError, _as_square, _ordered_sum, _per_flat
 
 
 def lift_oracle(mode_matrix, basis: FockBasis) -> np.ndarray:
@@ -207,6 +211,36 @@ def per_entry_extraction(mode_count, signal_modes, ancilla, det, signal_cutoff, 
         else:
             out += part
     return out
+
+
+def one_trial_feasibility(objective, x, budget, rows=None):
+    """optimizer._feasibility with one damping trial per step: the same
+    generator protocol, charges and result."""
+    floor = TRIVIAL_PROBABILITY * objective._scale_denominator
+
+    def relative(rows):
+        norms, _, deviation = rows
+        total = _ordered_sum(norms)
+        return deviation / np.sqrt(np.maximum(total, floor))[:, None], total[0] <= floor
+
+    if rows is None:
+        rows = yield _look_ahead(x)
+    values, done = relative(rows)
+    r, count, damping = values[0], 1, 1e-3
+    while not done and r @ r > 1e-28 and damping < 1e12 and count + len(x) < budget:
+        jac, count = _jacobian(values, x), count + len(x)
+        grad, normal = jac.T @ r, jac.T @ jac
+        while damping < 1e12 and count < budget:
+            trial = x - np.linalg.lstsq(normal + damping * np.eye(len(x)), grad)[0]
+            trial_rows = yield _look_ahead(trial)
+            trial_values, collapsed = relative(trial_rows)
+            r_trial, count = trial_values[0], count + 1
+            if r_trial @ r_trial < r @ r:
+                done = collapsed or r @ r - r_trial @ r_trial <= 1e-3 * (r @ r)
+                x, rows, values, r, damping = trial, trial_rows, trial_values, r_trial, damping / 10.0
+                break
+            damping *= 10.0
+    return x, rows, count
 
 
 def permanent_expansion(m) -> complex:

@@ -32,6 +32,7 @@ from fockforge.optimizer import (
     optimize_gate,
 )
 from fockforge.interferometer import compose
+from oracles import one_trial_feasibility
 
 
 E2 = np.eye(3)
@@ -62,6 +63,11 @@ def _one_photon_as_two_objective():
         signal_cutoff=2,
         constraints=((E2[1], E2[2]),),
     )
+
+
+def _restart_key(result):
+    x, residual, probability, index, evaluations = result
+    return x.tobytes(), residual, probability, index, evaluations
 
 
 def _result_tuple(r: OptimizationResult):
@@ -171,10 +177,24 @@ def test_search_trajectory_is_pinned():
     assert result.restart_index == 2
 
 
-def test_benchmark_nss_search_step_count_is_pinned(monkeypatch):
-    # the benchmark's nss search: a trial's Jacobian rows ride in its own
-    # stack, and each phase hands its final rows on, so the lockstep steps
-    # fell from 170 to 105 while every evaluation charged stayed the same
+def _searched(monkeypatch, recipe, *args):
+    """(objective, seed, restarts) of the search a gate recipe runs."""
+
+    class Found(Exception):
+        pass
+
+    def record(objective, seed, restarts):
+        raise Found(objective, seed, restarts)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gates, "optimize_gate", record)
+        with pytest.raises(Found) as found:
+            recipe(*args)
+    return found.value.args
+
+
+def _counted_search(monkeypatch, objective, seed, restarts):
+    """(lockstep _fit calls, result) of a search."""
     calls = [0]
     fit = optimizer._fit
 
@@ -183,9 +203,27 @@ def test_benchmark_nss_search_step_count_is_pinned(monkeypatch):
         return fit(stack, objective)
 
     monkeypatch.setattr(optimizer, "_fit", counting)
-    result = optimize_gate(nss_objective(), seed=7, restarts=4)
-    assert calls[0] == 105
+    result = optimize_gate(objective, seed, restarts)
+    return calls[0], result
+
+
+def test_benchmark_nss_search_step_count_is_pinned(monkeypatch):
+    # the benchmark's nss search: a trial's Jacobian rows ride in its own
+    # stack, and each phase hands its final rows on, so the lockstep steps
+    # fell from 170 to 105; an iteration that follows one of several
+    # damping trials sends its trials two to a stack, so they fell to 74,
+    # while every evaluation charged stayed the same
+    steps, result = _counted_search(monkeypatch, nss_objective(), 7, 4)
+    assert steps == 74
     assert result.evaluations == 1215
+
+
+def test_benchmark_pauli_x_search_step_count_is_pinned(monkeypatch):
+    # the benchmark's lone Pauli-x restart: 89 steps with one damping trial
+    # per step, 58 with the speculative second trial
+    steps, result = _counted_search(monkeypatch, *_searched(monkeypatch, gates.pauli_xy_gate, "x", 0.01, 3, 1))
+    assert steps == 58
+    assert result.evaluations == 586
 
 
 def test_unit_weight_matches_unweighted_bitwise():
@@ -273,24 +311,38 @@ def test_infeasible_restarts_keep_their_draw_budgets(monkeypatch):
     # one photon demanded as two is never met, so each restart spends only
     # feasibility draws; every network evaluation counts against the
     # budget, the finite-difference ones included
-    calls = [0]
-    fit = optimizer._fit
+    rows, pairs = [0], [0]
+    fit, speculative = optimizer._fit, optimizer._feasibility
 
     def counting(stack, objective):
-        # one stacked call evaluates every row: a whole Jacobian, or one trial
-        calls[0] += len(stack)
+        # one stacked call evaluates every row: a point's look-ahead, or the
+        # look-aheads of one or two damping trials
+        rows[0] += len(stack)
+        pairs[0] += len(stack) == 2 * (n + 1)
         return fit(stack, objective)
 
     monkeypatch.setattr(optimizer, "_fit", counting)
     objective = _one_photon_as_two_objective()
+    n = objective.mode_count**2
     for index in range(3):
-        calls[0] = 0
-        _, residual, _, _, evaluations = _run_restart((objective, 0, index))
-        assert residual >= FEASIBLE_RESIDUAL
-        assert 0 < evaluations <= FEASIBILITY_DRAWS * FEASIBILITY_BUDGET
-        # plus whole look-aheads (a point's forward-difference rows) of
-        # rejected trials and final points: computed, never used, never charged
-        assert (calls[0] - evaluations) % objective.mode_count**2 == 0
+        counted = []
+        for route in (one_trial_feasibility, speculative):
+            monkeypatch.setattr(optimizer, "_feasibility", route)
+            rows[0] = pairs[0] = 0
+            _, residual, _, _, evaluations = _run_restart((objective, 0, index))
+            assert residual >= FEASIBLE_RESIDUAL
+            assert 0 < evaluations <= FEASIBILITY_DRAWS * FEASIBILITY_BUDGET
+            counted.append((rows[0], evaluations))
+        (one_trial_rows, charged), (speculative_rows, evaluations) = counted
+        assert evaluations == charged
+        # a speculative trial left unread, its first trial accepted, adds
+        # its whole look-ahead, at most one per pair of trials sent
+        unread, spare = divmod(speculative_rows - one_trial_rows, n + 1)
+        assert spare == 0 and 0 <= unread <= pairs[0]
+        # the rest is whole look-aheads (a point's forward-difference rows)
+        # of rejected trials and final points: computed, never used, never
+        # charged
+        assert (speculative_rows - (n + 1) * unread - evaluations) % n == 0
 
 
 @pytest.mark.parametrize(
@@ -304,13 +356,73 @@ def test_lockstep_restarts_equal_restarts_run_alone(objective, seed, restarts):
     # the restarts evaluated beside it
     together = _run_restarts(objective, seed, range(restarts))
     alone = [_run_restart((objective, seed, index)) for index in range(restarts)]
-
-    def key(result):
-        x, residual, probability, index, evaluations = result
-        return x.tobytes(), residual, probability, index, evaluations
-
-    assert [key(r) for r in together] == [key(r) for r in alone]
+    assert [_restart_key(r) for r in together] == [_restart_key(r) for r in alone]
     assert len({r[4] for r in together}) > 1
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda _: (nss_objective(), 7, 4),
+        lambda _: (su3_objective(0.0, np.pi), 11, 6),
+        lambda patch: _searched(patch, gates.pauli_xy_gate, "x", 0.01, 3, 1),
+        lambda _: (_one_photon_as_two_objective(), 0, 3),
+    ],
+    ids=["nss", "cphase", "pauli-x", "infeasible"],
+)
+def test_speculative_trials_match_the_one_trial_loop(monkeypatch, search):
+    # the benchmark's searches and an infeasible one: every restart reaches
+    # the bits, residual, probability and charges of one trial per step,
+    # and the speculative route computes whole look-aheads more
+    objective, seed, restarts = search(monkeypatch)
+    rows = [0]
+    fit = optimizer._fit
+
+    def counting(stack, objective):
+        rows[0] += len(stack)
+        return fit(stack, objective)
+
+    monkeypatch.setattr(optimizer, "_fit", counting)
+    speculative = [_restart_key(r) for r in _run_restarts(objective, seed, range(restarts))]
+    speculative_rows, rows[0] = rows[0], 0
+    monkeypatch.setattr(optimizer, "_feasibility", one_trial_feasibility)
+    assert speculative == [_restart_key(r) for r in _run_restarts(objective, seed, range(restarts))]
+    assert speculative_rows >= rows[0]
+    assert (speculative_rows - rows[0]) % (objective.mode_count**2 + 1) == 0
+
+
+def test_non_finite_speculative_trial_stays_out_of_the_step(monkeypatch):
+    # mesh_matrices raises on a non-finite row anywhere in a lockstep stack,
+    # which would end every live restart; here every solve after the first
+    # in one step, which only a speculative trial makes, returns inf, and
+    # each restart run alone keeps the one-trial loop's bits
+    objective, restarts = nss_objective(), 4
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_feasibility", one_trial_feasibility)
+        expected = [_restart_key(_run_restart((objective, 7, index))) for index in range(restarts)]
+    solves, spoiled = [0], [0]
+    fit, lstsq = optimizer._fit, np.linalg.lstsq
+
+    def stepping(stack, objective):
+        solves[0] = 0
+        return fit(stack, objective)
+
+    def spoiling(a, b, *args, **kwargs):
+        x, *rest = lstsq(a, b, *args, **kwargs)
+        solves[0] += 1
+        if solves[0] > 1:
+            spoiled[0] += 1
+            x = np.full_like(x, np.inf)
+        return (x, *rest)
+
+    monkeypatch.setattr(optimizer, "_fit", stepping)
+    monkeypatch.setattr(np.linalg, "lstsq", spoiling)
+    got = []
+    for index in range(restarts):
+        solves[0] = 0
+        got.append(_restart_key(_run_restart((objective, 7, index))))
+    assert got == expected
+    assert spoiled[0] > 0
 
 
 def test_pauli_x_search_reaches_its_optimum(monkeypatch):
