@@ -36,7 +36,8 @@ from .fock import (
     PureState,
     TotalPhotonCutoff,
     _lookup,
-    block_spectrum,
+    coupled_blocks,
+    positive_definite,
 )
 from .interferometer import ModeUnitary, random_unitary
 from .permanent import _ordered_sum
@@ -358,10 +359,12 @@ class ConditionalOperator:
     faithful_input_levels: int
 
     def __post_init__(self):
-        top = float(block_spectrum(self.operator.basis, self.operator.matrix, hermitian=False).max())
-        if top > 1.0 + 1e-9:
+        # ||Y|| < 1 + 1e-9 exactly when (1 + 1e-9)^2 I - Y^dag Y is positive definite
+        y = self.operator.matrix
+        grams = (y[:, c].conj().T @ y[:, c] for c in coupled_blocks(self.operator.basis, y.T, y))  # Y^dag Y by blocks
+        if not positive_definite((np.negative(g, out=g) for g in grams), (1 + 1e-9) ** 2):
             raise ValueError(
-                f"conditional operator norm {top} exceeds one; "
+                f"conditional operator norm {float(np.linalg.norm(y, 2))} exceeds one; "
                 "the network is not unitary or the detection is not a projector"
             )
 

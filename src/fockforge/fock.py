@@ -13,6 +13,7 @@ total.  All index arithmetic in the package relies on this order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import InitVar, dataclass
@@ -142,27 +143,33 @@ class FockBasis:
         return f"FockBasis(mode_count={self.mode_count}, policy={self.policy}, dimension={self.dimension})"
 
 
-def block_spectrum(basis: FockBasis, matrix: np.ndarray, hermitian: bool) -> np.ndarray:
-    """0 and the singular values (eigenvalues if `hermitian`) of a matrix on
-    `basis`, one factorization per shape of its coupled blocks: rows and
-    columns grouped by photon number, two groups joined by a nonzero block
-    between them and, if `hermitian`, a number's row and column groups.
-    Permuted (alike if `hermitian`), the matrix is their direct sum and 0.
-    Up to 120 states one factorization of the whole costs less."""
-    stacks = {matrix.shape: [matrix]}
-    if basis.dimension > 120:
-        totals = basis.occupations.sum(axis=1, dtype=np.intp)
-        starts = np.flatnonzero(np.diff(totals, prepend=-1))  # every photon number from 0 up, in order
-        s, eye = len(starts), np.eye(len(starts), dtype=bool)
-        nz = np.logical_or.reduceat(np.logical_or.reduceat(matrix != 0, starts, axis=0), starts, axis=1) | (eye & hermitian)
-        reach = np.linalg.matrix_power(np.block([[eye, nz], [nz.T, eye]]), 2 * s)  # row groups, then column groups
-        label, stacks = reach.argmax(axis=1), {}
-        for c in np.flatnonzero(label == np.arange(2 * s)):
-            rows, cols = np.flatnonzero(label[totals] == c), np.flatnonzero(label[s + totals] == c)
-            if len(rows) and len(cols):
-                stacks.setdefault((len(rows), len(cols)), []).append(matrix[np.ix_(rows, cols)])
-    values = (np.linalg.eigvalsh(b) if hermitian else np.linalg.svd(b, compute_uv=False) for b in map(np.stack, stacks.values()))
-    return np.concatenate([np.zeros(1), *(v.ravel() for v in values)])
+def coupled_blocks(basis: FockBasis, *factors: np.ndarray) -> list:
+    """States of the blocks of photon-number sectors that nonzero blocks of
+    the product of `factors` chain together, largest first: permuted alike
+    on both sides, a hermitian product is their direct sum.  A block is a
+    slice where its states are a range (index m[b][:, b]), else an index
+    array.  Up to 120 states one block: one factorization costs less."""
+    if basis.dimension <= 120:
+        return [slice(0, basis.dimension)]
+    totals = basis.occupations.sum(axis=1, dtype=np.intp)
+    starts = np.flatnonzero(np.diff(totals, prepend=-1))  # every photon number from 0 up, in order
+    p = functools.reduce(np.matmul, (np.logical_or.reduceat(np.logical_or.reduceat(f != 0, starts, axis=0), starts, axis=1) for f in factors))
+    label = np.linalg.matrix_power(p | p.T | np.eye(len(p), dtype=bool), len(p)).argmax(axis=1)  # the least sector reached
+    blocks = sorted((np.flatnonzero(label[totals] == c) for c in np.flatnonzero(label == np.arange(len(p)))), key=len, reverse=True)
+    return [slice(b[0], b[-1] + 1) if b[-1] - b[0] == len(b) - 1 else b for b in blocks]
+
+
+def positive_definite(blocks, shift: float) -> bool:
+    """Whether each hermitian block plus `shift` I, added in place, has a
+    Cholesky factor: whether its least eigenvalue exceeds -shift, up to about
+    dimension * eps * norm (Higham, Accuracy and Stability, 2nd ed., ch. 10)."""
+    try:
+        for b in blocks:
+            b.flat[:: len(b) + 1] += shift
+            np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass
@@ -202,35 +209,6 @@ class PureState:
 
 
 @dataclass
-class MixedState:
-    """Density matrix over a FockBasis.  Trace may be below one for
-    conditioned states."""
-
-    basis: FockBasis
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        d = self.basis.dimension
-        if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} does not match basis dimension {d}")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("non-finite entry")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
-            raise ValueError("density matrix is not hermitian")
-        tr = float(np.trace(m).real)
-        if tr > 1.0 + 1e-12:
-            raise ValueError(f"trace {tr} exceeds one")
-        w = float(block_spectrum(self.basis, (m + m.conj().T) / 2.0, hermitian=True).min())
-        if w < -1e-10:
-            raise ValueError(f"negative eigenvalue {w}")
-        self.matrix = m
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-
-@dataclass
 class FockOperator:
     """Matrix over a FockBasis.  Entries outside the basis are dropped by
     construction."""
@@ -246,6 +224,27 @@ class FockOperator:
         if not np.all(np.isfinite(m.view(float))):
             raise ValueError("non-finite entry")
         self.matrix = m
+
+
+@dataclass
+class MixedState(FockOperator):
+    """Density matrix over a FockBasis.  Trace may be below one for
+    conditioned states."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        m = self.matrix
+        if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, float(np.max(np.abs(m)))):
+            raise ValueError("density matrix is not hermitian")
+        tr = float(np.trace(m).real)
+        if tr > 1.0 + 1e-12:
+            raise ValueError(f"trace {tr} exceeds one")
+        h = (m + m.conj().T) / 2.0  # positive_definite shifts its blocks in place
+        if not positive_definite((h[b][:, b] for b in coupled_blocks(self.basis, h)), 1e-10):
+            raise ValueError(f"negative eigenvalue {np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]}")
+
+    def trace(self) -> float:
+        return float(np.trace(self.matrix).real)
 
 
 def coherent_state(alpha: complex, cutoff: int) -> PureState:
@@ -383,8 +382,6 @@ def partial_trace(state, keep_modes) -> MixedState:
         groups.setdefault(tuple(env), []).append((subs[i], i))
     out = np.zeros((reduced.dimension, reduced.dimension), dtype=complex)
     for members in groups.values():
-        for ra, ia in members:
-            row = state.matrix[ia]
-            for rb, ib in members:
-                out[ra, rb] += row[ib]
+        r, i = np.array(members).T
+        out[np.ix_(r, r)] += state.matrix[np.ix_(i, i)]
     return MixedState(reduced, out)

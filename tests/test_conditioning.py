@@ -28,6 +28,7 @@ from fockforge.fock import (
     PolicyMismatchError,
     PureState,
     TotalPhotonCutoff,
+    coupled_blocks,
 )
 from fockforge.interferometer import (
     BeamSplitterParams,
@@ -448,3 +449,47 @@ def test_every_lift_within_its_dimension_limit_is_within_the_work_limit():
             modes += 1
     assert max(lifts) == (2196250, 10, 4) and 2196250 < MAX_RECURRENCE_WORK
     assert (734368, 4, 10) in lifts and (4, 11) not in {lift[1:] for lift in lifts}
+
+
+def sectors_of(basis, blocks):
+    totals = basis.occupations.sum(axis=1)
+    return sorted(sorted(set(totals[b].tolist())) for b in blocks)
+
+
+def unitary(n, rng):
+    return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+
+@pytest.mark.parametrize("excess, accepted", [(3e-9, False), (5e-10, True)])
+def test_norm_threshold_on_coupled_sectors(excess, accepted):
+    # singular values mixed within sectors 2 and 4, and within 1 and 3; the
+    # check factors (1 + 1e-9)^2 I - Y^dag Y, which has a factor exactly
+    # when ||Y|| < 1 + 1e-9, that is, when I - Y^dag Y >= -(2e-9 + 1e-18) I
+    basis, rng = FockBasis(3, TotalPhotonCutoff(8)), np.random.default_rng(6)
+    assert basis.dimension > 120  # above which the check factors block by block
+    totals = basis.occupations.sum(axis=1)
+    y = 0.5 * np.eye(basis.dimension, dtype=complex)
+    for pair, top in [((2, 4), 1 + excess), ((1, 3), 0.9)]:
+        s = np.flatnonzero(np.isin(totals, pair))
+        y[np.ix_(s, s)] = (unitary(len(s), rng) * np.r_[top, np.full(len(s) - 1, 0.5)]) @ unitary(len(s), rng)
+    assert sectors_of(basis, coupled_blocks(basis, y.T, y)) == [[0], [1, 3], [2, 4], [5], [6], [7], [8]]
+    if accepted:
+        ConditionalOperator(FockOperator(basis, y), 8)
+    else:
+        with pytest.raises(ValueError, match=r"norm 1\.00000000(29|30)\d* exceeds one"):
+            ConditionalOperator(FockOperator(basis, y), 8)
+
+
+@pytest.mark.parametrize("excess, accepted", [(3e-9, False), (5e-10, True)])
+def test_norm_threshold_with_a_superposed_ancilla(excess, accepted):
+    # the ancilla's |0> and |2> parts, one photon detected, send n signal
+    # photons to n - 1 and n + 1, so Y^dag Y joins the sectors of one parity
+    ancilla = PureState(FockBasis(1, TotalPhotonCutoff(2)), np.array([0.6, 0, 0.8], dtype=complex))
+    y = extract_conditional_operator(random_unitary(4, 3), (0, 1, 2), ancilla, DetectionSpec((1,)), 8).operator
+    assert sectors_of(y.basis, coupled_blocks(y.basis, y.matrix.T, y.matrix)) == [[0, 2, 4, 6, 8], [1, 3, 5, 7]]
+    scaled = FockOperator(y.basis, y.matrix * ((1 + excess) / np.linalg.norm(y.matrix, 2)))
+    if accepted:
+        ConditionalOperator(scaled, 8)
+    else:
+        with pytest.raises(ValueError, match="exceeds one"):
+            ConditionalOperator(scaled, 8)

@@ -12,8 +12,8 @@ from fockforge.fock import (
     PerModeCutoff,
     PureState,
     TotalPhotonCutoff,
-    block_spectrum,
     coherent_state,
+    coupled_blocks,
     displacement_operator,
     displacement_operator_for,
     number_polynomial,
@@ -204,21 +204,37 @@ def test_positivity_check_finds_a_negative_block_between_distant_sectors():
         MixedState(basis, rho)
 
 
-def test_block_spectrum_matches_the_dense_factorizations():
-    rng = np.random.default_rng(2)
-    for basis, shifts in itertools.product(
-        [FockBasis(3, TotalPhotonCutoff(8)), FockBasis(5, PerModeCutoff(2)), FockBasis(3, TotalPhotonCutoff(4))],
-        [(0,), (1,), (-2,), (0, 2), (1, 3)],
-    ):
-        totals = np.array([sum(occ) for occ in basis.occupations.tolist()])
-        m = rng.normal(size=(basis.dimension,) * 2) + 1j * rng.normal(size=(basis.dimension,) * 2)
-        m *= np.isin(totals[:, None] - totals[None, :], shifts)
-        h = m + m.conj().T
-        for a, hermitian, dense in [(m, False, np.linalg.svd(m, compute_uv=False)), (h, True, np.linalg.eigvalsh(h))]:
-            values = block_spectrum(basis, a, hermitian)
-            # the same nonzero values, and one 0 at least
-            assert np.allclose(np.sort(values[abs(values) > 1e-9]), np.sort(dense[abs(dense) > 1e-9]))
-            assert np.count_nonzero(abs(values) > 1e-9) < len(values)
+def rotated(values, rng) -> np.ndarray:
+    """Hermitian matrix with eigenvalues `values`, in a random basis."""
+    q = np.linalg.qr(rng.normal(size=(len(values),) * 2) + 1j * rng.normal(size=(len(values),) * 2))[0]
+    a = (q * values) @ q.conj().T
+    return (a + a.conj().T) / 2
+
+
+def sectors_of(basis, blocks):
+    totals = basis.occupations.sum(axis=1)
+    return sorted(sorted(set(totals[b].tolist())) for b in blocks)
+
+
+@pytest.mark.parametrize("least, accepted", [(-2e-10, False), (-5e-11, True)])
+def test_positivity_threshold_on_coupled_sectors(least, accepted):
+    # rotations within sectors 2 and 4, and within 1 and 3, join each pair;
+    # the check factors rho + 1e-10 I, which has a factor exactly when no
+    # eigenvalue of rho lies below -1e-10
+    basis = FockBasis(3, TotalPhotonCutoff(8))
+    assert basis.dimension > 120  # above which the check factors block by block
+    totals, rng = basis.occupations.sum(axis=1), np.random.default_rng(5)
+    rho = np.diag(np.full(basis.dimension, 0.004)).astype(complex)
+    even, odd = np.flatnonzero((totals == 2) | (totals == 4)), np.flatnonzero((totals == 1) | (totals == 3))
+    rho[np.ix_(even, even)] = rotated(np.r_[least, np.full(len(even) - 1, 0.004)], rng)
+    rho[np.ix_(odd, odd)] = rotated(np.linspace(0.002, 0.006, len(odd)), rng)
+    blocks = coupled_blocks(basis, rho)
+    assert sectors_of(basis, blocks) == [[0], [1, 3], [2, 4], [5], [6], [7], [8]]
+    if accepted:
+        MixedState(basis, rho)
+    else:
+        with pytest.raises(ValueError, match=r"negative eigenvalue -[12]\.\d+e-10"):
+            MixedState(basis, rho)
 
 
 @given(

@@ -377,6 +377,22 @@ def test_ten_absorbers_on_two_modes_run_two_loss_maps(monkeypatch, capsys):
     assert count_loss_maps(monkeypatch, capsys, text, 3) == 2
 
 
+def test_final_state_check_factors_nothing_larger_than_a_sector(monkeypatch, capsys):
+    # ten absorbers on 4 modes at cutoff 10: 1,001 states, each photon
+    # number a block of its own, the largest the 10-photon sector's 286;
+    # factoring the whole matrix instead took longer and about 20 MB more
+    shapes = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+    text = "modes 4\ninput fock 0 3\ninput fock 1 3\ninput fock 2 2\ninput fock 3 2\n" + "".join(
+        f"lossybs {k % 3} {k % 3 + 1} 0.7 0.1 0.2 0.3\nphase {k % 3} {0.3 + 0.1 * k}\n" for k in range(10)
+    )
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.main(["simulate", "--cutoff", "10", "-"]) == 0
+    capsys.readouterr()
+    assert math.comb(13, 3) == 286 and (286, 286) in shapes and max(shapes) == (286, 286)
+
+
 # two absorbers 13 splitters apart on 16 modes: 11 of the stretch's
 # singular values round below one, where only 4 can lie below it
 ROUNDED_STRETCH = (

@@ -61,13 +61,18 @@ def test_cli_import_loads_no_scipy():
 
 def test_cli_runs_load_no_numpy_ma(tmp_path):
     # np.unique imports numpy.ma on its first call (numpy 2.4), about 18 ms
-    # and 1.2 MB of peak RSS in a process that otherwise never needs it
+    # and 1.2 MB of peak RSS in a process that otherwise never needs it; the
+    # runs at cutoff 8 (165 states) take the checks' grouping of sectors
     lossy = tmp_path / "lossy.circuit"
     lossy.write_text("modes 3\ninput fock 0 1\ninput fock 2 1\nlossybs 0 1 0.7 0.3 1.1 0.4\nbs 1 2 0.5 0 0\n")
+    heralded = tmp_path / "heralded.circuit"
+    heralded.write_text("modes 4\ninput fock 3 1\nbs 2 3 0.6 0.2 0\nbs 0 1 0.9 0 0.4\nbs 1 2 0.3 1.0 0\ndetect fock 3 1\n")
     runs = [
         ["condition", str(ROOT / "circuits" / "nss_klm.circuit")],
         ["gate", "--name", "nss"],
         ["simulate", "--cutoff", "3", str(lossy)],
+        ["simulate", "--cutoff", "8", str(lossy)],
+        ["condition", "--cutoff", "8", str(heralded)],
     ]
     code = (
         "import contextlib, io, sys\nfrom fockforge import cli\n"
