@@ -62,12 +62,6 @@ from .gates import (
     tmsv_state,
     vacuum_detector_transmissions,
 )
-from .lossy import (
-    DetectorModel,
-    LossyBSParams,
-    choose_T_for_sigma_z,
-    noisy_sigma_z_experiment,
-    povm_element,
-)
+from .lossy import choose_T_for_sigma_z, noisy_sigma_z_experiment
 
 __version__ = "0.1.0"

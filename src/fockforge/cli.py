@@ -120,10 +120,7 @@ def _fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    v = float(x)
-    if v == 0.0:
-        v = 0.0  # collapse negative zero
-    return format(v, ".12g")
+    return _floats([x])[0]
 
 
 def _rows_to_tsv(rows) -> str:

@@ -1,25 +1,24 @@
 """Absorbing beam splitters, inefficient detectors, and the noisy
 sign-flip experiment.
 
-An absorbing element is described by a transmission block T and an
-absorption block A closing to T T^dag + A A^dag = I.  The circuit
-grammar's absorber and the sign-flip slab have A = a I, so
-T = sqrt(1 - a^2) B with B unitary.  Every lossy route runs through the
-transfer matrix alone: simulate splits it as T = U diag(s) V^dag and
-applies the lift of V^dag, pure loss s_i^2 on each mode, then the lift
-of U; the sign-flip experiment applies equal pure loss 1 - a^2 on both
-modes, then the lift of B.  Pure loss is closed form (Chuang, Leung &
-Yamamoto, PRA 56, 1114, 1997), and _loss_terms writes its Kraus
-operators once for both.  dilation_unitary, the element's four-mode
-Stinespring unitary, is kept for reference; the tests hold both routes
-to the channel it generates.
-
-Inefficient detectors are the binomial POVM
-Pi(n) = sum_k C(k, n) eta^n (1 - eta)^{k - n} |k><k|.
+An absorbing element has the transfer matrix T = sqrt(1 - a^2) B, B a
+unitary splitter and a its isotropic absorption; the circuit grammar's
+absorber and the sign-flip slab are both of this form.  Every lossy
+route runs through the transfer matrix alone: simulate splits it as
+T = U diag(s) V^dag and applies the lift of V^dag, pure loss s_i^2 on
+each mode, then the lift of U; the sign-flip experiment applies equal
+pure loss 1 - a^2 on both modes, then the lift of B.  Pure loss is
+closed form (Chuang, Leung & Yamamoto, PRA 56, 1114, 1997), and
+_loss_terms writes its Kraus operators once for both.
+dilation_unitary, the four-mode Stinespring unitary of a transmission
+block, is kept for reference; the tests hold both routes to the channel
+it generates.
 
 The noisy sign-flip experiment is the slab on (signal, ancilla)
-followed by the detector POVM on the ancilla; the photons each product
-of loss terms takes tell the absorbed branches apart.
+followed by an efficiency-eta detector on the ancilla, which registers
+one photon of k with the binomial weight k eta (1 - eta)^(k - 1); the
+photons each product of loss terms takes tell the absorbed branches
+apart.
 """
 
 from __future__ import annotations
@@ -30,45 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditioning import lift_unitary
-from .fock import FockBasis, FockOperator, MixedState, TotalPhotonCutoff, _lookup
+from .fock import FockBasis, MixedState, TotalPhotonCutoff, _lookup
 from .interferometer import ModeUnitary
-
-
-@dataclass(frozen=True)
-class LossyBSParams:
-    """Transmission and absorption blocks of an absorbing two-mode element.
-
-    Closure T T^dag + A A^dag = I is enforced to 1e-12: whatever the slab
-    does not transmit it must absorb.
-    """
-
-    t_matrix: np.ndarray
-    a_matrix: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.t_matrix, dtype=complex)
-        a = np.asarray(self.a_matrix, dtype=complex)
-        if t.shape != (2, 2) or a.shape != (2, 2):
-            raise ValueError("t_matrix and a_matrix must be 2x2")
-        closure = t @ t.conj().T + a @ a.conj().T
-        dev = float(np.max(np.abs(closure - np.eye(2))))
-        if dev > 1e-12:
-            raise ValueError(f"closure T T^dag + A A^dag = I violated by {dev:.3e}")
-        object.__setattr__(self, "t_matrix", t)
-        object.__setattr__(self, "a_matrix", a)
-
-    @staticmethod
-    def symmetric_slab(transmission: float, abs_a: float) -> "LossyBSParams":
-        """Single-slab reciprocity convention: equal diagonal transmission,
-        reflection at phase pi/2, isotropic absorption."""
-        t = float(transmission)
-        a = float(abs_a)
-        r_sq = 1.0 - t * t - a * a
-        if r_sq < -1e-12:
-            raise ValueError("transmission and absorption exceed unity together")
-        r = math.sqrt(max(0.0, r_sq))
-        tm = np.array([[t, 1j * r], [1j * r, t]])
-        return LossyBSParams(tm, a * np.eye(2))
 
 
 def _psd_sqrt(gram: np.ndarray) -> np.ndarray:
@@ -82,10 +44,14 @@ def _psd_sqrt(gram: np.ndarray) -> np.ndarray:
     return v @ np.diag(np.sqrt(w)) @ v.conj().T
 
 
-def dilation_unitary(params: LossyBSParams) -> ModeUnitary:
-    """Four-mode unitary with field-field block T: modes 0-1 physical,
-    modes 2-3 the absorbing degrees of freedom."""
-    t = params.t_matrix
+def dilation_unitary(t) -> ModeUnitary:
+    """Four-mode unitary with field-field block t, an absorbing element's
+    2x2 transmission block: modes 0-1 physical, modes 2-3 the absorbing
+    degrees of freedom.  A t that is not a contraction fails
+    ModeUnitary's unitarity check."""
+    t = np.asarray(t, dtype=complex)
+    if t.shape != (2, 2):
+        raise ValueError("the transmission block must be 2x2")
     left = np.vstack([t, _psd_sqrt(np.eye(2) - t.conj().T @ t)])
     # the last two right-singular vectors of left^dag span its null space
     _, sigma, vh = np.linalg.svd(left.conj().T)
@@ -126,36 +92,6 @@ def pure_loss(rho: np.ndarray, basis: FockBasis, mode: int, eta: float) -> np.nd
     return out
 
 
-@dataclass(frozen=True)
-class DetectorModel:
-    """Finite-efficiency photon counter on a truncated single mode."""
-
-    eta: float
-    cutoff: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be non-negative")
-
-
-def povm_element(n: int, detector: DetectorModel) -> FockOperator:
-    """Pi(n) = sum_k C(k, n) eta^n (1-eta)^{k-n} |k><k| on one mode.
-
-    eta = 1 collapses to the sharp projector |n><n|; the family sums to
-    the identity up to the (1-eta)^(cutoff+1) truncation tail.
-    """
-    if n < 0 or n > detector.cutoff:
-        raise ValueError("n must lie within the detector cutoff")
-    eta = detector.eta
-    basis = FockBasis(1, TotalPhotonCutoff(detector.cutoff))
-    diag = np.zeros(basis.dimension)
-    # a one-mode basis holds k photons at index k
-    diag[n:] = [math.comb(k, n) * eta**n * (1.0 - eta) ** (k - n) for k in range(n, detector.cutoff + 1)]
-    return FockOperator(basis, np.diag(diag).astype(complex))
-
-
 def choose_T_for_sigma_z(abs_a: float) -> float:
     """Transmission (sqrt(3 - 2|A|^2) - 1)/2 of the sign-flip slab.
 
@@ -179,7 +115,7 @@ class NoisySigmaZReport:
 
     Weights are honest traces of the photon-bookkeeping branches
     (detector saw k, device modes hold l): wanted is (k=1, l=0),
-    detector is (k=2, l=0) folded through the POVM, absorption collects
+    detector is (k=2, l=0) weighted by a missed photon, absorption collects
     every l >= 1 branch.  Coefficients divide the eta and |c1|^2 factors
     back out; closed_form fields carry the two-parameter expressions
     they must reproduce.
@@ -207,7 +143,7 @@ def noisy_sigma_z_experiment(abs_a: float, eta: float, c0: complex, c1: complex)
 
     The slab T = sqrt(1 - a^2) B acts on the (signal, ancilla) vector as
     equal pure loss 1 - a^2 on both modes, then the lift of B, and the
-    detector POVM acts on the ancilla output; each product Kraus term
+    detector weights the ancilla output; each product Kraus term
     K_k0 K_k1 is filed under the photons it takes, l = k0 + k1, and no
     density matrix is built before the branches.  The returned report
     splits the unnormalized conditioned state into the transmitted
@@ -228,16 +164,16 @@ def noisy_sigma_z_experiment(abs_a: float, eta: float, c0: complex, c1: complex)
         raise ValueError("|c0|^2 + |c1|^2 must equal 1")
 
     t = choose_T_for_sigma_z(a)
-    params = LossyBSParams.symmetric_slab(t, a)
-    r = float(params.t_matrix[0, 1].imag)
+    r = math.sqrt(max(0.0, 1.0 - t * t - a * a))
+    slab = np.array([[t, 1j * r], [1j * r, t]])
     pair = FockBasis(2, TotalPhotonCutoff(2))  # (signal, ancilla), at most two photons
     psi = np.zeros(pair.dimension, dtype=complex)
     psi[pair.index_of((0, 1))] = c0
     psi[pair.index_of((1, 1))] = c1
-    lift = lift_unitary(ModeUnitary(2, params.t_matrix / math.sqrt(1.0 - a * a)), pair).matrix
+    lift = lift_unitary(ModeUnitary(2, slab / math.sqrt(1.0 - a * a)), pair).matrix
     terms = [list(_loss_terms(pair, mode, 1.0 - a * a)) for mode in (0, 1)]
-    # POVM weight of registering one photon when k arrived
-    seen_one = np.diag(povm_element(1, DetectorModel(eta, 2)).matrix).real
+    # C(k, 1) eta (1 - eta)^(k - 1), the weight of registering one photon when k arrived
+    seen_one = [0.0, eta, 2.0 * eta * (1.0 - eta)]
 
     def lose(x, term):  # one loss term (src, dst, w) applied to the vector x
         src, dst, w = term
@@ -277,8 +213,7 @@ def noisy_sigma_z_experiment(abs_a: float, eta: float, c0: complex, c1: complex)
         else det_cf
     )
     abs_co = weights["absorption"] / (eta * c1sq) if c1sq > 1e-14 else abs_cf
-    per_t = complex(params.t_matrix[0, 0] * params.t_matrix[1, 1]
-                    + params.t_matrix[0, 1] * params.t_matrix[1, 0])
+    per_t = complex(slab[0, 0] * slab[1, 1] + slab[0, 1] * slab[1, 0])
     return NoisySigmaZReport(
         output=MixedState(sig, out),
         wanted_matrix=wanted_matrix,
@@ -291,7 +226,7 @@ def noisy_sigma_z_experiment(abs_a: float, eta: float, c0: complex, c1: complex)
         absorption_closed_form=float(abs_cf),
         transmission=t,
         reflection=r,
-        sign_flip_condition_residual=float(abs(per_t + params.t_matrix[1, 1])),
+        sign_flip_condition_residual=float(abs(per_t + slab[1, 1])),
         extras={
             "eta": eta,
             "abs_a": a,

@@ -295,10 +295,15 @@ def _feasibility(objective, x, budget, rows=None):
             trials, level = [], damping
             while len(trials) < depth and level < 1e12 and count + len(trials) < budget:
                 trial = x - np.linalg.lstsq(normal + level * np.eye(len(x)), grad)[0]
-                if trials and not np.isfinite(trial).all():
-                    break  # a speculative trial must not make the step raise
-                trials.append(trial)
                 level *= 10.0
+                if np.isfinite(trial).all():
+                    trials.append(trial)
+                elif trials:
+                    break  # a speculative trial must not make the step raise
+                else:
+                    damping = level  # a non-finite trial is rejected unsent
+            if not trials:
+                break
             stack = yield np.vstack([_look_ahead(trial) for trial in trials])
             for i, trial in enumerate(trials):
                 trial_rows = tuple(part[i * size : (i + 1) * size] for part in stack)
@@ -349,6 +354,8 @@ def _raise_probability(x0, rows):
         kkt = np.block([[hessian, jac[:-1].T], [jac[:-1], np.zeros((held, held))]])
         solution = np.linalg.lstsq(kkt, -np.append(jac[-1], value[:-1]))[0]
         step, lagrange = solution[: len(x)], np.append(solution[len(x) :], 1.0)
+        if not np.isfinite(x + step).all():
+            break  # as a failed line search does
         largest = np.abs(lagrange[:-1]).max(initial=0.0)
         weight = max(largest, 0.5 * (weight + largest))  # of the L1 merit
         violation = weight * np.abs(value[:-1]).sum()

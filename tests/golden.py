@@ -6,9 +6,10 @@ its exit code, its stdout's line count and its stdout's sha256.  The
 cases run in child processes with one BLAS thread, numpy's dispatch held
 at X86_V2 and one OpenBLAS kernel, so the bytes do not depend on this
 CPU's vector extensions; the header states those settings and the numpy
-and OpenBLAS versions.  Every `gate`, `optimize` and script run has its
-own child, since the searches keep solve caches; the other commands
-share one child and run through cli.main in turn.
+and OpenBLAS versions.  The `gate` and `optimize` searches share one
+child, since a search's result does not depend on what ran before it,
+and the other commands share another; each runs through cli.main in
+turn.  Each script runs in a child of its own.
 
     PYTHONPATH=src python3 tests/golden.py --record   # rewrite the record
 
@@ -92,11 +93,11 @@ def cases() -> list:
     import test_simulate as ts
     from fockforge.cli import GATES
 
-    alone = [_cli(f"gate/{g}", "gate", "--name", g) for g in GATES]
-    alone.append(_cli("gate/cphase-vacuum-detector", "gate", "--name", "cphase", "--variant", "vacuum-detector"))
-    alone.append(_cli("optimize/nss", "optimize", "--objective", "nss", "--seed", "7", "--restarts", "3"))
-    alone.append(_cli("optimize/su3", "optimize", "--objective", "su3"))
-    alone += [{"name": "script/" + " ".join(s)[len("scripts/") :], "argv": list(s), "script": True} for s in SCRIPTS]
+    searches = [_cli(f"gate/{g}", "gate", "--name", g) for g in GATES]
+    searches.append(_cli("gate/cphase-vacuum-detector", "gate", "--name", "cphase", "--variant", "vacuum-detector"))
+    searches.append(_cli("optimize/nss", "optimize", "--objective", "nss", "--seed", "7", "--restarts", "3"))
+    searches.append(_cli("optimize/su3", "optimize", "--objective", "su3"))
+    scripts = [{"name": "script/" + " ".join(s)[len("scripts/") :], "argv": list(s), "script": True} for s in SCRIPTS]
 
     shared = [_cli("condition/nss_klm", "condition", "circuits/nss_klm.circuit")]
     shared += [_cli(f"condition/nss_klm-cutoff{c}", "condition", "--cutoff", str(c), "circuits/nss_klm.circuit") for c in (10, 20)]
@@ -126,7 +127,7 @@ def cases() -> list:
     for seed in range(1, 6):
         for k, (command, c) in enumerate(_benchmark_circuits(seed)):
             shared.append(_cli(f"bench/s{seed}-{k}-{command}-{c.modes}m", command, "--cutoff", str(c.cutoff), "-", stdin=c.text()))
-    return [(i, c) for i, c in enumerate(alone)] + [(len(alone), c) for c in shared]
+    return [(0, c) for c in searches] + [(1 + i, c) for i, c in enumerate(scripts)] + [(1 + len(scripts), c) for c in shared]
 
 
 def _run_one(case) -> tuple:

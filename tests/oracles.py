@@ -30,7 +30,7 @@ import numpy as np
 from fockforge.conditioning import AncillaSpec, ConditionalExtractor, DetectionSpec, _as_matrix
 from fockforge.fock import FockBasis, FockOperator, MixedState, TotalPhotonCutoff, _lookup
 from fockforge.gates import _CNOT_BASIS, cnot_basis_matrix
-from fockforge.lossy import DetectorModel, LossyBSParams, choose_T_for_sigma_z, dilation_unitary, povm_element
+from fockforge.lossy import choose_T_for_sigma_z, dilation_unitary
 from fockforge.optimizer import TRIVIAL_PROBABILITY, _jacobian, _look_ahead
 from fockforge.permanent import MAX_DIMENSION, PermanentSizeError, _as_square, _ordered_sum, _per_flat
 
@@ -232,6 +232,9 @@ def one_trial_feasibility(objective, x, budget, rows=None):
         grad, normal = jac.T @ r, jac.T @ jac
         while damping < 1e12 and count < budget:
             trial = x - np.linalg.lstsq(normal + damping * np.eye(len(x)), grad)[0]
+            if not np.isfinite(trial).all():
+                damping *= 10.0  # a non-finite trial is rejected unsent
+                continue
             trial_rows = yield _look_ahead(trial)
             trial_values, collapsed = relative(trial_rows)
             r_trial, count = trial_values[0], count + 1
@@ -337,9 +340,16 @@ class ChannelOperator:
         return MixedState(self.basis, sum(k @ rho @ k.conj().T for k in self.kraus))
 
 
-def lossy_bs_channel(params: LossyBSParams, cutoff: int) -> ChannelOperator:
-    """Quantum channel of the absorbing element on states of at most
-    cutoff photons.
+def symmetric_slab(t: float, a: float) -> np.ndarray:
+    """Transmission block of the single-slab convention: equal diagonal
+    transmission t, reflection at phase pi/2, isotropic absorption a."""
+    r = math.sqrt(max(0.0, 1.0 - t * t - a * a))
+    return np.array([[t, 1j * r], [1j * r, t]])
+
+
+def lossy_bs_channel(t, cutoff: int) -> ChannelOperator:
+    """Quantum channel of the absorbing element of 2x2 transmission block
+    t on states of at most cutoff photons.
 
     Kraus block d is the four-mode dilation conditioned on vacuum device
     inputs and device outcome d, sliced from one lift of the dilation.
@@ -351,7 +361,7 @@ def lossy_bs_channel(params: LossyBSParams, cutoff: int) -> ChannelOperator:
     # the rows (out, d) above it; block d is rows (out, d) x columns (in, 0, 0)
     closed = ConditionalExtractor(4, range(4), AncillaSpec(()), DetectionSpec(()), cutoff)
     basis = FockBasis(2, TotalPhotonCutoff(cutoff))
-    lift = np.vstack([closed.extract_matrix(dilation_unitary(params)), np.zeros(closed.signal_basis.dimension)])
+    lift = np.vstack([closed.extract_matrix(dilation_unitary(t)), np.zeros(closed.signal_basis.dimension)])
     closed_occ, occ = closed.signal_basis.occupations, basis.occupations
     cols = _lookup(closed_occ, np.hstack([occ, np.zeros_like(occ)]))
     devices, kraus = [], []
@@ -371,13 +381,12 @@ def channel_sigma_z_branches(abs_a, eta, c0, c1):
     and the result filed under (detector count k, device total |d|).
     Returns the conditioned state, its wanted branch and the three branch
     weights."""
-    params = LossyBSParams.symmetric_slab(choose_T_for_sigma_z(abs_a), abs_a)
-    channel = lossy_bs_channel(params, 2)
+    channel = lossy_bs_channel(symmetric_slab(choose_T_for_sigma_z(abs_a), abs_a), 2)
     pair = channel.basis
     psi = np.zeros(pair.dimension, dtype=complex)
     psi[pair.index_of((0, 1))] = c0
     psi[pair.index_of((1, 1))] = c1
-    seen_one = np.diag(povm_element(1, DetectorModel(eta, 2)).matrix).real
+    seen_one = [0.0] + [k * eta * (1.0 - eta) ** (k - 1) for k in (1, 2)]  # one photon registered of k
     branches: dict = {}
     for dev, kraus in zip(channel.devices, channel.kraus):
         evolved = kraus @ psi

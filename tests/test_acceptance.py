@@ -19,7 +19,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from oracles import lift_oracle, lossy_bs_channel
+from oracles import lift_oracle, lossy_bs_channel, symmetric_slab
 
 from fockforge.cli import main as cli_main
 from fockforge.conditioning import (
@@ -49,7 +49,7 @@ from fockforge.interferometer import (
     bs_matrix,
     random_unitary,
 )
-from fockforge.lossy import LossyBSParams, noisy_sigma_z_experiment
+from fockforge.lossy import noisy_sigma_z_experiment
 from fockforge.permanent import check_appendix_bounds, permanent_naive, permanent_ryser
 
 SQRT2 = math.sqrt(2.0)
@@ -254,7 +254,7 @@ def test_acceptance_13_absorbing_sign_flip():
         rep = noisy_sigma_z_experiment(a, 1.0, 0.6, 0.8)
         assert abs(rep.absorption_coefficient - a * a * (1.0 - a * a)) < 1e-9
 
-    ch = lossy_bs_channel(LossyBSParams.symmetric_slab(0.5, 0.3), 2)
+    ch = lossy_bs_channel(symmetric_slab(0.5, 0.3), 2)
     rng = np.random.default_rng(5)
     m = rng.standard_normal((ch.basis.dimension,) * 2) + 1j * rng.standard_normal(
         (ch.basis.dimension,) * 2
@@ -268,9 +268,9 @@ def test_acceptance_13_absorbing_sign_flip():
     assert abs(total - mid.output.trace()) < 1e-10
 
     # lossless element: the single Kraus operator is the unitary lift
-    p0 = LossyBSParams.symmetric_slab(0.6, 0.0)
+    p0 = symmetric_slab(0.6, 0.0)
     ch0 = lossy_bs_channel(p0, 2)
-    direct = lift_unitary(ModeUnitary(2, p0.t_matrix), ch0.basis).matrix
+    direct = lift_unitary(ModeUnitary(2, p0), ch0.basis).matrix
     assert len(ch0.kraus) == 1
     assert float(np.max(np.abs(ch0.kraus[0] - direct))) < 1e-10
 

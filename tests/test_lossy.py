@@ -13,16 +13,8 @@ from fockforge.conditioning import (
 )
 from fockforge.fock import FockBasis, MixedState, TotalPhotonCutoff
 from fockforge.interferometer import BeamSplitterParams, ModeUnitary, bs_matrix
-from fockforge.lossy import (
-    DetectorModel,
-    LossyBSParams,
-    choose_T_for_sigma_z,
-    dilation_unitary,
-    noisy_sigma_z_experiment,
-    povm_element,
-    pure_loss,
-)
-from oracles import ChannelOperator, channel_sigma_z_branches, lossy_bs_channel
+from fockforge.lossy import choose_T_for_sigma_z, dilation_unitary, noisy_sigma_z_experiment, pure_loss
+from oracles import ChannelOperator, channel_sigma_z_branches, lossy_bs_channel, symmetric_slab
 
 
 def random_density(basis, seed):
@@ -37,30 +29,21 @@ def random_density(basis, seed):
 # the absorbing element and its dilation
 
 
-def test_symmetric_slab_structure():
-    p = LossyBSParams.symmetric_slab(0.5, 0.3)
-    t = p.t_matrix
-    assert t[0, 0] == t[1, 1] == 0.5
-    assert t[0, 1] == t[1, 0]
-    assert abs(t[0, 1] - 1j * math.sqrt(1.0 - 0.25 - 0.09)) < 1e-12
-    assert np.max(np.abs(p.a_matrix - 0.3 * np.eye(2))) < 1e-12
-
-
 def test_slab_closure_rejection():
-    with pytest.raises(ValueError):
-        LossyBSParams.symmetric_slab(0.9, 0.9)
-    with pytest.raises(ValueError):
-        LossyBSParams(np.eye(2), 0.5 * np.eye(2))
-    with pytest.raises(ValueError):
-        LossyBSParams(np.eye(3), np.zeros((3, 3)))
+    # the dilation takes a 2x2 transmission block, and one that transmits
+    # more than it receives has no unitary completion
+    with pytest.raises(ValueError, match="must be 2x2"):
+        dilation_unitary(np.eye(3))
+    with pytest.raises(ValueError, match="not unitary"):
+        dilation_unitary(1.1 * np.eye(2))
 
 
 def test_dilation_unitary():
-    p = LossyBSParams.symmetric_slab(0.45, 0.25)
-    u = dilation_unitary(p).matrix
+    t = symmetric_slab(0.45, 0.25)
+    u = dilation_unitary(t).matrix
     assert u.shape == (4, 4)
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
-    assert np.max(np.abs(u[:2, :2] - p.t_matrix)) < 1e-12
+    assert np.max(np.abs(u[:2, :2] - t)) < 1e-12
 
 
 def closed_pairs():
@@ -77,10 +60,11 @@ def closed_pairs():
 
 @pytest.mark.parametrize("t, a", closed_pairs())
 def test_dilation_unitary_completes_any_closed_pair(t, a):
-    p = LossyBSParams(t, a)
-    u = dilation_unitary(p).matrix
+    # the completion absorbs what T does not transmit, as A does
+    u = dilation_unitary(t).matrix
     assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
-    assert np.max(np.abs(u[:2, :2] - p.t_matrix)) < 1e-12
+    assert np.max(np.abs(u[:2, :2] - t)) < 1e-12
+    assert np.max(np.abs(u[:2, 2:] @ u[:2, 2:].conj().T - a @ a.conj().T)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -88,40 +72,40 @@ def test_dilation_unitary_completes_any_closed_pair(t, a):
 
 
 def test_channel_trace_preservation():
-    ch = lossy_bs_channel(LossyBSParams.symmetric_slab(0.5, 0.3), 2)
+    ch = lossy_bs_channel(symmetric_slab(0.5, 0.3), 2)
     rho = random_density(ch.basis, 7)
     out = ch.apply(rho)
     assert abs(out.trace() - 1.0) < 1e-12
 
 
 def test_channel_kraus_completeness():
-    ch = lossy_bs_channel(LossyBSParams.symmetric_slab(0.4, 0.35), 2)
+    ch = lossy_bs_channel(symmetric_slab(0.4, 0.35), 2)
     total = sum(k.conj().T @ k for k in ch.kraus)
     assert np.max(np.abs(total - np.eye(ch.basis.dimension))) < 1e-10
     assert len(ch.kraus) >= 3
 
 
 def test_channel_rejects_broken_kraus_family():
-    ch = lossy_bs_channel(LossyBSParams.symmetric_slab(0.5, 0.3), 1)
+    ch = lossy_bs_channel(symmetric_slab(0.5, 0.3), 1)
     with pytest.raises(ValueError):
         ChannelOperator(ch.basis, ch.devices[:1], ch.kraus[:1])
 
 
 def test_lossless_channel_is_the_unitary_lift():
     t = 0.6
-    p = LossyBSParams.symmetric_slab(t, 0.0)
-    ch = lossy_bs_channel(p, 3)
+    block = symmetric_slab(t, 0.0)
+    ch = lossy_bs_channel(block, 3)
     assert len(ch.kraus) == 1
-    direct = lift_unitary(ModeUnitary(2, p.t_matrix), ch.basis).matrix
+    direct = lift_unitary(ModeUnitary(2, block), ch.basis).matrix
     assert np.max(np.abs(ch.kraus[0] - direct)) < 1e-12
 
 
-def full_lift_kraus(params, cutoff):
-    """Kraus blocks read off the lift of the whole four-mode basis, and
-    the device occupation of each."""
+def full_lift_kraus(t, cutoff):
+    """Kraus blocks read off the lift of the whole four-mode dilation of
+    transmission block t, and the device occupation of each."""
     basis = FockBasis(2, TotalPhotonCutoff(cutoff))
     big = FockBasis(4, TotalPhotonCutoff(cutoff))
-    lift = lift_unitary(dilation_unitary(params), big).matrix
+    lift = lift_unitary(dilation_unitary(t), big).matrix
     col = [big.index_of((*occ, 0, 0)) for occ in basis.occupations.tolist()]
     blocks, devices = [], []
     for dev in sorted({(occ[2], occ[3]) for occ in big.occupations.tolist()}):
@@ -137,13 +121,10 @@ def full_lift_kraus(params, cutoff):
 
 @pytest.mark.parametrize("cutoff", [2, 4])
 def test_channel_lifts_only_the_vacuum_device_columns(cutoff):
-    params = LossyBSParams(
-        0.8 * np.array([[0.6, 0.8j], [0.8j, 0.6]]) @ np.diag([1.0, np.exp(0.7j)]),
-        0.6 * np.eye(2),
-    )
-    channel = lossy_bs_channel(params, cutoff)
+    t = 0.8 * np.array([[0.6, 0.8j], [0.8j, 0.6]]) @ np.diag([1.0, np.exp(0.7j)])
+    channel = lossy_bs_channel(t, cutoff)
     got = channel.kraus
-    want, devices = full_lift_kraus(params, cutoff)
+    want, devices = full_lift_kraus(t, cutoff)
     assert list(channel.devices) == devices
     assert len(got) == len(want)
     for k, w in zip(got, want):
@@ -154,7 +135,7 @@ def test_channel_lifts_only_the_vacuum_device_columns(cutoff):
 @pytest.mark.parametrize("absorption", [0.0, 0.3, 0.95])
 def test_loss_map_then_splitter_is_the_dilation_channel(cutoff, absorption):
     # T = sqrt(eta) B: equal pure loss eta = 1 - a^2 on both modes, then
-    # the lift of B, is the Stinespring route's channel of (T, a I)
+    # the lift of B, is the Stinespring route's channel of T
     rng = np.random.default_rng([cutoff, int(100 * absorption)])
     basis = FockBasis(2, TotalPhotonCutoff(cutoff))
     eta = 1.0 - absorption**2
@@ -163,46 +144,14 @@ def test_loss_map_then_splitter_is_the_dilation_channel(cutoff, absorption):
         rho = random_density(basis, [cutoff, seed]).matrix
         lift = lift_unitary(ModeUnitary(2, b), basis).matrix
         got = lift @ pure_loss(pure_loss(rho, basis, 0, eta), basis, 1, eta) @ lift.conj().T
-        want = lossy_bs_channel(LossyBSParams(math.sqrt(eta) * b, absorption * np.eye(2)), cutoff).apply(rho)
+        want = lossy_bs_channel(math.sqrt(eta) * b, cutoff).apply(rho)
         assert np.max(np.abs(got - want.matrix)) < 1e-12
 
 
 def test_vacuum_sector_channel_is_trivial():
-    ch = lossy_bs_channel(LossyBSParams.symmetric_slab(0.5, 0.3), 0)
+    ch = lossy_bs_channel(symmetric_slab(0.5, 0.3), 0)
     assert len(ch.kraus) == 1
     assert abs(ch.kraus[0][0, 0] - 1.0) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# inefficient detectors
-
-
-def test_povm_completeness_is_exact():
-    det = DetectorModel(0.6, 6)
-    total = sum(povm_element(n, det).matrix for n in range(7))
-    assert np.max(np.abs(total - np.eye(7))) < 1e-12
-
-
-def test_povm_sharp_at_unit_efficiency():
-    det = DetectorModel(1.0, 4)
-    for n in range(5):
-        diag = np.diag(povm_element(n, det).matrix).real
-        want = np.zeros(5)
-        want[n] = 1.0
-        assert np.max(np.abs(diag - want)) < 1e-12
-
-
-def test_povm_binomial_entry():
-    det = DetectorModel(0.5, 3)
-    # two photons arrived, one seen: C(2,1) * 0.5 * 0.5
-    assert abs(povm_element(1, det).matrix[2, 2] - 0.5) < 1e-12
-
-
-def test_povm_validation():
-    with pytest.raises(ValueError):
-        DetectorModel(1.2, 3)
-    with pytest.raises(ValueError):
-        povm_element(5, DetectorModel(0.5, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +248,12 @@ def dense_dilation_experiment(abs_a, eta, c0, c1):
     four-mode dilation lifted densely, the ancilla detected, the device
     modes traced.  Returns the conditioned state, its wanted branch and
     the three branch weights."""
-    params = LossyBSParams.symmetric_slab(choose_T_for_sigma_z(abs_a), abs_a)
+    t = symmetric_slab(choose_T_for_sigma_z(abs_a), abs_a)
     big = FockBasis(4, TotalPhotonCutoff(2))
     amps = np.zeros(big.dimension, dtype=complex)
     amps[big.index_of((0, 1, 0, 0))] = c0
     amps[big.index_of((1, 1, 0, 0))] = c1
-    evolved = lift_unitary(dilation_unitary(params), big).matrix @ amps
+    evolved = lift_unitary(dilation_unitary(t), big).matrix @ amps
     out = np.zeros((3, 3), dtype=complex)
     wanted = np.zeros((3, 3), dtype=complex)
     weights = {"wanted": 0.0, "detector": 0.0, "absorption": 0.0}
@@ -380,6 +329,6 @@ def test_coefficients_track_closed_forms_everywhere(a, eta):
 )
 def test_channel_preserves_trace_everywhere(t, frac):
     a = frac * math.sqrt(1.0 - t * t)
-    ch = lossy_bs_channel(LossyBSParams.symmetric_slab(t, a), 2)
+    ch = lossy_bs_channel(symmetric_slab(t, a), 2)
     out = ch.apply(random_density(ch.basis, 3))
     assert abs(out.trace() - 1.0) < 1e-10

@@ -425,6 +425,46 @@ def test_non_finite_speculative_trial_stays_out_of_the_step(monkeypatch):
     assert spoiled[0] > 0
 
 
+@pytest.mark.parametrize("phase", ["_feasibility", "_raise_probability"])
+def test_non_finite_solves_end_only_their_own_restart(monkeypatch, phase):
+    # every solve that `phase` makes in restart 1 returns inf; the restart
+    # ends as it does alone under the same spoiling, and the others keep
+    # the bits they reach alone
+    objective, seed, restarts, bad = nss_objective(), 7, 4, 1
+    alone = [_restart_key(_run_restart((objective, seed, index))) for index in range(restarts)]
+    restart, lstsq, spoiled = optimizer._restart, np.linalg.lstsq, [0]
+
+    def spoiling(a, b, *args, **kwargs):
+        x, *rest = lstsq(a, b, *args, **kwargs)
+        if sys._getframe(1).f_code.co_name == phase:
+            spoiled[0] += 1
+            x = np.full_like(x, np.inf)
+        return (x, *rest)
+
+    def run_spoiled(steps):
+        # steps' generator with np.linalg.lstsq spoiled while it runs
+        rows = None
+        while True:
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "lstsq", spoiling)
+                try:
+                    stack = steps.send(rows)
+                except StopIteration as done:
+                    return done.value
+            rows = yield stack
+
+    def one_spoiled(objective, seed, index):
+        steps = restart(objective, seed, index)
+        return run_spoiled(steps) if index == bad else steps
+
+    monkeypatch.setattr(optimizer, "_restart", one_spoiled)
+    together = [_restart_key(r) for r in _run_restarts(objective, seed, range(restarts))]
+    assert spoiled[0] > 0
+    assert together[:bad] + together[bad + 1 :] == alone[:bad] + alone[bad + 1 :]
+    assert together[bad] == _restart_key(_run_restart((objective, seed, bad)))
+    assert together[bad] != alone[bad]
+
+
 def test_pauli_x_search_reaches_its_optimum(monkeypatch):
     # the Pauli-x deviation has rank 2 at a feasible network, which the
     # probability phase must handle to climb to the optimum |s|^2 = 1/4

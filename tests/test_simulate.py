@@ -29,7 +29,7 @@ from fockforge import cli
 from fockforge.conditioning import MAX_DENSE_DIMENSION, MAX_PHOTONS, ConditionalExtractor, lift_unitary
 from fockforge.fock import FockBasis, FockOperator, MixedState, TotalPhotonCutoff, partial_trace, tmsv_ladder
 from fockforge.interferometer import BeamSplitterParams, ModeUnitary, NetworkDescription, bs_matrix, compose, element_matrix
-from fockforge.lossy import LossyBSParams, dilation_unitary
+from fockforge.lossy import dilation_unitary
 
 from oracles import lift_oracle
 
@@ -47,7 +47,7 @@ def dilation_reference(cf, cutoff: int) -> MixedState:
             i, j = e.modes
             scale = math.sqrt(1.0 - e.absorption * e.absorption)
             block = bs_matrix(BeamSplitterParams(0, 1, e.theta, e.phase_t, e.phase_r), 2).matrix
-            four = dilation_unitary(LossyBSParams(scale * block, e.absorption * np.eye(2))).matrix
+            four = dilation_unitary(scale * block).matrix
             big_mat = np.eye(n + 2, dtype=complex)
             order = [i, j, n, n + 1]
             big_mat[np.ix_(order, order)] = four

@@ -183,6 +183,20 @@ def test_no_route_uses_the_dilation():
     assert found == [("cli.py", "import"), ("lossy.py", "def")]
 
 
+def test_one_absorbing_element_model():
+    # the package models an absorbing element by its transfer matrix
+    # sqrt(1 - a^2) B alone: no T and A block model, slab constructor or
+    # detector POVM is defined beside it
+    retired = {"LossyBSParams", "DetectorModel", "povm_element", "symmetric_slab"}
+    found = [
+        f"{path.name}:{node.name}"
+        for path in sorted((ROOT / "src" / "fockforge").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in retired
+    ]
+    assert not found, f"a second absorbing-element model is defined at {found}"
+
+
 def test_every_parameter_is_read():
     # a parameter its body never reads changes nothing a caller can see: every
     # function and lambda under src/fockforge reads each of its parameters
